@@ -502,9 +502,10 @@ class Hierarchy:
     def reach_weight_vector(self, weights: np.ndarray) -> np.ndarray:
         """``w(G_v)`` for every node ``v``: total weight of its reachable set.
 
-        Uses the cached boolean reachability matrix when the hierarchy is
-        small enough, a one-pass bottom-up sum for trees, and per-node BFS
-        otherwise.  ``weights`` must be aligned to node indices.
+        Uses a one-pass bottom-up sum for trees, the cached boolean
+        reachability matrix for DAGs up to its size limit, and
+        column-blocked reachability slabs (:meth:`_reach_weights_blocked`)
+        beyond it.  ``weights`` must be aligned to node indices.
         """
         if len(weights) != self.n:
             raise HierarchyError(

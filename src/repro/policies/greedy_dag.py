@@ -11,31 +11,116 @@ weights (Theorem 1's ``2(1 + 3 ln n)`` guarantee).  Two ideas make it
   it.
 * **Incremental weight maintenance** (Alg. 7, ``AdjustWeight``): on a *no*
   answer, each node ``x`` of the removed subgraph ``G_q`` contributes
-  ``w(x)`` to exactly the ancestors that can still reach it, so one reverse
-  BFS per removed node keeps every ``w̃`` exact.
+  ``w(x)`` to exactly the alive ancestors that can still reach it.
+  :func:`remove_subgraph` applies the whole answer in one pass: it flags
+  ``G_q`` dead, finds the alive ancestors outside it with one reverse BFS,
+  and subtracts from each the weights of the removed nodes it reaches.
 
 The initial ``w̃(v) = w(G_v)`` vector comes from
-:meth:`repro.core.hierarchy.Hierarchy.reach_weight_vector` (the cached
-reachability matrix on small graphs, per-node BFS otherwise), and is cached
-across resets on the same ``(hierarchy, distribution)`` pair so that
-all-targets evaluation does not recompute it ``n`` times.
+:meth:`repro.core.hierarchy.Hierarchy.reach_weight_vector` (a bottom-up sum
+on trees, the cached reachability matrix on DAGs up to its size limit,
+column-blocked reachability slabs beyond it), and is cached across resets on
+the same ``(hierarchy, distribution)`` pair so that all-targets evaluation
+does not recompute it ``n`` times.  ``WIGS`` maintains its reachable-set
+counts with the same :func:`remove_subgraph`, using unit weights.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
+from itertools import chain
 
+from repro.core.hierarchy import Hierarchy
 from repro.core.policy import Policy
 from repro.exceptions import PolicyError
 
 
+def remove_subgraph(
+    hierarchy: Hierarchy,
+    alive: bytearray,
+    values: list[float],
+    weights: list[float],
+    q: int,
+) -> tuple[list[int], list[int], list[float]]:
+    """Answer *no* to ``q``: remove ``G_q``, keep ``values`` exact (Alg. 7).
+
+    ``values[v]`` is the weight of ``v``'s alive reachable set.  The alive
+    set is closed under ancestors, so hierarchy reachability decides which
+    removed nodes an alive node loses.  ``G_q`` is walked in BFS order and
+    flagged dead; one reverse BFS that never re-enters it finds the alive
+    ancestors of ``q``, which lose all of ``G_q``, then (on DAGs) the side
+    ancestors, which lose part of it.  Each drops those weights one at a
+    time in removal order: float subtraction is not associative, and the
+    paper's order (one reverse BFS per removed node) keeps values, decisions
+    and plans bit-identical for unrounded weights too.  Dead nodes keep
+    stale values, which nothing reads before :func:`restore_subgraph`.
+
+    Returns the undo record ``(removed, touched, old)``: the removed nodes,
+    and the alive nodes whose values changed with their old values.
+    """
+    removed = [q]
+    alive[q] = 0
+    for u in removed:  # ``removed`` grows while it is walked: a BFS queue
+        for v in hierarchy.children_ix(u):
+            if alive[v]:
+                alive[v] = 0
+                removed.append(v)
+    seen: set[int] = set()
+    upper = _alive_ancestors(hierarchy, alive, seen, (q,))
+    side = _alive_ancestors(hierarchy, alive, seen, removed[1:])
+    touched = upper + side
+    old = [values[a] for a in touched]
+    dropped = [x for x in removed if weights[x]]
+    for a in upper:
+        value = values[a]
+        for x in dropped:
+            value -= weights[x]
+        values[a] = value
+    if side:
+        # A side ancestor reaches a few removed nodes (two on average on
+        # the SMALL ImageNet-like DAG): intersect, then restore their order.
+        rank = {x: i for i, x in enumerate(dropped)}
+        ranked = frozenset(rank)
+        for a in side:
+            value = values[a]
+            for x in sorted(hierarchy.descendants_ix(a) & ranked, key=rank.__getitem__):
+                value -= weights[x]
+            values[a] = value
+    return removed, touched, old
+
+
+def restore_subgraph(alive: bytearray, values: list[float], removal: tuple) -> None:
+    """Exactly revert one :func:`remove_subgraph` call (the most recent)."""
+    removed, touched, old = removal
+    for x in removed:
+        alive[x] = 1
+    for a, value in zip(touched, old):
+        values[a] = value
+
+
+def _alive_ancestors(
+    hierarchy: Hierarchy, alive: bytearray, seen: set[int], sources: Iterable[int]
+) -> list[int]:
+    """Alive ancestors of ``sources`` not yet in ``seen`` (which grows), BFS order."""
+    found: list[int] = []
+    for u in chain(sources, found):  # ``found`` grows while it is walked
+        for p in hierarchy.parents_ix(u):
+            if alive[p] and p not in seen:
+                seen.add(p)
+                found.append(p)
+    return found
+
+
 class GreedyDagPolicy(Policy):
-    """Rounded greedy with pruned selection and reverse-BFS maintenance."""
+    """Rounded greedy with pruned selection and one-pass weight maintenance."""
 
     name = "GreedyDAG"
     uses_distribution = True
     supports_undo = True
+    # Derived from the (excluded) hierarchy and distribution; it also holds
+    # the hierarchy, whose lazy reachability caches fill up mid-walk.
+    undo_fingerprint_exclude = ("_static_cache",)
 
     def __init__(self, *, rounded: bool = True) -> None:
         super().__init__()
@@ -50,17 +135,18 @@ class GreedyDagPolicy(Policy):
     def _reset_state(self) -> None:
         h, dist = self.hierarchy, self.distribution
         cache = self._static_cache
-        if cache is not None and cache[0] is h and cache[1] is dist:
-            weights, tilde0 = cache[2], cache[3]
-        else:
+        if cache is None or cache[0] is not h or cache[1] is not dist:
             if self.rounded:
                 weights = dist.rounded_weights(h).astype(float)
             else:
                 weights = dist.as_array(h)
             tilde0 = h.reach_weight_vector(weights)
-            self._static_cache = (h, dist, weights, tilde0)
-        self._w = weights
-        self._tilde = tilde0.astype(float).copy()
+            # Python float lists: Alg. 6 and 7 index them one scalar at a
+            # time, which costs several times more on numpy arrays.
+            cache = (h, dist, weights.tolist(), tilde0.tolist())
+            self._static_cache = cache
+        self._w = cache[2]
+        self._tilde = list(cache[3])
         self._alive = bytearray([1] * h.n)
         self._root = h.root_ix
 
@@ -115,80 +201,30 @@ class GreedyDagPolicy(Policy):
                 self._undo_log.append((query, True, self._root))
             self._root = q
             return
-        removed = self._alive_reachable(q)
+        removal = remove_subgraph(
+            self.hierarchy, self._alive, self._tilde, self._w, q
+        )
         if self._undo_enabled:
-            journal: dict[int, float] = {}
-            for x in removed:
-                self._adjust_weight(x, journal)
-            self._undo_log.append((query, False, (removed, journal)))
-        else:
-            for x in removed:
-                self._adjust_weight(x)
-        for x in removed:
-            self._alive[x] = 0
+            self._undo_log.append((query, False, removal))
 
     def _revert_answer(self, query: Hashable, answer: bool, payload) -> None:
         if answer:
             self._root = payload
-            return
-        removed, journal = payload
-        for x in removed:
-            self._alive[x] = 1
-        tilde = self._tilde
-        for node, value in journal.items():
-            tilde[node] = value
-
-    def _alive_reachable(self, start: int) -> list[int]:
-        """Alive nodes reachable from ``start`` (the candidate ``G_start``)."""
-        h, alive = self.hierarchy, self._alive
-        seen = {start}
-        order = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in h.children_ix(u):
-                if alive[v] and v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    queue.append(v)
-        return order
-
-    def _adjust_weight(self, x: int, journal: dict[int, float] | None = None) -> None:
-        """Algorithm 7: subtract ``w(x)`` from every alive ancestor of ``x``.
-
-        Runs before the removal flags flip, so the reverse BFS may pass
-        through other soon-to-be-removed nodes (their weights are dead values
-        anyway), exactly as in the paper's pseudo-code.  ``journal`` records
-        each touched node's first-seen weight so :meth:`_revert_answer` can
-        restore bit-exact values (re-adding the subtraction would drift).
-        """
-        h, alive, tilde = self.hierarchy, self._alive, self._tilde
-        wx = self._w[x]
-        if wx == 0:
-            return
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for p in h.parents_ix(u):
-                if alive[p] and p not in seen:
-                    seen.add(p)
-                    if journal is not None and p not in journal:
-                        journal[p] = float(tilde[p])
-                    tilde[p] -= wx
-                    queue.append(p)
+        else:
+            restore_subgraph(self._alive, self._tilde, payload)
 
     # ------------------------------------------------------------------
     # Introspection for tests
     # ------------------------------------------------------------------
     def maintained_weight(self, label: Hashable) -> float:
         """Current maintained ``w̃`` of a node."""
-        return float(self._tilde[self.hierarchy.index(label)])
+        return self._tilde[self.hierarchy.index(label)]
 
     def recomputed_weight(self, label: Hashable) -> float:
         """``w(G_v)`` recomputed from scratch over the alive subgraph."""
-        ix = self.hierarchy.index(label)
-        return float(sum(self._w[v] for v in self._alive_reachable(ix)))
+        h = self.hierarchy
+        reach = h.descendants_ix(h.index(label))
+        return float(sum(self._w[v] for v in reach if self._alive[v]))
 
     def is_candidate(self, label: Hashable) -> bool:
         return bool(self._alive[self.hierarchy.index(label)])

@@ -22,13 +22,13 @@ every target of the scaled datasets.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable
 
 import numpy as np
 
 from repro.core.policy import Policy
 from repro.exceptions import PolicyError
+from repro.policies.greedy_dag import remove_subgraph, restore_subgraph
 
 
 class WigsPolicy(Policy):
@@ -37,6 +37,9 @@ class WigsPolicy(Policy):
     name = "WIGS"
     uses_distribution = False
     supports_undo = True
+    # Derived from the (excluded) hierarchy; it also holds the hierarchy,
+    # whose lazy reachability caches fill up mid-walk.
+    undo_fingerprint_exclude = ("_static_cache",)
 
     def __init__(self) -> None:
         super().__init__()
@@ -48,14 +51,14 @@ class WigsPolicy(Policy):
     def _reset_state(self) -> None:
         h = self.hierarchy
         cache = self._static_cache
-        if cache is not None and cache[0] is h:
-            counts0 = cache[1]
-        else:
-            counts0 = h.reach_weight_vector(np.ones(h.n))
-            self._static_cache = (h, counts0)
-        #: Number of alive nodes reachable from each node, maintained
-        #: incrementally (tree: path subtraction; DAG: reverse BFS).
-        self._count = counts0.astype(float).copy()
+        if cache is None or cache[0] is not h:
+            ones = np.ones(h.n)
+            cache = (h, ones.tolist(), h.reach_weight_vector(ones).tolist())
+            self._static_cache = cache
+        self._ones = cache[1]
+        #: Number of alive nodes reachable from each node, maintained by
+        #: GreedyDAG's one-pass Alg. 7 with unit weights.
+        self._count = list(cache[2])
         self._alive = bytearray([1] * h.n)
         self._root = h.root_ix
         # Binary-search state over the current heavy path/chain.
@@ -121,62 +124,15 @@ class WigsPolicy(Policy):
             self._lo = self._mid
             self._root = q
             return
+        removal = remove_subgraph(
+            self.hierarchy, self._alive, self._count, self._ones, q
+        )
         if self._undo_enabled:
-            removal = self._remove_subgraph(q, journal=True)
             self._undo_log.append((query, False, (search_state, removal)))
-        else:
-            self._remove_subgraph(q)
         self._hi = self._mid - 1
 
     def _revert_answer(self, query: Hashable, answer: bool, payload) -> None:
         search_state, removal = payload
         if removal is not None:
-            removed, journal = removal
-            for x in removed:
-                self._alive[x] = 1
-            count = self._count
-            for node, value in journal.items():
-                count[node] = value
+            restore_subgraph(self._alive, self._count, removal)
         self._path, self._lo, self._hi, self._mid, self._root = search_state
-
-    def _remove_subgraph(
-        self, q: int, *, journal: bool = False
-    ) -> tuple[list[int], dict[int, float]] | None:
-        """Remove ``G_q`` and restore exact reachable counts.
-
-        On trees the only affected nodes are the ancestors on the path, but
-        the reverse-BFS update is correct (and within the same bound) for
-        both cases, so it is used uniformly.  With ``journal=True`` the
-        removed nodes and each touched count's old value are returned for an
-        exact undo.
-        """
-        h, alive = self.hierarchy, self._alive
-        removed = [q]
-        seen = {q}
-        queue = deque([q])
-        while queue:
-            u = queue.popleft()
-            for v in h.children_ix(u):
-                if alive[v] and v not in seen:
-                    seen.add(v)
-                    removed.append(v)
-                    queue.append(v)
-        count = self._count
-        old_counts: dict[int, float] | None = {} if journal else None
-        for x in removed:
-            anc_seen = {x}
-            anc_queue = deque([x])
-            while anc_queue:
-                u = anc_queue.popleft()
-                for p in h.parents_ix(u):
-                    if alive[p] and p not in anc_seen:
-                        anc_seen.add(p)
-                        if old_counts is not None and p not in old_counts:
-                            old_counts[p] = float(count[p])
-                        count[p] -= 1.0
-                        anc_queue.append(p)
-        for x in removed:
-            alive[x] = 0
-        if old_counts is not None:
-            return removed, old_counts
-        return None
