@@ -13,13 +13,14 @@ can launder mutability, so the rule flags the write *sites*:
   underlying ``_query``/``_yes``/``_no``/``_target`` slots) or the
   hierarchy's ``_reach_bits`` block;
 * the same through a local alias — a name bound from a plan-array read,
-  ``payload_arrays()``, ``reachability_bits()``, ``reachability_matrix()``
-  or ``tree_intervals()``, **or from any module-local helper that
-  (transitively) returns such an alias** — the call graph's return-alias
-  fixpoint (:meth:`~repro.analysis.callgraph.ModuleCallGraph.
-  tainting_functions`) closes the old one-hop limitation, so a helper
-  that launders ``plan.payload_arrays()["query"]`` through two levels of
-  ``return`` still taints the name its result is bound to;
+  ``payload_arrays()``, ``reachability_bits()``, ``reachability_closure()``,
+  ``reachability_matrix()`` or ``tree_intervals()``, **or from any
+  module-local helper that (transitively) returns such an alias** — the
+  call graph's return-alias fixpoint
+  (:meth:`~repro.analysis.callgraph.ModuleCallGraph.tainting_functions`)
+  closes the old one-hop limitation, so a helper that launders
+  ``plan.payload_arrays()["query"]`` through two levels of ``return``
+  still taints the name its result is bound to;
 * ``setflags(write=True)`` anywhere: un-freezing a frozen array is how
   every "impossible" plan corruption starts.
 
@@ -65,6 +66,7 @@ _TAINTING_CALLS = frozenset(
     {
         "payload_arrays",
         "reachability_bits",
+        "reachability_closure",
         "reachability_matrix",
         "tree_intervals",
     }

@@ -11,6 +11,7 @@ Three checks live here:
 
 * **array freezing** — :func:`freeze` marks lazily-built reachability
   caches (:meth:`Hierarchy.reachability_matrix`,
+  :meth:`Hierarchy.reachability_closure`,
   :meth:`Hierarchy.tree_intervals`) read-only at construction, the same
   treatment :class:`CompiledPlan` arrays and the packed reachability
   bits get unconditionally, so an in-place write anywhere downstream

@@ -131,11 +131,10 @@ class TargetDistribution:
     # ------------------------------------------------------------------
     def as_array(self, hierarchy: Hierarchy) -> np.ndarray:
         """Probabilities as a dense array aligned to hierarchy indices."""
-        arr = np.zeros(hierarchy.n, dtype=float)
-        for node, weight in self._probs.items():
-            if node in hierarchy:
-                arr[hierarchy.index(node)] = weight
-        return arr
+        probs = self._probs
+        return np.array(
+            [probs.get(label, 0.0) for label in hierarchy.nodes], dtype=float
+        )
 
     def rounded_weights(self, hierarchy: Hierarchy) -> np.ndarray:
         """Equation (1): ``w(u) = ceil(n^2 * p(u) / max_v p(v))``.

@@ -17,9 +17,10 @@ weights (Theorem 1's ``2(1 + 3 ln n)`` guarantee).  Two ideas make it
   and subtracts from each the weights of the removed nodes it reaches.
 
 The initial ``w̃(v) = w(G_v)`` vector comes from
-:meth:`repro.core.hierarchy.Hierarchy.reach_weight_vector` (a bottom-up sum
-on trees, the cached reachability matrix on DAGs up to its size limit,
-column-blocked reachability slabs beyond it), and is cached across resets on
+:meth:`repro.core.hierarchy.Hierarchy.reach_weight_vector`: a bottom-up sum
+on trees and, on DAGs, exact sums of the integer Equation-(1) weights over
+the cached CSR reachability closure (the raw variant's probabilities take
+the reachability matrix product instead).  It is cached across resets on
 the same ``(hierarchy, distribution)`` pair so that all-targets evaluation
 does not recompute it ``n`` times.  ``WIGS`` maintains its reachable-set
 counts with the same :func:`remove_subgraph`, using unit weights.

@@ -129,6 +129,14 @@ def hack(plan):
 """
         assert codes_of(check(src, select=["RPA002"])) == ["RPA002"]
 
+    def test_closure_alias_item_store_flagged(self):
+        src = """
+def hack(hierarchy):
+    indptr, members = hierarchy.reachability_closure()
+    members[0] = 3
+"""
+        assert codes_of(check(src, select=["RPA002"])) == ["RPA002"]
+
     def test_setflags_write_true_flagged(self):
         src = "def hack(arr):\n    arr.setflags(write=True)\n"
         findings = check(src, select=["RPA002"])
@@ -934,6 +942,11 @@ class TestSanitizers:
             tin[0] = 99
         with pytest.raises(ValueError):
             tout[0] = 99
+        indptr, members = vehicle_hierarchy.reachability_closure()
+        with pytest.raises(ValueError):
+            indptr[0] = 99
+        with pytest.raises(ValueError):
+            members[0] = 99
 
     def test_reachability_caches_writable_without_sanitize(
         self, monkeypatch, vehicle_hierarchy

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.hierarchy as hierarchy_module
 from repro.core.hierarchy import DUMMY_ROOT, Hierarchy
 from repro.exceptions import CycleError, HierarchyError
 
@@ -176,11 +180,141 @@ class TestReachability:
             vector = h.reach_weight_vector(weights)
             for v in range(h.n):
                 expected = sum(weights[d] for d in h.descendants_ix(v))
-                assert vector[v] == pytest.approx(expected)
+                assert vector[v] == expected
 
     def test_reach_weight_vector_length_check(self, diamond_dag):
         with pytest.raises(HierarchyError, match="length"):
             diamond_dag.reach_weight_vector(np.ones(3))
+
+
+def complete_dag(n: int) -> Hierarchy:
+    """Every forward edge ``i -> j`` (``i < j``): height ``n - 1``, and each
+    node reaches all later ones, the largest closure an ``n``-node DAG has."""
+    return Hierarchy(
+        [(i, j) for j in range(1, n) for i in range(j)], nodes=[0]
+    )
+
+
+@st.composite
+def hierarchies(draw, shapes=("tree", "dag", "dense", "complete")):
+    """A random tree, sparse DAG, dense forward DAG, or complete DAG."""
+    n = draw(st.integers(min_value=2, max_value=48))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    shape = draw(st.sampled_from(shapes))
+    if shape == "tree":
+        return make_random_tree(n, seed)
+    if shape == "dag":
+        return make_random_dag(n, seed)
+    if shape == "dense":
+        return make_random_dag(n, seed, extra=n * n // 4)
+    return complete_dag(n)
+
+
+#: The shapes on which the closure can run (small draws can still be trees).
+dags = hierarchies(shapes=("dag", "dense", "complete")).filter(
+    lambda h: not h.is_tree
+)
+
+
+def int_bits(array: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words, so ``-0.0``/``0.0`` or NaN payloads differ."""
+    return array.view(np.int64)
+
+
+class TestReachWeightExactness:
+    """Integer weights are summed over the CSR closure; the result must be
+    byte-identical to ``reachability_matrix() @ w``, and every other
+    weight must not take the closure at all."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(h=hierarchies(), data=st.data())
+    def test_integer_weights_match_matrix_bytes(self, h, data):
+        square = h.n * h.n
+        values = data.draw(
+            st.lists(
+                st.one_of(st.just(0), st.integers(0, square)),
+                min_size=h.n,
+                max_size=h.n,
+            )
+        )
+        matrix = h.reachability_matrix()
+        for dtype in (np.float64, np.int64):
+            weights = np.array(values, dtype=dtype)
+            expected = matrix @ weights
+            assert expected.dtype == dtype
+            if h.is_tree:  # the bottom-up pass sums in floating point
+                expected = expected.astype(np.result_type(dtype, 0.0))
+            got = h.reach_weight_vector(weights)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(int_bits(got), int_bits(expected))
+        assert h.is_tree or h._reach_closure is not None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        h=dags,
+        kind=st.sampled_from(["fractional", "negative", "-0.0", "huge", "huge-int"]),
+        data=st.data(),
+    )
+    def test_other_weights_keep_the_matrix_product(self, h, kind, data):
+        n = h.n
+        if kind in ("huge", "huge-int"):
+            # Each at least 2**52, so the total passes 2**53: the matrix
+            # product rounds, and a closure sum could round differently.
+            values = data.draw(
+                st.lists(st.integers(2**52, 2**53), min_size=n, max_size=n)
+            )
+            dtype = np.int64 if kind == "huge-int" else np.float64
+            weights = np.array(values, dtype=dtype)
+        else:
+            values = data.draw(
+                st.lists(st.integers(0, n * n), min_size=n, max_size=n)
+            )
+            weights = np.array(values, dtype=float)
+            pos = data.draw(st.integers(0, n - 1))
+            weights[pos] = {"fractional": 0.5, "negative": -1.0}.get(kind, -0.0)
+        got = h.reach_weight_vector(weights)
+        assert h._reach_closure is None
+        expected = h.reachability_matrix() @ weights
+        assert got.dtype == expected.dtype
+        assert np.array_equal(int_bits(got), int_bits(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=dags, data=st.data())
+    def test_integer_weights_above_matrix_guard(self, h, data):
+        values = data.draw(
+            st.lists(st.integers(0, h.n * h.n), min_size=h.n, max_size=h.n)
+        )
+        guarded = Hierarchy(h.edges(), nodes=h.nodes)
+        with mock.patch.object(hierarchy_module, "_MATRIX_NODE_LIMIT", h.n - 1):
+            assert guarded.reachability_matrix() is None
+            for dtype in (np.float64, np.int64):
+                got = guarded.reach_weight_vector(np.array(values, dtype=dtype))
+                assert got.dtype == np.float64  # the slab path's dtype
+                for v in range(h.n):
+                    reach = guarded.descendants_ix(v)
+                    assert got[v] == sum(values[d] for d in reach)
+        assert guarded._reach_matrix is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=hierarchies())
+    def test_subtree_sizes_match_descendant_sets(self, h):
+        sizes = h.subtree_sizes_ix()
+        assert sizes == [len(h.descendants_ix(v)) for v in range(h.n)]
+        assert all(type(size) is int for size in sizes)
+
+    def test_closure_rows(self, diamond_dag):
+        indptr, members = diamond_dag.reachability_closure()
+        assert indptr.dtype == np.int64 and members.dtype == np.int32
+        assert len(indptr) == diamond_dag.n + 1
+        for v in range(diamond_dag.n):
+            row = members[indptr[v]:indptr[v + 1]]
+            assert len(row) == len(set(row.tolist()))
+            assert set(row.tolist()) == diamond_dag.descendants_ix(v)
+        # Built without filling the per-node descendant-set cache.
+        fresh = make_random_dag(50, seed=4)
+        fresh.reachability_closure()
+        assert fresh._desc_cache == {}
+        assert fresh.reachability_closure() is fresh.reachability_closure()
 
 
 class TestConversions:

@@ -89,6 +89,30 @@ class TestBitsetReachability:
         assert clone.fingerprint() == hierarchy.fingerprint()
         assert clone.descendants_ix(0) == hierarchy.descendants_ix(0)
 
+    def test_legacy_pickles_without_closure_slot_still_load(self):
+        """States written before the reachability closure existed lack its
+        slot; loading them must leave the cache empty, to build on demand."""
+        hierarchy = _fresh_dag()
+        legacy = (
+            None,
+            {
+                s: getattr(hierarchy, s)
+                for s in hierarchy.__slots__
+                if s != "_reach_closure"
+            },
+        )
+        clone = object.__new__(hierarchy_mod.Hierarchy)
+        clone.__setstate__(legacy)
+        assert clone._reach_closure is None
+        weights = np.arange(hierarchy.n, dtype=float)
+        assert np.array_equal(
+            clone.reach_weight_vector(weights),
+            hierarchy.reachability_matrix() @ weights,
+        )
+        assert clone.subtree_sizes_ix() == [
+            len(hierarchy.descendants_ix(v)) for v in range(hierarchy.n)
+        ]
+
     def test_lazy_caches_excluded_from_pickles(self):
         """Plan-cache files / worker pickles must not embed n^2/8 caches."""
         import pickle
@@ -97,10 +121,12 @@ class TestBitsetReachability:
         cold = len(pickle.dumps(hierarchy))
         hierarchy.reachability_bits()
         hierarchy.reachability_matrix()
+        hierarchy.reachability_closure()
         for ix in range(hierarchy.n):
             hierarchy.descendants_ix(ix)
         warm = len(pickle.dumps(hierarchy))
         assert warm <= cold * 1.1  # indexes rebuild on demand, not shipped
+        assert pickle.loads(pickle.dumps(hierarchy))._reach_closure is None
         clone = pickle.loads(pickle.dumps(hierarchy))
         assert clone.fingerprint() == hierarchy.fingerprint()
         assert np.array_equal(
