@@ -622,9 +622,11 @@ class EvaluationPool:
                 q.cancel_join_thread()
             except Exception:
                 pass
-        schedule_point("pool.restart.rebuild")
+        # Fresh queues before the fault point: a restart that fails here
+        # must not leave the closed ones for the next _ensure_started().
         self._tasks = self._new_queue()
         self._results = self._new_queue()
+        schedule_point("pool.restart.rebuild")
         self.respawns += 1
         self._ensure_started()
 

@@ -29,6 +29,7 @@ suite passes in a tier-1 run without ``REPRO_FAULTS`` set.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 
 import numpy as np
@@ -434,6 +435,40 @@ class TestInjectedPoolFaults:
         assert {kind for _, _, kind in fault.trace} == {
             "vanish_segment", "kill_worker",
         }
+
+
+    def test_crash_mid_restart_leaves_the_pool_usable(self, faults_on):
+        """A crash injected while a restart rebuilds the queues must not
+        leave the pool holding the closed ones: the next submit on it would
+        raise an untyped ``ValueError`` out of ``Server.serve``."""
+        plan, hierarchy, _ = _config(n=30, seed=51)
+        targets = list(hierarchy.nodes)[:10]
+        reference = _reference_outcomes(plan, hierarchy, targets)
+        fault = FaultPlan(
+            [
+                FaultSpec("kill_worker", at="serve.step", nth=1),
+                FaultSpec("crash", at="pool.restart.rebuild", nth=1),
+            ]
+        )
+        with EvaluationPool(workers=2) as pool:
+            for armed in (fault.armed(pool=pool), contextlib.nullcontext()):
+                server = Server(plan, pool=pool, deadline=5.0)
+                try:
+                    with armed:
+                        outcomes = list(
+                            server.serve(
+                                SessionRequest(t, target=t) for t in targets
+                            )
+                        )
+                finally:
+                    server.close()
+                for outcome in outcomes:
+                    if outcome.ok:
+                        assert outcome.result == reference[outcome.session_id]
+                    else:
+                        assert isinstance(outcome.error, ReproError)
+        assert ("pool.restart.rebuild", 1, "crash") in fault.trace
+        assert all(outcome.ok for outcome in outcomes)  # the unarmed serve
 
 
 class TestServerBreaker:
