@@ -1,16 +1,18 @@
-"""Paper-scale acceptance benchmark: sharded walks, bitset splits, caches, pool.
+"""Paper-scale acceptance benchmark: sharded walks, CSR splits, caches, pool.
 
 The scaling levers of the parallel-evaluation PRs, measured on one exact
 all-targets evaluation of a >= 10k-node ImageNet-like DAG (above
-``_MATRIX_NODE_LIMIT``, so the packed-bitset reachability block is the
+``_MATRIX_NODE_LIMIT``, so the sorted CSR reachability closure is the
 active splitter) plus a small-n companion DAG for the persistent pool:
 
 * **sharded walk** — ``simulate_all_targets(plan, jobs=N)`` versus the
   sequential ``jobs=1`` walk, with bit-identical per-target arrays.  Note
   the ceiling: ``jobs=N`` can never beat ``N``x, so the headline assertion
   uses the full worker count while ``jobs=2`` is reported alongside;
-* **bitset splitter** — the packed-bitset kernel versus the legacy
-  cached-descendant-``frozenset`` membership scan it replaces on big DAGs;
+* **CSR splitter** — the closure kernel versus the baseline kept here, a
+  per-target membership scan of the cached descendant frozensets; the
+  closure's bytes are reported beside the ``n^2 / 8`` a packed bitset of
+  the same relation would take;
 * **engine-result cache** — a warm :class:`repro.engine.EngineResultCache`
   must answer in O(load) time with zero plan walks;
 * **persistent pool** — repeated *small-n* evaluations on a warm
@@ -51,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -79,8 +82,17 @@ from repro.taxonomy import imagenet_like
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
-#: Queries timed per splitter kernel (the sets scan is ~ms per call).
+#: Queries timed per splitter kernel (the frozenset scan is ~ms per call).
 _SPLIT_QUERIES = 20
+
+
+def _split_scan(hierarchy, qix: int, targets: np.ndarray):
+    """The splitter baseline: one frozenset membership test per target."""
+    desc = hierarchy.descendants_ix(qix)
+    mask = np.fromiter(
+        (int(z) in desc for z in targets), dtype=bool, count=len(targets)
+    )
+    return targets[mask], targets[~mask]
 
 
 def _default_jobs() -> int:
@@ -112,11 +124,14 @@ def _timed_benchmark(
     plan = compile_policy(make_policy(policy_name), hierarchy, distribution)
     compile_seconds = time.perf_counter() - start
 
-    # Build the bitset index outside the timed region: both the sequential
-    # and the sharded walk use it, and it is cached on the hierarchy.
+    # The compile built the closure (it splits with it too), and both the
+    # sequential and the sharded walk reuse it; time a build on a copy
+    # without caches.
+    uncached = pickle.loads(pickle.dumps(hierarchy))
     start = time.perf_counter()
-    hierarchy.reachability_bits()
-    bitset_build_seconds = time.perf_counter() - start
+    indptr, members = uncached.reachability_closure()
+    closure_build_seconds = time.perf_counter() - start
+    closure_bytes = indptr.nbytes + members.nbytes
 
     start = time.perf_counter()
     sequential = simulate_all_targets(plan, jobs=1)
@@ -142,23 +157,26 @@ def _timed_benchmark(
         == two_way.decision_nodes
     )
 
-    # Bitset kernel vs the frozenset scan it replaces above the matrix limit.
+    # CSR kernel vs the frozenset scan, full target vector per split.
     targets = np.arange(hierarchy.n, dtype=np.int64)
     queries = np.random.default_rng(seed).integers(
         0, hierarchy.n, size=_SPLIT_QUERIES
     )
-    split_bits = make_splitter(hierarchy, hierarchy.n, kind="bitset")
-    split_sets = make_splitter(hierarchy, hierarchy.n, kind="sets")
-    for q in queries:
-        split_sets(int(q), targets)  # warm every timed descendant set
+    split_csr = make_splitter(hierarchy, hierarchy.n, kind="csr")
+    split_parity = True
+    for q in queries:  # warm every timed descendant set
+        split_parity &= np.array_equal(
+            _split_scan(hierarchy, int(q), targets)[0],
+            split_csr(int(q), targets)[0],
+        )
     start = time.perf_counter()
     for q in queries:
-        split_bits(int(q), targets)
-    bits_split_seconds = time.perf_counter() - start
+        split_csr(int(q), targets)
+    csr_split_seconds = time.perf_counter() - start
     start = time.perf_counter()
     for q in queries:
-        split_sets(int(q), targets)
-    sets_split_seconds = time.perf_counter() - start
+        _split_scan(hierarchy, int(q), targets)
+    scan_split_seconds = time.perf_counter() - start
 
     # Warm result cache: the second run must be one np.load, zero walks.
     with tempfile.TemporaryDirectory() as tmp:
@@ -243,18 +261,19 @@ def _timed_benchmark(
         "jobs": jobs,
         "cpu_count": os.cpu_count(),
         "compile_seconds": round(compile_seconds, 6),
-        "bitset_build_seconds": round(bitset_build_seconds, 6),
+        "closure_build_seconds": round(closure_build_seconds, 6),
+        "closure_bytes": closure_bytes,
+        "bitset_equivalent_bytes": hierarchy.n * hierarchy.n // 8,
         "walk_seconds_jobs1": round(seq_seconds, 6),
         "walk_seconds_jobs2": round(two_seconds, 6),
         "walk_seconds_sharded": round(par_seconds, 6),
         "speedup_jobs2": round(seq_seconds / two_seconds, 2),
         "speedup_sharded": round(seq_seconds / par_seconds, 2),
         "parity_ok": parity_ok,
-        "split_us_bitset": round(1e6 * bits_split_seconds / _SPLIT_QUERIES, 2),
-        "split_us_sets": round(1e6 * sets_split_seconds / _SPLIT_QUERIES, 2),
-        "speedup_bitset_vs_sets": round(
-            sets_split_seconds / bits_split_seconds, 2
-        ),
+        "split_us_csr": round(1e6 * csr_split_seconds / _SPLIT_QUERIES, 2),
+        "split_us_sets": round(1e6 * scan_split_seconds / _SPLIT_QUERIES, 2),
+        "speedup_csr_vs_sets": round(scan_split_seconds / csr_split_seconds, 2),
+        "split_parity_ok": bool(split_parity),
         "result_cache_cold_seconds": round(cold_seconds, 6),
         "result_cache_warm_seconds": round(warm_seconds, 6),
         "speedup_warm_cache": round(cold_seconds / warm_seconds, 2),
@@ -281,9 +300,11 @@ def _check(payload: dict, min_speedup: float) -> list[str]:
         failures.append("sharded walk diverged from the sequential arrays")
     if not payload["result_cache_ok"]:
         failures.append("warm result cache diverged or missed")
-    if payload["speedup_bitset_vs_sets"] < 5.0:
+    if not payload["split_parity_ok"]:
+        failures.append("CSR splitter diverged from the frozenset scan")
+    if payload["speedup_csr_vs_sets"] < 5.0:
         failures.append(
-            f"bitset splitter speedup {payload['speedup_bitset_vs_sets']}x "
+            f"CSR splitter speedup {payload['speedup_csr_vs_sets']}x "
             "is below the 5x floor over the frozenset scan"
         )
     if payload["speedup_warm_cache"] < 5.0:
@@ -356,7 +377,7 @@ def _env_config() -> tuple[int, int]:
 
 
 def test_parallel_evaluation_floors(report):
-    """Acceptance: shard/bitset/cache floors on a >= 10k-node DAG."""
+    """Acceptance: shard/CSR/cache floors on a >= 10k-node DAG."""
     n, jobs = _env_config()
     payload = run_benchmark(n_target=n, jobs=jobs)
     report("bench_parallel", json.dumps(payload, indent=2))

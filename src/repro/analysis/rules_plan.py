@@ -1,19 +1,19 @@
 """RPA002 — compiled-plan immutability.
 
-A :class:`~repro.plan.CompiledPlan`'s four flat arrays — and the
-hierarchy's packed reachability block — are *shared* state: the persistent
-pool maps them as zero-copy ``np.frombuffer`` views over one shared-memory
-segment, so a single in-place write in any process corrupts the plan for
-every attached worker and every live cursor, silently.  The arrays are
+A :class:`~repro.plan.CompiledPlan`'s four flat arrays are *shared*
+state: the persistent pool maps them as zero-copy ``np.frombuffer`` views
+over one shared-memory segment, so a single in-place write in any process
+corrupts the plan for every attached worker and every live cursor,
+silently.  The hierarchy's cached reachability indexes are shared too:
+every kernel built on a hierarchy reads the same arrays.  The arrays are
 built read-only, but numpy's read-only flag can be flipped back and views
 can launder mutability, so the rule flags the write *sites*:
 
 * any assignment, item-store, or in-place op targeting a plan array
   attribute (``query_ix``/``yes_child``/``no_child``/``target_ix`` or the
-  underlying ``_query``/``_yes``/``_no``/``_target`` slots) or the
-  hierarchy's ``_reach_bits`` block;
+  underlying ``_query``/``_yes``/``_no``/``_target`` slots);
 * the same through a local alias — a name bound from a plan-array read,
-  ``payload_arrays()``, ``reachability_bits()``, ``reachability_closure()``,
+  ``payload_arrays()``, ``reachability_closure()``,
   ``reachability_matrix()`` or ``tree_intervals()``, **or from any
   module-local helper that (transitively) returns such an alias** — the
   call graph's return-alias fixpoint
@@ -25,11 +25,9 @@ can launder mutability, so the rule flags the write *sites*:
   every "impossible" plan corruption starts.
 
 ``plan/plan.py`` itself constructs the arrays (via ``object.__setattr__``
-before freezing, which this rule does not match), ``plan/lazy.py`` is the
-*incremental* constructor (its same-named slots are mutable Python lists,
-private to one process, by design), and ``core/hierarchy.py`` owns the
-``_reach_bits`` cache slot; rebinding that slot there is its build/adopt
-path, not a mutation of published bytes.  ``self.<attr> = ...`` inside an
+before freezing, which this rule does not match), and ``plan/lazy.py`` is
+the *incremental* constructor (its same-named slots are mutable Python
+lists, private to one process, by design).  ``self.<attr> = ...`` inside an
 ``__init__`` is likewise exempt — a class binding its *own* attribute of
 the same name (e.g. a result record with a ``target_ix`` field) is
 construction, not mutation of a plan.
@@ -46,7 +44,7 @@ from repro.analysis.diagnostics import Diagnostic
 CODES = {
     "RPA002": (
         "compiled-plan immutability: no writes to CompiledPlan arrays or "
-        "the packed reachability block outside their constructors"
+        "the cached reachability indexes outside their constructors"
     ),
 }
 
@@ -58,14 +56,10 @@ _PLAN_ATTRS = frozenset(
     }
 )
 
-#: The hierarchy's packed-bitset cache slot (shared via the pool).
-_BITS_ATTRS = frozenset({"_reach_bits"})
-
 #: Zero-argument-ish accessors whose results alias protected storage.
 _TAINTING_CALLS = frozenset(
     {
         "payload_arrays",
-        "reachability_bits",
         "reachability_closure",
         "reachability_matrix",
         "tree_intervals",
@@ -76,12 +70,9 @@ _TAINTING_CALLS = frozenset(
 _NO_EXTRA: frozenset[str] = frozenset()
 
 
-def _protected_attr(node: ast.expr, include_bits: bool) -> str | None:
-    if isinstance(node, ast.Attribute):
-        if node.attr in _PLAN_ATTRS:
-            return node.attr
-        if include_bits and node.attr in _BITS_ATTRS:
-            return node.attr
+def _protected_attr(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Attribute) and node.attr in _PLAN_ATTRS:
+        return node.attr
     return None
 
 
@@ -100,13 +91,13 @@ def _taints(value: ast.expr, extra: frozenset[str] = _NO_EXTRA) -> bool:
       call-graph fixpoint proved to return aliases (``extra``);
     * ternaries/containers where any branch/element aliases.
     """
-    if _protected_attr(value, include_bits=True):
+    if _protected_attr(value):
         return True
     if isinstance(value, ast.Call):
         name = call_attr(value.func)
         return name in _TAINTING_CALLS or name in extra
     if isinstance(value, ast.Subscript):
-        if _protected_attr(value.value, include_bits=True):
+        if _protected_attr(value.value):
             return isinstance(value.slice, ast.Slice)
         return _taints(value.value, extra)
     if isinstance(value, ast.IfExp):
@@ -168,7 +159,6 @@ def check(ctx) -> Iterator[Diagnostic]:
         ("plan", "plan.py"),
         ("plan", "lazy.py"),
     )
-    in_hierarchy_module = ctx.repro_parts[-2:] == ("core", "hierarchy.py")
 
     # Module-local helpers that (transitively) return protected aliases:
     # calling one taints the bound name exactly like a direct accessor.
@@ -228,7 +218,7 @@ def check(ctx) -> Iterator[Diagnostic]:
             continue
         for target in _store_targets(node):
             # plan._query = ... / plan.query_ix = ... (attribute rebinding)
-            attr = _protected_attr(target, include_bits=not in_hierarchy_module)
+            attr = _protected_attr(target)
             if attr is not None and not _own_init_binding(node, target):
                 yield ctx.diagnostic(
                     node,
@@ -238,14 +228,14 @@ def check(ctx) -> Iterator[Diagnostic]:
                     "a new plan instead",
                 )
                 continue
-            # plan.query_ix[...] = ... / h._reach_bits[...] |= ...
+            # plan.query_ix[...] = ... / plan.yes_child[...] |= ...
             if isinstance(target, ast.Subscript):
                 # Walk nested subscripts down to the stored-into base:
                 # arrays["query"][0] = ... stores through `arrays`.
                 base = target.value
                 while isinstance(base, ast.Subscript):
                     base = base.value
-                attr = _protected_attr(base, include_bits=True)
+                attr = _protected_attr(base)
                 if attr is not None:
                     yield ctx.diagnostic(
                         node,

@@ -13,9 +13,9 @@ Three checks live here:
   caches (:meth:`Hierarchy.reachability_matrix`,
   :meth:`Hierarchy.reachability_closure`,
   :meth:`Hierarchy.tree_intervals`) read-only at construction, the same
-  treatment :class:`CompiledPlan` arrays and the packed reachability
-  bits get unconditionally, so an in-place write anywhere downstream
-  fails loudly at the write site instead of corrupting a shared cache;
+  treatment :class:`CompiledPlan` arrays get unconditionally, so an
+  in-place write anywhere downstream fails loudly at the write site
+  instead of corrupting a shared cache;
 
 * **shared-memory leak tracking** — pools record every segment name they
   create; :func:`check_segments_released` is asserted on

@@ -32,12 +32,6 @@ DUMMY_ROOT = "__root__"
 #: automatically (n^2 bytes of memory); callers may override per call.
 _MATRIX_NODE_LIMIT = 8192
 
-#: Memory budget (bytes) for the packed-bitset reachability block
-#: (:meth:`Hierarchy.reachability_bits`); above it the block is not built
-#: automatically.  n^2 / 8 bytes, so the default admits ~65k-node DAGs
-#: (~0.5 GB) — well past the paper's 27,714-node ImageNet hierarchy (~96 MB).
-_BITSET_BYTE_LIMIT = 1 << 29
-
 
 class Hierarchy:
     """An immutable single-rooted DAG over hashable node labels.
@@ -78,7 +72,6 @@ class Hierarchy:
         "_desc_cache",
         "_anc_cache",
         "_reach_matrix",
-        "_reach_bits",
         "_reach_closure",
         "_subtree_sizes",
         "_is_tree",
@@ -172,7 +165,6 @@ class Hierarchy:
         self._desc_cache: dict[int, frozenset[int]] = {}
         self._anc_cache: dict[int, frozenset[int]] = {}
         self._reach_matrix: np.ndarray | None = None
-        self._reach_bits: np.ndarray | None = None
         self._reach_closure: tuple[np.ndarray, np.ndarray] | None = None
         self._subtree_sizes: list[int] | None = None
         self._intervals: tuple[np.ndarray, np.ndarray] | None = None
@@ -392,7 +384,7 @@ class Hierarchy:
         if not self.is_tree:
             raise HierarchyError(
                 "tree_intervals() requires a tree; DAG reachability needs "
-                "the matrix or descendant sets"
+                "the matrix or the CSR closure"
             )
         if self._intervals is None:
             n = self.n
@@ -438,88 +430,37 @@ class Hierarchy:
         self._reach_matrix = sanitize.freeze(matrix)
         return matrix
 
-    def reachability_bits(self, *, allow_large: bool = False) -> np.ndarray | None:
-        """Packed-bitset reachability block: row ``u`` holds ``u reaches v``.
-
-        A ``(n, ceil(n / 8))`` ``uint8`` array in ``np.packbits`` layout —
-        the bit for target ``v`` in row ``u`` is
-        ``bits[u, v >> 3] >> (7 - (v & 7)) & 1`` — i.e. the dense boolean
-        reachability matrix at one eighth of its memory (~96 MB for the
-        paper's 27,714-node ImageNet DAG instead of ~768 MB).  This is the
-        index the vector engine splits target arrays with on DAGs too large
-        for :meth:`reachability_matrix`.
-
-        Built lazily in a single reverse-topological pass that ORs *packed*
-        rows (``O(m)`` vectorized byte-ORs of ``n / 8`` bytes each), so the
-        build never materialises an unpacked ``n x n`` intermediate; peak
-        memory is the block itself.  Cached after the first build; rows are
-        read-only.
-
-        Returns ``None`` when the block would exceed
-        :data:`_BITSET_BYTE_LIMIT` and ``allow_large`` is false.
-        """
-        if self._reach_bits is not None:
-            return self._reach_bits
-        n = self.n
-        row_bytes = (n + 7) >> 3
-        if n * row_bytes > _BITSET_BYTE_LIMIT and not allow_large:
-            return None
-        bits = np.zeros((n, row_bytes), dtype=np.uint8)
-        diag = np.arange(n)
-        bits[diag, diag >> 3] = (
-            np.left_shift(1, 7 - (diag & 7)).astype(np.uint8)
-        )
-        for v in reversed(self._topo):
-            row = bits[v]
-            for c in self._children[v]:
-                row |= bits[c]
-        bits.setflags(write=False)
-        self._reach_bits = bits
-        return bits
-
-    def adopt_reachability_bits(self, bits: np.ndarray) -> None:
-        """Install an externally built packed-bitset reachability block.
-
-        The persistent evaluation pool (:mod:`repro.engine.pool`) publishes
-        the block once into shared memory; every worker then installs a
-        zero-copy read-only view over the mapped buffer instead of paying
-        the ``O(m n / 8)`` build (or ``n^2 / 8`` bytes of private memory)
-        per process.  Only the shape is validated — the caller vouches that
-        the bits were built on a fingerprint-identical hierarchy.
-        """
-        expected = (self.n, (self.n + 7) >> 3)
-        if bits.dtype != np.uint8 or bits.shape != expected:
-            raise HierarchyError(
-                f"reachability block has dtype {bits.dtype}, shape "
-                f"{bits.shape}; expected uint8 with shape {expected}"
-            )
-        if bits.flags.writeable:
-            bits = bits.view()
-            bits.setflags(write=False)
-        self._reach_bits = bits
-
     def reachability_closure(self) -> tuple[np.ndarray, np.ndarray]:
         """Every reachable set in CSR form: ``(indptr, members)``.
 
         ``members[indptr[v]:indptr[v + 1]]`` are the ``int32`` node indices
-        of ``G_v``, ``v`` included, so no row is empty; ``indptr`` is
-        ``int64``.  Its size is the closure's, not ``n^2`` (0.3% of the
-        pairs on the SMALL ImageNet-like DAG).  Built once in one
+        of ``G_v`` in ascending order, ``v`` included, so no row is empty;
+        ``indptr`` is ``int64``.  Its size is the closure's, 4 bytes per
+        reachable pair, not ``n^2`` (0.3% of the pairs on the SMALL
+        ImageNet-like DAG, 0.97 MB on a 27,714-node one).  This is the
+        reachability index of DAGs that do not take the dense matrix
+        (:mod:`repro.engine.vector`).  Built once in one
         reverse-topological pass over transient sets, which leaves the
-        :meth:`descendants_ix` cache empty, and cached.
+        :meth:`descendants_ix` cache empty, plus one sort of the row-major
+        keys ``v * n + member``; cached.
         """
         if self._reach_closure is None:
-            rows: list = [None] * self.n
+            n = self.n
+            rows: list = [None] * n
             for v in reversed(self._topo):
                 row = {v}
                 for c in self._children[v]:
                     row |= rows[c]
                 rows[v] = row
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum([len(row) for row in rows], out=indptr[1:])
-            members = np.fromiter(
-                chain.from_iterable(rows), dtype=np.int32, count=int(indptr[-1])
+            keys = np.fromiter(
+                chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
             )
+            keys += np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+            keys.sort()
+            keys %= n
+            members = keys.astype(np.int32)
             from repro.analysis import sanitize
 
             self._reach_closure = (
@@ -597,16 +538,15 @@ class Hierarchy:
     # ------------------------------------------------------------------
     # Pickling
     # ------------------------------------------------------------------
-    #: Lazily built caches excluded from pickles: the reachability indexes
-    #: reach n^2 (matrix) / n^2 / 8 (bitset) bytes and the descendant sets
-    #: and closure O(n^2) entries — embedding them would bloat every
-    #: plan-cache file and spawn-context worker pickle.  They rebuild on
+    #: Lazily built caches excluded from pickles: the matrix takes n^2
+    #: bytes, the closure 4 bytes per reachable pair, and the descendant
+    #: sets O(n^2) entries — embedding them would bloat every plan-cache
+    #: file, pool segment and spawn-context worker pickle.  They rebuild on
     #: demand; the content fingerprint (a 64-byte hex string) is kept.
     _LAZY_SLOTS = (
         "_desc_cache",
         "_anc_cache",
         "_reach_matrix",
-        "_reach_bits",
         "_reach_closure",
         "_subtree_sizes",
         "_intervals",
@@ -622,12 +562,13 @@ class Hierarchy:
     def __setstate__(self, state) -> None:
         if isinstance(state, tuple):
             # Legacy pickle (default slots protocol, pre-__getstate__):
-            # a (dict-state, slots-dict) pair with every cache included.
-            state = state[1] or {}
+            # a (dict-state, slots-dict) pair with every cache included,
+            # the retired packed-bitset slot among them.
+            state = dict(state[1] or {})
+            state.pop("_reach_bits", None)
         self._desc_cache = {}
         self._anc_cache = {}
         self._reach_matrix = None
-        self._reach_bits = None
         self._reach_closure = None
         self._subtree_sizes = None
         self._intervals = None

@@ -12,12 +12,13 @@ draws batched per session.
 
 Three layers:
 
-* :func:`make_belief_updater` — tree/matrix/bitset/sets-tagged kernels
-  (the dispatch shape of :func:`~repro.engine.vector.make_splitter`) that
+* :func:`make_belief_updater` — tree/matrix/csr-tagged kernels that
   multiply a dense posterior row-block over all candidate targets by
   ``P(answer | reach(q, z))`` under an :class:`~repro.core.ErrorRateModel`
   and renormalize — one vectorized op per question step for a whole
-  cohort.
+  cohort.  The reach masks come from
+  :func:`~repro.engine.vector.make_reach_rows`; this module reads no
+  reachability index itself.
 * :func:`simulate_noisy` — the batched sweep: seeded flip draws, early-
   stopped majority voting, repeated-search plurality reduction, optional
   MAP/threshold stopping read off the posterior, with ``jobs=`` sharding
@@ -59,18 +60,13 @@ from repro.core import (
 )
 from repro.core.oracle import Oracle
 from repro.engine.vector import (
-    SPLITTER_KINDS,
     _choose_kind,
     _tagged,
     is_vector_policy,
     make_answerer,
+    make_reach_rows,
 )
-from repro.exceptions import (
-    BudgetExceededError,
-    HierarchyError,
-    OracleError,
-    SearchError,
-)
+from repro.exceptions import BudgetExceededError, OracleError, SearchError
 from repro.plan import (
     NO_PATH,
     CompiledPlan,
@@ -128,24 +124,21 @@ def make_belief_updater(
     only when some rate is exactly 0 and an inconsistent answer arrives,
     e.g. under persistent noise) are left as zeros rather than divided.
 
-    Kernel choice and the ``kind`` override mirror
-    :func:`~repro.engine.vector.make_splitter` (``tree`` / ``matrix`` /
-    ``bitset`` / ``sets``); every kernel computes the same ``(S, n)``
-    reachability mask, so posteriors are bit-identical across kinds.
+    The ``(S, n)`` reachability mask comes from
+    :func:`~repro.engine.vector.make_reach_rows`, whose kernel choice and
+    ``kind`` override mirror :func:`~repro.engine.vector.make_splitter`
+    (``tree`` / ``matrix`` / ``csr``); every kind computes the same mask,
+    so posteriors are bit-identical across kinds.
 
     For persistent noise the independent-error product is an
     approximation (repeat visits to a flipped node are correlated); the
     engine uses it for MAP stopping only, never for exact-path semantics.
     """
-    if kind is not None and kind not in SPLITTER_KINDS:
-        raise HierarchyError(
-            f"unknown splitter kind {kind!r}; expected one of {SPLITTER_KINDS}"
-        )
-    if kind is None:
-        kind = _choose_kind(
-            hierarchy, hierarchy.n if num_sessions is None else num_sessions
-        )
-    reach_rows = _make_reach_rows(hierarchy, kind)
+    reach_rows = make_reach_rows(
+        hierarchy,
+        hierarchy.n if num_sessions is None else num_sessions,
+        kind=kind,
+    )
 
     def update(
         posterior: np.ndarray,
@@ -164,47 +157,7 @@ def make_belief_updater(
         updated[alive] /= mass[alive]
         return updated
 
-    return _tagged(update, kind)
-
-
-def _make_reach_rows(hierarchy: Hierarchy, kind: str):
-    """``(queries,) -> (S, n)`` boolean reach masks, one row per session."""
-    n = hierarchy.n
-
-    if kind == "tree":
-        tin, tout = hierarchy.tree_intervals()
-
-        def rows_tree(queries: np.ndarray) -> np.ndarray:
-            return (tin[None, :] >= tin[queries][:, None]) & (
-                tin[None, :] < tout[queries][:, None]
-            )
-
-        return rows_tree
-
-    if kind == "matrix":
-        matrix = hierarchy.reachability_matrix(allow_large=True)
-
-        def rows_matrix(queries: np.ndarray) -> np.ndarray:
-            return matrix[queries]
-
-        return rows_matrix
-
-    if kind == "bitset":
-        bits = hierarchy.reachability_bits(allow_large=True)
-
-        def rows_bits(queries: np.ndarray) -> np.ndarray:
-            return np.unpackbits(bits[queries], axis=1, count=n).astype(bool)
-
-        return rows_bits
-
-    def rows_sets(queries: np.ndarray) -> np.ndarray:
-        mask = np.zeros((len(queries), n), dtype=bool)
-        for row, qix in enumerate(queries):
-            desc = hierarchy.descendants_ix(int(qix))
-            mask[row, np.fromiter(desc, dtype=np.int64, count=len(desc))] = True
-        return mask
-
-    return rows_sets
+    return _tagged(update, reach_rows.kind)
 
 
 def posterior_from_transcript(

@@ -23,7 +23,7 @@ initializer).  Under the ``fork`` start method — the default wherever
 available — nothing is pickled: the parent pre-builds the hierarchy's
 reachability index before forking, and workers share it copy-on-write.
 Under ``spawn`` the initargs are pickled instead; hierarchies deliberately
-exclude their lazy caches from pickles (they can reach ``n^2 / 8`` bytes),
+exclude their lazy caches from pickles (the matrix alone is ``n^2`` bytes),
 so each spawn worker rebuilds the index once per pool.  The splitter
 kernel is chosen once for the *full* target set and forced on every
 shard, keeping the walk shard-count-invariant.

@@ -13,14 +13,14 @@ policies.  :class:`EvaluationPool` removes both costs:
   per-call cost is a few queue round-trips instead of a pool spin-up.
 
 * **Shared-memory plans.**  :meth:`publish` copies a
-  :class:`~repro.plan.CompiledPlan`'s flat arrays — and the hierarchy's
-  packed reachability block, when built — into one
-  :mod:`multiprocessing.shared_memory` segment keyed by the plan's
-  ``config_key``.  Workers attach lazily by key and rebuild the plan as
-  zero-copy views over the mapped buffer (the plan constructor adopts
-  contiguous int64 arrays without copying), so a plan crosses the process
-  boundary once per worker no matter how many walks it serves, and the
-  ``n^2 / 8``-byte reachability block is mapped, not duplicated.
+  :class:`~repro.plan.CompiledPlan`'s flat arrays and a pickle of its
+  hierarchy into one :mod:`multiprocessing.shared_memory` segment keyed
+  by the plan's ``config_key``.  Workers attach lazily by key and rebuild
+  the plan as zero-copy views over the mapped buffer (the plan
+  constructor adopts contiguous int64 arrays without copying), so a plan
+  crosses the process boundary once per worker no matter how many walks
+  it serves.  The hierarchy pickle carries no caches: each worker builds
+  the reachability index it needs once per attached plan.
 
 * **Refcounted registry.**  Published segments live in a registry capped at
   ``max_plans``; publishing past the cap evicts the least-recently-used
@@ -144,10 +144,9 @@ def _align(offset: int) -> int:
 # layout is known.
 # ----------------------------------------------------------------------
 def _pack_segment(plan, hierarchy, key: str, name: str) -> shared_memory.SharedMemory:
-    """Create a shared segment holding the plan arrays (+ hierarchy, bits)."""
+    """Create a shared segment holding the plan arrays and the hierarchy."""
     arrays = plan.payload_arrays()
     hier_blob = pickle.dumps(hierarchy, protocol=pickle.HIGHEST_PROTOCOL)
-    bits = hierarchy._reach_bits  # publish the block only when already built
 
     offsets: dict[str, tuple[int, int]] = {}
     cursor = 0
@@ -156,10 +155,6 @@ def _pack_segment(plan, hierarchy, key: str, name: str) -> shared_memory.SharedM
         cursor = _align(cursor + arr.nbytes)
     hier_off = cursor
     cursor = _align(cursor + len(hier_blob))
-    bits_meta = None
-    if bits is not None:
-        bits_meta = (cursor, int(bits.shape[0]), int(bits.shape[1]))
-        cursor = _align(cursor + bits.nbytes)
 
     meta = {
         "format": _FORMAT,
@@ -168,7 +163,6 @@ def _pack_segment(plan, hierarchy, key: str, name: str) -> shared_memory.SharedM
         "plan_key": plan.config_key,
         "arrays": offsets,
         "hierarchy": (hier_off, len(hier_blob)),
-        "bits": bits_meta,
     }
     meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
     base = _align(8 + len(meta_blob))
@@ -192,14 +186,6 @@ def _pack_segment(plan, hierarchy, key: str, name: str) -> shared_memory.SharedM
             view[:] = arr
             del view
         shm.buf[base + hier_off : base + hier_off + len(hier_blob)] = hier_blob
-        if bits is not None:
-            off, rows, row_bytes = bits_meta
-            view = np.frombuffer(
-                shm.buf, dtype=np.uint8, count=rows * row_bytes,
-                offset=base + off,
-            ).reshape(rows, row_bytes)
-            view[:] = bits
-            del view
     except BaseException:
         shm.close()
         try:
@@ -213,9 +199,8 @@ def _pack_segment(plan, hierarchy, key: str, name: str) -> shared_memory.SharedM
 def _attach_segment(seg_name: str, key: str):
     """Worker side: map a published segment into (plan, hierarchy, shm).
 
-    The plan arrays and the reachability block are zero-copy views over the
-    mapped buffer; only the (cache-free) hierarchy pickle is materialised
-    per worker.  Raises :class:`PoolError` on any torn or foreign content —
+    The plan arrays are zero-copy views over the mapped buffer; only the
+    (cache-free) hierarchy pickle is materialised per worker.  Raises :class:`PoolError` on any torn or foreign content —
     the error travels back to the caller, the worker survives.
     """
     from repro.plan import CompiledPlan
@@ -272,13 +257,6 @@ def _attach_segment(seg_name: str, key: str):
             views[block] = np.frombuffer(
                 shm.buf, dtype=np.int64, count=count, offset=base + off
             )
-        if meta["bits"] is not None:
-            off, rows, row_bytes = meta["bits"]
-            bits = np.frombuffer(
-                shm.buf, dtype=np.uint8, count=rows * row_bytes,
-                offset=base + off,
-            ).reshape(rows, row_bytes)
-            hierarchy.adopt_reachability_bits(bits)
         plan = CompiledPlan(
             hierarchy,
             views["query"],
@@ -606,7 +584,18 @@ class EvaluationPool:
         unfinished bucket.  In-flight results are lost with the old queue,
         which is safe: their task ids are still pending and the rerun
         produces identical data (walks are pure).
+
+        Both fresh queues are built before anything is torn down.  When
+        that fails (``OSError``, e.g. out of file descriptors) the pool is
+        left as it was, dead workers included, and :class:`PoolError`
+        is raised; the next call's liveness check restarts again.
         """
+        try:
+            fresh = (self._new_queue(), self._new_queue())
+        except OSError as exc:
+            raise PoolError(
+                f"cannot rebuild the pool's task/result queues: {exc}"
+            ) from exc
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
@@ -622,10 +611,9 @@ class EvaluationPool:
                 q.cancel_join_thread()
             except Exception:
                 pass
-        # Fresh queues before the fault point: a restart that fails here
-        # must not leave the closed ones for the next _ensure_started().
-        self._tasks = self._new_queue()
-        self._results = self._new_queue()
+        # Installed before the fault point: a restart that fails here must
+        # not leave the closed ones for the next _ensure_started().
+        self._tasks, self._results = fresh
         schedule_point("pool.restart.rebuild")
         self.respawns += 1
         self._ensure_started()

@@ -12,24 +12,29 @@ indices.  Two ingredients make that possible:
   implement it natively (``supports_undo``); any other deterministic policy
   is handled by the engine's transcript-replay adapter instead.
 
-* :func:`make_splitter` — a per-hierarchy kernel splitting a target-index
-  array on a query node into (yes, no) halves, because the exact oracle's
-  answer for target ``z`` on query ``q`` is ``reaches(q, z)``.  Four kernels
-  exist, picked automatically by hierarchy shape and walk size (or forced
-  with ``kind``):
+* :func:`make_splitter`, :func:`make_answerer` and
+  :func:`make_reach_rows` — per-hierarchy exact-oracle kernels, because the
+  exact oracle's answer for target ``z`` on query ``q`` is
+  ``reaches(q, z)``.  A splitter splits one target-index array on one
+  query into (yes, no) halves (the plan-walk shape), an answerer answers
+  aligned ``(q_i, z_i)`` pairs (the serving shape), and a row kernel
+  returns one boolean reach mask per query (the belief engine's shape).
+  This module is the only reader of the reachability indexes; each family
+  comes in three kinds, picked from the input by :func:`_choose_kind` (or
+  forced with ``kind``):
 
-  ========  ==========================================================
-  kind      mechanism
-  ========  ==========================================================
-  tree      two numpy comparisons against cached Euler-tour intervals
-  matrix    boolean row of the dense reachability matrix (small DAGs)
-  bitset    bit-tests against the packed reachability block — the
-            memory-lean DAG index above ``_MATRIX_NODE_LIMIT``
-            (:meth:`repro.core.hierarchy.Hierarchy.reachability_bits`)
-  sets      cached-descendant-``frozenset`` membership scan (cheap
-            fallback for a handful of Monte-Carlo targets, where
-            building any n^2-shaped index would dominate)
-  ========  ==========================================================
+  ======  ===========================================================
+  kind    index and mechanism
+  ======  ===========================================================
+  tree    Euler-tour intervals (:meth:`~repro.core.hierarchy.Hierarchy.
+          tree_intervals`): two numpy comparisons per target
+  matrix  the dense reachability matrix: a row gather (small DAGs,
+          up to ``_MATRIX_NODE_LIMIT`` nodes, or a matrix already built)
+  csr     the sorted CSR closure (:meth:`~repro.core.hierarchy.
+          Hierarchy.reachability_closure`), one entry per reachable
+          pair: splits and rows scatter row ``q`` into a bool mask,
+          pairs binary-search ``q * n + z`` in the row-major keys
+  ======  ===========================================================
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from repro.exceptions import HierarchyError
 #: kernel is exposed on the returned callable as ``.kind``.
 Splitter = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-#: Valid ``kind`` arguments of :func:`make_splitter`.
-SPLITTER_KINDS = ("tree", "matrix", "bitset", "sets")
+#: Valid ``kind`` arguments of the kernel factories.
+SPLITTER_KINDS = ("tree", "matrix", "csr")
 
 
 @runtime_checkable
@@ -93,16 +98,25 @@ def _tagged(split: Splitter, kind: str) -> Splitter:
     return split
 
 
+def _resolve_kind(hierarchy: Hierarchy, num_targets: int, kind: str | None) -> str:
+    if kind is None:
+        return _choose_kind(hierarchy, num_targets)
+    if kind not in SPLITTER_KINDS:
+        raise HierarchyError(
+            f"unknown splitter kind {kind!r}; expected one of {SPLITTER_KINDS}"
+        )
+    return kind
+
+
 def make_splitter(
     hierarchy: Hierarchy, num_targets: int, *, kind: str | None = None
 ) -> Splitter:
     """Choose the cheapest exact reachability split for this hierarchy.
 
-    ``num_targets`` steers the DAG trade-off: materialising an n^2-shaped
-    reachability index (dense matrix below ``_MATRIX_NODE_LIMIT`` nodes,
-    packed bitset block above it) only pays off when the walk will split
-    large target vectors many times; for a handful of Monte-Carlo targets
-    the cached per-node descendant sets are cheaper than the build.
+    ``num_targets`` steers the DAG trade-off (see :func:`_choose_kind`):
+    the dense matrix only pays off when the walk splits large target
+    vectors many times; otherwise the CSR closure answers.  Both halves
+    keep the targets' order.
 
     ``kind`` forces a specific kernel (one of :data:`SPLITTER_KINDS`),
     bypassing the heuristics — the parallel engine uses this so every worker
@@ -110,12 +124,7 @@ def make_splitter(
     parity tests use it to compare kernels on one hierarchy.  The chosen
     kind is exposed as ``.kind`` on the returned callable.
     """
-    if kind is not None and kind not in SPLITTER_KINDS:
-        raise HierarchyError(
-            f"unknown splitter kind {kind!r}; expected one of {SPLITTER_KINDS}"
-        )
-    if kind is None:
-        kind = _choose_kind(hierarchy, num_targets)
+    kind = _resolve_kind(hierarchy, num_targets, kind)
 
     if kind == "tree":
         tin, tout = hierarchy.tree_intervals()
@@ -136,25 +145,16 @@ def make_splitter(
 
         return _tagged(split_matrix, "matrix")
 
-    if kind == "bitset":
-        bits = hierarchy.reachability_bits(allow_large=True)
+    indptr, members = hierarchy.reachability_closure()
+    n = hierarchy.n
 
-        def split_bits(qix: int, targets: np.ndarray):
-            row = bits[qix]
-            mask = (row[targets >> 3] >> (7 - (targets & 7))) & 1
-            mask = mask.astype(bool)
-            return targets[mask], targets[~mask]
-
-        return _tagged(split_bits, "bitset")
-
-    def split_sets(qix: int, targets: np.ndarray):
-        desc = hierarchy.descendants_ix(qix)
-        mask = np.fromiter(
-            (int(z) in desc for z in targets), dtype=bool, count=len(targets)
-        )
+    def split_csr(qix: int, targets: np.ndarray):
+        row = np.zeros(n, dtype=bool)
+        row[members[indptr[qix] : indptr[qix + 1]]] = True
+        mask = row[targets]
         return targets[mask], targets[~mask]
 
-    return _tagged(split_sets, "sets")
+    return _tagged(split_csr, "csr")
 
 
 #: An answerer takes aligned ``(query_ix, target_ix)`` arrays — one entry
@@ -175,14 +175,10 @@ def make_answerer(
     session sits at its *own* plan node.  Kernel choice and semantics
     mirror :func:`make_splitter` exactly (same ``kind`` values, same
     heuristics via ``num_sessions``); the chosen kind is exposed as
-    ``.kind``.
+    ``.kind``.  The ``csr`` answerer builds its ``int64`` pair keys
+    (8 bytes per reachable pair) once, here.
     """
-    if kind is not None and kind not in SPLITTER_KINDS:
-        raise HierarchyError(
-            f"unknown splitter kind {kind!r}; expected one of {SPLITTER_KINDS}"
-        )
-    if kind is None:
-        kind = _choose_kind(hierarchy, num_sessions)
+    kind = _resolve_kind(hierarchy, num_sessions, kind)
 
     if kind == "tree":
         tin, tout = hierarchy.tree_intervals()
@@ -201,41 +197,84 @@ def make_answerer(
 
         return _tagged(answer_matrix, "matrix")
 
-    if kind == "bitset":
-        bits = hierarchy.reachability_bits(allow_large=True)
+    indptr, members = hierarchy.reachability_closure()
+    n = hierarchy.n
+    # Row-major pair keys, sorted because every closure row is; no row is
+    # empty, so the keys are too.
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + members
+    last = len(keys) - 1
 
-        def answer_bits(queries: np.ndarray, targets: np.ndarray):
-            bytes_ = bits[queries, targets >> 3]
-            return ((bytes_ >> (7 - (targets & 7))) & 1).astype(bool)
+    def answer_csr(queries: np.ndarray, targets: np.ndarray):
+        probe = queries.astype(np.int64) * n + targets
+        found = np.minimum(np.searchsorted(keys, probe), last)
+        return keys[found] == probe
 
-        return _tagged(answer_bits, "bitset")
+    return _tagged(answer_csr, "csr")
 
-    def answer_sets(queries: np.ndarray, targets: np.ndarray):
-        descendants = hierarchy.descendants_ix
-        return np.fromiter(
-            (int(z) in descendants(int(q)) for q, z in zip(queries, targets)),
-            dtype=bool,
-            count=len(queries),
-        )
 
-    return _tagged(answer_sets, "sets")
+#: A row kernel takes ``(S,)`` query indices and returns the ``(S, n)``
+#: boolean reach masks, row ``i`` holding ``reaches(queries[i], z)``.
+ReachRows = Callable[[np.ndarray], np.ndarray]
+
+
+def make_reach_rows(
+    hierarchy: Hierarchy, num_sessions: int, *, kind: str | None = None
+) -> ReachRows:
+    """One boolean reach mask per query: the belief engine's kernel.
+
+    The dense counterpart of :func:`make_answerer` for
+    :func:`repro.engine.belief.make_belief_updater`, which needs every
+    candidate target's answer at once.  Same ``kind`` values and
+    heuristics; every kind returns the same masks.
+    """
+    kind = _resolve_kind(hierarchy, num_sessions, kind)
+    n = hierarchy.n
+
+    if kind == "tree":
+        tin, tout = hierarchy.tree_intervals()
+
+        def rows_tree(queries: np.ndarray) -> np.ndarray:
+            return (tin[None, :] >= tin[queries][:, None]) & (
+                tin[None, :] < tout[queries][:, None]
+            )
+
+        return _tagged(rows_tree, "tree")
+
+    if kind == "matrix":
+        matrix = hierarchy.reachability_matrix(allow_large=True)
+
+        def rows_matrix(queries: np.ndarray) -> np.ndarray:
+            return matrix[queries]
+
+        return _tagged(rows_matrix, "matrix")
+
+    indptr, members = hierarchy.reachability_closure()
+
+    def rows_csr(queries: np.ndarray) -> np.ndarray:
+        mask = np.zeros((len(queries), n), dtype=bool)
+        for row, qix in enumerate(queries):
+            mask[row, members[indptr[qix] : indptr[qix + 1]]] = True
+        return mask
+
+    return _tagged(rows_csr, "csr")
 
 
 def _choose_kind(hierarchy: Hierarchy, num_targets: int) -> str:
-    """The heuristic kernel choice (see :func:`make_splitter`)."""
+    """The kernel for this input: intervals, matrix, or CSR closure.
+
+    Trees take their Euler intervals.  A DAG whose matrix is already built
+    reuses it.  Otherwise the matrix pays only up to ``_MATRIX_NODE_LIMIT``
+    nodes, and only when the walk's split work (~ ``num_targets * height``
+    memberships) rivals its ``n^2`` build; every other DAG takes the CSR
+    closure, whose size is the number of reachable pairs.
+    """
     if hierarchy.is_tree:
         return "tree"
-    # An already-built index is free — reuse it no matter the walk size.
     if hierarchy._reach_matrix is not None:
         return "matrix"
-    if hierarchy._reach_bits is not None:
-        return "bitset"
-    # Otherwise an n^2-shaped index only pays off once the walk's total
-    # split work (~ num_targets * height memberships) rivals the build.
-    if num_targets * max(hierarchy.height, 1) < hierarchy.n:
-        return "sets"
-    if hierarchy.n <= _hierarchy_mod._MATRIX_NODE_LIMIT:
+    if (
+        hierarchy.n <= _hierarchy_mod._MATRIX_NODE_LIMIT
+        and num_targets * max(hierarchy.height, 1) >= hierarchy.n
+    ):
         return "matrix"
-    if hierarchy.reachability_bits() is not None:
-        return "bitset"
-    return "sets"
+    return "csr"

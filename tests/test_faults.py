@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import errno
+import os
+import signal
 import time
 
 import numpy as np
@@ -469,6 +472,42 @@ class TestInjectedPoolFaults:
                         assert isinstance(outcome.error, ReproError)
         assert ("pool.restart.rebuild", 1, "crash") in fault.trace
         assert all(outcome.ok for outcome in outcomes)  # the unarmed serve
+
+    def test_queue_rebuild_failure_is_typed_and_leaves_the_pool_usable(
+        self, monkeypatch
+    ):
+        """A restart whose second fresh queue cannot be built (out of file
+        descriptors) raises ``PoolError`` chained to the ``OSError`` and
+        keeps the old queues; the next walk restarts again and matches."""
+        plan, hierarchy, _ = _config(n=120, seed=52)
+        reference = simulate_all_targets(
+            plan, jobs=1, result_cache=False, pool=False
+        )
+        with EvaluationPool(workers=2) as pool:
+            simulate_all_targets(plan, result_cache=False, pool=pool)
+            for proc in pool._procs:
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join()
+            calls = []
+            real_new_queue = pool._new_queue
+
+            def new_queue():
+                calls.append(None)
+                if len(calls) == 2:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return real_new_queue()
+
+            monkeypatch.setattr(pool, "_new_queue", new_queue)
+            with pytest.raises(PoolError, match="queues") as info:
+                simulate_all_targets(plan, result_cache=False, pool=pool)
+            assert isinstance(info.value.__cause__, OSError)
+            assert pool.respawns == 0
+            for _ in range(2):
+                again = simulate_all_targets(plan, result_cache=False, pool=pool)
+                assert np.array_equal(again.queries, reference.queries)
+                assert np.array_equal(again.prices, reference.prices)
+                assert again.decision_nodes == reference.decision_nodes
+            assert pool.respawns == 1
 
 
 class TestServerBreaker:

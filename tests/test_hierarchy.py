@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.core.hierarchy as hierarchy_module
 from repro.core.hierarchy import DUMMY_ROOT, Hierarchy
+from repro.engine.vector import make_answerer, make_reach_rows, make_splitter
 from repro.exceptions import CycleError, HierarchyError
 
 from repro.testing import make_random_dag, make_random_tree
@@ -315,6 +316,42 @@ class TestReachWeightExactness:
         fresh.reachability_closure()
         assert fresh._desc_cache == {}
         assert fresh.reachability_closure() is fresh.reachability_closure()
+
+
+class TestCsrKernels:
+    """The sorted CSR closure and the ``csr`` split, pair and row kernels
+    that read it, against ``Hierarchy.reaches`` for every ``(q, z)``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=hierarchies(shapes=("tree", "dag", "dense")))
+    @example(h=Hierarchy([], nodes=["only"]))
+    def test_closure_rows_sorted(self, h):
+        indptr, members = h.reachability_closure()
+        for v in range(h.n):
+            row = members[indptr[v] : indptr[v + 1]].tolist()
+            assert row == sorted(h.descendants_ix(v))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        h=hierarchies(shapes=("tree", "dag", "dense")),
+        seed=st.integers(0, 2**16),
+    )
+    @example(h=Hierarchy([], nodes=["only"]), seed=0)
+    def test_kernels_agree_with_reaches(self, h, seed):
+        n = h.n
+        reach = np.array([[h.reaches(q, z) for z in h.nodes] for q in h.nodes])
+        split = make_splitter(h, n, kind="csr")
+        targets = np.random.default_rng(seed).permutation(n).astype(np.int64)
+        for q in range(n):
+            yes, no = split(q, targets)
+            # Both halves keep the targets' order.
+            assert np.array_equal(yes, targets[reach[q, targets]])
+            assert np.array_equal(no, targets[~reach[q, targets]])
+        queries, pair_targets = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        answer = make_answerer(h, n, kind="csr")
+        assert np.array_equal(answer(queries, pair_targets), reach.ravel())
+        rows = make_reach_rows(h, n, kind="csr")
+        assert np.array_equal(rows(np.arange(n, dtype=np.int64)), reach)
 
 
 class TestConversions:

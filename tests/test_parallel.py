@@ -2,10 +2,13 @@
 
 Three subsystems under contract here:
 
-* the packed-bitset reachability block and the splitter kernels
-  (:meth:`repro.core.hierarchy.Hierarchy.reachability_bits`,
-  :func:`repro.engine.make_splitter`) — every kind must produce identical
-  splits on trees and on DAGs straddling ``_MATRIX_NODE_LIMIT``;
+* the reachability kernels (:func:`repro.engine.make_splitter`,
+  :func:`repro.engine.make_answerer`,
+  :func:`repro.engine.vector.make_reach_rows`) over the sorted CSR closure
+  (:meth:`repro.core.hierarchy.Hierarchy.reachability_closure`) — every
+  kind must agree with ``Hierarchy.reaches`` on trees and on DAGs
+  straddling ``_MATRIX_NODE_LIMIT``, and hierarchy pickles must never
+  carry the indexes;
 * the sharded parallel engine (:mod:`repro.engine.parallel`) — the
   :class:`~repro.engine.EngineResult` arrays *and* ``decision_nodes`` must
   be bit-identical for every ``jobs`` value;
@@ -15,6 +18,8 @@ Three subsystems under contract here:
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,12 +27,14 @@ from repro.core import hierarchy as hierarchy_mod
 from repro.core.costs import TableCost
 from repro.engine import (
     EngineResultCache,
+    make_answerer,
     make_splitter,
     resolve_jobs,
     set_default_jobs,
     set_default_result_cache,
     simulate_all_targets,
 )
+from repro.engine.vector import make_reach_rows
 from repro.exceptions import HierarchyError
 from repro.policies import GreedyDagPolicy, GreedyTreePolicy, make_policy
 from repro.testing import (
@@ -52,30 +59,9 @@ def _assert_same_result(a, b):
 
 
 # ----------------------------------------------------------------------
-# Packed-bitset reachability
+# Hierarchy pickles
 # ----------------------------------------------------------------------
 class TestBitsetReachability:
-    def test_rows_match_dense_matrix(self):
-        hierarchy = _fresh_dag()
-        bits = hierarchy.reachability_bits()
-        matrix = hierarchy.reachability_matrix()
-        assert bits.shape == (hierarchy.n, (hierarchy.n + 7) // 8)
-        for u in range(hierarchy.n):
-            unpacked = np.unpackbits(bits[u], count=hierarchy.n).astype(bool)
-            assert np.array_equal(unpacked, matrix[u])
-
-    def test_cached_and_read_only(self):
-        hierarchy = _fresh_dag()
-        bits = hierarchy.reachability_bits()
-        assert hierarchy.reachability_bits() is bits
-        assert not bits.flags.writeable
-
-    def test_size_limit(self, monkeypatch):
-        monkeypatch.setattr(hierarchy_mod, "_BITSET_BYTE_LIMIT", 8)
-        hierarchy = _fresh_dag()
-        assert hierarchy.reachability_bits() is None
-        assert hierarchy.reachability_bits(allow_large=True) is not None
-
     def test_legacy_slot_tuple_pickles_still_load(self):
         """Plan-cache entries written before __getstate__ must not be
         misreported as corrupt (their state is a (None, slots) tuple)."""
@@ -86,6 +72,19 @@ class TestBitsetReachability:
         )
         clone = object.__new__(hierarchy_mod.Hierarchy)
         clone.__setstate__(legacy)
+        assert clone.fingerprint() == hierarchy.fingerprint()
+        assert clone.descendants_ix(0) == hierarchy.descendants_ix(0)
+
+    def test_legacy_pickles_with_retired_bitset_slot_still_load(self):
+        """States written while hierarchies had a packed-bitset slot carry
+        ``_reach_bits``; loading them skips the retired key instead of
+        failing (which the plan cache would misreport as a corrupt entry)."""
+        hierarchy = _fresh_dag()
+        slots = {s: getattr(hierarchy, s) for s in hierarchy.__slots__}
+        slots["_reach_bits"] = np.packbits(hierarchy.reachability_matrix(), axis=1)
+        clone = object.__new__(hierarchy_mod.Hierarchy)
+        clone.__setstate__((None, slots))
+        assert not hasattr(clone, "_reach_bits")
         assert clone.fingerprint() == hierarchy.fingerprint()
         assert clone.descendants_ix(0) == hierarchy.descendants_ix(0)
 
@@ -114,12 +113,9 @@ class TestBitsetReachability:
         ]
 
     def test_lazy_caches_excluded_from_pickles(self):
-        """Plan-cache files / worker pickles must not embed n^2/8 caches."""
-        import pickle
-
+        """Plan-cache files / worker pickles must not embed the indexes."""
         hierarchy = _fresh_dag()
         cold = len(pickle.dumps(hierarchy))
-        hierarchy.reachability_bits()
         hierarchy.reachability_matrix()
         hierarchy.reachability_closure()
         for ix in range(hierarchy.n):
@@ -129,9 +125,6 @@ class TestBitsetReachability:
         assert pickle.loads(pickle.dumps(hierarchy))._reach_closure is None
         clone = pickle.loads(pickle.dumps(hierarchy))
         assert clone.fingerprint() == hierarchy.fingerprint()
-        assert np.array_equal(
-            clone.reachability_bits(), hierarchy.reachability_bits()
-        )
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +138,7 @@ class TestSplitterKinds:
         rng = np.random.default_rng(seed)
         splitters = {
             kind: make_splitter(hierarchy, hierarchy.n, kind=kind)
-            for kind in ("matrix", "bitset", "sets")
+            for kind in ("matrix", "csr")
         }
         for qix in rng.integers(0, hierarchy.n, size=10):
             reference = None
@@ -165,7 +158,7 @@ class TestSplitterKinds:
         targets = np.arange(hierarchy.n, dtype=np.int64)
         tree_split = make_splitter(hierarchy, hierarchy.n)
         assert tree_split.kind == "tree"
-        for kind in ("matrix", "bitset", "sets"):
+        for kind in ("matrix", "csr"):
             other = make_splitter(hierarchy, hierarchy.n, kind=kind)
             for qix in range(hierarchy.n):
                 assert np.array_equal(
@@ -174,24 +167,33 @@ class TestSplitterKinds:
                 ), kind
 
     def test_auto_kind_straddles_matrix_limit(self, monkeypatch):
-        """Above _MATRIX_NODE_LIMIT the big-walk DAG kernel is the bitset."""
+        """Above _MATRIX_NODE_LIMIT the big-walk DAG kernel is the CSR
+        closure, and no matrix is built."""
         hierarchy = _fresh_dag()
         below = make_splitter(hierarchy, hierarchy.n)
         assert below.kind == "matrix"
         fresh = _fresh_dag()  # no cached matrix to be reused
         monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         above = make_splitter(fresh, fresh.n)
-        assert above.kind == "bitset"
+        assert above.kind == "csr"
+        assert fresh._reach_matrix is None
 
-    def test_auto_kind_small_walks_use_sets(self):
+    def test_auto_kind_small_walks_use_csr(self):
+        """A walk whose split work is below the matrix build takes CSR."""
         hierarchy = _fresh_dag()
-        assert make_splitter(hierarchy, 1).kind == "sets"
+        assert make_splitter(hierarchy, 1).kind == "csr"
+        assert make_answerer(hierarchy, 1).kind == "csr"
+        assert make_reach_rows(hierarchy, 1).kind == "csr"
+        assert hierarchy._reach_matrix is None
 
-    def test_auto_kind_reuses_built_index(self):
+    def test_auto_kind_reuses_built_index(self, monkeypatch):
+        monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         hierarchy = _fresh_dag()
-        hierarchy.reachability_bits()
-        # Even a tiny walk uses the bitset once it has been paid for.
-        assert make_splitter(hierarchy, 1).kind == "bitset"
+        hierarchy.reachability_matrix(allow_large=True)
+        # Even a tiny walk above the limit uses the matrix once it is built.
+        assert make_splitter(hierarchy, 1).kind == "matrix"
+        assert make_answerer(hierarchy, 1).kind == "matrix"
+        assert make_reach_rows(hierarchy, 1).kind == "matrix"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(HierarchyError, match="splitter kind"):
@@ -215,9 +217,10 @@ class TestShardedEngine:
             assert sharded.method == "plan"
             _assert_same_result(sequential, sharded)
 
-    def test_dag_bitset_path_jobs_bit_identical(self, monkeypatch):
+    def test_dag_csr_path_jobs_bit_identical(self, monkeypatch):
         monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         hierarchy = _fresh_dag(n=60, seed=4)
+        assert make_splitter(hierarchy, hierarchy.n).kind == "csr"
         distribution = random_distribution(hierarchy, 4)
         sequential = simulate_all_targets(
             GreedyDagPolicy(), hierarchy, distribution, jobs=1

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -35,10 +36,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import hierarchy as hierarchy_mod
 from repro.core.costs import TableCost
 from repro.engine import (
     EvaluationPool,
     get_default_pool,
+    make_splitter,
     resolve_pool,
     set_default_pool,
     simulate_all_targets,
@@ -135,17 +138,17 @@ class TestPoolParity:
         )
         _assert_same_result(sequential, warm)
 
-    def test_shared_reachability_bits_published(self, pool):
-        """A pre-built bitset block pins the splitter kind to "bitset" and
-        is published into the segment; workers walk bit-identically off
-        the mapped (zero-copy) view."""
+    def test_csr_walk_rebuilds_closure_in_workers(self, pool, monkeypatch):
+        """Above ``_MATRIX_NODE_LIMIT`` the parent pins the "csr" kind.  The
+        segment ships the hierarchy pickle, which carries no closure, so
+        every worker rebuilds it and walks bit-identically."""
+        monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         hierarchy = make_random_dag(80, seed=5)
         distribution = random_distribution(hierarchy, 5)
-        bits = hierarchy.reachability_bits()
-        assert bits is not None
         plan = compile_policy(
             make_policy("greedy-dag"), hierarchy, distribution
         )
+        assert make_splitter(hierarchy, hierarchy.n).kind == "csr"
         sequential = simulate_all_targets(
             plan, hierarchy, jobs=1, result_cache=False, pool=False
         )
@@ -153,6 +156,10 @@ class TestPoolParity:
             plan, hierarchy, result_cache=False, pool=pool
         )
         _assert_same_result(sequential, warm)
+        assert pool.walks == 1
+        assert hierarchy._reach_matrix is None
+        assert hierarchy._reach_closure is not None
+        assert pickle.loads(pickle.dumps(hierarchy))._reach_closure is None
 
     def test_budget_error_propagates_with_type(self, pool):
         hierarchy, distribution = _tree_config()

@@ -740,7 +740,7 @@ class TestPlanStream:
 # The batched exact-oracle kernels (engine.vector.make_answerer)
 # ----------------------------------------------------------------------
 class TestMakeAnswerer:
-    @pytest.mark.parametrize("kind", ["matrix", "bitset", "sets"])
+    @pytest.mark.parametrize("kind", ["matrix", "csr"])
     def test_kernels_agree_on_dag(self, kind):
         from repro.engine.vector import make_answerer
 
