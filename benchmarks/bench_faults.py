@@ -1,29 +1,27 @@
-"""Chaos soak: seeded fault schedules against the real pool + server.
+"""Chaos soak: seeded fault schedules against a server and pool walks.
 
 The resilience layer's acceptance gate.  Hundreds of seeded random
 :class:`~repro.faults.FaultPlan` schedules (worker kills, injected typed
-crashes, slow boundaries) run against a live
-:class:`~repro.engine.EvaluationPool` and :class:`~repro.serve.Server`,
-plus a handful of scripted segment-attack schedules (vanish/corrupt a
-published shared-memory segment under a worker kill) on throwaway pools,
-plus seeded schedules over the **network edge** — crashes and slowdowns
-at the ``transport.*`` boundaries of a real localhost
-:class:`~repro.serve.ServeTransport`, absorbed by the client's retry
-policy, per-request deadlines, and circuit breaker.
-For every schedule the soak asserts:
+crashes, slow boundaries) each run a :class:`~repro.serve.Server` feed
+and then one plan walk on a live :class:`~repro.engine.EvaluationPool`
+under the same armed plan; a handful of scripted segment-attack
+schedules (vanish/corrupt a published shared-memory segment under a
+worker kill) attack walks on throwaway pools; and seeded schedules hit
+the **network edge** — crashes and slowdowns at the ``transport.*``
+boundaries of a real localhost :class:`~repro.serve.ServeTransport`,
+absorbed by the client's retry policy, per-request deadlines, and
+per-backend circuit breaker.  For every schedule the soak asserts:
 
-* **termination** — each serve run finishes within a wall-clock bound
-  (deadlines + the circuit breaker make a hang a bug, not load);
+* **termination** — each schedule finishes within a wall-clock bound
+  (deadlines and bounded respawns make a hang a bug, not load);
 * **typed errors only** — every failed session carries a
   :class:`~repro.exceptions.ReproError` subclass, and anything escaping
-  the serve loop is typed too; any other exception is a violation
-  recorded with its replayable ``(seed, trace)``;
+  the serve loop or the walk is typed too; any other exception is a
+  violation recorded with its replayable ``(seed, trace)``;
 * **bit-identity** — every session that *completed* returns exactly the
-  fault-free result (count, price, transcript), no matter how many
-  faults its schedule fired around it;
-* **trip -> cooldown -> probe -> restore** — a degraded plan group
-  returns to streaming through the breaker (``stats.trips`` and
-  ``stats.restores`` both advance in the scripted recovery scenario);
+  fault-free result (count, price, transcript), and every walk that
+  completed returns the fault-free per-target arrays and
+  ``decision_nodes``, no matter how many faults its schedule fired;
 * **<1% overhead with faults off** — the per-crossing cost of the
   disarmed ``schedule_point`` hook, projected over a serve run's
   measured crossing count, stays under 1% of the fault-free wall time.
@@ -58,11 +56,13 @@ try:
 except ImportError:  # standalone `python benchmarks/bench_faults.py`
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from bench_json import write_bench_json
 from repro.analysis.schedule import schedule_point
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import EvaluationPool
+from repro.engine import EvaluationPool, simulate_all_targets
 from repro.exceptions import ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.plan import compile_policy
@@ -72,7 +72,7 @@ from repro.testing import make_random_tree, random_distribution
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
-#: Wall-clock bound per schedule: a serve run exceeding this hung.
+#: Wall-clock bound per schedule: a schedule exceeding this hung.
 _SCHEDULE_BOUND_S = 60.0
 
 
@@ -94,6 +94,27 @@ def _serve_once(server, targets):
     except ReproError as exc:
         escaped = exc  # typed: the schedule cut the feed short, legally
     return outcomes, escaped
+
+
+def _walk_once(plan, pool):
+    try:
+        return simulate_all_targets(plan, result_cache=False, pool=pool), None
+    except ReproError as exc:
+        return None, exc  # typed: the schedule cut the walk short, legally
+
+
+def _check_walk(walk, reference, seed, trace, violations):
+    if walk is None:
+        return
+    if not (
+        np.array_equal(walk.queries, reference.queries)
+        and np.array_equal(walk.prices, reference.prices)
+        and walk.decision_nodes == reference.decision_nodes
+    ):
+        violations.append(
+            f"seed {seed}: the pool walk diverged from the fault-free "
+            f"walk (trace {trace})"
+        )
 
 
 def _check_outcomes(outcomes, reference, seed, trace, violations):
@@ -139,6 +160,10 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         for t in targets
     }
 
+    walk_reference = simulate_all_targets(
+        plan, jobs=1, result_cache=False, pool=False
+    )
+
     # Fault-free wall time (hook installed but nothing armed) — the
     # baseline for both bit-identity and the overhead projection.
     with Server(plan) as server:
@@ -152,7 +177,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
     sessions_completed = 0
     sessions_errored = 0
     escaped_typed = 0
-    trips = restores = 0
+    walks_cut_short = 0
 
     previous = os.environ.get("REPRO_FAULTS")
     os.environ["REPRO_FAULTS"] = "1"
@@ -161,10 +186,11 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         # Phase 0: crossings per run, for the disarmed-overhead gate.
         crossings = _count_crossings(plan, targets)
 
-        # Phase 1: seeded random schedules over one long-lived pool.
-        # Kills and crashes recover in place; segment attacks get their
-        # own throwaway pools below (a vanished segment poisons the
-        # plan's residency for every later schedule).
+        # Phase 1: seeded random schedules, each a serve run plus one
+        # walk on one long-lived pool.  Kills and crashes recover in
+        # place; segment attacks get their own throwaway pools below (a
+        # vanished segment poisons the plan's residency for every later
+        # schedule).
         with EvaluationPool(workers=2) as pool:
             for seed in range(schedules):
                 fault = FaultPlan.random(
@@ -173,15 +199,11 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
                     kinds=("crash", "kill_worker", "slow"),
                     max_faults=4,
                 )
-                server = Server(
-                    plan, pool=pool, deadline=10.0, breaker_cooldown=2
-                )
                 begin = time.perf_counter()
-                try:
+                with Server(plan) as server:
                     with fault.armed(pool=pool):
                         outcomes, escaped = _serve_once(server, targets)
-                finally:
-                    server.close()
+                        walk, walk_escaped = _walk_once(plan, pool)
                 elapsed = time.perf_counter() - begin
                 if elapsed > _SCHEDULE_BOUND_S:
                     violations.append(
@@ -192,94 +214,48 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
                 _check_outcomes(
                     outcomes, reference, seed, fault.trace, violations
                 )
+                _check_walk(
+                    walk, walk_reference, seed, fault.trace, violations
+                )
                 faults_fired += fault.fired
                 escaped_typed += escaped is not None
+                walks_cut_short += walk_escaped is not None
                 sessions_completed += sum(
                     1 for o in outcomes.values() if o.ok
                 )
                 sessions_errored += sum(
                     1 for o in outcomes.values() if not o.ok
                 )
-                trips += server.stats.trips
-                restores += server.stats.restores
 
-        # Phase 2: scripted segment attacks, one throwaway pool each.
+        # Phase 2: scripted segment attacks on walks, one throwaway pool
+        # each: two walks, the second one's publish kills the warm worker
+        # and the attack lands at the 2nd crossing of its site, so the
+        # respawned worker meets the attacked segment.
         segment_specs = [
-            ("vanish_segment", "serve.dispatch_stream"),
-            ("corrupt_segment", "serve.dispatch_stream"),
-            ("vanish_segment", "serve.collect_stream"),
-            ("corrupt_segment", "serve.collect_stream"),
+            ("vanish_segment", "pool.acquire_for_walk"),
+            ("corrupt_segment", "pool.acquire_for_walk"),
+            ("vanish_segment", "pool.collect"),
+            ("corrupt_segment", "pool.collect"),
         ]
         for i, (kind, site) in enumerate(segment_specs):
             fault = FaultPlan(
                 [
                     FaultSpec(kind, at=site, nth=2),
-                    FaultSpec("kill_worker", at="serve.step", nth=3),
+                    FaultSpec("kill_worker", at="pool.publish", nth=2),
                 ]
             )
             with EvaluationPool(workers=1) as mortal:
-                server = Server(
-                    plan, pool=mortal, deadline=10.0, breaker_cooldown=2
-                )
-                try:
-                    with fault.armed(pool=mortal):
-                        outcomes, escaped = _serve_once(server, targets)
-                finally:
-                    server.close()
-            _check_outcomes(
-                outcomes, reference, f"segment-{i}", fault.trace, violations
-            )
-            faults_fired += fault.fired
-            escaped_typed += escaped is not None
-
-        # Phase 3: scripted recovery — a degraded group must return to
-        # streaming through the breaker (trip AND restore observed).
-        with EvaluationPool(workers=1) as pool:
-            server = Server(plan, pool=pool, deadline=10.0, breaker_cooldown=2)
-            try:
-                outcomes = {}
-                for t in targets[: len(targets) // 2]:
-                    server.submit(SessionRequest(t, target=t))
-                outcomes.update(
-                    {o.session_id: o for o in server.drain(timeout=30.0)}
-                )
-                group = next(iter(server._groups.values()))
-                group._degrade_to_local()  # the failure-path entry point
-                pending = [t for t in targets if t not in outcomes]
-                give_up = time.monotonic() + 30.0
-                while (
-                    pending or server.in_flight
-                ) and time.monotonic() < give_up:
-                    if pending:
-                        server.submit(
-                            SessionRequest(pending[0], target=pending.pop(0))
+                with fault.armed(pool=mortal):
+                    for _ in range(2):
+                        walk, walk_escaped = _walk_once(plan, mortal)
+                        _check_walk(
+                            walk, walk_reference, f"segment-{i}",
+                            fault.trace, violations,
                         )
-                    for o in server.step():
-                        outcomes[o.session_id] = o
-                recovery_ok = (
-                    server.stats.trips >= 1
-                    and server.stats.restores >= 1
-                    and group.stream is not None
-                    and len(outcomes) == len(targets)
-                    and all(
-                        outcomes[t].ok and outcomes[t].result == reference[t]
-                        for t in targets
-                    )
-                )
-                trips += server.stats.trips
-                restores += server.stats.restores
-                if not recovery_ok:
-                    violations.append(
-                        "recovery scenario: degraded group did not restore "
-                        f"streaming (trips={server.stats.trips}, "
-                        f"restores={server.stats.restores}, "
-                        f"stream={'open' if group.stream else 'closed'}, "
-                        f"served={len(outcomes)}/{len(targets)})"
-                    )
-            finally:
-                server.close()
+                        walks_cut_short += walk_escaped is not None
+            faults_fired += fault.fired
 
-        # Phase 4: the network edge — seeded transport.* fault schedules
+        # Phase 3: the network edge — seeded transport.* fault schedules
         # over a real localhost transport (fewer schedules: each one
         # binds a listener and dials real sockets).
         transport_counters = _transport_soak(
@@ -293,7 +269,6 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         faults_fired += transport_counters["fired"]
         sessions_completed += transport_counters["completed"]
         sessions_errored += transport_counters["errored"]
-        trips += transport_counters["trips"]
     finally:
         if previous is None:
             os.environ.pop("REPRO_FAULTS", None)
@@ -317,8 +292,9 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         "sessions_completed": sessions_completed,
         "sessions_errored": sessions_errored,
         "schedules_cut_short_typed": escaped_typed,
-        "breaker_trips": trips,
-        "breaker_restores": restores,
+        "walks_cut_short_typed": walks_cut_short,
+        "breaker_trips": transport_counters["trips"],
+        "breaker_restores": transport_counters["restores"],
         "transport_faults_fired": transport_counters["fired"],
         "transport_sessions_completed": transport_counters["completed"],
         "transport_sessions_errored": transport_counters["errored"],
@@ -336,8 +312,8 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         schedules=schedules,
         faults_fired=faults_fired,
         sessions_completed=sessions_completed,
-        breaker_trips=trips,
-        breaker_restores=restores,
+        breaker_trips=transport_counters["trips"],
+        breaker_restores=transport_counters["restores"],
         transport_faults_fired=transport_counters["fired"],
         hook_overhead_fraction=round(overhead, 6),
         violations=len(violations),
@@ -347,7 +323,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
 
 
 def _transport_soak(plan, hierarchy, targets, reference, violations, schedules):
-    """Phase 4: seeded fault schedules against the network edge.
+    """Phase 3: seeded fault schedules against the network edge.
 
     Runs target sessions over a real localhost transport
     (:mod:`repro.serve.transport`) with crashes and slowdowns injected
@@ -361,7 +337,9 @@ def _transport_soak(plan, hierarchy, targets, reference, violations, schedules):
     from repro.faults.resilience import CircuitBreaker, RetryPolicy
     from repro.serve import ServeClient, ServeTransport
 
-    counters = {"fired": 0, "completed": 0, "errored": 0, "trips": 0}
+    counters = {
+        "fired": 0, "completed": 0, "errored": 0, "trips": 0, "restores": 0,
+    }
     wire_sites = (
         "transport.open",
         "transport.read",
@@ -406,6 +384,7 @@ def _transport_soak(plan, hierarchy, targets, reference, violations, schedules):
             except ReproError:
                 pass  # injected drain fault: typed, acceptable
         counters["trips"] += breaker.trips
+        counters["restores"] += breaker.restores
 
     async def phase():
         for seed in range(schedules):
@@ -489,7 +468,7 @@ def _default_schedules(smoke: bool) -> int:
 
 def test_chaos_soak_holds_all_invariants(report):
     """Acceptance: seeded fault schedules — no hangs, typed errors only,
-    bit-identical completions, breaker recovery, <1% disarmed overhead."""
+    bit-identical completions and walks, <1% disarmed overhead."""
     payload = run_soak(
         schedules=_default_schedules(smoke=True),
         sessions=int(os.environ.get("REPRO_BENCH_FAULTS_SESSIONS", "24")),

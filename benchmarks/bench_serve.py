@@ -2,8 +2,8 @@
 
 Two phases, two production claims:
 
-1. **Closed loop** — N concurrent sessions sharing one compiled plan,
-   advanced by vectorized micro-batch steps (:class:`repro.serve.Server`),
+1. **Closed loop** — N concurrent target sessions sharing one compiled
+   plan, settled from the plan's leaf table (:class:`repro.serve.Server`),
    must beat N sequential ``run_search`` cursor walks — with
    *byte-identical* per-session results (transcripts included).  This
    times 1,000 seeded sessions both ways on a ~10,000-node balanced tree
@@ -92,7 +92,7 @@ def run_benchmark(
     sessions: int = 1_000,
     seed: int = 0,
 ) -> dict:
-    """Time micro-batched serving against sequential cursor sessions."""
+    """Time leaf-table serving against sequential cursor sessions."""
     hierarchy = _balanced_tree_exact(branching, n_target)
     distribution = TargetDistribution.equal(hierarchy)
     plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
@@ -110,10 +110,10 @@ def run_benchmark(
     ]
     sequential_seconds = time.perf_counter() - start
 
-    # Micro-batched: all sessions in flight at once, advanced by
-    # vectorized steps over the shared plan's arrays.  The server is
-    # built outside the timed region — like the plan compile, it is a
-    # one-time setup cost a deployment pays once, not per feed.
+    # Served: all sessions in flight at once, settled from the shared
+    # plan's leaf table.  The server is built outside the timed region —
+    # like the plan compile, it is a one-time setup cost a deployment
+    # pays once, not per feed.
     feed = [
         SessionRequest(i, target=t) for i, t in enumerate(targets)
     ]
@@ -274,8 +274,8 @@ def _write_report(payload: dict) -> None:
     )
 
 
-def test_microbatched_serving_beats_sequential(report):
-    """Acceptance: 1,000 micro-batched sessions >= 5x sequential, exact,
+def test_served_sessions_beat_sequential(report):
+    """Acceptance: 1,000 served target sessions >= 5x sequential, exact,
     and the open-loop sweep over the real transport holds its p99 SLO."""
     n = int(os.environ.get("REPRO_BENCH_SERVE_N", "10000"))
     sessions = int(os.environ.get("REPRO_BENCH_SERVE_SESSIONS", "1000"))
@@ -321,7 +321,7 @@ def main() -> int:
     if args.smoke:
         if not payload["parity_ok"]:
             print(
-                "FAIL: micro-batched serving diverged from sequential results",
+                "FAIL: served sessions diverged from sequential results",
                 file=sys.stderr,
             )
             return 1

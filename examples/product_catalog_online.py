@@ -10,11 +10,11 @@ only when the learned distribution refreshes.)
 
 Once the distribution has converged, the policy is compiled into an
 immutable plan (`compile_policy`), persisted, and reloaded — the artifact a
-labelling service ships.  The service itself is the streaming server
-(:mod:`repro.serve`): product sessions arrive as a feed, are micro-batched
-per shared plan, and run behind admission control — a bounded in-flight
-cap plus a bounded waiting queue, with typed rejection once both are full,
-which this example triggers on purpose.
+labelling service ships.  The service itself is the session server
+(:mod:`repro.serve`): product sessions arrive as a feed, are settled from
+the shared plan's leaf table, and run behind admission control — a
+bounded in-flight cap plus a bounded waiting queue, with typed rejection
+once both are full, which this example triggers on purpose.
 
 Run:  python examples/product_catalog_online.py
 """
@@ -98,7 +98,7 @@ def main() -> None:
     print(
         f"\nServed {len(ok)} product sessions "
         f"(peak {server.stats.peak_in_flight} in flight, "
-        f"{server.stats.steps} vectorized steps); "
+        f"{server.stats.steps} steps); "
         f"avg {sum(o.result.num_queries for o in ok) / len(ok):.2f} "
         "questions/product"
     )

@@ -57,9 +57,9 @@ __all__ = [
 ]
 
 #: Hard ceiling on scheduler grants in one schedule; a loop that polls
-#: forever (``PlanStream.poll`` with nothing arriving) is truncated, not
-#: spun on — truncated schedules skip the invariant (they are partial
-#: executions, not counterexamples).
+#: forever (``EvaluationPool._collect`` with nothing arriving) is
+#: truncated, not spun on — truncated schedules skip the invariant (they
+#: are partial executions, not counterexamples).
 _DEFAULT_MAX_STEPS = 400
 
 #: How long the controller waits for a parked/granted task to reach its

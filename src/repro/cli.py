@@ -20,20 +20,18 @@ Three modes:
   that later interactive sessions load instantly (``interactive --plan
   plan.bin``);
 * serve mode — ``python -m repro serve --edges hierarchy.tsv --sessions
-  1000`` pushes N concurrent sessions through the micro-batched streaming
-  server (:mod:`repro.serve`) under admission control and reports
-  throughput plus per-session question percentiles (``--pool`` offloads
-  the batches to the persistent worker pool's streaming mode;
-  ``--deadline`` bounds each pool batch, and ``--faults SEED`` arms a
-  seeded random fault schedule against the live server and prints the
-  fired trace — a one-line chaos drill);
+  1000`` pushes N concurrent target sessions through the session server
+  (:mod:`repro.serve`) under admission control and reports throughput
+  plus per-session question percentiles (``--faults SEED`` arms a seeded
+  random fault schedule against the live server and prints the fired
+  trace — a one-line chaos drill);
 * loadgen mode — ``python -m repro loadgen --rate 500 --sessions 1000``
   drives *open-loop* Poisson traffic (arrivals never wait) against the
   network transport (:mod:`repro.serve.transport`) — self-hosted on
   localhost, or a running backend via ``--connect HOST:PORT`` — mixing
-  micro-batched target sessions with interactive propose/observe
-  clients (``--think``, ``--slow-fraction``, ``--abandon-fraction``)
-  and reporting per-question and per-session latency percentiles.
+  target sessions with interactive propose/observe clients
+  (``--think``, ``--slow-fraction``, ``--abandon-fraction``) and
+  reporting per-question and per-session latency percentiles.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*EXPERIMENTS, "all", "interactive", "compile", "serve",
                  "loadgen"],
         help="paper table/figure to regenerate, 'interactive', 'compile', "
-        "'serve' (micro-batched session serving demo), or 'loadgen' "
+        "'serve' (session serving demo), or 'loadgen' "
         "(open-loop Poisson traffic against the network transport)",
     )
     parser.add_argument(
@@ -153,14 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default without a flag",
     )
     parser.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="serve mode: per-batch pool deadline; a wedged worker "
-        "surfaces as a typed PoolTimeoutError (and a breaker trip) "
-        "instead of a hang",
-    )
-    parser.add_argument(
         "--faults",
         type=int,
         metavar="SEED",
@@ -208,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.25,
         metavar="F",
         help="loadgen mode: fraction of sessions driven propose/observe "
-        "over the wire instead of micro-batched (default: 0.25)",
+        "over the wire instead of as target sessions (default: 0.25)",
     )
     parser.add_argument(
         "--think",
@@ -313,7 +303,7 @@ def _run_compile(args) -> int:
 
 
 def _run_serve(args) -> int:
-    """Micro-batched serving demo: N sessions through ``repro.serve``."""
+    """Serving demo: N target sessions through ``repro.serve``."""
     import contextlib
     import os
 
@@ -339,17 +329,8 @@ def _run_serve(args) -> int:
         for i, p in enumerate(picks)
     )
 
-    pool = None
-    if args.pool is not None:
-        from repro.engine import EvaluationPool
-
-        pool = EvaluationPool(args.pool or None)
     server = Server(
-        plan,
-        max_sessions=args.max_sessions,
-        queue_limit=args.queue_limit,
-        pool=pool,
-        deadline=args.deadline,
+        plan, max_sessions=args.max_sessions, queue_limit=args.queue_limit
     )
     fault = None
     armed = contextlib.nullcontext()
@@ -358,23 +339,19 @@ def _run_serve(args) -> int:
 
         os.environ["REPRO_FAULTS"] = "1"
         fault = FaultPlan.random(args.faults, rate=args.fault_rate)
-        armed = fault.armed(pool=pool)
+        armed = fault.armed()
     cut_short = None
-    try:
-        start = time.perf_counter()
-        with server:
-            outcomes = []
-            with armed:
-                try:
-                    outcomes = list(server.serve(feed))
-                except ReproError as exc:
-                    if fault is None:
-                        raise
-                    cut_short = exc  # typed, replayable from the trace
-        elapsed = time.perf_counter() - start
-    finally:
-        if pool is not None:
-            pool.close()
+    start = time.perf_counter()
+    with server:
+        outcomes = []
+        with armed:
+            try:
+                outcomes = list(server.serve(feed))
+            except ReproError as exc:
+                if fault is None:
+                    raise
+                cut_short = exc  # typed, replayable from the trace
+    elapsed = time.perf_counter() - start
 
     counts = np.array(
         [o.result.num_queries for o in outcomes if o.ok], dtype=float
@@ -388,8 +365,7 @@ def _run_serve(args) -> int:
     print(
         f"  in-flight peak {stats.peak_in_flight} "
         f"(cap {args.max_sessions}), {stats.rejected} rejected, "
-        f"{stats.errored} errored, {stats.offloaded} pool-offloaded, "
-        f"{stats.steps} vectorized steps"
+        f"{stats.errored} errored, {stats.steps} steps"
     )
     if counts.size:
         p50, p90, p99 = np.percentile(counts, [50, 90, 99])
@@ -400,8 +376,7 @@ def _run_serve(args) -> int:
     if fault is not None:
         print(
             f"  faults: seed {fault.seed}, rate {args.fault_rate}, "
-            f"{fault.fired} fired, {stats.trips} breaker trip(s), "
-            f"{stats.restores} restore(s); trace {fault.trace}"
+            f"{fault.fired} fired; trace {fault.trace}"
         )
         if cut_short is not None:
             print(
@@ -455,25 +430,14 @@ def _run_loadgen(args) -> int:
             return await run_load(
                 host or "127.0.0.1", int(port), profile, hierarchy
             )
-        pool = None
-        if args.pool is not None:
-            from repro.engine import EvaluationPool
-
-            pool = EvaluationPool(args.pool or None)
-        try:
-            with Server(
-                plan,
-                max_sessions=args.max_sessions,
-                queue_limit=args.queue_limit,
-                pool=pool,
-                deadline=args.deadline,
-            ) as server:
-                async with ServeTransport(server) as transport:
-                    host, port = transport.address
-                    return await run_load(host, port, profile, hierarchy)
-        finally:
-            if pool is not None:
-                pool.close()
+        with Server(
+            plan,
+            max_sessions=args.max_sessions,
+            queue_limit=args.queue_limit,
+        ) as server:
+            async with ServeTransport(server) as transport:
+                host, port = transport.address
+                return await run_load(host, port, profile, hierarchy)
 
     report = asyncio.run(drive())
     where = args.connect or "self-hosted localhost transport"

@@ -42,7 +42,6 @@ from repro.engine.parallel import (
 )
 from repro.engine.pool import (
     EvaluationPool,
-    PlanStream,
     WorkerHealth,
     get_default_pool,
     resolve_pool,
@@ -61,7 +60,6 @@ __all__ = [
     "EngineResultCache",
     "EvaluationPool",
     "NoisyResult",
-    "PlanStream",
     "SPLITTER_KINDS",
     "VectorPolicy",
     "WorkerHealth",

@@ -29,15 +29,6 @@ policies.  :class:`EvaluationPool` removes both costs:
   entry is held, :class:`~repro.exceptions.PoolError` is raised instead of
   silently unmapping a plan under a running worker.
 
-* **Streaming mode.**  :meth:`EvaluationPool.stream` opens a
-  :class:`PlanStream`: the plan stays resident (never evicted) and target
-  batches are submitted *as they arrive* — from an online session feed,
-  the streaming server (:mod:`repro.serve`), or any incremental producer
-  — each batch dispatched to the warm workers immediately, results
-  collected with :meth:`~PlanStream.poll`/:meth:`~PlanStream.join` while
-  later batches are still arriving.  This is what turns the pool from a
-  batch evaluator into a serving endpoint.
-
 * **Cross-policy overlap.**  :meth:`run_batch` submits *all* requests'
   frame buckets into the one queue before collecting, so the walks of
   different policies interleave across workers —
@@ -456,10 +447,10 @@ class EvaluationPool:
         (the no-fork fallback path is exercised by passing ``"spawn"``).
     deadline:
         Default per-call collection deadline in seconds for
-        :meth:`run_batch`/:meth:`run_walk` and for streams opened by
-        :meth:`stream` — :class:`~repro.exceptions.PoolTimeoutError` is
-        raised when results stop arriving for that long with buckets
-        still outstanding, naming the wedged task ids and worker pids.
+        :meth:`run_batch`/:meth:`run_walk`/:meth:`run_noise` —
+        :class:`~repro.exceptions.PoolTimeoutError` is raised when results
+        stop arriving for that long with buckets still outstanding, naming
+        the wedged task ids and worker pids.
         ``None`` (the default, or ``REPRO_POOL_DEADLINE`` when set)
         preserves the historical wait-forever-on-a-live-worker behavior;
         liveness polling still recovers *dead* workers either way.
@@ -503,11 +494,6 @@ class EvaluationPool:
         self._registry: dict[str, _Segment] = {}
         self._task_ids = itertools.count()
         self._stamps = itertools.count()
-        #: Streaming-mode bookkeeping: task id -> (stream, message), so any
-        #: collector (a stream's own poll/join or a concurrent run_batch)
-        #: can route a stream result home, and a restart can resubmit
-        #: in-flight stream batches along with its own.
-        self._stream_tasks: dict[int, tuple["PlanStream", tuple]] = {}
         #: Every segment name this pool ever created; close() asserts (under
         #: REPRO_SANITIZE=1) that none of them survives in /dev/shm.
         self._created_segments: set[str] = set()
@@ -990,19 +976,16 @@ class EvaluationPool:
                 # Any death forces a full restart (see _restart: a kill can
                 # poison the shared queue locks); then resubmit every
                 # unfinished bucket — duplicates are dropped by task id.
-                # In-flight streaming batches die with the queues too, so
-                # they are resubmitted alongside.  Backing off between
-                # rounds keeps a repeatedly dying pool from hot-looping.
+                # Backing off between rounds keeps a repeatedly dying
+                # pool from hot-looping.
                 time.sleep(_RECOVERY_RETRY.delay_for(respawn_rounds - 1))  # repro: noqa RPA004 - bounded recovery backoff, not result data
                 self._restart()
                 for msg in pending.values():
                     self._tasks.put(msg)
-                self._resubmit_stream_tasks()
                 continue
             self._note_result(pid, status)
             last_progress = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
             if task_id not in pending:
-                self._route_stream(task_id, status, payload, pid)
                 continue
             del pending[task_id]
             if status == "ok":
@@ -1014,70 +997,6 @@ class EvaluationPool:
                     f"unknown result status {status!r} from worker "
                     f"(task {task_id}, worker pid {pid})"
                 )
-
-    # ------------------------------------------------------------------
-    # Streaming mode
-    # ------------------------------------------------------------------
-    def stream(
-        self,
-        plan,
-        hierarchy=None,
-        *,
-        cost_model=None,
-        max_queries: int | None = None,
-        check_correctness: bool = True,
-        deadline: float | None = None,
-    ) -> "PlanStream":
-        """Open a :class:`PlanStream`: submit target batches as they arrive.
-
-        Where :meth:`run_walk` evaluates one *whole* target set in a single
-        synchronous call, a stream keeps the plan resident (published and
-        protected from eviction) and accepts arbitrarily many small target
-        batches over its lifetime — the shape of an online session feed,
-        where targets trickle in and a serving layer wants per-batch
-        results *while later batches are still arriving*.  Batches are
-        dispatched to the warm workers immediately on
-        :meth:`~PlanStream.submit`; completed per-target query/price
-        arrays come back through :meth:`~PlanStream.poll` (non-blocking)
-        or :meth:`~PlanStream.join` (drain everything outstanding).
-
-        Numbers are bit-identical to ``simulate_all_targets`` on the same
-        target subset — a stream batch is the same plan walk, started from
-        the root with the batch as its target vector.
-        """
-        from repro.core.costs import UnitCost
-        from repro.core.session import default_budget
-
-        if self._closed:
-            raise PoolError("the evaluation pool is closed")
-        if hierarchy is None:
-            hierarchy = plan.hierarchy
-        model = cost_model or UnitCost()
-        return PlanStream(
-            self, plan, hierarchy, model,
-            default_budget(hierarchy, max_queries), check_correctness,
-            deadline=self.deadline if deadline is None else deadline,
-        )
-
-    def _route_stream(self, task_id: int, status: str, payload, pid=None) -> bool:
-        """Deliver a result that belongs to a streaming batch, if any.
-
-        Any collector may pull another consumer's result off the one
-        shared queue; routing by task id keeps streams and synchronous
-        ``run_batch`` calls composable.  Unknown ids are stale duplicates
-        (resubmissions that finished twice) and are dropped.
-        """
-        entry = self._stream_tasks.pop(task_id, None)
-        if entry is None:
-            return False
-        stream, _msg = entry
-        stream._deliver(task_id, status, payload, pid)
-        return True
-
-    def _resubmit_stream_tasks(self) -> None:
-        """Re-enqueue every in-flight stream batch after a queue rebuild."""
-        for _stream, msg in self._stream_tasks.values():
-            self._tasks.put(msg)
 
     @staticmethod
     def _as_exception(payload, *, task_id=None, pid=None) -> BaseException:
@@ -1112,315 +1031,6 @@ class EvaluationPool:
         task_id = next(self._task_ids)
         self._tasks.put(("sleep", task_id, float(seconds)))
         return task_id
-
-
-# ----------------------------------------------------------------------
-# Streaming walks
-# ----------------------------------------------------------------------
-class StreamBatch:
-    """One completed streaming batch: per-target costs, aligned arrays.
-
-    When the walk failed (collected with ``raise_errors=False``),
-    ``error`` carries the worker's re-typed exception and the arrays are
-    ``None`` — the batch identity (ticket) survives so a serving layer can
-    attribute the failure to its sessions.
-    """
-
-    __slots__ = ("ticket", "target_ix", "queries", "prices", "visited", "error")
-
-    def __init__(
-        self, ticket, target_ix, queries, prices, visited, error=None
-    ) -> None:
-        self.ticket = int(ticket)
-        #: Evaluated target node indices (unique, ascending).
-        self.target_ix = target_ix
-        #: Query count per entry of ``target_ix``.
-        self.queries = queries
-        #: Total price per entry of ``target_ix``.
-        self.prices = prices
-        #: Plan decision points visited for this batch.
-        self.visited = int(visited)
-        #: The walk's exception, when collected with ``raise_errors=False``.
-        self.error = error
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def __repr__(self) -> str:
-        if self.error is not None:
-            return (
-                f"StreamBatch(ticket={self.ticket}, "
-                f"error={type(self.error).__name__})"
-            )
-        return (
-            f"StreamBatch(ticket={self.ticket}, "
-            f"targets={len(self.target_ix)}, visited={self.visited})"
-        )
-
-
-class PlanStream:
-    """A live streaming walk: one resident plan, many incremental batches.
-
-    Created by :meth:`EvaluationPool.stream`.  The plan's shared-memory
-    segment is held active for the stream's lifetime (the registry never
-    evicts it), so every submitted batch is a few queue messages — no
-    publish, no re-attach on warm workers.  Submission is fire-and-forget;
-    results are pulled with :meth:`poll`/:meth:`join` and identified by the
-    ticket :meth:`submit` returned.  Streams compose with concurrent
-    :meth:`~EvaluationPool.run_batch` calls on the same pool: whichever
-    side drains the result queue routes foreign results home.
-
-    Worker deaths are survived the same way ``run_batch`` survives them —
-    :meth:`join` restarts the pool and resubmits the outstanding batches
-    (walks are pure; duplicates are dropped by ticket).
-
-    Use as a context manager, or :meth:`close` explicitly to release the
-    plan segment.
-    """
-
-    def __init__(
-        self, pool, plan, hierarchy, model, budget, check,
-        deadline: float | None = None,
-    ) -> None:
-        self._pool = pool
-        self.plan = plan
-        self.hierarchy = hierarchy
-        self.model = model
-        self.budget = int(budget)
-        self.check = bool(check)
-        #: No-progress bound for poll/join (inherited from the pool's
-        #: default): this long without a delivery while batches are
-        #: outstanding raises :class:`~repro.exceptions.PoolTimeoutError`.
-        self.deadline = deadline
-        pool._ensure_started()
-        self._key, self._seg_name = pool._acquire_for_walk(plan, hierarchy)
-        #: Tickets submitted but not yet delivered.
-        self._pending: set[int] = set()
-        #: Delivered ``(ticket, status, payload, pid)`` awaiting a poll/join.
-        self._ready: list = []
-        self._closed = False
-        self.submitted = 0
-        self.completed = 0
-        #: Consecutive poll()-side death recoveries without a delivery
-        #: (join keeps its own per-call counter; reset by _deliver).
-        self._respawns = 0
-        self._last_progress = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "PlanStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Release the resident plan and forget outstanding batches.
-
-        Outstanding results are dropped when they surface (their tickets
-        are no longer registered).  Idempotent; safe after pool close.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for ticket in list(self._pending):
-            self._pool._stream_tasks.pop(ticket, None)
-        self._pending.clear()
-        self._ready.clear()
-        if not self._pool.closed:
-            self._pool._release_after_walk(self._key)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pending(self) -> int:
-        """Batches submitted and not yet collected."""
-        return len(self._pending) + len(self._ready)
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else f"{self.pending} pending"
-        return (
-            f"PlanStream({self.plan.policy_name!r}, "
-            f"{self.submitted} submitted, {state})"
-        )
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def submit(self, targets) -> int:
-        """Dispatch one target batch to the workers; returns its ticket.
-
-        ``targets`` is an iterable of node labels, or a numpy integer
-        array of node indices.  Duplicates collapse (per-target results
-        are keyed by target).  The batch starts walking as soon as a
-        worker picks it up — typically before the next batch arrives.
-        """
-        from repro.plan.plan import ROOT
-
-        if self._closed:
-            raise PoolError("this plan stream is closed")
-        if self._pool.closed:
-            raise PoolError("the evaluation pool is closed")
-        if isinstance(targets, np.ndarray) and np.issubdtype(
-            targets.dtype, np.integer
-        ):
-            subset = np.unique(targets.astype(np.int64, copy=False))
-        else:
-            index = self.hierarchy.index
-            subset = np.unique(
-                np.fromiter((index(t) for t in targets), dtype=np.int64)
-            )
-        if subset.size == 0:
-            raise PoolError("a stream batch needs at least one target")
-        schedule_point("stream.submit")
-        ticket = next(self._pool._task_ids)
-        frames = [(ROOT, subset, 0, 0.0)]
-        msg = (
-            "walk", ticket, self._key, self._seg_name, frames,
-            self.model, self.budget, self.check, None,
-        )
-        self._pending.add(ticket)
-        self._pool._stream_tasks[ticket] = (self, msg)
-        self._pool._tasks.put(msg)
-        self.submitted += 1
-        self._last_progress = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
-        return ticket
-
-    # ------------------------------------------------------------------
-    # Collection
-    # ------------------------------------------------------------------
-    def _deliver(self, ticket: int, status: str, payload, pid=None) -> None:
-        schedule_point("stream.deliver")
-        self._pending.discard(ticket)
-        self._ready.append((ticket, status, payload, pid))
-        # A delivery proves the pool is alive again: the poll-side respawn
-        # budget bounds *consecutive* failed recoveries (like run_batch's
-        # per-call counter), not lifetime deaths of a long-lived stream.
-        self._respawns = 0
-        self._last_progress = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
-
-    def _flush_ready(self, raise_errors: bool) -> list[StreamBatch]:
-        out = []
-        while self._ready:
-            ticket, status, payload, pid = self._ready.pop(0)
-            self.completed += 1
-            if status == "error":
-                exc = self._pool._as_exception(payload, task_id=ticket, pid=pid)
-                if raise_errors:
-                    raise exc
-                out.append(StreamBatch(ticket, None, None, None, 0, exc))
-                continue
-            evaluated, queries, prices, visited = payload
-            out.append(StreamBatch(ticket, evaluated, queries, prices, visited))
-        return out
-
-    def _recover_after_death(self, respawn_rounds: int) -> int:
-        """Restart the pool and resubmit in-flight stream batches.
-
-        Returns the incremented respawn round, raising once the shared
-        :data:`_MAX_RESPAWNS` budget is spent — the same bound
-        ``run_batch`` applies, so neither collection style can hang on a
-        repeatedly dying worker.
-        """
-        schedule_point("stream.recover_after_death")
-        respawn_rounds += 1
-        if respawn_rounds > _MAX_RESPAWNS:
-            raise PoolError(
-                f"pool workers died {respawn_rounds} times re-running "
-                f"{len(self._pending)} unfinished stream batch(es); giving up"
-            )
-        self._pool._restart()
-        self._pool._resubmit_stream_tasks()
-        return respawn_rounds
-
-    def poll(self, *, raise_errors: bool = True) -> list[StreamBatch]:
-        """Completed batches available right now (never blocks).
-
-        Drains the pool's result queue opportunistically; results that
-        belong to other streams are routed to them.  A dead worker is
-        noticed here too — the pool restarts and outstanding batches are
-        resubmitted, so a caller that only ever polls still makes
-        progress.  A failed batch raises the worker's (re-typed)
-        exception, or — with ``raise_errors=False`` — comes back as a
-        :class:`StreamBatch` whose ``error`` is set, so streaming
-        consumers can attribute the failure without losing the stream.
-        """
-        schedule_point("stream.poll")
-        while True:
-            try:
-                task_id, status, payload, pid = self._pool._results.get_nowait()
-            except queue_mod.Empty:
-                break
-            self._pool._note_result(pid, status)
-            self._pool._route_stream(task_id, status, payload, pid)
-        if (
-            self._pending
-            and not self._ready
-            and self._pool._procs
-            and not all(proc.is_alive() for proc in self._pool._procs)
-        ):
-            self._respawns = self._recover_after_death(self._respawns)
-        if (
-            self._pending
-            and not self._ready
-            and self.deadline is not None
-            and time.monotonic() - self._last_progress >= self.deadline  # repro: noqa RPA004 - deadline bookkeeping, not result data
-        ):
-            raise PoolTimeoutError(
-                f"stream of {self.plan.policy_name!r} made no progress for "
-                f"{self.deadline:g}s with {len(self._pending)} batch(es) "
-                f"outstanding (tickets {sorted(self._pending)[:8]}); live "
-                f"worker pids {self._pool._live_pids()}"
-            )
-        return self._flush_ready(raise_errors)
-
-    def join(
-        self, *, raise_errors: bool = True, deadline: float | None = None
-    ) -> list[StreamBatch]:
-        """Block until every outstanding batch finished; return them all.
-
-        Survives worker deaths exactly like ``run_batch``: any death
-        forces a pool restart and the outstanding batches are resubmitted,
-        bounded by the same respawn budget.  ``deadline`` (defaulting to
-        the stream's own) bounds the no-progress wait on wedged-alive
-        workers with :class:`~repro.exceptions.PoolTimeoutError`.
-        """
-        if deadline is None:
-            deadline = self.deadline
-        out = self._flush_ready(raise_errors)
-        respawn_rounds = 0
-        last_progress = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
-        while self._pending:
-            try:
-                task_id, status, payload, pid = self._pool._results.get(
-                    timeout=_POLL_INTERVAL
-                )
-            except queue_mod.Empty:
-                if (
-                    deadline is not None
-                    and time.monotonic() - last_progress >= deadline  # repro: noqa RPA004 - deadline bookkeeping, not result data
-                ):
-                    raise PoolTimeoutError(
-                        f"stream of {self.plan.policy_name!r} made no "
-                        f"progress for {deadline:g}s with "
-                        f"{len(self._pending)} batch(es) outstanding "
-                        f"(tickets {sorted(self._pending)[:8]}); live "
-                        f"worker pids {self._pool._live_pids()}"
-                    )
-                if all(proc.is_alive() for proc in self._pool._procs):
-                    continue
-                respawn_rounds = self._recover_after_death(respawn_rounds)
-                continue
-            self._pool._note_result(pid, status)
-            last_progress = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
-            self._pool._route_stream(task_id, status, payload, pid)
-            out.extend(self._flush_ready(raise_errors))
-        out.extend(self._flush_ready(raise_errors))
-        return out
 
 
 # ----------------------------------------------------------------------

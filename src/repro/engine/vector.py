@@ -170,9 +170,9 @@ def make_answerer(
 
     Where :func:`make_splitter` splits *one* target vector on *one* query
     (the plan-walk shape), an answerer evaluates ``reaches(q_i, z_i)``
-    element-wise over aligned query/target arrays — the micro-batch shape
-    of the streaming server (:mod:`repro.serve`), where each concurrent
-    session sits at its *own* plan node.  Kernel choice and semantics
+    element-wise over aligned query/target arrays — the shape of the
+    batched noisy sessions (:mod:`repro.engine.belief`), where each
+    concurrent session sits at its *own* plan node.  Kernel choice and semantics
     mirror :func:`make_splitter` exactly (same ``kind`` values, same
     heuristics via ``num_sessions``); the chosen kind is exposed as
     ``.kind``.  The ``csr`` answerer builds its ``int64`` pair keys

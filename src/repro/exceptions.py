@@ -62,8 +62,8 @@ class PoolError(ReproError):
 
 class PoolTimeoutError(PoolError):
     """A pool collection exceeded its deadline: ``run_batch``/``run_walk``
-    or a stream's ``poll``/``join`` waited longer than the configured
-    per-call deadline with walk buckets still outstanding.  The message
+    /``run_noise`` waited longer than the configured per-call deadline
+    with walk buckets still outstanding.  The message
     names the unfinished task ids and the live worker pids — a wedged
     *alive* worker looks exactly like this, where plain worker death is
     detected by liveness polling and recovered."""

@@ -12,16 +12,16 @@ Resilience half (:mod:`repro.faults.resilience`): the policies the
 injections force the stack to need — :class:`RetryPolicy` (bounded
 exponential backoff, seeded deterministic jitter; used for segment
 attach and death-recovery pacing) and :class:`CircuitBreaker` (tick-based
-trip -> cooldown -> single-probe -> restore; used per plan group in
-:class:`~repro.serve.Server`).  Deadlines themselves live on
+trip -> cooldown -> single-probe -> restore; used per backend in
+:class:`~repro.serve.ServeClient`).  Deadlines themselves live on
 :class:`~repro.engine.pool.EvaluationPool` and
 :meth:`~repro.serve.Server.drain`, raising
 :class:`~repro.exceptions.PoolTimeoutError` /
 :class:`~repro.exceptions.ServeTimeoutError` instead of hanging.
 
 ``benchmarks/bench_faults.py`` is the chaos soak: hundreds of seeded
-fault schedules against the real pool + server, asserting no hangs,
-typed errors only, and bit-identical completed sessions.
+fault schedules against the real server and pool walks, asserting no
+hangs, typed errors only, and bit-identical completed sessions.
 """
 
 from repro.faults.inject import (

@@ -96,7 +96,7 @@ def enabled() -> bool:
 class FaultSpec:
     """One scripted fault: fire ``kind`` at the ``nth`` crossing of ``at``.
 
-    ``nth`` is 1-based — ``FaultSpec("crash", at="stream.submit", nth=2)``
+    ``nth`` is 1-based — ``FaultSpec("crash", at="serve.submit", nth=2)``
     lets the first submit through and fails the second.
     """
 
@@ -329,7 +329,7 @@ class FlakyOracle:
     An injected ``crash`` there raises the registered
     :class:`~repro.exceptions.OracleError` — the shape of a crowd worker
     abandoning a question — which the serving layer must surface as a
-    per-session typed outcome, never a wedged cohort.
+    per-session typed outcome, never a wedged server.
     """
 
     def __init__(self, oracle) -> None:

@@ -9,15 +9,15 @@ Both primitives are deliberately clock- and RNG-free in their *decisions*:
   same pauses, and the linter's determinism rule (RPA004) never meets a
   global RNG.  Only the *sleeping* touches the wall clock.
 
-* :class:`CircuitBreaker` counts *ticks* (server steps), not seconds, so
+* :class:`CircuitBreaker` counts *ticks* (requests), not seconds, so
   the trip -> cooldown -> half-open -> restore cycle is reproducible in
-  tests and under the deterministic-schedule explorer: a server that
-  steps N times behaves identically no matter how long each step took.
+  tests and under the deterministic-schedule explorer: a client that
+  sends N requests behaves identically no matter how long each took.
 
 Used by :class:`~repro.engine.pool.EvaluationPool` (segment-attach
 retries, backoff between death-recovery rounds) and
-:class:`~repro.serve.Server` (per-plan-group breakers replacing the old
-one-way degrade-to-local).
+:class:`~repro.serve.ServeClient` (retries on admission rejections, and
+one breaker per backend).
 """
 
 from __future__ import annotations
@@ -115,14 +115,13 @@ class CircuitBreaker:
       consecutive-failure counter; at ``failure_threshold`` the breaker
       *trips* to open.
     * ``open`` — traffic is refused for ``cooldown`` ticks
-      (:meth:`tick`, one per server step).
-    * ``half-open`` — exactly one probe is allowed
-      (:meth:`allow_probe`); its success (:meth:`record_success`)
-      restores ``closed``, its failure re-trips with a fresh cooldown.
+      (:meth:`tick`, one per request).
+    * ``half-open`` — the next request is the probe; its success
+      (:meth:`record_success`) restores ``closed``, its failure re-trips
+      with a fresh cooldown.
 
-    ``on_trip``/``on_restore`` callbacks fire on the state *transitions*
-    (not on every recorded failure), which is where a server hooks its
-    stats counters.
+    ``trips`` and ``restores`` count the state *transitions* (not every
+    recorded failure).
     """
 
     CLOSED = "closed"
@@ -137,17 +136,10 @@ class CircuitBreaker:
         "_state",
         "_failures",
         "_remaining",
-        "_on_trip",
-        "_on_restore",
     )
 
     def __init__(
-        self,
-        *,
-        failure_threshold: int = 1,
-        cooldown: int = 3,
-        on_trip=None,
-        on_restore=None,
+        self, *, failure_threshold: int = 1, cooldown: int = 3
     ) -> None:
         if failure_threshold < 1:
             raise FaultError(
@@ -163,17 +155,10 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._failures = 0
         self._remaining = 0
-        self._on_trip = on_trip
-        self._on_restore = on_restore
 
     @property
     def state(self) -> str:
         return self._state
-
-    @property
-    def probing(self) -> bool:
-        """True while the breaker is half-open (one probe outstanding)."""
-        return self._state == self.HALF_OPEN
 
     def record_failure(self) -> None:
         """Note one infrastructure failure; trip when the threshold hits.
@@ -191,8 +176,6 @@ class CircuitBreaker:
             self._remaining = self.cooldown
             self._failures = 0
             self.trips += 1
-            if self._on_trip is not None:
-                self._on_trip()
 
     def record_success(self) -> None:
         """Note healthy traffic; restores ``closed`` from half-open."""
@@ -200,19 +183,13 @@ class CircuitBreaker:
         if self._state != self.CLOSED:
             self._state = self.CLOSED
             self.restores += 1
-            if self._on_restore is not None:
-                self._on_restore()
 
     def tick(self) -> None:
-        """Advance the cooldown clock one tick (one server step)."""
+        """Advance the cooldown clock one tick (one request)."""
         if self._state == self.OPEN:
             self._remaining -= 1
             if self._remaining <= 0:
                 self._state = self.HALF_OPEN
-
-    def allow_probe(self) -> bool:
-        """True when half-open: the caller may send exactly one probe."""
-        return self._state == self.HALF_OPEN
 
     def __repr__(self) -> str:
         return (

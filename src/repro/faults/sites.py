@@ -44,19 +44,11 @@ FAULT_SITES: dict[str, type[ReproError]] = {
     "pool.collect": PoolTimeoutError,
     "pool.restart.rebuild": PoolError,
     "pool.attach": PoolError,  # worker-side segment attach
-    # -- PlanStream (streaming mode of the pool)
-    "stream.submit": PoolError,
-    "stream.deliver": PoolError,
-    "stream.poll": PoolTimeoutError,
-    "stream.recover_after_death": PoolError,
-    # -- serve.Server (micro-batched session serving)
+    # -- serve.Server (session serving over shared plans)
     "serve.register_plan": ServeError,
     "serve.release_plan": ServeError,
     "serve.submit": AdmissionError,
     "serve.admit_from_queue": ServeError,
-    "serve.dispatch_stream": ServeError,
-    "serve.collect_stream": ServeError,
-    "serve.probe": ServeError,  # circuit-breaker half-open re-probe
     "serve.step": ServeError,
     "serve.drain": ServeTimeoutError,
     "serve.close": ServeError,

@@ -7,13 +7,11 @@ Three layers, one loop:
   simulator, the console, and the server below).  One session, driven one
   protocol step at a time.
 
-* :class:`Server` — many concurrent sessions, micro-batched per shared
-  :class:`~repro.plan.CompiledPlan` and advanced with vectorized steps
-  over the plan's flat arrays, behind admission control (in-flight cap,
-  bounded queue, typed rejection) and per-tenant plan quotas optionally
-  backed by the persistent evaluation pool's shared-memory registry
-  (:class:`~repro.engine.pool.EvaluationPool`, whose streaming mode the
-  server can offload batches to).
+* :class:`Server` — many concurrent sessions grouped per shared
+  :class:`~repro.plan.CompiledPlan`, behind admission control (in-flight
+  cap, bounded queue, typed rejection) and per-tenant plan quotas.
+  Target sessions settle from the plan's leaf table on the first step
+  after admission; oracle-driven sessions step one question at a time.
 
 * :class:`ServeTransport` / :class:`ServeClient` — the network edge:
   NDJSON frames over asyncio streams feeding ``Server.aserve``, session

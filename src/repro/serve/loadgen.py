@@ -12,7 +12,7 @@ the generator.
 
 The workload mixes the two wire shapes:
 
-* **target sessions** ride the server's micro-batched path and measure
+* **target sessions** ride the server's leaf-table path and measure
   per-session latency (open -> result), the number production SLOs are
   written against;
 * **interactive sessions** measure true per-question round-trip

@@ -1,41 +1,35 @@
-"""Streaming session server: micro-batched serving of concurrent searches.
+"""Streaming session server: many concurrent searches over shared plans.
 
 The production shape of the paper's protocol: many users are *simultaneously*
-inside interactive searches over a handful of shared compiled plans.  Serving
-them one ``run_search`` at a time wastes the structure — every session step
-is the same gather over the same plan arrays.  :class:`Server` exploits it:
+inside interactive searches over a handful of shared compiled plans.
+:class:`Server` groups in-flight sessions by plan and serves two kinds:
 
-* **Micro-batching.**  In-flight sessions are grouped by plan.  One
-  :meth:`step` advances *every* session in a group by one question with
-  three numpy gathers (current nodes -> queries, batched exact-oracle
-  answers via :func:`repro.engine.vector.make_answerer`, answers -> child
-  nodes) — the per-question cost is amortised over the whole batch instead
-  of paid per session.  Transcripts, prices, and budgets come out
-  byte-identical to per-session :class:`~repro.serve.runtime.SessionRuntime`
-  driving (``benchmarks/bench_serve.py`` asserts it, at a >= 5x
-  sessions/sec floor).
+* **Target sessions** (``target=``, the labelling-service shape: the answer
+  source is reachability of the true category).  Their cost is the depth of
+  the target's leaf in the plan's decision tree (Eq. 2), so the whole
+  outcome — leaf, question count, price, transcript — is fixed before the
+  first question.  The first :meth:`Server.step` after admission settles
+  them from a per-plan leaf table, byte-identical to per-session
+  :class:`~repro.serve.runtime.SessionRuntime` driving
+  (``benchmarks/bench_serve.py`` asserts it, at a >= 5x sessions/sec
+  floor over sequential ``run_search``).
+
+* **Oracle sessions** (``oracle=``, an arbitrary answer source) run on a
+  per-session :class:`SessionRuntime`, one question per step.
+
+Both finish through the same :class:`~repro.core.session.SearchResult`.
 
 * **Admission control.**  At most ``max_sessions`` sessions are in flight;
   beyond that, :meth:`submit` parks requests in a bounded queue
   (``queue_limit``) and then sheds load with a typed
   :class:`~repro.exceptions.AdmissionError` instead of growing without
   bound.  The iterator feed (:meth:`serve` / :meth:`aserve`) applies
-  backpressure instead — it simply stops pulling while full.
+  backpressure instead — it simply stops pulling while full.  A session
+  is in flight from its admission until the step that returns it.
 
 * **Per-tenant plan quotas.**  Each tenant may have at most ``plan_quota``
   distinct plans registered concurrently
-  (:class:`~repro.exceptions.QuotaExceededError` beyond it).  With a
-  persistent :class:`~repro.engine.pool.EvaluationPool` attached, a
-  registration *pins* the plan's shared-memory segment in the pool's
-  refcounted registry (and release unpins it), so the quota is backed by —
-  and bounded by — real shared memory, and batches can be offloaded to the
-  pool's streaming mode (:meth:`~repro.engine.pool.EvaluationPool.stream`)
-  instead of stepping locally.
-
-Sessions whose ground truth is known (``target=``) take the vectorized
-path; sessions driven by an arbitrary :class:`~repro.core.oracle.Oracle`
-fall back to a per-session :class:`SessionRuntime` stepped once per tick —
-both finish through the same :class:`~repro.core.session.SearchResult`.
+  (:class:`~repro.exceptions.QuotaExceededError` beyond it).
 """
 
 from __future__ import annotations
@@ -56,7 +50,6 @@ from repro.core.session import SearchResult, default_budget
 from repro.exceptions import (
     AdmissionError,
     BudgetExceededError,
-    PoolError,
     QuotaExceededError,
     ReproError,
     SanitizerError,
@@ -64,8 +57,7 @@ from repro.exceptions import (
     ServeError,
     ServeTimeoutError,
 )
-from repro.faults.resilience import CircuitBreaker
-from repro.plan.plan import NO_PATH, ROOT, CompiledPlan
+from repro.plan.plan import ROOT, CompiledPlan
 from repro.serve.runtime import SessionRuntime
 
 __all__ = ["Server", "ServerStats", "SessionOutcome", "SessionRequest"]
@@ -75,11 +67,11 @@ __all__ = ["Server", "ServerStats", "SessionOutcome", "SessionRequest"]
 class SessionRequest:
     """One session to serve.
 
-    Exactly one of ``target`` (vectorized exact-oracle serving — the
-    labelling-service shape, where the answer source is reachability of the
-    true category) or ``oracle`` (arbitrary answer source, stepped
-    per-session) must be given.  ``plan`` defaults to the server's default
-    plan.
+    Exactly one of ``target`` (exact-oracle serving — the labelling-service
+    shape, where the answer source is reachability of the true category,
+    settled from the plan's leaf table) or ``oracle`` (arbitrary answer
+    source, stepped per-session) must be given.  ``plan`` defaults to the
+    server's default plan.
     """
 
     session_id: Hashable
@@ -118,12 +110,6 @@ class ServerStats:
     errored: int = 0
     steps: int = 0
     peak_in_flight: int = 0
-    #: Sessions served through a pool stream rather than local stepping.
-    offloaded: int = 0
-    #: Circuit-breaker transitions: groups degraded to local stepping
-    #: (trips) and groups restored to streaming after a probe (restores).
-    trips: int = 0
-    restores: int = 0
     #: Sessions reclaimed because their feed was abandoned mid-flight
     #: (a ``serve``/``aserve`` consumer dropped the generator).
     abandoned: int = 0
@@ -134,18 +120,18 @@ class ServerStats:
 # Plan execution index: everything serving needs beyond the raw arrays
 # ----------------------------------------------------------------------
 class _PlanIndex:
-    """Per-plan serving index: parents, depths, prices, transcript cache.
+    """Per-plan serving index: leaf table, depths, prices, transcripts.
 
-    A compiled plan stores child links; serving finished sessions needs the
-    *reverse* direction — walk a leaf back to the root to reconstruct the
-    transcript — plus per-node depth and accumulated price.  Built once per
+    A compiled plan stores child links; settling a target session needs
+    the leaf that identifies its target (``leaf_of``), that leaf's depth
+    and accumulated price, and — for the transcript — the *reverse*
+    direction, a walk from the leaf back to the root.  Built once per
     (plan, cost model) and shared by every session the server ever runs on
     that plan.  Prices accumulate root-to-leaf in the same order
     ``SessionRuntime.observe`` adds them, so totals are bit-identical.
     """
 
     __slots__ = (
-        "plan",
         "hierarchy",
         "parent",
         "from_yes",
@@ -153,14 +139,12 @@ class _PlanIndex:
         "price",
         "query_label",
         "target_label",
-        "_answerer",
+        "leaf_of",
         "_transcripts",
         "_entry",
-        "_leaf_by_target",
     )
 
     def __init__(self, plan: CompiledPlan, model: QueryCostModel) -> None:
-        self.plan = plan
         hierarchy = plan.hierarchy
         self.hierarchy = hierarchy
         num = plan.num_nodes
@@ -205,6 +189,14 @@ class _PlanIndex:
             depth[children] = level
             wave = children
 
+        # Leaf table over hierarchy indices: the plan leaf identifying
+        # each target, -1 for targets the plan has no leaf for.  An int64
+        # array, not a dict: ~8 bytes per node against ~90.
+        leaves = np.nonzero(target >= 0)[0]
+        leaf_of = np.full(hierarchy.n, -1, dtype=np.int64)
+        leaf_of[target[leaves]] = leaves
+        self.leaf_of = leaf_of
+
         label_list = list(hierarchy.nodes)
         self.query_label = [
             label_list[q] if q >= 0 else None for q in query.tolist()
@@ -219,30 +211,10 @@ class _PlanIndex:
         self.from_yes = from_yes.tolist()
         self.depth = depth.tolist()
         self.price = price.tolist()
-        self._answerer = None
         self._transcripts: dict[int, tuple] = {}
         #: Per-node ``(query, answer)`` transcript entry, built on first
         #: use and shared by every transcript crossing the node.
         self._entry: list[tuple | None] = [None] * num
-        self._leaf_by_target: dict[int, int] | None = None
-
-    @property
-    def answerer(self):
-        """The batched exact-oracle kernel, built on first vectorized step.
-
-        Lazy because it can materialise an ``n^2``-shaped reachability
-        index on large DAGs — a cost an oracle-only or never-used plan
-        registration should not pay.  Sized to ``hierarchy.n`` (the
-        serving ceiling): a server steps the kernel thousands of times,
-        so the one-time index build amortises where a per-batch sizing
-        would pick the slow per-membership fallback.
-        """
-        if self._answerer is None:
-            from repro.engine.vector import make_answerer
-
-            hierarchy = self.hierarchy
-            self._answerer = make_answerer(hierarchy, hierarchy.n)
-        return self._answerer
 
     def transcript_of(self, leaf: int) -> tuple:
         """The ``(query, answer)`` transcript ending at ``leaf``.
@@ -285,231 +257,93 @@ class _PlanIndex:
             transcript=self.transcript_of(leaf) if transcript else (),
         )
 
-    def leaf_of_target(self, target_ix: int) -> int:
-        """Plan leaf identifying ``target_ix`` (full plans biject)."""
-        if self._leaf_by_target is None:
-            self._leaf_by_target = {
-                t: node
-                for node, t in enumerate(self.plan.target_ix.tolist())
-                if t >= 0
-            }
-        leaf = self._leaf_by_target.get(int(target_ix))
-        if leaf is None:
-            raise SearchError(
-                f"plan of {self.plan.policy_name!r} has no leaf for target "
-                f"{self.hierarchy.label(target_ix)!r}"
-            )
-        return leaf
-
 
 # ----------------------------------------------------------------------
-# One plan's micro-batch of live sessions
+# One plan's live sessions
 # ----------------------------------------------------------------------
 class _PlanGroup:
-    """All in-flight sessions sharing one plan, stepped as numpy arrays."""
+    """All in-flight sessions sharing one plan."""
 
-    def __init__(self, key, plan, index, budget, stream=None, breaker=None) -> None:
-        self.key = key
+    def __init__(self, plan, index, budget, model) -> None:
         self.plan = plan
         self.index = index
         self.budget = budget
-        #: Pool streaming offload (None = step locally).  Reset to None —
-        #: degrading the group to local stepping — when the pool fails;
-        #: the breaker (when present) later reopens it via :meth:`maintain`.
-        self.stream = stream
-        #: Per-group :class:`~repro.faults.resilience.CircuitBreaker`
-        #: (None without a pool): trips on infrastructure failures,
-        #: counts server ticks through a cooldown, then allows a single
-        #: probe batch before restoring full streaming.
-        self.breaker = breaker
+        self.model = model
         self.tenants: set = set()
-        # Vectorized cohort: aligned per-session state.
-        self.meta: list[SessionRequest] = []
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.targets = np.empty(0, dtype=np.int64)
-        self.depths = np.empty(0, dtype=np.int64)
-        # Sessions admitted since the last step, not yet merged.
+        #: Target sessions admitted since the last step, in admission
+        #: order: ``(request, target index)``.
         self.incoming: list[tuple[SessionRequest, int]] = []
-        # Sessions that must (re)run on the local path: a pool batch that
-        # failed falls back here so only the offending session errors.
-        self.retry: list[tuple[SessionRequest, int]] = []
-        # Scalar cohort: oracle-driven sessions, one runtime each.
+        #: Oracle-driven sessions, one runtime each.
         self.scalar: list[tuple[SessionRequest, SessionRuntime]] = []
-        # Pool-offload bookkeeping: ticket -> submitted requests.
-        self.tickets: dict[int, list[tuple[SessionRequest, int]]] = {}
 
     @property
     def in_flight(self) -> int:
-        return (
-            len(self.meta)
-            + len(self.incoming)
-            + len(self.retry)
-            + len(self.scalar)
-            + sum(len(v) for v in self.tickets.values())
-        )
+        return len(self.incoming) + len(self.scalar)
 
     def cancel_all(self) -> int:
-        """Drop every in-flight session (abandoned feed); returns the count.
-
-        Outstanding pool tickets are simply forgotten: their results are
-        skipped when they surface (``collect_stream`` pops unknown tickets
-        to ``None``), so the workers finish harmlessly.  The stream stays
-        open for the next feed.
-        """
+        """Drop every in-flight session (abandoned feed); returns the count."""
         cancelled = self.in_flight
-        self.meta = []
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.targets = np.empty(0, dtype=np.int64)
-        self.depths = np.empty(0, dtype=np.int64)
         self.incoming.clear()
-        self.retry.clear()
         self.scalar.clear()
-        self.tickets.clear()
         return cancelled
 
     def admit(self, request: SessionRequest, target_ix: int | None) -> None:
         if target_ix is None:
             # Arbitrary oracle: a per-session runtime, stepped per tick.
             runtime = SessionRuntime(
-                self.plan, self.index.hierarchy, max_queries=self.budget
+                self.plan,
+                self.index.hierarchy,
+                cost_model=self.model,
+                max_queries=self.budget,
             )
             self.scalar.append((request, runtime))
         else:
             self.incoming.append((request, target_ix))
 
-    # ------------------------------------------------------------------
-    # Local vectorized stepping
-    # ------------------------------------------------------------------
-    def _merge_incoming(self) -> None:
-        # `incoming` is consumed by dispatch_stream first when a stream is
-        # attached, so merging it here only picks up local-mode admissions
-        # (and everything, once a dead pool degraded the group to local).
-        fresh = self.incoming + self.retry
-        if not fresh:
-            return
-        self.incoming.clear()
-        self.retry.clear()
-        fresh_meta = [request for request, _ in fresh]
-        fresh_targets = np.fromiter(
-            (ix for _, ix in fresh), dtype=np.int64, count=len(fresh)
-        )
-        self.meta.extend(fresh_meta)
-        self.nodes = np.concatenate(
-            [self.nodes, np.full(len(fresh_meta), ROOT, dtype=np.int64)]
-        )
-        self.targets = np.concatenate([self.targets, fresh_targets])
-        self.depths = np.concatenate(
-            [self.depths, np.zeros(len(fresh_meta), dtype=np.int64)]
-        )
+    def step(self, record_transcripts: bool) -> list[SessionOutcome]:
+        """Settle the fresh target sessions; one question per oracle session."""
+        outcomes = self._settle(record_transcripts) if self.incoming else []
+        if self.scalar:
+            outcomes.extend(self._step_scalar())
+        return outcomes
 
-    def step_local(self, record_transcripts: bool) -> list[SessionOutcome]:
-        """Advance every vectorized session one question; settle finishers."""
-        self._merge_incoming()
+    def _settle(self, record_transcripts: bool) -> list[SessionOutcome]:
+        """Outcomes of the fresh target sessions, in admission order.
+
+        A session completes when its target's leaf lies within the budget
+        and errors otherwise — the case where ``SessionRuntime.propose``
+        refuses question ``budget + 1``.
+        """
+        fresh = self.incoming
+        self.incoming = []
+        index = self.index
+        leaves = index.leaf_of[[target_ix for _, target_ix in fresh]].tolist()
+        depth = index.depth
+        budget = self.budget
+        result_at = index.result_at
         outcomes: list[SessionOutcome] = []
-        if not self.meta and not self.scalar:
-            return outcomes
-        if self.meta:
-            plan = self.plan
-            index = self.index
-            nodes = self.nodes
-            # Sessions already on a leaf at admission (single-node plans).
-            # Everyone else answers one question.
-            queries = plan.query_ix[nodes]
-            open_mask = queries >= 0
-            if open_mask.all():
-                answers = index.answerer(queries, self.targets)
-                children = np.where(
-                    answers, plan.yes_child[nodes], plan.no_child[nodes]
+        append = outcomes.append
+        for (request, target_ix), leaf in zip(fresh, leaves):
+            if leaf >= 0 and depth[leaf] <= budget:
+                append(
+                    SessionOutcome(
+                        request.session_id,
+                        request.tenant,
+                        result_at(leaf, transcript=record_transcripts),
+                    )
                 )
-                self.depths += 1
+                continue
+            if leaf < 0:
+                error: ReproError = SearchError(
+                    f"plan of {self.plan.policy_name!r} has no leaf for "
+                    f"target {index.hierarchy.label(target_ix)!r}"
+                )
             else:
-                # Mixed leaf/internal cohort: step only the open sessions.
-                children = nodes.copy()
-                open_ix = np.nonzero(open_mask)[0]
-                answers = index.answerer(
-                    queries[open_ix], self.targets[open_ix]
+                error = BudgetExceededError(
+                    f"session {request.session_id!r} exceeded the query "
+                    f"budget of {budget} questions"
                 )
-                children[open_ix] = np.where(
-                    answers,
-                    plan.yes_child[nodes[open_ix]],
-                    plan.no_child[nodes[open_ix]],
-                )
-                self.depths[open_ix] += 1
-            broken = children == NO_PATH
-            # NO_PATH is a negative sentinel: mask it out before indexing
-            # the target array (fancy indexing would wrap around).
-            safe_children = np.where(broken, ROOT, children)
-            settled = (plan.target_ix[safe_children] >= 0) & ~broken
-            over_budget = ~settled & ~broken & (self.depths >= self.budget)
-            finishing = settled | broken | over_budget
-            if finishing.any():
-                positions = np.nonzero(finishing)[0].tolist()
-                leaves = children[finishing].tolist()
-                meta = self.meta
-                append = outcomes.append
-                result_at = index.result_at
-                if broken.any() or over_budget.any():
-                    # Slow path: mixed good/failed finishers.
-                    broken_l = broken.tolist()
-                    over_l = over_budget.tolist()
-                    for pos, leaf in zip(positions, leaves):
-                        request = meta[pos]
-                        if broken_l[pos]:
-                            append(
-                                SessionOutcome(
-                                    request.session_id,
-                                    request.tenant,
-                                    None,
-                                    SearchError(
-                                        f"session {request.session_id!r}: "
-                                        "the oracle's answers are "
-                                        "inconsistent with every remaining "
-                                        "target"
-                                    ),
-                                )
-                            )
-                        elif over_l[pos]:
-                            append(
-                                SessionOutcome(
-                                    request.session_id,
-                                    request.tenant,
-                                    None,
-                                    BudgetExceededError(
-                                        f"session {request.session_id!r} "
-                                        "exceeded the query budget of "
-                                        f"{self.budget} questions"
-                                    ),
-                                )
-                            )
-                        else:
-                            append(
-                                SessionOutcome(
-                                    request.session_id,
-                                    request.tenant,
-                                    result_at(
-                                        leaf, transcript=record_transcripts
-                                    ),
-                                )
-                            )
-                else:
-                    for pos, leaf in zip(positions, leaves):
-                        request = meta[pos]
-                        append(
-                            SessionOutcome(
-                                request.session_id,
-                                request.tenant,
-                                result_at(leaf, transcript=record_transcripts),
-                            )
-                        )
-                keep = ~finishing
-                keep_l = keep.tolist()
-                self.meta = [m for m, k in zip(meta, keep_l) if k]
-                self.nodes = children[keep]
-                self.targets = self.targets[keep]
-                self.depths = self.depths[keep]
-            else:
-                self.nodes = children
-        outcomes.extend(self._step_scalar())
+            append(SessionOutcome(request.session_id, request.tenant, None, error))
         return outcomes
 
     def _step_scalar(self) -> list[SessionOutcome]:
@@ -536,160 +370,18 @@ class _PlanGroup:
         self.scalar = still_open
         return outcomes
 
-    # ------------------------------------------------------------------
-    # Pool streaming offload
-    # ------------------------------------------------------------------
-    def _degrade_to_local(self) -> None:
-        """The pool failed: serve everything on the local path instead.
-
-        Trips the group's circuit breaker (when one is attached), which
-        starts the cooldown -> probe -> restore cycle driven by
-        :meth:`maintain`; without a breaker the degradation is one-way,
-        the pre-breaker behaviour.
-        """
-        for batch in self.tickets.values():
-            self.retry.extend(batch)
-        self.tickets.clear()
-        if self.stream is not None:
-            try:
-                self.stream.close()
-            except ReproError:
-                pass
-            self.stream = None
-        if self.breaker is not None:
-            self.breaker.record_failure()
-
-    def maintain(self, server: "Server") -> None:
-        """Tick the breaker; reopen the stream for a probe when due.
-
-        Runs once per server step for degraded groups.  After ``cooldown``
-        ticks the breaker goes half-open and the group reopens a pool
-        stream: the next dispatched batch is the *probe* — its success
-        (collected in :meth:`collect_stream`) restores full streaming,
-        its failure re-trips with a fresh cooldown.  Sessions already
-        stepping locally are untouched: cohorts finish where they
-        started, so results stay bit-identical across the transition.
-        """
-        breaker = self.breaker
-        if breaker is None or self.stream is not None:
-            return
-        breaker.tick()
-        if not breaker.allow_probe():
-            return
-        pool = server.pool
-        if pool is None or pool.closed:
-            breaker.record_failure()
-            return
-        try:
-            schedule_point("serve.probe")
-            self.stream = pool.stream(
-                self.plan,
-                self.plan.hierarchy,
-                cost_model=server.model,
-                max_queries=self.budget,
-                deadline=server.deadline,
-            )
-        except (PoolError, ServeError):
-            # Probe failed before carrying any traffic: re-trip and wait
-            # out another cooldown.
-            self.stream = None
-            breaker.record_failure()
-
-    def dispatch_stream(self) -> None:
-        """Ship the sessions admitted since the last tick as one batch."""
-        schedule_point("serve.dispatch_stream")
-        if not self.incoming or self.stream is None:
-            return
-        if self.breaker is not None and self.breaker.probing and self.tickets:
-            # Half-open: exactly one probe batch rides the fresh stream.
-            # Everything else admitted meanwhile steps locally (the
-            # incoming list falls through to _merge_incoming) until the
-            # probe's outcome closes or re-trips the breaker.
-            return
-        batch = list(self.incoming)
-        self.incoming.clear()
-        targets = np.fromiter(
-            (ix for _, ix in batch), dtype=np.int64, count=len(batch)
-        )
-        try:
-            ticket = self.stream.submit(targets)
-        except PoolError:
-            self.retry.extend(batch)
-            self._degrade_to_local()
-            return
-        self.tickets[ticket] = batch
-
-    def collect_stream(self, record_transcripts: bool) -> list[SessionOutcome]:
-        """Outcomes for every batch the pool finished so far.
-
-        A *failed* batch (one session's budget blows up the whole walk)
-        falls back to the local vectorized path, which errors exactly the
-        offending sessions and completes the rest — the same per-session
-        contract as a server without a pool.  A *dead* pool (workers gone
-        past the respawn budget) degrades the group to local stepping
-        outright; the server never dies on a session or pool failure.
-        """
-        schedule_point("serve.collect_stream")
-        outcomes: list[SessionOutcome] = []
-        if not self.tickets:
-            return outcomes
-        try:
-            done_batches = self.stream.poll(raise_errors=False)
-        except PoolError:
-            self._degrade_to_local()
-            return outcomes
-        breaker = self.breaker
-        for done in done_batches:
-            batch = self.tickets.pop(done.ticket, None)
-            if batch is None:
-                continue
-            if done.error is not None:
-                if isinstance(done.error, PoolError):
-                    # Infrastructure failure (segment vanished, worker
-                    # protocol breakage): the stream itself is suspect —
-                    # degrade the group, tripping the breaker.
-                    self.retry.extend(batch)
-                    self._degrade_to_local()
-                    continue
-                # Re-run this batch's sessions locally for per-session
-                # error attribution (batch granularity would blame every
-                # co-batched session for one offender).
-                self.retry.extend(batch)
-                continue
-            if breaker is not None:
-                # Healthy delivered batch: restores streaming when this
-                # was the half-open probe, resets the failure count
-                # otherwise.
-                breaker.record_success()
-            # Per-target costs from the workers; transcripts (if wanted)
-            # assembled locally from the same plan structure.
-            position = {int(t): i for i, t in enumerate(done.target_ix)}
-            for request, target_ix in batch:
-                i = position[target_ix]
-                leaf = self.index.leaf_of_target(target_ix)
-                transcript = (
-                    self.index.transcript_of(leaf) if record_transcripts else ()
-                )
-                outcomes.append(
-                    SessionOutcome(
-                        request.session_id,
-                        request.tenant,
-                        SearchResult(
-                            returned=self.index.target_label[leaf],
-                            num_queries=int(done.queries[i]),
-                            total_price=float(done.prices[i]),
-                            transcript=transcript,
-                        ),
-                    )
-                )
-        return outcomes
-
 
 # ----------------------------------------------------------------------
 # The server
 # ----------------------------------------------------------------------
 class Server:
-    """Serve a stream of interactive sessions, micro-batched per plan.
+    """Serve a stream of interactive sessions over shared plans.
+
+    Target sessions are settled from the plan's leaf table, which equals
+    walking the plan whenever its leaves identify their targets.
+    ``compile_policy`` checks exactly that by default (``validate=True``),
+    and every plan saved from such a compile passes too; serve only such
+    plans.
 
     Parameters
     ----------
@@ -706,28 +398,10 @@ class Server:
         it.
     cost_model, max_queries:
         Session pricing and budget, as in ``run_search``.
-    pool:
-        Optional persistent :class:`~repro.engine.pool.EvaluationPool`.
-        Plan registrations pin segments in its refcounted registry, and
-        exact-target sessions are offloaded as streaming batches
-        (:meth:`EvaluationPool.stream`) instead of stepping locally.
     record_transcripts:
         Attach full transcripts to results (byte-identical to
         ``run_search``).  Turning this off skips transcript assembly for
         throughput-only serving.
-    deadline:
-        Per-poll no-progress deadline (seconds) forwarded to every pool
-        stream the server opens; a wedged pool raises
-        :class:`~repro.exceptions.PoolTimeoutError` inside the stream,
-        which degrades the group to local stepping instead of hanging.
-        ``None`` (default) keeps the pool's own deadline (if any).
-    breaker_cooldown:
-        Server *steps* a degraded plan group waits before probing the
-        pool again (circuit breaker cooldown).  After a pool failure the
-        group serves locally for this many ticks, then sends one probe
-        batch down a fresh stream: success restores streaming, failure
-        re-trips.  Counted in steps, not seconds, so recovery behaviour
-        is deterministic under test.
     """
 
     def __init__(
@@ -739,10 +413,7 @@ class Server:
         plan_quota: int | None = None,
         cost_model: QueryCostModel | None = None,
         max_queries: int | None = None,
-        pool=None,
         record_transcripts: bool = True,
-        deadline: float | None = None,
-        breaker_cooldown: int = 5,
     ) -> None:
         if max_sessions < 1:
             raise ServeError(f"max_sessions must be >= 1, got {max_sessions}")
@@ -750,26 +421,16 @@ class Server:
             raise ServeError(f"queue_limit must be >= 0, got {queue_limit}")
         if plan_quota is not None and plan_quota < 1:
             raise ServeError(f"plan_quota must be >= 1, got {plan_quota}")
-        if deadline is not None and deadline <= 0:
-            raise ServeError(f"deadline must be positive, got {deadline}")
-        if breaker_cooldown < 1:
-            raise ServeError(
-                f"breaker_cooldown must be >= 1, got {breaker_cooldown}"
-            )
-        self.deadline = deadline
-        self.breaker_cooldown = int(breaker_cooldown)
         self.max_sessions = int(max_sessions)
         self.queue_limit = int(queue_limit)
         self.plan_quota = plan_quota
         self.model = cost_model or UnitCost()
         self.max_queries = max_queries
-        self.pool = pool
         self.record_transcripts = bool(record_transcripts)
         self.default_plan = plan
         self.stats = ServerStats()
         self._groups: dict[object, _PlanGroup] = {}
         self._tenant_plans: dict[str, set] = {}
-        self._pinned: list[str] = []
         self._queue: deque[SessionRequest] = deque()
         #: Cached in-flight count (admission is per-request hot path).
         self._active = 0
@@ -787,29 +448,11 @@ class Server:
         self.close()
 
     def close(self) -> None:
-        """Close pool streams and release pinned plan segments."""
+        """Drop every plan group, queued request and in-flight session."""
         schedule_point("serve.close")
         if self._closed:
             return
         self._closed = True
-        for group in self._groups.values():
-            if group.stream is not None:
-                group.stream.close()
-        if self.pool is not None and not self.pool.closed:
-            for key in self._pinned:
-                try:
-                    self.pool.release(key)
-                except ReproError as exc:
-                    # A pin the pool no longer holds is a refcount
-                    # accounting bug; surface it when sanitizing, stay
-                    # quiet on the best-effort teardown path otherwise.
-                    if sanitize.enabled():
-                        raise SanitizerError(
-                            f"server close: pinned plan {key[:12]!r}... was "
-                            f"not held by the pool ({exc}) — pin/release "
-                            "accounting drifted"
-                        ) from exc
-        self._pinned.clear()
         self._groups.clear()
         self._queue.clear()
         self._active = 0
@@ -826,13 +469,10 @@ class Server:
         return plan.config_key or id(plan)
 
     def register_plan(self, plan: CompiledPlan, tenant: str = "default"):
-        """Register (and, with a pool, pin) a plan for a tenant.
+        """Register a plan for a tenant.
 
         Idempotent per (plan, tenant).  Counts against the tenant's
-        ``plan_quota``; with a pool attached the plan's arrays are
-        published into shared memory *pinned*, so the quota is backed by
-        the pool's refcounted registry — a registration is real memory,
-        and :meth:`release_plan` returns it.
+        ``plan_quota``; :meth:`release_plan` returns the slot.
         """
         schedule_point("serve.register_plan")
         if self._closed:
@@ -850,36 +490,21 @@ class Server:
         if group is None:
             index = _PlanIndex(plan, self.model)
             budget = default_budget(plan.hierarchy, self.max_queries)
-            stream = None
-            breaker = None
-            if self.pool is not None:
-                stream = self.pool.stream(
-                    plan,
-                    plan.hierarchy,
-                    cost_model=self.model,
-                    max_queries=budget,
-                    deadline=self.deadline,
-                )
-                stats = self.stats
-                breaker = CircuitBreaker(
-                    cooldown=self.breaker_cooldown,
-                    on_trip=lambda: setattr(stats, "trips", stats.trips + 1),
-                    on_restore=lambda: setattr(
-                        stats, "restores", stats.restores + 1
-                    ),
-                )
-            group = _PlanGroup(key, plan, index, budget, stream, breaker)
+            group = _PlanGroup(plan, index, budget, self.model)
             self._groups[key] = group
-        if self.pool is not None and plan.config_key:
-            self.pool.publish(plan, pin=True)
-            self._pinned.append(plan.config_key)
         held.add(key)
         group.tenants.add(tenant)
         self.stats.tenants.add(tenant)
         return key
 
     def release_plan(self, plan: CompiledPlan, tenant: str = "default") -> None:
-        """Drop a tenant's registration (and its pool pin)."""
+        """Drop a tenant's registration.
+
+        Refused while the plan has sessions in flight, or while the tenant
+        has requests for it in the waiting queue: those were admitted
+        against this registration, and admitting them later must not
+        re-run the quota check.
+        """
         schedule_point("serve.release_plan")
         key = self._plan_key(plan)
         held = self._tenant_plans.get(tenant, set())
@@ -894,15 +519,21 @@ class Server:
                 f"plan {plan.policy_name!r} still has {group.in_flight} "
                 "session(s) in flight; drain before releasing"
             )
+        queued = sum(
+            1
+            for request in self._queue
+            if request.tenant == tenant
+            and self._plan_key(request.plan or self.default_plan) == key
+        )
+        if queued:
+            raise ServeError(
+                f"tenant {tenant!r} still has {queued} session(s) queued on "
+                f"plan {plan.policy_name!r}; drain before releasing"
+            )
         held.discard(key)
-        if self.pool is not None and plan.config_key:
-            self.pool.release(plan.config_key)
-            self._pinned.remove(plan.config_key)
         if group is not None:
             group.tenants.discard(tenant)
             if not group.tenants:
-                if group.stream is not None:
-                    group.stream.close()
                 del self._groups[key]
 
     # ------------------------------------------------------------------
@@ -992,28 +623,19 @@ class Server:
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> list[SessionOutcome]:
-        """Advance every in-flight session one question; return finishers.
+        """Settle fresh target sessions, step oracle sessions; return finishers.
 
-        Pool-offloaded groups dispatch newly admitted sessions as a
-        streaming batch and collect whatever the workers finished; local
-        groups take one vectorized step.  Freed capacity admits queued
-        sessions for the *next* tick.
+        Every target session admitted since the last step finishes here;
+        each oracle-driven session answers one question.  Freed capacity
+        admits queued sessions for the *next* step.
         """
         schedule_point("serve.step")
         if self._closed:
             raise ServeError("the server is closed")
         outcomes: list[SessionOutcome] = []
+        record = self.record_transcripts
         for group in self._groups.values():
-            group.maintain(self)
-            if group.stream is not None:
-                group.dispatch_stream()
-                collected = group.collect_stream(self.record_transcripts)
-                self.stats.offloaded += sum(1 for o in collected if o.ok)
-                outcomes.extend(collected)
-            # Local stepping always runs: it is the whole story without a
-            # pool, and beside a stream it serves oracle-driven sessions
-            # plus any batch that fell back for per-session attribution.
-            outcomes.extend(group.step_local(self.record_transcripts))
+            outcomes.extend(group.step(record))
         self.stats.steps += 1
         self._active -= len(outcomes)
         errored = sum(1 for o in outcomes if o.error is not None)
@@ -1027,8 +649,7 @@ class Server:
 
         ``timeout`` bounds the wall-clock wait: past it, drain raises a
         :class:`~repro.exceptions.ServeTimeoutError` naming what is still
-        outstanding instead of spinning on a wedged pool batch until the
-        idle-tick stall cap (which only guards the local path).
+        outstanding instead of waiting on a slow oracle.
         """
         if timeout is not None and timeout <= 0:
             raise ServeError(f"timeout must be positive, got {timeout}")
@@ -1045,29 +666,19 @@ class Server:
                 give_up_at is not None
                 and time.monotonic() > give_up_at  # repro: noqa RPA004 - drain deadline is a liveness bound, not a result input
             ):
-                pending = sum(len(g.tickets) for g in self._groups.values())
                 raise ServeTimeoutError(
                     f"drain exceeded its {timeout:g}s deadline with "
-                    f"{self.in_flight} session(s) in flight, "
-                    f"{self.queued} queued and {pending} pool batch(es) "
-                    "outstanding"
+                    f"{self.in_flight + self.queued} session(s) outstanding "
+                    f"({self.in_flight} in flight, {self.queued} queued)"
                 )
             finished = self.step()
             outcomes.extend(finished)
             if finished:
                 idle_ticks = 0
                 continue
-            # Pool batches complete asynchronously: an empty tick while a
-            # batch is outstanding just means the workers are still
-            # walking — yield the CPU and keep waiting (worker deaths are
-            # detected and recovered inside the stream's poll, bounded by
-            # the pool's respawn budget, so this wait cannot hang on a
-            # dead pool).  The idle cap only guards the local path, where
-            # every tick must finish or advance someone — hitting it
-            # there is a bug, not load.
-            if any(group.tickets for group in self._groups.values()):
-                time.sleep(0.001)  # repro: noqa RPA004 - drain poll pacing; affects latency only
-                continue
+            # An empty step still asked each oracle session one question,
+            # and every session is bounded by its budget; a run of 10,000
+            # empty steps means in-flight sessions that no group steps.
             idle_ticks += 1
             if idle_ticks > 10_000:
                 raise ServeError(
@@ -1086,9 +697,13 @@ class Server:
         between :meth:`serve` and :meth:`aserve`: most feeds are one
         tenant on the default plan, and admitting those straight into the
         group's incoming list skips the per-request
-        ``submit()``/``_resolve()`` machinery.  Both feeds route through
-        this one method, so the sync and async paths admit identically
-        (the ``aserve`` parity suite diffs their outcomes byte for byte).
+        ``submit()``/``_resolve()`` machinery.  The cache holds only while
+        the tenant still holds the cached group: after a
+        :meth:`release_plan` the next request goes through :meth:`submit`,
+        which registers the plan again under the quota.  Both feeds route
+        through this one method, so the sync and async paths admit
+        identically (the ``aserve`` parity suite diffs their outcomes
+        byte for byte).
         """
         stats = self.stats
         if (
@@ -1096,6 +711,7 @@ class Server:
             and request.plan is None
             and request.target is not None
             and request.oracle is None
+            and request.tenant in fast[1].tenants
         ):
             try:
                 target_ix = fast[2](request.target)
@@ -1130,11 +746,10 @@ class Server:
 
         A ``serve``/``aserve`` consumer that drops the generator mid-feed
         (``GeneratorExit``, task cancellation) would otherwise strand its
-        sessions: ``_active`` never decrements, group cohorts and pool
-        tickets stay registered, and ``release_plan``/``close`` see
-        phantom in-flight work — the pin-accounting drift the sanitizer
-        flags.  Reclaiming drops them all, fixes the accounting, and
-        leaves streams open for the next feed.
+        sessions: ``_active`` never decrements, the groups keep them, and
+        ``release_plan`` sees phantom in-flight work.  Reclaiming drops
+        them all and fixes the accounting; under ``REPRO_SANITIZE=1`` it
+        first audits that the cached count matches the groups.
         """
         in_flight = sum(g.in_flight for g in self._groups.values())
         if sanitize.enabled() and in_flight != self._active:
@@ -1178,12 +793,7 @@ class Server:
                     rejected = self._feed_admit(request, fast)
                     if rejected is not None:
                         yield rejected
-                finished = self.step()
-                yield from finished
-                if not finished and any(
-                    group.tickets for group in self._groups.values()
-                ):
-                    time.sleep(0.001)  # repro: noqa RPA004 - pool workers are walking; poll pacing only
+                yield from self.step()
                 if exhausted and not self.in_flight and not self._queue:
                     return
         finally:
@@ -1193,16 +803,14 @@ class Server:
     async def aserve(self, feed):
         """Async variant of :meth:`serve` for an ``async for`` feed.
 
-        The (potentially blocking) :meth:`step` — a vectorized cohort
-        advance, and with a pool attached the stream dispatch/collect —
-        runs in a worker thread via :func:`asyncio.to_thread`, so other
-        tasks on the event loop (e.g. the network transport's connection
-        handlers) keep making progress while a cohort is stepping.
-        Admission uses the same fast path as :meth:`serve` (one shared
-        :meth:`_feed_admit`), so identical feeds take identical code
-        paths and produce byte-identical outcomes.  Cancellation or an
-        abandoned ``async for`` reclaims in-flight sessions exactly like
-        the sync feed.
+        :meth:`step` runs in a worker thread via :func:`asyncio.to_thread`:
+        an oracle session's answer source may block, and other tasks on
+        the event loop (e.g. the network transport's connection handlers)
+        must keep making progress meanwhile.  Admission uses the same fast
+        path as :meth:`serve` (one shared :meth:`_feed_admit`), so
+        identical feeds take identical code paths and produce
+        byte-identical outcomes.  Cancellation or an abandoned ``async
+        for`` reclaims in-flight sessions exactly like the sync feed.
         """
         if self._closed:
             raise ServeError("the server is closed")
@@ -1211,16 +819,15 @@ class Server:
         #: In-flight ``__anext__`` task.  A *live* feed (a network
         #: transport bridging connections through a queue) may have no
         #: request ready for a while; awaiting it directly would stall
-        #: every in-flight cohort.  Instead the pull runs as a task: when
+        #: every in-flight session.  Instead the pull runs as a task: when
         #: it has not produced yet and there is work to do, step the work
         #: and pick the request up next tick; only an *idle* server
         #: blocks on the feed.
         pending: asyncio.Task | None = None
         #: In-flight :meth:`step` thread.  Shielded: a cancellation (a
         #: drain timeout cancelling the transport pump) cannot stop the
-        #: thread mid-cohort, so the reclaim below must wait it out —
-        #: reclaiming while the step still walks the group arrays would
-        #: race.
+        #: thread mid-step, so the reclaim below must wait it out —
+        #: reclaiming while the step still walks the groups would race.
         step_task: asyncio.Task | None = None
         fast: list = [None, None, None]  # [tenant, group, index] cache
         try:
@@ -1254,13 +861,7 @@ class Server:
                 for outcome in finished:
                     yield outcome
                 if not finished:
-                    # Yield to the loop (and nap if pool workers are
-                    # walking).
-                    await asyncio.sleep(
-                        0.001
-                        if any(g.tickets for g in self._groups.values())
-                        else 0
-                    )
+                    await asyncio.sleep(0)  # yield to the loop
                 if exhausted and not self.in_flight and not self._queue:
                     return
         finally:

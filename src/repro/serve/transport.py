@@ -24,16 +24,16 @@ Server -> client::
 
 Two session shapes, two serving paths:
 
-* **Target sessions** (``"target"``) ride :meth:`Server.aserve`
-  micro-batching: the transport bridges every connection's opens into
-  one queue-backed feed, and the server vectorizes whole cohorts per
-  shared plan.  This is the labelling-service hot path.
+* **Target sessions** (``"target"``) ride :meth:`Server.aserve`: the
+  transport bridges every connection's opens into one queue-backed
+  feed, and the server settles each session from its plan's leaf table
+  on the next step.  This is the labelling-service hot path.
 * **Interactive sessions** (``"interactive"``) are driven by a
   per-session :class:`~repro.serve.SessionRuntime` *at the transport
   layer*.  The server's oracle path answers synchronously inside
-  ``step()``; routing a network round-trip through it would stall a
-  whole cohort on one slow client.  Holding the runtime on the event
-  loop instead means a slow client delays nobody but itself.
+  ``step()``; routing a network round-trip through it would stall every
+  other session of the step on one slow client.  Holding the runtime on
+  the event loop instead means a slow client delays nobody but itself.
 
 Session stickiness: a session id names its session for the connection
 that opened it, and ``(tenant, id)`` is *sticky* across the transport —
@@ -627,8 +627,7 @@ class ServeTransport:
         """Client walked away from one session (explicit ``close`` frame)."""
         self._drop_interactive(conn, client_id)
         if client_id in conn.targets:
-            # The server finishes the session (cohorts are vectorized;
-            # plucking one out would cost more than letting it run) but
+            # The server still settles the session on its next step, but
             # its outcome now has nowhere to go: unroute it so _route
             # counts it orphaned instead of writing to the connection.
             conn.targets.discard(client_id)

@@ -11,15 +11,16 @@ Four contracts:
    :class:`~repro.faults.CircuitBreaker` (tick-counted trip ->
    cooldown -> probe -> restore).
 
-3. **Stack behaviour under faults** — pool/stream deadlines raise typed
+3. **Stack behaviour under faults** — pool walk deadlines raise typed
    :class:`~repro.exceptions.PoolTimeoutError` instead of hanging,
-   injected worker kills recover bit-identically, the server's breaker
-   degrades and *restores* streaming, and crash-atomic cache writes
-   never leave torn files.
+   injected worker kills recover bit-identically, segment attacks and
+   crashed restarts end typed and leave the pool usable, a slow oracle
+   cannot hold ``Server.drain(timeout=)`` past its bound, and
+   crash-atomic cache writes never leave torn files.
 
-4. **Mini chaos soak** — seeded random fault schedules over a real
-   pool + server: termination, typed errors only, completed sessions
-   bit-identical to fault-free serving (the full-size soak is
+4. **Mini chaos soak** — seeded random fault schedules over a server and
+   a pool walk: termination, typed errors only, completed sessions and
+   walk arrays bit-identical to fault-free runs (the full-size soak is
    ``benchmarks/bench_faults.py``).
 
 Every test arms its own environment (``monkeypatch.setenv``), so the
@@ -29,7 +30,6 @@ suite passes in a tier-1 run without ``REPRO_FAULTS`` set.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import errno
 import os
 import signal
@@ -39,8 +39,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import schedule as _schedule
+from repro.core.costs import UnitCost
 from repro.core.oracle import ExactOracle
-from repro.core.session import run_search
+from repro.core.session import default_budget, run_search
 from repro.engine import EvaluationPool, simulate_all_targets
 from repro.engine.cache import EngineResultCache, result_key
 from repro.exceptions import (
@@ -277,35 +278,30 @@ class TestRetryPolicy:
 
 class TestCircuitBreaker:
     def test_trip_cooldown_probe_restore(self):
-        events = []
-        breaker = CircuitBreaker(
-            cooldown=2,
-            on_trip=lambda: events.append("trip"),
-            on_restore=lambda: events.append("restore"),
-        )
+        breaker = CircuitBreaker(cooldown=2)
         assert breaker.state == CircuitBreaker.CLOSED
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow_probe()
+        assert (breaker.trips, breaker.restores) == (1, 0)
         breaker.tick()
         assert breaker.state == CircuitBreaker.OPEN
         breaker.tick()
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow_probe() and breaker.probing
+        assert breaker.state == CircuitBreaker.HALF_OPEN  # the probe is due
         breaker.record_success()
         assert breaker.state == CircuitBreaker.CLOSED
-        assert events == ["trip", "restore"]
-        assert breaker.trips == 1 and breaker.restores == 1
+        assert (breaker.trips, breaker.restores) == (1, 1)
+        breaker.record_success()  # healthy traffic while closed: no transition
+        assert (breaker.trips, breaker.restores) == (1, 1)
 
     def test_failed_probe_retrips_fresh_cooldown(self):
         breaker = CircuitBreaker(cooldown=3)
         breaker.record_failure()
         for _ in range(3):
             breaker.tick()
-        assert breaker.probing
+        assert breaker.state == CircuitBreaker.HALF_OPEN
         breaker.record_failure()  # the probe failed
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.trips == 2
+        assert (breaker.trips, breaker.restores) == (2, 0)
         breaker.tick()
         assert breaker.state == CircuitBreaker.OPEN  # full cooldown again
 
@@ -359,21 +355,30 @@ class TestPoolDeadlines:
 
     def test_per_call_deadline_overrides_pool_default(self):
         plan, hierarchy, _ = _config(seed=22)
+        target_ix = np.arange(hierarchy.n, dtype=np.int64)
+
+        def walk(**kw):
+            queries = np.full(hierarchy.n, -1, dtype=np.int64)
+            prices = np.full(hierarchy.n, np.nan)
+            pool.run_walk(
+                plan, hierarchy, UnitCost(), target_ix, queries, prices,
+                default_budget(hierarchy), True, **kw,
+            )
+            return queries
+
         with EvaluationPool(workers=1) as pool:  # no pool-wide deadline
-            # Boot + attach before the deadlined stream opens: spawn
-            # workers take longer than 0.3s to come up.
-            simulate_all_targets(plan, result_cache=False, pool=pool)
-            pool.publish(plan)
-            with pool.stream(plan, deadline=0.3) as stream:
-                stream.submit(list(hierarchy.nodes)[:5])
-                stream.join()  # warm: worker attached
-                pool._inject_sleep(60.0)
-                stream.submit(list(hierarchy.nodes)[:5])
-                give_up = time.monotonic() + 20.0
-                with pytest.raises(PoolTimeoutError, match="no progress"):
-                    while time.monotonic() < give_up:
-                        stream.poll()
-                        time.sleep(0.02)
+            # Boot + attach before the deadlined walk: spawn workers take
+            # longer than 0.3s to come up.
+            warm = walk()
+            assert np.array_equal(
+                warm,
+                simulate_all_targets(plan, result_cache=False, pool=False).queries,
+            )
+            pool._inject_sleep(60.0)  # the lone worker is now busy
+            start = time.monotonic()
+            with pytest.raises(PoolTimeoutError, match="no progress"):
+                walk(deadline=0.3)
+            assert time.monotonic() - start < 20.0
 
     def test_deadline_validation(self):
         with pytest.raises(PoolError, match="deadline"):
@@ -419,22 +424,19 @@ class TestInjectedPoolFaults:
         plan, hierarchy, _ = _config(seed=26)
         fault = FaultPlan(
             [
-                FaultSpec("vanish_segment", at="stream.submit", nth=1),
-                FaultSpec("kill_worker", at="stream.poll", nth=1),
+                FaultSpec("vanish_segment", at="pool.acquire_for_walk", nth=1),
+                FaultSpec("kill_worker", at="pool.collect", nth=1),
             ]
         )
         with EvaluationPool(workers=1) as pool:
-            with pool.stream(plan) as stream:
-                stream.submit(list(hierarchy.nodes)[:6])
-                stream.join()  # warm: worker attached to the segment
-                pool._inject_sleep(60.0)  # wedge it so the kill lands first
-                with fault.armed(pool=pool):
-                    stream.submit(list(hierarchy.nodes)[:6])
-                    give_up = time.monotonic() + 30.0
-                    with pytest.raises(PoolError):
-                        while time.monotonic() < give_up:
-                            stream.poll()
-                            time.sleep(0.02)
+            # Warm: the worker attaches the plan's segment.
+            simulate_all_targets(plan, result_cache=False, pool=pool)
+            pool._inject_sleep(60.0)  # wedge it so the kill lands first
+            start = time.monotonic()
+            with fault.armed(pool=pool):
+                with pytest.raises(PoolError):
+                    simulate_all_targets(plan, result_cache=False, pool=pool)
+            assert time.monotonic() - start < 30.0
         assert {kind for _, _, kind in fault.trace} == {
             "vanish_segment", "kill_worker",
         }
@@ -442,36 +444,30 @@ class TestInjectedPoolFaults:
 
     def test_crash_mid_restart_leaves_the_pool_usable(self, faults_on):
         """A crash injected while a restart rebuilds the queues must not
-        leave the pool holding the closed ones: the next submit on it would
-        raise an untyped ``ValueError`` out of ``Server.serve``."""
+        leave the pool holding the closed ones: the walk fails typed, and
+        the next walk on the pool matches the sequential arrays."""
         plan, hierarchy, _ = _config(n=30, seed=51)
-        targets = list(hierarchy.nodes)[:10]
-        reference = _reference_outcomes(plan, hierarchy, targets)
+        reference = simulate_all_targets(
+            plan, jobs=1, result_cache=False, pool=False
+        )
         fault = FaultPlan(
             [
-                FaultSpec("kill_worker", at="serve.step", nth=1),
+                FaultSpec("kill_worker", at="pool.collect", nth=1),
                 FaultSpec("crash", at="pool.restart.rebuild", nth=1),
             ]
         )
         with EvaluationPool(workers=2) as pool:
-            for armed in (fault.armed(pool=pool), contextlib.nullcontext()):
-                server = Server(plan, pool=pool, deadline=5.0)
-                try:
-                    with armed:
-                        outcomes = list(
-                            server.serve(
-                                SessionRequest(t, target=t) for t in targets
-                            )
-                        )
-                finally:
-                    server.close()
-                for outcome in outcomes:
-                    if outcome.ok:
-                        assert outcome.result == reference[outcome.session_id]
-                    else:
-                        assert isinstance(outcome.error, ReproError)
+            simulate_all_targets(plan, result_cache=False, pool=pool)  # warm
+            for _ in range(pool.workers):
+                pool._inject_sleep(60.0)  # wedge both: the kill forces a restart
+            with fault.armed(pool=pool):
+                with pytest.raises(PoolError, match="injected"):
+                    simulate_all_targets(plan, result_cache=False, pool=pool)
+            again = simulate_all_targets(plan, result_cache=False, pool=pool)
         assert ("pool.restart.rebuild", 1, "crash") in fault.trace
-        assert all(outcome.ok for outcome in outcomes)  # the unarmed serve
+        assert np.array_equal(again.queries, reference.queries)
+        assert np.array_equal(again.prices, reference.prices)
+        assert again.decision_nodes == reference.decision_nodes
 
     def test_queue_rebuild_failure_is_typed_and_leaves_the_pool_usable(
         self, monkeypatch
@@ -511,112 +507,37 @@ class TestInjectedPoolFaults:
 
 
 class TestServerBreaker:
-    def _server_pool(self, seed=31, **kw):
-        plan, hierarchy, _ = _config(seed=seed)
-        pool = EvaluationPool(workers=1)
-        server = Server(plan, pool=pool, **kw)
-        return plan, hierarchy, pool, server
-
-    def test_degrade_then_probe_then_restore(self):
-        plan, hierarchy, pool, server = self._server_pool(breaker_cooldown=2)
-        targets = list(hierarchy.nodes)[:12]
-        reference = _reference_outcomes(plan, hierarchy, targets)
-        outcomes = {}
-        with pool, server:
-            group = next(iter(server._groups.values()))
-            assert group.breaker is not None
-            # Phase 1: healthy streaming.
-            for i, t in enumerate(targets[:4]):
-                server.submit(SessionRequest(t, target=t))
-            outcomes.update(
-                {o.session_id: o for o in server.drain(timeout=30.0)}
-            )
-            # Phase 2: the pool "fails" — degrade trips the breaker.
-            group._degrade_to_local()
-            assert server.stats.trips == 1
-            assert group.stream is None
-            assert group.breaker.state == CircuitBreaker.OPEN
-            # Phase 3: traffic during cooldown is served locally; after
-            # `cooldown` steps the probe reopens the stream, and its
-            # success restores streaming.
-            pending = list(targets[4:])
-            give_up = time.monotonic() + 30.0
-            while (
-                pending or server.in_flight
-            ) and time.monotonic() < give_up:
-                if pending:
-                    t = pending.pop()
-                    server.submit(SessionRequest(t, target=t))
-                for o in server.step():
-                    outcomes[o.session_id] = o
-            assert server.stats.restores == 1
-            assert group.stream is not None
-            assert group.breaker.state == CircuitBreaker.CLOSED
-        assert set(outcomes) == set(targets)
-        for t in targets:
-            assert outcomes[t].ok, outcomes[t].error
-            assert outcomes[t].result == reference[t]
-
-    def test_pool_error_mid_collect_degrades_and_completes(self, monkeypatch):
-        """The pool dies mid-tick with a batch half-collected: the group
-        degrades, the batch re-runs locally, and every session still
-        finishes with the fault-free numbers."""
-        plan, hierarchy, pool, server = self._server_pool(
-            seed=32, breaker_cooldown=10_000
-        )
-        targets = list(hierarchy.nodes)[:10]
-        reference = _reference_outcomes(plan, hierarchy, targets)
-        with pool, server:
-            group = next(iter(server._groups.values()))
-            for t in targets:
-                server.submit(SessionRequest(t, target=t))
-            group.dispatch_stream()
-            assert group.tickets  # a batch is in flight
-            monkeypatch.setattr(
-                group.stream,
-                "poll",
-                lambda *a, **kw: (_ for _ in ()).throw(
-                    PoolError("injected mid-tick death")
-                ),
-            )
-            outcomes = {o.session_id: o for o in server.drain(timeout=30.0)}
-            assert group.stream is None
-            assert server.stats.trips == 1
-        assert set(outcomes) == set(targets)
-        for t in targets:
-            assert outcomes[t].result == reference[t]
-
-    def test_probe_against_closed_pool_keeps_retripping(self):
-        plan, hierarchy, pool, server = self._server_pool(
-            seed=33, breaker_cooldown=1
-        )
-        targets = list(hierarchy.nodes)[:6]
-        with server:
-            with pool:
-                group = next(iter(server._groups.values()))
-                group._degrade_to_local()
-            assert pool.closed
-            for t in targets:
-                server.submit(SessionRequest(t, target=t))
-            outcomes = {o.session_id: o for o in server.drain(timeout=30.0)}
-            # Every probe found a dead pool: re-trips, never a restore.
-            assert server.stats.trips >= 2
-            assert server.stats.restores == 0
-            assert group.stream is None
-        assert all(o.ok for o in outcomes.values())
-
     def test_drain_timeout_raises_typed_under_stall(self):
-        plan, hierarchy, pool, server = self._server_pool(seed=34)
-        with pool, server:
+        """A slow oracle holds its session open past the drain bound: the
+        drain ends in a typed ServeTimeoutError naming what is left."""
+        plan, hierarchy, _ = _config(seed=34)
+        depths = plan.leaf_depths()
+        deepest = max(depths, key=depths.get)
+        assert depths[deepest] >= 3, depths
+
+        class SlowOracle:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def answer(self, query):
+                time.sleep(0.25)
+                return self.inner.answer(query)
+
+        with Server(plan) as server:
             server.submit(SessionRequest("warm", target=hierarchy.root))
             server.drain(timeout=30.0)
-            pool._inject_sleep(60.0)  # the lone worker is now wedged
+            server.submit(
+                SessionRequest(
+                    "slow", oracle=SlowOracle(ExactOracle(hierarchy, deepest))
+                )
+            )
             for i, t in enumerate(list(hierarchy.nodes)[:4]):
                 server.submit(SessionRequest(i, target=t))
             with pytest.raises(ServeTimeoutError) as exc_info:
                 server.drain(timeout=0.5)
             message = str(exc_info.value)
             assert "deadline" in message and "outstanding" in message
+            assert server.in_flight == 1  # the slow session, still open
 
     def test_drain_timeout_validation(self):
         plan, hierarchy, _ = _config(seed=35)
@@ -719,6 +640,9 @@ class TestMiniSoak:
         plan, hierarchy, _ = _config(n=30, seed=51)
         targets = list(hierarchy.nodes)[:10]
         reference = _reference_outcomes(plan, hierarchy, targets)
+        walk_reference = simulate_all_targets(
+            plan, jobs=1, result_cache=False, pool=False
+        )
         with EvaluationPool(workers=2) as pool:
             for seed in range(12):
                 fault = FaultPlan.random(
@@ -727,10 +651,9 @@ class TestMiniSoak:
                     kinds=("crash", "kill_worker", "slow"),
                     max_faults=3,
                 )
-                server = Server(
-                    plan, pool=pool, deadline=5.0, breaker_cooldown=2
-                )
+                server = Server(plan)
                 outcomes = {}
+                walk = None
                 try:
                     with fault.armed(pool=pool):
                         try:
@@ -743,8 +666,20 @@ class TestMiniSoak:
                             # loop itself: typed, so the schedule is a
                             # pass — sessions it cut short are unserved.
                             pass
+                        try:
+                            walk = simulate_all_targets(
+                                plan, result_cache=False, pool=pool
+                            )
+                        except ReproError:
+                            pass  # typed: the walk was cut short, legally
                 finally:
                     server.close()
+                if walk is not None:
+                    assert np.array_equal(
+                        walk.queries, walk_reference.queries
+                    ), f"seed {seed} trace {fault.trace}"
+                    assert np.array_equal(walk.prices, walk_reference.prices)
+                    assert walk.decision_nodes == walk_reference.decision_nodes
                 for sid, outcome in outcomes.items():
                     if outcome.ok:
                         assert outcome.result == reference[sid], (

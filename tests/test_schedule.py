@@ -13,8 +13,8 @@ Four layers:
    :class:`~repro.engine.EvaluationPool` subclass swaps the
    multiprocessing queues/processes for deterministic in-process fakes
    (via the ``_new_queue``/``_spawn_worker`` seams), so registry
-   evict-vs-pin and worker-death-during-``PlanStream.poll`` run the real
-   pool logic, interleaved at its ``schedule_point`` sites.
+   evict-vs-pin runs the real pool logic, interleaved at its
+   ``schedule_point`` sites.
 4. **Real server code** — drain racing a late admission.
 """
 
@@ -24,7 +24,6 @@ import queue as queue_mod
 import re
 from collections import deque
 
-import numpy as np
 import pytest
 
 from repro.analysis import schedule as schedule_mod
@@ -36,7 +35,6 @@ from repro.analysis.schedule import (
     schedule_point,
 )
 from repro.engine import EvaluationPool
-from repro.engine.pool import _worker_main
 from repro.exceptions import ScheduleError
 from repro.plan import compile_policy
 from repro.policies import GreedyNaivePolicy, GreedyTreePolicy
@@ -309,26 +307,11 @@ class _LocalQueue:
         return None
 
 
-class _OneShot:
-    """Adapts a _LocalQueue for ``_worker_loop``: empty means shut down."""
-
-    def __init__(self, inner: _LocalQueue) -> None:
-        self._inner = inner
-
-    def get(self):
-        try:
-            item = self._inner.get_nowait()
-        except queue_mod.Empty:
-            return None  # the worker loop's shutdown sentinel
-        return item if item is not None else self.get()
-
-
 class VirtualPool(EvaluationPool):
     """The real pool with its process/queue seams replaced.
 
-    Registry, streams, restart and resubmission logic are all the real
-    code; only the workers are gone — a test task runs the real
-    ``_worker_main`` loop in-process to serve whatever is queued.
+    The registry logic is the real code; only the worker processes and
+    their queues are replaced by in-process fakes.
     """
 
     def _new_queue(self):
@@ -336,10 +319,6 @@ class VirtualPool(EvaluationPool):
 
     def _spawn_worker(self) -> None:
         self._procs.append(_FakeProc())
-
-    def serve_queued(self) -> None:
-        """Run the real worker loop over everything currently queued."""
-        _worker_main(_OneShot(self._tasks), self._results)
 
 
 @pytest.fixture
@@ -384,62 +363,6 @@ class TestRealPoolSchedules:
             )
 
         report = explore(factory, mode="dfs", max_schedules=300)
-        assert report.truncated == 0
-        assert report.schedules > 1
-
-    def test_worker_death_during_stream_poll(self, scheduling, tiny_plan):
-        """A worker dying at any point around submit/poll must never lose
-        or duplicate a stream batch: the pool restarts, resubmits, and
-        the batch arrives exactly once with correct data."""
-        hierarchy = tiny_plan.hierarchy
-        targets = np.arange(hierarchy.n, dtype=np.int64)[:4]
-
-        def factory() -> Scenario:
-            pool = VirtualPool(workers=1, max_plans=2)
-            stream = pool.stream(tiny_plan, hierarchy)
-            batches: list = []
-
-            def driver() -> None:
-                ticket = stream.submit(targets)
-                for _ in range(6):  # bounded: recovery needs few rounds
-                    pool.serve_queued()
-                    batches.extend(stream.poll(raise_errors=False))
-                    if batches:
-                        break
-                assert batches, "stream batch never arrived"
-                assert batches[0].ticket == ticket
-
-            def chaos() -> None:
-                # A real mid-walk death: the worker has taken the task
-                # off the queue (steal it) but never produced a result
-                # (kill it).  Recovery must restart + resubmit.
-                schedule_point("test.kill_worker")
-                while True:
-                    try:
-                        pool._tasks.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                for proc in pool._procs:
-                    proc.alive = False
-
-            def invariant() -> None:
-                assert len(batches) == 1, f"{len(batches)} deliveries"
-                done = batches[0]
-                assert done.ok, f"batch failed: {done.error}"
-                np.testing.assert_array_equal(np.sort(done.target_ix), targets)
-                assert not stream._pending
-
-            def teardown() -> None:
-                stream.close()
-                pool.close()
-
-            return Scenario(
-                tasks={"driver": driver, "chaos": chaos},
-                invariant=invariant,
-                teardown=teardown,
-            )
-
-        report = explore(factory, mode="dfs", max_schedules=200)
         assert report.truncated == 0
         assert report.schedules > 1
 

@@ -1,6 +1,6 @@
-"""Tests for the unified session runtime and the streaming serving layer.
+"""Tests for the unified session runtime and the session server.
 
-Three contracts:
+Two contracts:
 
 1. **Runtime parity** — :class:`repro.serve.SessionRuntime` (and therefore
    the ``run_search`` / online / console adapters now built on it) produces
@@ -8,17 +8,18 @@ Three contracts:
    inline loops, whose exact code is preserved here as references — for
    every registry policy, on trees and DAGs (hypothesis-driven seeds).
 
-2. **Server semantics** — micro-batched serving is byte-identical to
-   sequential ``run_search`` per session; admission control and per-tenant
-   plan quotas reject with the documented exception types; oracle-driven
-   and target-driven sessions mix.
-
-3. **Streaming pool mode** — :meth:`EvaluationPool.stream` batches match
-   ``simulate_all_targets`` on the same subsets, streams keep their plan
-   resident, and the server's pool offload serves identical results.
+2. **Server semantics** — serving is byte-identical to sequential
+   ``run_search`` per session, budget errors included at every leaf
+   depth; admission control and per-tenant plan quotas reject with the
+   documented exception types; oracle-driven and target-driven sessions
+   mix; releasing a plan mid-feed re-registers it instead of stranding
+   the feed.
 """
 
 from __future__ import annotations
+
+import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -27,17 +28,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.costs import TableCost, UnitCost, random_costs
 from repro.core.oracle import ExactOracle
 from repro.core.session import SearchResult, run_search, start_session
-from repro.engine import EvaluationPool, simulate_all_targets
+from repro.engine import simulate_all_targets
 from repro.exceptions import (
     AdmissionError,
     BudgetExceededError,
     PolicyError,
-    PoolError,
     QuotaExceededError,
     SearchError,
     ServeError,
 )
-from repro.plan import compile_policy
+from repro.plan import CompiledPlan, compile_policy
 from repro.policies import GreedyTreePolicy, available_policies, make_policy
 from repro.serve import Server, SessionRequest, SessionRuntime
 from repro.testing import (
@@ -286,17 +286,21 @@ class TestServerParity:
         targets = [
             hierarchy.nodes[int(i)] for i in rng.integers(0, hierarchy.n, 40)
         ]
+        feed = [SessionRequest(i, target=t) for i, t in enumerate(targets)]
+        feed += [  # oracle sessions pay the server's prices too
+            SessionRequest(("oracle", i), oracle=ExactOracle(hierarchy, t))
+            for i, t in enumerate(targets[:8])
+        ]
         with Server(plan, cost_model=costs) as server:
-            outcomes = _served(
-                server,
-                (SessionRequest(i, target=t) for i, t in enumerate(targets)),
-            )
+            outcomes = _served(server, feed)
         for i, target in enumerate(targets):
             reference = run_search(
                 plan, ExactOracle(hierarchy, target), hierarchy,
                 cost_model=costs,
             )
             assert outcomes[i].result == reference
+            if i < 8:
+                assert outcomes[("oracle", i)].result == reference
 
     def test_oracle_driven_sessions(self, vehicle_hierarchy):
         plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
@@ -360,6 +364,70 @@ class TestServerParity:
             )
         for outcome in outcomes.values():
             assert isinstance(outcome.error, BudgetExceededError)
+
+    def test_budget_boundary_at_every_leaf_depth(self):
+        """For every budget ``b`` among the plan's leaf depths, a leaf at
+        depth ``<= b`` completes exactly like ``run_search(max_queries=b)``
+        and a deeper one errors typed, with the budget in the message —
+        the budget splitting each feed between completions and errors."""
+        hierarchy = make_random_tree(60, seed=23)
+        distribution = random_distribution(hierarchy, 23)
+        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
+        depths = plan.leaf_depths()
+        budgets = sorted(set(depths.values()))
+        assert len(budgets) > 2, depths
+        for budget in budgets:
+            with Server(plan, max_queries=budget, max_sessions=16) as server:
+                outcomes = _served(
+                    server,
+                    (SessionRequest(t, target=t) for t in hierarchy.nodes),
+                )
+            assert len(outcomes) == hierarchy.n
+            for target, depth in depths.items():
+                outcome = outcomes[target]
+                oracle = ExactOracle(hierarchy, target)
+                if depth <= budget:
+                    assert outcome.ok, (budget, target)
+                    assert outcome.result == run_search(
+                        plan, oracle, hierarchy, max_queries=budget
+                    )
+                    continue
+                assert type(outcome.error) is BudgetExceededError
+                assert str(outcome.error) == (
+                    f"session {target!r} exceeded the query budget of "
+                    f"{budget} questions"
+                )
+                with pytest.raises(BudgetExceededError):
+                    run_search(plan, oracle, hierarchy, max_queries=budget)
+
+    def test_target_without_a_leaf_errors_typed(self, vehicle_hierarchy):
+        """A plan whose leaves miss a target (here: one root leaf) settles
+        that target as a typed error; the target it has stays served."""
+        index = vehicle_hierarchy.index
+        plan = CompiledPlan(
+            vehicle_hierarchy,
+            np.array([-1]),
+            np.array([-1]),
+            np.array([-1]),
+            np.array([index("Vehicle")]),
+            policy_name="OneLeaf",
+            config_key="",
+        )
+        with Server(plan) as server:
+            outcomes = _served(
+                server,
+                [
+                    SessionRequest("miss", target="Car"),
+                    SessionRequest("hit", target="Vehicle"),
+                ],
+            )
+        assert type(outcomes["miss"].error) is SearchError
+        assert str(outcomes["miss"].error) == (
+            "plan of 'OneLeaf' has no leaf for target 'Car'"
+        )
+        assert outcomes["hit"].result == run_search(
+            plan, ExactOracle(vehicle_hierarchy, "Vehicle"), vehicle_hierarchy
+        )
 
 
 class TestAdmissionControl:
@@ -493,18 +561,26 @@ class TestTenantQuotas:
             server.drain()
             server.release_plan(plan1)
 
-    def test_pool_backed_quota_pins_segments(self):
+    def test_release_refuses_while_sessions_queued(self):
+        """A queued request was admitted against its tenant's registration:
+        releasing that registration first would make the step that admits
+        the request re-run the quota check and raise, losing the request
+        and the step's outcomes."""
         plan1, plan2, h1, h2 = self._plans()
-        with EvaluationPool(workers=1) as pool:
-            with Server(pool=pool, plan_quota=2) as server:
+        with Server(plan1, max_sessions=1, plan_quota=1) as server:
+            server.submit(SessionRequest("a", target=h1.root))
+            server.submit(
+                SessionRequest("b", target=h2.root, plan=plan2, tenant="acme")
+            )
+            assert server.queued == 1
+            with pytest.raises(ServeError, match="queued"):
+                server.release_plan(plan2, tenant="acme")
+            with pytest.raises(QuotaExceededError):
                 server.register_plan(plan1, tenant="acme")
-                assert plan1.config_key in pool.published_keys
-                # Pinned: publishing more plans cannot evict it.
-                server.register_plan(plan2, tenant="acme")
-                assert plan1.config_key in pool.published_keys
-                server.release_plan(plan1, tenant="acme")
-            # Server close released the remaining pins; pool can evict.
-            assert not pool.closed
+            served = [o.session_id for o in server.drain()]
+            assert served == ["a", "b"]
+            server.release_plan(plan2, tenant="acme")
+
 
 
 class TestServerAsync:
@@ -535,205 +611,82 @@ class TestServerAsync:
 
 
 # ----------------------------------------------------------------------
-# 3. Streaming pool mode
+# Releasing the default plan between two pulls of a feed
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def pool():
-    with EvaluationPool(workers=2, max_plans=4) as pool:
-        yield pool
+def _bounded(run, timeout=30.0):
+    """Run ``run()`` on a daemon thread; fail (not hang) past ``timeout``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = run()
+        except BaseException as exc:  # re-raised in the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"the feed did not finish in {timeout}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
 
 
-class TestPlanStream:
-    def _config(self, n=50, seed=9):
-        hierarchy = make_random_tree(n, seed=seed)
-        distribution = random_distribution(hierarchy, seed)
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        return plan, hierarchy, distribution
+class TestReleaseMidFeed:
+    """``release_plan`` of the default plan is legal between two pulls of
+    a feed (nothing is in flight).  The next request must register the
+    plan again under the quota, not land in the dropped group, where
+    nothing would ever step it."""
 
-    def test_batches_match_simulate_all_targets(self, pool):
-        plan, hierarchy, distribution = self._config()
-        rng = np.random.default_rng(0)
-        batches = [
-            [hierarchy.nodes[int(i)] for i in rng.integers(0, hierarchy.n, 8)]
-            for _ in range(4)
-        ]
-        with pool.stream(plan) as stream:
-            tickets = [stream.submit(batch) for batch in batches]
-            done = {b.ticket: b for b in stream.join()}
-        assert set(done) == set(tickets)
-        for ticket, batch in zip(tickets, batches):
-            reference = simulate_all_targets(
-                plan, hierarchy, targets=batch, pool=False, result_cache=False
-            )
-            got = done[ticket]
-            assert np.array_equal(got.target_ix, reference.target_ix)
-            assert np.array_equal(
-                got.queries, reference.queries[reference.target_ix]
-            )
-            assert np.allclose(
-                got.prices, reference.prices[reference.target_ix]
-            )
+    TARGETS = ["Sentra", "Maxima", "Honda"]
 
-    def test_submit_accepts_index_arrays(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            stream.submit(np.array([0, 3, 5], dtype=np.int64))
-            (batch,) = stream.join()
-        assert list(batch.target_ix) == [0, 3, 5]
-
-    def test_stream_keeps_plan_resident(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            assert plan.config_key in pool.published_keys
-            stream.submit([hierarchy.root])
-            stream.join()
-            assert plan.config_key in pool.published_keys
-
-    def test_poll_never_blocks_and_join_drains(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            assert stream.poll() == []  # nothing submitted: empty, instant
-            stream.submit([hierarchy.root])
-            results = stream.join()
-            assert len(results) == 1
-            assert stream.pending == 0
-
-    def test_closed_stream_rejects_submission(self, pool):
-        plan, hierarchy, _ = self._config()
-        stream = pool.stream(plan)
-        stream.close()
-        with pytest.raises(PoolError, match="closed"):
-            stream.submit([hierarchy.root])
-        stream.close()  # idempotent
-
-    def test_stream_composes_with_run_batch(self, pool):
-        """A synchronous walk between stream submissions must not eat the
-        stream's results (routing by task id)."""
-        plan, hierarchy, distribution = self._config(n=40, seed=11)
-        with pool.stream(plan) as stream:
-            ticket = stream.submit(list(hierarchy.nodes)[:10])
-            # A full walk on the same pool while the batch is in flight.
-            engine = simulate_all_targets(
-                plan, hierarchy, pool=pool, result_cache=False
-            )
-            assert engine.num_targets == hierarchy.n
-            done = stream.join()
-        assert [b.ticket for b in done] == [ticket]
-
-    def test_empty_batch_rejected(self, pool):
-        plan, hierarchy, _ = self._config()
-        with pool.stream(plan) as stream:
-            with pytest.raises(PoolError, match="at least one"):
-                stream.submit([])
-
-    def test_worker_death_mid_stream_recovers(self):
-        """SIGKILL while a batch is in flight: join restarts the pool,
-        resubmits the outstanding batches, and the numbers still match."""
-        import os
-        import signal
-        import time
-
-        plan, hierarchy, _ = self._config(n=45, seed=15)
-        targets = list(hierarchy.nodes)[:12]
-        reference = simulate_all_targets(
-            plan, hierarchy, targets=targets, pool=False, result_cache=False
-        )
-        with EvaluationPool(workers=1) as mortal:
-            with mortal.stream(plan) as stream:
-                stream.submit(targets)
-                stream.join()  # warm: worker attached, first batch done
-                mortal._inject_sleep(60.0)  # the lone worker is now busy
-                ticket = stream.submit(targets)
-                time.sleep(0.3)
-                os.kill(mortal._procs[0].pid, signal.SIGKILL)
-                (batch,) = stream.join()
-                assert batch.ticket == ticket
-                assert mortal.respawns >= 1
-        assert np.array_equal(
-            batch.queries, reference.queries[reference.target_ix]
-        )
-
-    def test_failed_batch_surfaces_as_typed_outcomes(self, pool):
-        """A worker-side session failure (budget) must become per-session
-        error outcomes, not an exception out of the serve generator — the
-        same contract the local stepping path honors."""
-        plan, hierarchy, _ = self._config(n=50, seed=19)
-        deep = [t for t in hierarchy.nodes if hierarchy.depth(t) >= 2][:6]
-        with Server(plan, pool=pool, max_queries=1) as server:
-            outcomes = _served(
-                server,
-                (SessionRequest(i, target=t) for i, t in enumerate(deep)),
-            )
-        assert len(outcomes) == len(deep)
-        for outcome in outcomes.values():
-            assert isinstance(outcome.error, BudgetExceededError)
-        # The server survives: a good feed still serves afterwards.
-        with Server(plan, pool=pool) as server:
-            good = _served(server, [SessionRequest("ok", target=deep[0])])
-        assert good["ok"].ok
-
-    def test_failed_batch_blames_only_the_offender(self, pool):
-        """One over-budget session inside a pool batch must not fail its
-        co-batched sessions: the batch falls back to local stepping, which
-        errors exactly the offenders and completes the rest — matching a
-        server without a pool session for session."""
-        plan, hierarchy, _ = self._config(n=60, seed=23)
-        depths = plan.leaf_depths()
-        budget = (min(depths.values()) + max(depths.values()) + 1) // 2
-        reference = {}
-        for t in hierarchy.nodes:
-            try:
-                reference[t] = run_search(
-                    plan, ExactOracle(hierarchy, t), hierarchy,
-                    max_queries=budget,
-                )
-            except BudgetExceededError:
-                reference[t] = None
-        cheap = [t for t, r in reference.items() if r is not None][:8]
-        costly = [t for t, r in reference.items() if r is None][:2]
-        assert cheap and costly, (depths, budget)
-        feed = [
-            SessionRequest(t, target=t) for t in cheap + costly
-        ]
-        with Server(plan, pool=pool, max_queries=budget) as server:
-            outcomes = _served(server, iter(feed))
-        for t in cheap:
-            assert outcomes[t].ok, t
-            assert outcomes[t].result == reference[t]
-        for t in costly:
-            assert isinstance(outcomes[t].error, BudgetExceededError)
-
-    def test_stream_poll_reports_errors_without_raising(self, pool):
-        plan, hierarchy, _ = self._config(n=50, seed=20)
-        deep = [t for t in hierarchy.nodes if hierarchy.depth(t) >= 2][:4]
-        with pool.stream(plan, max_queries=1) as stream:
-            stream.submit(deep)
-            (batch,) = stream.join(raise_errors=False)
-        assert not batch.ok
-        assert isinstance(batch.error, BudgetExceededError)
-        # ...and the default contract still raises.
-        with pool.stream(plan, max_queries=1) as stream:
-            stream.submit(deep)
-            with pytest.raises(BudgetExceededError):
-                stream.join()
-
-    def test_server_pool_offload_parity(self, pool):
-        plan, hierarchy, distribution = self._config(n=60, seed=13)
-        rng = np.random.default_rng(3)
-        targets = [
-            hierarchy.nodes[int(i)] for i in rng.integers(0, hierarchy.n, 48)
-        ]
-        with Server(plan, pool=pool, max_sessions=16) as server:
-            outcomes = _served(
-                server,
-                (SessionRequest(i, target=t) for i, t in enumerate(targets)),
-            )
-        assert server.stats.offloaded == len(targets)
-        for i, target in enumerate(targets):
-            reference = run_search(
+    def _check(self, server, plan, hierarchy, outcomes):
+        assert [o.session_id for o in outcomes] == [0, 1, 2]
+        for outcome, target in zip(outcomes, self.TARGETS):
+            assert outcome.result == run_search(
                 plan, ExactOracle(hierarchy, target), hierarchy
             )
-            assert outcomes[i].result == reference, (i, target)
+        assert server.in_flight == 0
+        assert server.stats.completed == 3
+        # Registered again (quota 1 held) by the request after the release.
+        with pytest.raises(QuotaExceededError):
+            server.register_plan(
+                compile_policy(make_policy("topdown"), hierarchy)
+            )
+
+    def test_serve(self, vehicle_hierarchy):
+        plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
+        server = Server(plan, plan_quota=1, max_sessions=1)
+
+        def run():
+            gen = server.serve(
+                SessionRequest(i, target=t) for i, t in enumerate(self.TARGETS)
+            )
+            first = next(gen)
+            server.release_plan(plan)
+            return [first, *gen]
+
+        with server:
+            outcomes = _bounded(run)
+            self._check(server, plan, vehicle_hierarchy, outcomes)
+
+    def test_aserve(self, vehicle_hierarchy):
+        plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
+        server = Server(plan, plan_quota=1, max_sessions=1)
+
+        async def feed():
+            for i, t in enumerate(self.TARGETS):
+                yield SessionRequest(i, target=t)
+
+        async def main():
+            gen = server.aserve(feed())
+            first = await gen.__anext__()
+            server.release_plan(plan)
+            return [first, *[o async for o in gen]]
+
+        with server:
+            outcomes = _bounded(lambda: asyncio.run(main()))
+            self._check(server, plan, vehicle_hierarchy, outcomes)
 
 
 # ----------------------------------------------------------------------

@@ -16,15 +16,15 @@ Five contracts:
    transport keeps serving everyone else.
 
 4. **Event-loop liveness** — the regression test for the ``aserve``
-   stall bug: while one connection's cohort is inside a blocking
-   ``step()`` (the pool-collect path, emulated with a deterministic
-   sleep), a second connection's pings keep round-tripping, proving the
-   collect runs off-loop (``asyncio.to_thread``).
+   stall bug: while one connection's session is inside a blocking
+   ``step()`` (a blocking oracle, emulated with a deterministic sleep),
+   a second connection's pings keep round-tripping, proving the step
+   runs off-loop (``asyncio.to_thread``).
 
 5. **Abandoned-generator hygiene** — breaking out of ``serve()`` /
-   ``aserve()`` mid-flight reclaims every in-flight session, group
-   ticket, and stream pin; runs under ``REPRO_SANITIZE=1`` so any
-   accounting or pin drift raises :class:`SanitizerError`.
+   ``aserve()`` mid-flight reclaims every in-flight session; runs under
+   ``REPRO_SANITIZE=1`` so any accounting drift raises
+   :class:`SanitizerError`.
 
 Plus the open-loop load generator: deterministic schedules for a seed,
 sane percentile math, and a short end-to-end run over the real wire.
@@ -35,13 +35,13 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import threading
 import time
 
 import pytest
 
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import EvaluationPool
 from repro.exceptions import (
     AdmissionError,
     QuotaExceededError,
@@ -479,11 +479,9 @@ class TestDrain:
 
         async def main():
             with Server(plan) as server:
-                real_step = server.step
-
                 def stuck_step():
                     time.sleep(0.25)
-                    return real_step()
+                    return []  # finishes nobody: the session stays in flight
 
                 monkeypatch.setattr(server, "step", stuck_step)
                 transport = ServeTransport(server)
@@ -535,12 +533,11 @@ class TestEventLoopLiveness:
     def test_second_connection_progresses_during_blocking_collect(
         self, monkeypatch
     ):
-        """The bug this PR fixes: ``aserve`` used to run the blocking
-        ``step()`` (pool poll/collect included) directly on the event
-        loop, so while one cohort was inside a collect *every other
-        connection froze*.  With the collect in ``asyncio.to_thread``,
-        connection B's pings must round-trip while connection A's
-        session is pinned inside a 0.5s step."""
+        """The regression: ``aserve`` used to run the blocking ``step()``
+        directly on the event loop, so while one step was blocked (on an
+        oracle, say) *every other connection froze*.  With the step in
+        ``asyncio.to_thread``, connection B's pings must round-trip while
+        connection A's session is pinned inside a 0.5s step."""
         plan, hierarchy, _ = _config()
         target = list(hierarchy.nodes)[7]
 
@@ -549,7 +546,7 @@ class TestEventLoopLiveness:
                 real_step = server.step
 
                 def blocking_step():
-                    # Stand-in for a pool collect: deterministic, long,
+                    # Stand-in for a blocking oracle: deterministic, long,
                     # and genuinely blocking the calling thread.
                     time.sleep(0.5)
                     return real_step()
@@ -591,17 +588,29 @@ class TestAbandonedFeeds:
     def sanitized(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
 
+    @staticmethod
+    def _oracle_feed(plan, hierarchy):
+        """Oracle-driven sessions of differing depths, shallowest first:
+        each answers one question per step, so the first outcome leaves
+        the deeper sessions in flight."""
+        depths = plan.leaf_depths()
+        by_depth = sorted(hierarchy.nodes, key=lambda t: (depths[t], str(t)))
+        chosen = [by_depth[0], *by_depth[-9:]]
+        assert depths[chosen[0]] < depths[chosen[1]]
+        return [
+            SessionRequest(i, oracle=ExactOracle(hierarchy, t))
+            for i, t in enumerate(chosen)
+        ], chosen
+
     def test_serve_abandoned_midflight_reclaims(self, sanitized):
         plan, hierarchy, _ = _config()
-        targets = list(hierarchy.nodes)[:10]
-
-        def feed():
-            for i, t in enumerate(targets):
-                yield SessionRequest(i, target=t)
+        requests, targets = self._oracle_feed(plan, hierarchy)
 
         with Server(plan, max_sessions=4) as server:
-            gen = server.serve(feed())
-            next(gen)  # one outcome out, the rest in flight
+            gen = server.serve(iter(requests))
+            first = next(gen)  # one outcome out, the rest in flight
+            assert first.session_id == 0
+            assert server.in_flight > 0
             gen.close()  # consumer walks away
             assert server.in_flight == 0
             assert server.queued == 0
@@ -615,16 +624,18 @@ class TestAbandonedFeeds:
 
     def test_aserve_abandoned_midflight_reclaims(self, sanitized):
         plan, hierarchy, _ = _config()
-        targets = list(hierarchy.nodes)[:10]
+        requests, _ = self._oracle_feed(plan, hierarchy)
 
         async def feed():
-            for i, t in enumerate(targets):
-                yield SessionRequest(i, target=t)
+            for request in requests:
+                yield request
 
         async def main():
             with Server(plan, max_sessions=4) as server:
                 gen = server.aserve(feed())
-                await gen.__anext__()
+                first = await gen.__anext__()
+                assert first.session_id == 0
+                assert server.in_flight > 0
                 await gen.aclose()
                 assert server.in_flight == 0
                 assert server.queued == 0
@@ -635,39 +646,45 @@ class TestAbandonedFeeds:
     def test_abandoned_transport_client_leaves_zero_pin_drift(
         self, sanitized
     ):
-        """The acceptance scenario: a pool-backed server (stream pins
-        live in the pool registry), a client that abandons mid-flight,
-        then a clean drain — ``close()``'s sanitizer audits must all
-        pass and nothing stays pinned."""
+        """The acceptance scenario: a client that abandons its sessions
+        while they are in flight, then a clean drain — the sessions are
+        orphaned over the wire, not leaked, and the accounting audits
+        pass."""
         plan, hierarchy, _ = _config(n=60, seed=13)
         targets = list(hierarchy.nodes)[:12]
+        hung_up = threading.Event()
 
         async def main():
-            with EvaluationPool(workers=2, max_plans=4) as pool:
-                with Server(plan, pool=pool, max_sessions=16) as server:
-                    async with ServeTransport(server) as transport:
-                        host, port = transport.address
-                        _, writer = await _raw_connect(host, port)
-                        for i, t in enumerate(targets):
-                            writer.write(
-                                _encode(
-                                    {
-                                        "op": "open",
-                                        "id": f"x-{i}",
-                                        "target": t,
-                                    }
-                                )
-                            )
-                        await writer.drain()
-                        writer.close()  # abandon every session
-                        await _poll(lambda: server.stats.completed >= 1)
-                    assert server.in_flight == 0
-                    drift = transport.stats.orphaned
-                # Server close passed its REPRO_SANITIZE pin audit and
-                # released every stream pin back to the pool.
-                return drift
+            with Server(plan, max_sessions=16) as server:
+                real_step = server.step
 
-        assert asyncio.run(main()) >= 1
+                def held_step():
+                    # Nobody finishes until the client has hung up.
+                    if not hung_up.is_set():
+                        time.sleep(0.005)
+                        return []
+                    return real_step()
+
+                server.step = held_step
+                async with ServeTransport(server) as transport:
+                    host, port = transport.address
+                    _, writer = await _raw_connect(host, port)
+                    for i, t in enumerate(targets):
+                        writer.write(
+                            _encode({"op": "open", "id": f"x-{i}", "target": t})
+                        )
+                    await writer.drain()
+                    await _poll(
+                        lambda: transport.stats.opened_target == len(targets)
+                    )
+                    writer.close()  # abandon every session
+                    await _poll(lambda: not transport._conns)
+                    hung_up.set()
+                    await _poll(lambda: server.stats.completed == len(targets))
+                assert server.in_flight == 0
+                return transport.stats.orphaned
+
+        assert asyncio.run(main()) == len(targets)
 
 
 # ----------------------------------------------------------------------
@@ -733,42 +750,7 @@ class TestLoadgen:
 
 
 # ----------------------------------------------------------------------
-# 8. Pool-backed serving over the wire (fork and spawn via CI legs)
-# ----------------------------------------------------------------------
-class TestPoolBackedTransport:
-    def test_offloaded_sessions_bit_identical_over_wire(self):
-        """The full stack: socket -> feed bridge -> aserve -> pool
-        streaming offload -> outcome routing.  Runs under both start
-        methods via the REPRO_POOL_START_METHOD CI legs."""
-        plan, hierarchy, _ = _config(n=60, seed=13)
-        targets = list(hierarchy.nodes)[:24]
-        reference = _references(plan, hierarchy, targets)
-
-        async def main():
-            with EvaluationPool(workers=2, max_plans=4) as pool:
-                with Server(plan, pool=pool, max_sessions=16) as server:
-                    async with ServeTransport(server) as transport:
-                        host, port = transport.address
-                        async with await ServeClient.connect(
-                            host, port
-                        ) as client:
-                            results = await asyncio.gather(
-                                *(
-                                    client.serve_target(f"p-{i}", t)
-                                    for i, t in enumerate(targets)
-                                )
-                            )
-                    offloaded = server.stats.offloaded
-            return results, offloaded
-
-        results, offloaded = asyncio.run(main())
-        assert offloaded == len(targets)
-        for target, result in zip(targets, results):
-            assert result == reference[target], target
-
-
-# ----------------------------------------------------------------------
-# 9. aserve-vs-serve parity on seeded feeds
+# 8. aserve-vs-serve parity on seeded feeds
 # ----------------------------------------------------------------------
 class TestAsyncSyncParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
