@@ -1,12 +1,12 @@
-"""Chaos soak: seeded fault schedules against a server and pool walks.
+"""Chaos soak: seeded fault schedules against a server and pool sweeps.
 
 The resilience layer's acceptance gate.  Hundreds of seeded random
 :class:`~repro.faults.FaultPlan` schedules (worker kills, injected typed
 crashes, slow boundaries) each run a :class:`~repro.serve.Server` feed
-and then one plan walk on a live :class:`~repro.engine.EvaluationPool`
+and then one noisy sweep on a live :class:`~repro.engine.EvaluationPool`
 under the same armed plan; a handful of scripted segment-attack
 schedules (vanish/corrupt a published shared-memory segment under a
-worker kill) attack walks on throwaway pools; and seeded schedules hit
+worker kill) attack sweeps on throwaway pools; and seeded schedules hit
 the **network edge** — crashes and slowdowns at the ``transport.*``
 boundaries of a real localhost :class:`~repro.serve.ServeTransport`,
 absorbed by the client's retry policy, per-request deadlines, and
@@ -16,12 +16,13 @@ per-backend circuit breaker.  For every schedule the soak asserts:
   (deadlines and bounded respawns make a hang a bug, not load);
 * **typed errors only** — every failed session carries a
   :class:`~repro.exceptions.ReproError` subclass, and anything escaping
-  the serve loop or the walk is typed too; any other exception is a
+  the serve loop or the sweep is typed too; any other exception is a
   violation recorded with its replayable ``(seed, trace)``;
 * **bit-identity** — every session that *completed* returns exactly the
-  fault-free result (count, price, transcript), and every walk that
-  completed returns the fault-free per-target arrays and
-  ``decision_nodes``, no matter how many faults its schedule fired;
+  fault-free result (count, price, transcript), and every sweep that
+  completed returns the fault-free sweep's arrays (labels, question and
+  vote counts, prices, outcomes), no matter how many faults its schedule
+  fired;
 * **<1% overhead with faults off** — the per-crossing cost of the
   disarmed ``schedule_point`` hook, projected over a serve run's
   measured crossing count, stays under 1% of the fault-free wall time.
@@ -62,7 +63,7 @@ from bench_json import write_bench_json
 from repro.analysis.schedule import schedule_point
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import EvaluationPool, simulate_all_targets
+from repro.engine import EvaluationPool, simulate_noisy
 from repro.exceptions import ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.plan import compile_policy
@@ -96,24 +97,33 @@ def _serve_once(server, targets):
     return outcomes, escaped
 
 
-def _walk_once(plan, pool):
+def _sweep(plan, pool):
+    """One noisy sweep over every target; ``pool=False`` runs it inline."""
+    return simulate_noisy(
+        plan, error_model=0.1, replications=2, seed=7, votes=3, pool=pool
+    )
+
+
+def _sweep_once(plan, pool):
     try:
-        return simulate_all_targets(plan, result_cache=False, pool=pool), None
+        return _sweep(plan, pool), None
     except ReproError as exc:
-        return None, exc  # typed: the schedule cut the walk short, legally
+        return None, exc  # typed: the schedule cut the sweep short, legally
 
 
-def _check_walk(walk, reference, seed, trace, violations):
-    if walk is None:
+def _check_sweep(sweep, reference, seed, trace, violations):
+    if sweep is None:
         return
-    if not (
-        np.array_equal(walk.queries, reference.queries)
-        and np.array_equal(walk.prices, reference.prices)
-        and walk.decision_nodes == reference.decision_nodes
+    if not all(
+        np.array_equal(getattr(sweep, name), getattr(reference, name))
+        for name in (
+            "labels", "queries", "vote_queries", "prices",
+            "run_labels", "run_outcomes", "run_queries",
+        )
     ):
         violations.append(
-            f"seed {seed}: the pool walk diverged from the fault-free "
-            f"walk (trace {trace})"
+            f"seed {seed}: the pool sweep diverged from the fault-free "
+            f"sweep (trace {trace})"
         )
 
 
@@ -160,9 +170,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         for t in targets
     }
 
-    walk_reference = simulate_all_targets(
-        plan, jobs=1, result_cache=False, pool=False
-    )
+    sweep_reference = _sweep(plan, pool=False)
 
     # Fault-free wall time (hook installed but nothing armed) — the
     # baseline for both bit-identity and the overhead projection.
@@ -177,7 +185,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
     sessions_completed = 0
     sessions_errored = 0
     escaped_typed = 0
-    walks_cut_short = 0
+    sweeps_cut_short = 0
 
     previous = os.environ.get("REPRO_FAULTS")
     os.environ["REPRO_FAULTS"] = "1"
@@ -187,8 +195,8 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         crossings = _count_crossings(plan, targets)
 
         # Phase 1: seeded random schedules, each a serve run plus one
-        # walk on one long-lived pool.  Kills and crashes recover in
-        # place; segment attacks get their own throwaway pools below (a
+        # noisy sweep on one long-lived pool.  Kills and crashes recover
+        # in place; segment attacks get their own throwaway pools below (a
         # vanished segment poisons the plan's residency for every later
         # schedule).
         with EvaluationPool(workers=2) as pool:
@@ -203,7 +211,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
                 with Server(plan) as server:
                     with fault.armed(pool=pool):
                         outcomes, escaped = _serve_once(server, targets)
-                        walk, walk_escaped = _walk_once(plan, pool)
+                        sweep, sweep_escaped = _sweep_once(plan, pool)
                 elapsed = time.perf_counter() - begin
                 if elapsed > _SCHEDULE_BOUND_S:
                     violations.append(
@@ -214,12 +222,12 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
                 _check_outcomes(
                     outcomes, reference, seed, fault.trace, violations
                 )
-                _check_walk(
-                    walk, walk_reference, seed, fault.trace, violations
+                _check_sweep(
+                    sweep, sweep_reference, seed, fault.trace, violations
                 )
                 faults_fired += fault.fired
                 escaped_typed += escaped is not None
-                walks_cut_short += walk_escaped is not None
+                sweeps_cut_short += sweep_escaped is not None
                 sessions_completed += sum(
                     1 for o in outcomes.values() if o.ok
                 )
@@ -227,8 +235,8 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
                     1 for o in outcomes.values() if not o.ok
                 )
 
-        # Phase 2: scripted segment attacks on walks, one throwaway pool
-        # each: two walks, the second one's publish kills the warm worker
+        # Phase 2: scripted segment attacks on sweeps, one throwaway pool
+        # each: two sweeps, the second one's publish kills the warm worker
         # and the attack lands at the 2nd crossing of its site, so the
         # respawned worker meets the attacked segment.
         segment_specs = [
@@ -247,12 +255,12 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
             with EvaluationPool(workers=1) as mortal:
                 with fault.armed(pool=mortal):
                     for _ in range(2):
-                        walk, walk_escaped = _walk_once(plan, mortal)
-                        _check_walk(
-                            walk, walk_reference, f"segment-{i}",
+                        sweep, sweep_escaped = _sweep_once(plan, mortal)
+                        _check_sweep(
+                            sweep, sweep_reference, f"segment-{i}",
                             fault.trace, violations,
                         )
-                        walks_cut_short += walk_escaped is not None
+                        sweeps_cut_short += sweep_escaped is not None
             faults_fired += fault.fired
 
         # Phase 3: the network edge — seeded transport.* fault schedules
@@ -292,7 +300,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         "sessions_completed": sessions_completed,
         "sessions_errored": sessions_errored,
         "schedules_cut_short_typed": escaped_typed,
-        "walks_cut_short_typed": walks_cut_short,
+        "sweeps_cut_short_typed": sweeps_cut_short,
         "breaker_trips": transport_counters["trips"],
         "breaker_restores": transport_counters["restores"],
         "transport_faults_fired": transport_counters["fired"],
@@ -468,7 +476,7 @@ def _default_schedules(smoke: bool) -> int:
 
 def test_chaos_soak_holds_all_invariants(report):
     """Acceptance: seeded fault schedules — no hangs, typed errors only,
-    bit-identical completions and walks, <1% disarmed overhead."""
+    bit-identical completions and sweeps, <1% disarmed overhead."""
     payload = run_soak(
         schedules=_default_schedules(smoke=True),
         sessions=int(os.environ.get("REPRO_BENCH_FAULTS_SESSIONS", "24")),

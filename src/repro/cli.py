@@ -5,12 +5,11 @@ Three modes:
 * experiment mode — regenerate any paper table/figure at a chosen scale and
   print the paper-style output (``all`` runs the full suite).  With
   ``--plan-cache DIR``, compiled decision plans are content-addressed on
-  disk so repeated runs skip identical compilations; ``--jobs N`` shards
-  exact plan walks over N worker processes; ``--result-cache DIR``
-  persists the per-target cost arrays so re-running an unchanged
-  evaluation skips the walk entirely; ``--pool [N]`` serves every plan
-  walk from a persistent shared-memory worker pool (no per-call forking,
-  comparison tables overlap their competitors' walks);
+  disk so repeated runs skip identical compilations; ``--result-cache
+  DIR`` persists the per-target cost arrays so re-running an unchanged
+  evaluation skips it entirely; ``--jobs N`` shards the noise
+  experiment's sweeps over N worker processes, and ``--pool [N]`` serves
+  them from a persistent shared-memory worker pool (no per-call forking);
 * interactive mode — ``python -m repro interactive --edges hierarchy.tsv``
   categorises one object by asking *you* the reachability questions, i.e.
   the paper's crowdsourcing workflow with a human-in-the-terminal oracle
@@ -102,16 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         metavar="N",
-        help="experiment mode: shard exact plan walks over N worker "
-        "processes (0 or negative = all cores); per-target numbers are "
-        "identical for every N",
+        help="noise experiment: shard the noisy sweeps over N worker "
+        "processes (0 or negative = all cores); results are identical "
+        "for every N",
     )
     parser.add_argument(
         "--result-cache",
         metavar="DIR",
         help="experiment mode: cache engine results (per-target cost "
         "arrays) under DIR (e.g. results/enginecache) so re-running an "
-        "unchanged evaluation skips the walk entirely",
+        "unchanged evaluation skips it entirely",
     )
     parser.add_argument(
         "--sessions",
@@ -143,12 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const=0,
         metavar="N",
-        help="experiment mode: serve plan walks from a persistent pool of "
-        "N long-lived workers sharing plans via shared memory (bare "
-        "--pool or 0 = all cores); repeated and multi-policy evaluations "
-        "skip the per-call pool spin-up, and compare tables overlap the "
-        "competitors' walks.  REPRO_POOL_WORKERS installs the same "
-        "default without a flag",
+        help="noise experiment: run the noisy sweeps on a persistent pool "
+        "of N long-lived workers sharing plans via shared memory (bare "
+        "--pool or 0 = all cores); repeated sweeps skip the per-call "
+        "pool spin-up.  REPRO_POOL_WORKERS installs the same default "
+        "without a flag",
     )
     parser.add_argument(
         "--faults",
@@ -482,8 +480,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pool is not None:
         from repro.engine import EvaluationPool, set_default_pool
 
-        # Closed by the engine's atexit hook; every experiment entry point
-        # below routes its plan walks through this pool automatically.
+        # Closed by the engine's atexit hook; the noise experiment below
+        # routes its sweeps through this pool automatically.
         set_default_pool(EvaluationPool(args.pool or None))
     scale = get_scale(args.scale)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -4,22 +4,26 @@ Evaluate a policy — compiled once into a :class:`repro.plan.CompiledPlan` —
 against *all* targets of a hierarchy in one pass on flat numpy index arrays:
 the amortized, index-level evaluation path the paper's efficiency
 experiments (Fig. 6) presume, instead of one ``run_search`` per target.
-See :mod:`repro.engine.driver` for the algorithm, :mod:`repro.engine.vector`
-for the undo protocol and splitting kernels, :mod:`repro.engine.parallel`
-for the sharded multi-process walk (``jobs=``), :mod:`repro.engine.cache`
-for the persistent engine-result cache (``result_cache=``),
-:mod:`repro.engine.pool` for the persistent shared-memory worker pool
-(``pool=``) that serves repeated and multi-policy evaluations without
-re-forking or re-pickling plans, and :mod:`repro.engine.belief` for the
-batched noisy-oracle evaluation path (posterior kernels, seeded flip
-draws, majority voting) behind the noise study.
+See :mod:`repro.engine.driver` for the level-by-level descent,
+:mod:`repro.engine.vector` for the undo protocol and the reachability
+kernels, :mod:`repro.engine.cache` for the persistent engine-result cache
+(``result_cache=``), and :mod:`repro.engine.belief` for the batched
+noisy-oracle evaluation path (posterior kernels, seeded flip draws,
+majority voting) behind the noise study.  Noisy sweeps are the one
+process-parallel path: ``jobs=`` shards them over a per-call process
+pool, and :mod:`repro.engine.pool` serves them from a persistent
+shared-memory worker pool (``pool=``) without re-forking or re-pickling
+plans.
 """
 
 from repro.engine.belief import (
     NoisyResult,
+    get_default_jobs,
     make_belief_updater,
     posterior_from_transcript,
     reference_noisy,
+    resolve_jobs,
+    set_default_jobs,
     simulate_noisy,
 )
 from repro.engine.cache import (
@@ -34,11 +38,6 @@ from repro.engine.driver import (
     EngineResult,
     simulate_all_targets,
     simulate_policies,
-)
-from repro.engine.parallel import (
-    get_default_jobs,
-    resolve_jobs,
-    set_default_jobs,
 )
 from repro.engine.pool import (
     EvaluationPool,

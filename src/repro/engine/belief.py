@@ -22,7 +22,9 @@ Three layers:
 * :func:`simulate_noisy` — the batched sweep: seeded flip draws, early-
   stopped majority voting, repeated-search plurality reduction, optional
   MAP/threshold stopping read off the posterior, with ``jobs=`` sharding
-  or :class:`~repro.engine.pool.EvaluationPool` offload.
+  or :class:`~repro.engine.pool.EvaluationPool` offload.  These noisy
+  sweeps are the repo's only process-parallel evaluation; the exact
+  engine (:mod:`repro.engine.driver`) runs in-process.
 * :func:`reference_noisy` — the per-session oracle stack
   (``CountingOracle`` / ``MajorityVoteOracle`` / ``NoisyOracle``) driven
   through the same plan, one ``run_search`` at a time.  The property suite
@@ -41,6 +43,7 @@ or kernel ``kind``.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -419,6 +422,36 @@ def run_noise_chunk(
 # ----------------------------------------------------------------------
 # Execution backends
 # ----------------------------------------------------------------------
+_default_jobs: int | None = None
+
+
+def set_default_jobs(jobs: int | None) -> None:
+    """Install the process-wide default shard count (CLI ``--jobs``).
+
+    ``None`` restores the sequential default; non-positive values mean
+    "all cores" (resolved at call time).
+    """
+    global _default_jobs
+    _default_jobs = None if jobs is None else int(jobs)
+
+
+def get_default_jobs() -> int | None:
+    """The installed default shard count, or ``None`` for sequential."""
+    return _default_jobs
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalise a ``jobs`` argument to a concrete worker count (>= 1)."""
+    if jobs is None:
+        jobs = get_default_jobs()
+    if jobs is None:
+        return 1
+    jobs = int(jobs)
+    if jobs <= 0:
+        return max(1, os.cpu_count() or 1)
+    return jobs
+
+
 _JOBS_STATE = None
 
 
@@ -728,9 +761,12 @@ def simulate_noisy(
         any walk decision.
     jobs, pool:
         Shard sessions over a per-call process pool / offload to a warm
-        :class:`~repro.engine.pool.EvaluationPool` — same precedence
-        rules as :func:`~repro.engine.driver.simulate_all_targets`, and
-        bit-identical output either way.
+        :class:`~repro.engine.pool.EvaluationPool`, with bit-identical
+        output either way.  ``jobs=None`` uses the process default
+        (:func:`set_default_jobs`, the CLI's ``--jobs``); ``pool=None``
+        uses :func:`~repro.engine.pool.get_default_pool` (``--pool`` /
+        ``REPRO_POOL_WORKERS``) unless an explicit ``jobs`` was given;
+        ``pool=False`` disables pooling outright.
     kind:
         Force one answerer/updater kernel (see
         :data:`~repro.engine.vector.SPLITTER_KINDS`).
@@ -738,8 +774,7 @@ def simulate_noisy(
         Sessions advanced per inline chunk (memory lever; results are
         chunk-shape-invariant).
     """
-    from repro.engine.driver import _resolve_active_pool
-    from repro.engine.parallel import resolve_jobs
+    from repro.engine.pool import resolve_pool
 
     _validate_knobs(replications, repeats, votes)
     model = _as_error_model(error_model)
@@ -807,7 +842,12 @@ def simulate_noisy(
         if flat["posterior"] is not None:
             flat["posterior"][start:stop] = payload["posterior"]
 
-    active_pool = _resolve_active_pool(pool, jobs)
+    # An explicit jobs= opts out of the ambient default pool, so jobs=1
+    # still means "sweep here" when REPRO_POOL_WORKERS is exported.
+    if pool is None and jobs is not None:
+        active_pool = None
+    else:
+        active_pool = resolve_pool(pool)
     if active_pool is not None and total > 1:
         bounds = _chunk_bounds(total, active_pool.workers * 2)
         payloads = active_pool.run_noise(

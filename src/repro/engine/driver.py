@@ -6,39 +6,39 @@ target.  The seed implementation literally ran ``run_search`` once per
 target, resetting the policy and rebuilding an oracle every time — an
 ``O(n)``-per-target loop and the dominant cost of every experiment.
 
-:func:`simulate_all_targets` replaces that loop, and since the compile/
-execute split it runs entirely on :class:`~repro.plan.CompiledPlan` arrays:
+Under Eq. 2 a target's cost is the depth of its leaf in the policy's
+decision tree, so evaluating a compiled plan only has to move every
+requested target down that tree.  :func:`simulate_all_targets` does
+exactly that on :class:`~repro.plan.CompiledPlan` arrays:
 
 1. the policy is compiled once — the compiler proposes at each decision
    point exactly once, backtracking with exact answer reversal
    (:meth:`~repro.core.policy.Policy.undo`) — or the caller passes an
    already-compiled (possibly cache-loaded) plan;
-2. the walk descends the plan's flat child arrays, splitting the current
-   target vector (a flat numpy index array) into the yes/no halves with the
-   hierarchy's reachability kernel (:func:`repro.engine.vector.make_splitter`)
-   and pruning empty halves;
-3. at a leaf, the depth and accumulated price land in per-target arrays.
+2. the descent (:func:`_descend`) moves all requested targets down the
+   plan together, one level per pass: one batched exact-oracle call
+   (:func:`repro.engine.vector.make_answerer`) answers every target's
+   question on that level, and each target takes its yes or no child;
+3. a target that reaches a leaf settles: its depth and accumulated price
+   land in per-target arrays.
 
 The per-target bookkeeping is pure numpy, and the policy work — zero for a
 shared/cached plan — is proportional to the number of *distinct* questions
 (≤ 2n − 1), not the sum of all per-target search depths.  Two special
-cases: a small sampled (Monte-Carlo) target set takes a fused
-target-pruned walk instead (unless a compiled plan is already on disk), so
-a handful of sampled targets never pays for the full compile; and policies
-without exact undo (the seeded random baseline) fall back to a
-transcript-replay adapter (one ``run_search`` per target) — compiling them
-by prefix replay would cost the same as that loop with nothing amortised.
-Every registry policy, and any third-party
-:class:`~repro.core.policy.Policy`, produces identical numbers through the
-same API.
+cases: a small sampled (Monte-Carlo) target set compiles only the part of
+the plan the sample reaches (:func:`repro.plan.compile.compile_reached`)
+unless a full plan is already on disk, so a handful of sampled targets
+never pays for the full compile; and policies without exact undo (the
+seeded random baseline) fall back to a transcript-replay adapter (one
+``run_search`` per target) — compiling them by prefix replay would cost
+the same as that loop with nothing amortised.  Every registry policy, and
+any third-party :class:`~repro.core.policy.Policy`, produces identical
+numbers through the same API.
 
-Two further levers make the walk paper-scale (see ``jobs`` and
-``result_cache`` on :func:`simulate_all_targets`): the plan walk shards
-over a process pool with bit-identical output for every shard count
-(:mod:`repro.engine.parallel`), and finished per-target cost arrays
-persist on disk keyed by configuration content hash, so repeating an
-unchanged evaluation skips the walk entirely
-(:mod:`repro.engine.cache`).
+Finished per-target cost arrays can also persist on disk, keyed by
+configuration content hash (``result_cache`` on
+:func:`simulate_all_targets`), so repeating an unchanged evaluation skips
+compile and descent entirely (:mod:`repro.engine.cache`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.oracle import ExactOracle
 from repro.core.policy import Policy
 from repro.core.session import default_budget, run_search
-from repro.engine.vector import is_vector_policy, make_splitter
+from repro.engine.vector import is_vector_policy, make_answerer
 from repro.exceptions import BudgetExceededError, SearchError
 from repro.plan import (
     ROOT,
@@ -64,7 +64,7 @@ from repro.plan import (
     compile_policy,
     get_default_cache,
 )
-from repro.plan.compile import check_leaf, plan_key
+from repro.plan.compile import check_leaf, compile_reached, plan_key
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,12 @@ class EngineResult:
     queries: np.ndarray = field(repr=False)
     #: Total price per node index; ``nan`` where not evaluated.
     prices: np.ndarray = field(repr=False)
-    #: ``"plan"`` (compiled-plan walk), ``"vector"`` (target-pruned fused
-    #: walk for uncached sampled evaluation), or ``"replay"`` (per-target
-    #: adapter).
+    #: ``"plan"`` (descent of a compiled plan), ``"vector"`` (descent of
+    #: the part of the plan an uncached sample reaches), or ``"replay"``
+    #: (per-target adapter).
     method: str = "plan"
-    #: Decision points visited (plan/vector) or queries simulated (replay).
+    #: Question nodes the descent visited (plan/vector) or queries
+    #: simulated (replay).
     decision_nodes: int = 0
     #: Memoized :meth:`per_target` mapping (built on first request).
     _per_target: Mapping[Hashable, int] | None = field(
@@ -160,51 +161,57 @@ class EngineResult:
         return int(len(self.target_ix))
 
 
-@dataclass
-class _PreparedRun:
-    """One evaluation, resolved up to (but excluding) the walk itself.
-
-    :func:`_prepare_run` turns a ``(policy, configuration)`` pair into
-    either a terminal cached result, a compiled plan awaiting a walk, or a
-    sequential fallback closure — so :func:`simulate_all_targets` and the
-    multi-policy :func:`simulate_policies` share one resolution path and
-    only differ in how they *execute* the plan walks (inline, per-call
-    process pool, or overlapped on a persistent
-    :class:`~repro.engine.pool.EvaluationPool`).
-    """
-
-    policy_label: str
-    hierarchy: Hierarchy
-    model: QueryCostModel
-    target_ix: np.ndarray
-    budget: int
-    check: bool
-    queries: np.ndarray
-    prices: np.ndarray
-    rcache: object | None
-    rkey: str
-    #: Terminal: the result cache already held the answer.
-    cached: EngineResult | None = None
-    #: Plan-walk mode: walk these arrays (inline, jobs pool, or eval pool).
-    plan: CompiledPlan | None = None
-    #: Sequential fallback (fused pruned walk / transcript replay); returns
-    #: ``(method, decision_nodes)`` and scatters into queries/prices.
-    fallback: object | None = None
-
-
-def _prepare_run(
+def simulate_all_targets(
     policy: Policy | CompiledPlan,
-    hierarchy: Hierarchy | None,
-    distribution: TargetDistribution | None,
-    cost_model: QueryCostModel | None,
+    hierarchy: Hierarchy | None = None,
+    distribution: TargetDistribution | None = None,
+    cost_model: QueryCostModel | None = None,
     *,
-    targets: Iterable[Hashable] | None,
-    check_correctness: bool,
-    max_queries: int | None,
-    plan_cache,
-    result_cache,
-) -> _PreparedRun:
-    """Resolve configuration, probe caches, compile; never walks a plan."""
+    targets: Iterable[Hashable] | None = None,
+    check_correctness: bool = True,
+    max_queries: int | None = None,
+    plan_cache=None,
+    result_cache=None,
+) -> EngineResult:
+    """Simulate a policy or compiled plan against every target in one pass.
+
+    Produces, for each target, exactly the query count and total price that
+    ``run_search`` with an :class:`ExactOracle` would produce — the parity
+    tests assert equality, not approximation.
+
+    Parameters
+    ----------
+    policy:
+        A policy (compiled on the fly when it supports exact undo) or an
+        already-compiled :class:`~repro.plan.CompiledPlan`.
+    hierarchy:
+        Required for policies; optional for plans (defaults to the plan's
+        own hierarchy, and must have the same node indexing if given).
+    targets:
+        Restrict the evaluation to these labels (duplicates collapse).
+        Unless a full plan is passed or already cached on disk, a small
+        sample compiles only the part of the plan it reaches
+        (:func:`~repro.plan.compile.compile_reached`).  Default: all ``n``
+        nodes.
+    check_correctness:
+        Verify the policy identifies every simulated target.
+    max_queries:
+        Per-search budget, defaulting to ``2 n + 10`` as in ``run_search``.
+    plan_cache:
+        A :class:`~repro.plan.PlanCache` or directory path; compiled plans
+        are loaded from / stored into it by configuration content hash.
+        ``None`` falls back to :func:`repro.plan.get_default_cache`.
+    result_cache:
+        An :class:`~repro.engine.cache.EngineResultCache` or directory
+        path persisting the per-target cost arrays by configuration +
+        target-set content hash: a repeated run with unchanged policy/
+        hierarchy/distribution/prices skips compile *and* descent.
+        ``None`` falls back to
+        :func:`~repro.engine.cache.get_default_result_cache`; ``False``
+        disables result caching outright, *ignoring* the process default
+        — callers that time the evaluation use this so an installed cache
+        cannot turn their measurement into a disk load.
+    """
     from repro.engine.cache import resolve_result_cache, result_key
 
     plan: CompiledPlan | None = None
@@ -266,64 +273,37 @@ def _prepare_run(
             rkey, hierarchy, require_checked=check_correctness
         )
         if cached is not None:
-            return _PreparedRun(
-                policy_label=cached.policy,
-                hierarchy=hierarchy,
-                model=model,
-                target_ix=target_ix,
-                budget=budget,
-                check=check_correctness,
-                queries=cached.queries,
-                prices=cached.prices,
-                rcache=rcache,
-                rkey=rkey,
-                cached=cached,
-            )
+            return cached
 
-    queries = np.full(n, -1, dtype=np.int64)
-    prices = np.full(n, np.nan, dtype=float)
-
-    prepared = _PreparedRun(
-        policy_label="",
-        hierarchy=hierarchy,
-        model=model,
-        target_ix=target_ix,
-        budget=budget,
-        check=check_correctness,
-        queries=queries,
-        prices=prices,
-        rcache=rcache,
-        rkey=rkey,
-    )
-
+    method = "plan"
     if plan is None and is_vector_policy(policy):
         cache = as_plan_cache(plan_cache) or get_default_cache()
         if target_ix.size < n:
             # Sampled (Monte-Carlo) evaluation.  Compiling would visit all
-            # <= 2n - 1 decision points; the fused pruned walk only
+            # <= 2n - 1 decision points; the restricted compile only
             # proposes along branches the requested targets can reach
             # (~ |targets| * height decision points).  So: reuse a plan
-            # already on disk (a load is cheaper than any walk), otherwise
-            # compile through the cache only when the sample is large
-            # enough that the walk would retrace most of the plan anyway —
-            # a one-shot sampled run on a huge DAG never pays for a full
-            # compile.
+            # already on disk (a load is cheaper than any compile),
+            # otherwise compile through the cache only when the sample is
+            # large enough that the restricted compile would retrace most
+            # of the plan anyway — a one-shot sampled run on a huge DAG
+            # never pays for a full compile.
             if cache is not None and config_key():
                 plan = cache.probe(config_key())
             if (
                 plan is None
                 and target_ix.size * max(hierarchy.height, 1) < n
             ):
-                prepared.policy_label = policy.name
-
-                def pruned() -> tuple[str, int]:
-                    return "vector", _pruned_walk(
-                        policy, hierarchy, distribution, model, target_ix,
-                        queries, prices, budget, check_correctness,
-                    )
-
-                prepared.fallback = pruned
-                return prepared
+                method = "vector"
+                plan = compile_reached(
+                    policy,
+                    hierarchy,
+                    distribution,
+                    model,
+                    target_ix,
+                    max_depth=budget,
+                    validate=check_correctness,
+                )
         if plan is None:
             if cache is not None:
                 plan = cache.get_or_compile(
@@ -344,158 +324,32 @@ def _prepare_run(
                     validate=check_correctness,
                 )
 
+    queries = np.full(n, -1, dtype=np.int64)
+    prices = np.full(n, np.nan, dtype=float)
     if plan is not None:
-        prepared.policy_label = plan.policy_name
-        prepared.plan = plan
-        return prepared
-
-    prepared.policy_label = policy.name
-
-    def replay() -> tuple[str, int]:
-        return "replay", _replay_targets(
+        label = plan.policy_name
+        nodes = _descend(
+            plan, hierarchy, model, target_ix, queries, prices, budget,
+            check_correctness,
+        )
+    else:
+        label, method = policy.name, "replay"
+        nodes = _replay_targets(
             policy, hierarchy, distribution, model, target_ix,
             queries, prices, budget, check_correctness,
         )
-
-    prepared.fallback = replay
-    return prepared
-
-
-def _resolve_active_pool(pool, jobs: int | None):
-    """The one precedence rule for pooled execution.
-
-    An explicit ``jobs=`` argument opts the call out of the *ambient*
-    default pool (so ``jobs=1`` still means "walk sequentially, here" even
-    when ``REPRO_POOL_WORKERS`` is exported); an explicit ``pool`` always
-    wins, and ``pool=False`` disables pooling outright.  Shared by the
-    single-policy and batch entry points so they can never resolve
-    different execution modes for the same arguments.
-    """
-    from repro.engine.pool import resolve_pool
-
-    if pool is None and jobs is not None:
-        return None
-    return resolve_pool(pool)
-
-
-def _execute_plan_walk(prep: _PreparedRun, jobs: int | None, pool) -> int:
-    """Walk a prepared plan: persistent pool > per-call jobs pool > inline."""
-    from repro.engine.parallel import resolve_jobs, run_parallel_walk
-
-    active_pool = _resolve_active_pool(pool, jobs)
-    if active_pool is not None and prep.target_ix.size > 1:
-        return active_pool.run_walk(
-            prep.plan, prep.hierarchy, prep.model, prep.target_ix,
-            prep.queries, prep.prices, prep.budget, prep.check,
-        )
-    workers = resolve_jobs(jobs)
-    if workers > 1 and prep.target_ix.size > 1:
-        return run_parallel_walk(
-            prep.plan, prep.hierarchy, prep.model, prep.target_ix,
-            prep.queries, prep.prices, prep.budget, prep.check, workers,
-        )
-    return _plan_walk(
-        prep.plan, prep.hierarchy, prep.model, prep.target_ix,
-        prep.queries, prep.prices, prep.budget, prep.check,
-    )
-
-
-def _finalize(prep: _PreparedRun, method: str, nodes: int) -> EngineResult:
     result = EngineResult(
-        policy=prep.policy_label,
-        hierarchy=prep.hierarchy,
-        target_ix=prep.target_ix,
-        queries=prep.queries,
-        prices=prep.prices,
+        policy=label,
+        hierarchy=hierarchy,
+        target_ix=target_ix,
+        queries=queries,
+        prices=prices,
         method=method,
         decision_nodes=nodes,
     )
-    if prep.rcache is not None and prep.rkey:
-        prep.rcache.put(result, prep.rkey, checked=prep.check)
+    if rkey:
+        rcache.put(result, rkey, checked=check_correctness)
     return result
-
-
-def simulate_all_targets(
-    policy: Policy | CompiledPlan,
-    hierarchy: Hierarchy | None = None,
-    distribution: TargetDistribution | None = None,
-    cost_model: QueryCostModel | None = None,
-    *,
-    targets: Iterable[Hashable] | None = None,
-    check_correctness: bool = True,
-    max_queries: int | None = None,
-    plan_cache=None,
-    jobs: int | None = None,
-    result_cache=None,
-    pool=None,
-) -> EngineResult:
-    """Simulate a policy or compiled plan against every target in one pass.
-
-    Produces, for each target, exactly the query count and total price that
-    ``run_search`` with an :class:`ExactOracle` would produce — the parity
-    tests assert equality, not approximation.
-
-    Parameters
-    ----------
-    policy:
-        A policy (compiled on the fly when it supports exact undo) or an
-        already-compiled :class:`~repro.plan.CompiledPlan`.
-    hierarchy:
-        Required for policies; optional for plans (defaults to the plan's
-        own hierarchy, and must have the same node indexing if given).
-    targets:
-        Restrict the evaluation to these labels (duplicates collapse; the
-        walk prunes branches no requested target can reach, and — unless a
-        full plan is already compiled or cached on disk — a small sample
-        skips plan compilation entirely in favour of a fused pruned walk).
-        Default: all ``n`` nodes.
-    check_correctness:
-        Verify the policy identifies every simulated target.
-    max_queries:
-        Per-search budget, defaulting to ``2 n + 10`` as in ``run_search``.
-    plan_cache:
-        A :class:`~repro.plan.PlanCache` or directory path; compiled plans
-        are loaded from / stored into it by configuration content hash.
-        ``None`` falls back to :func:`repro.plan.get_default_cache`.
-    jobs:
-        Shard the compiled-plan walk over this many worker processes
-        (:mod:`repro.engine.parallel`); the per-target arrays and
-        ``decision_nodes`` are bit-identical for every value.  ``None``
-        uses the process default (sequential unless
-        :func:`~repro.engine.parallel.set_default_jobs` / ``--jobs`` set
-        one); non-positive means all cores.  Replay policies and the fused
-        pruned walk always run sequentially.
-    result_cache:
-        An :class:`~repro.engine.cache.EngineResultCache` or directory
-        path persisting the per-target cost arrays by configuration +
-        target-set content hash: a repeated run with unchanged policy/
-        hierarchy/distribution/prices skips compile *and* walk.  ``None``
-        falls back to
-        :func:`~repro.engine.cache.get_default_result_cache`; ``False``
-        disables result caching outright, *ignoring* the process default
-        — callers that time the walk use this so an installed cache
-        cannot turn their measurement into a disk load.
-    pool:
-        A persistent :class:`~repro.engine.pool.EvaluationPool`: the plan
-        walk is sharded over its long-lived workers (plans travel through
-        shared memory once, not per call), with the same bit-identical
-        output as every other execution mode.  ``None`` falls back to
-        :func:`~repro.engine.pool.get_default_pool` (the CLI's ``--pool``
-        / ``REPRO_POOL_WORKERS``) unless an explicit ``jobs`` was given;
-        ``False`` disables pooling outright, like ``result_cache=False``.
-    """
-    prep = _prepare_run(
-        policy, hierarchy, distribution, cost_model,
-        targets=targets, check_correctness=check_correctness,
-        max_queries=max_queries, plan_cache=plan_cache,
-        result_cache=result_cache,
-    )
-    if prep.cached is not None:
-        return prep.cached
-    if prep.plan is not None:
-        return _finalize(prep, "plan", _execute_plan_walk(prep, jobs, pool))
-    method, nodes = prep.fallback()
-    return _finalize(prep, method, nodes)
 
 
 def simulate_policies(
@@ -508,26 +362,17 @@ def simulate_policies(
     check_correctness: bool = True,
     max_queries: int | None = None,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> list[EngineResult]:
-    """Simulate several policies under one configuration, overlapping walks.
+    """Simulate several policies under one configuration.
 
-    Semantically ``[simulate_all_targets(p, ...) for p in policies]`` —
-    the per-policy results are bit-identical to the one-policy path — but
-    with a persistent pool every plan-walkable policy's shard frames are
-    submitted into the pool's one task queue *before* any results are
-    collected (:meth:`~repro.engine.pool.EvaluationPool.run_batch`), so k
-    policies' walks finish in one overlapped makespan instead of k
-    sequential sharded walks.  Policies that cannot take the plan walk
-    (transcript replay, the fused pruned sampled walk) and result-cache
-    hits run exactly as they would standalone.
+    ``[simulate_all_targets(p, ...) for p in policies]``, with ``targets``
+    materialised once so every policy faces the same target set.
     """
     if targets is not None:
         targets = list(targets)
-    preps = [
-        _prepare_run(
+    return [
+        simulate_all_targets(
             policy, hierarchy, distribution, cost_model,
             targets=targets, check_correctness=check_correctness,
             max_queries=max_queries, plan_cache=plan_cache,
@@ -536,231 +381,110 @@ def simulate_policies(
         for policy in policies
     ]
 
-    active_pool = _resolve_active_pool(pool, jobs)
-    overlapped: dict[int, int] = {}
-    if active_pool is not None:
-        batch = [
-            i
-            for i, prep in enumerate(preps)
-            if prep.cached is None
-            and prep.plan is not None
-            and prep.target_ix.size > 1
-        ]
-        if batch:
-            totals = active_pool.run_batch(
-                [
-                    (
-                        preps[i].plan, preps[i].hierarchy, preps[i].model,
-                        preps[i].target_ix, preps[i].queries, preps[i].prices,
-                        preps[i].budget, preps[i].check,
-                    )
-                    for i in batch
-                ]
-            )
-            overlapped = dict(zip(batch, totals))
-
-    results: list[EngineResult] = []
-    for i, prep in enumerate(preps):
-        if prep.cached is not None:
-            results.append(prep.cached)
-        elif i in overlapped:
-            results.append(_finalize(prep, "plan", overlapped[i]))
-        elif prep.plan is not None:
-            results.append(
-                _finalize(prep, "plan", _execute_plan_walk(prep, jobs, pool))
-            )
-        else:
-            method, nodes = prep.fallback()
-            results.append(_finalize(prep, method, nodes))
-    return results
-
 
 # ----------------------------------------------------------------------
-# The one-pass walk over compiled-plan arrays
+# The level-by-level descent over compiled-plan arrays
 # ----------------------------------------------------------------------
-def _make_stepper(
+def _descend(
     plan: CompiledPlan,
     hierarchy: Hierarchy,
     model: QueryCostModel,
+    target_ix: np.ndarray,
     queries: np.ndarray,
     prices: np.ndarray,
     budget: int,
     check: bool,
-    split,
-):
-    """One plan-node transition, shared by every walk order.
+) -> int:
+    """Move every requested target down the plan, one level per pass.
 
-    Returns ``step(node, subset, depth, price, emit) -> visited`` — settle
-    a leaf (0) or split a decision node (1), handing each viable child
-    frame to ``emit``.  The sequential walk drives it off a stack and the
-    parallel engine off a size-ordered frontier heap
-    (:mod:`repro.engine.parallel`); keeping the node semantics in one
-    place is what guarantees their outputs stay bit-identical.
+    ``target_ix`` holds the requested targets in ascending order; all of
+    them start at the root with price 0.0 and share one depth.  Each pass
+    settles the targets whose node is a leaf (their depth and price land
+    in ``queries``/``prices``), then answers every remaining target's
+    question with one batched exact-oracle call
+    (:func:`~repro.engine.vector.make_answerer`) and moves it to its yes
+    or no child.  Prices add root-to-leaf in the order ``run_search``
+    pays them, so they keep their bytes.  No policy code runs.  Returns
+    the number of question nodes visited.
+
+    Errors have the types and texts of the per-node depth-first walk that
+    ``tests/test_bit_identity.py`` keeps as the reference: a wrong leaf
+    under ``check`` (``check_leaf``'s text), a budget overrun, and a
+    missing branch some target needs.  On a plan with one defect the
+    error is the walk's; with several, the descent reports the shallowest,
+    where the walk reports the first in DFS order.  Within a level it
+    names the first affected target in index order.
     """
     price_vec = model.as_array(hierarchy)
+    answer = make_answerer(hierarchy, len(target_ix))
     plan_query = plan.query_ix
     plan_yes = plan.yes_child
     plan_no = plan.no_child
     plan_target = plan.target_ix
 
-    def step(node: int, subset: np.ndarray, depth: int, price: float, emit) -> int:
-        leaf_target = int(plan_target[node])
-        if leaf_target >= 0:
+    targets = target_ix
+    node = np.full(len(targets), ROOT, dtype=np.int64)
+    price = np.zeros(len(targets), dtype=float)
+    reached = np.zeros(plan.num_nodes, dtype=bool)
+    depth = 0
+    while True:
+        leaf = plan_target[node]
+        settled = leaf >= 0
+        if settled.any():
+            done, done_leaf = targets[settled], leaf[settled]
             if check:
-                check_leaf(plan.policy_name, hierarchy, subset, leaf_target)
-            queries[subset] = depth
-            prices[subset] = price
-            return 0
+                wrong = np.flatnonzero(done != done_leaf)
+                if wrong.size:
+                    first = wrong[0]
+                    check_leaf(
+                        plan.policy_name, hierarchy, done[first : first + 1],
+                        int(done_leaf[first]),
+                    )
+            queries[done] = depth
+            prices[done] = price[settled]
+            keep = ~settled
+            targets, node, price = targets[keep], node[keep], price[keep]
+        if not targets.size:
+            return int(np.count_nonzero(reached))
         if depth >= budget:
             raise BudgetExceededError(
                 f"{plan.policy_name} exceeded the query budget of {budget} "
                 f"questions after {depth} questions in the plan walk"
             )
-        qix = int(plan_query[node])
-        yes, no = split(qix, subset)
-        child_price = price + float(price_vec[qix])
-        for branch, child, sub in (
-            ("yes", int(plan_yes[node]), yes),
-            ("no", int(plan_no[node]), no),
-        ):
-            if not sub.size:
-                continue
-            if child < 0:
-                raise SearchError(
-                    f"plan of {plan.policy_name!r} has no {branch}-branch "
-                    f"for question {hierarchy.label(qix)!r} but "
-                    f"{sub.size} requested target(s) need it; was the plan "
-                    "compiled on a different hierarchy?"
-                )
-            emit(child, sub, depth + 1, child_price)
-        return 1
-
-    return step
+        reached[node] = True
+        qix = plan_query[node]
+        yes = answer(qix, targets)
+        child = np.where(yes, plan_yes[node], plan_no[node])
+        missing = np.flatnonzero(child < 0)
+        if missing.size:
+            raise _missing_branch(plan, hierarchy, node, yes, node[missing[0]])
+        price += price_vec[qix]
+        node = child
+        depth += 1
 
 
-def _plan_walk(
+def _missing_branch(
     plan: CompiledPlan,
     hierarchy: Hierarchy,
-    model: QueryCostModel,
-    target_ix: np.ndarray,
-    queries: np.ndarray,
-    prices: np.ndarray,
-    budget: int,
-    check: bool,
-    *,
-    split=None,
-    frames=None,
-) -> int:
-    """Descend the plan, carrying target subsets; no policy code runs.
-
-    ``split`` forces a pre-chosen splitter kernel and ``frames`` replaces
-    the root frame with mid-plan ``(node, subset, depth, price)`` starting
-    points — the parallel engine uses both so every worker shard resumes
-    the identical walk (:mod:`repro.engine.parallel`).
-    """
-    if split is None:
-        split = make_splitter(hierarchy, len(target_ix))
-    step = _make_stepper(
-        plan, hierarchy, model, queries, prices, budget, check, split
+    node: np.ndarray,
+    yes: np.ndarray,
+    bad: int,
+) -> SearchError:
+    """The walk's error for plan node ``bad``: yes-branch first, then no."""
+    at_bad = node == bad
+    for branch, answered, child in (
+        ("yes", True, plan.yes_child[bad]),
+        ("no", False, plan.no_child[bad]),
+    ):
+        need = int(np.count_nonzero(at_bad & (yes == answered)))
+        if need and child < 0:
+            break
+    return SearchError(
+        f"plan of {plan.policy_name!r} has no {branch}-branch "
+        f"for question {hierarchy.label(int(plan.query_ix[bad]))!r} but "
+        f"{need} requested target(s) need it; was the plan "
+        "compiled on a different hierarchy?"
     )
-    visited = 0
-
-    # [plan node, target subset, depth, accumulated price]
-    stack: list[tuple[int, np.ndarray, int, float]] = (
-        list(frames) if frames is not None else [(ROOT, target_ix, 0, 0.0)]
-    )
-
-    def emit(child: int, sub: np.ndarray, depth: int, price: float) -> None:
-        stack.append((child, sub, depth, price))
-
-    while stack:
-        node, subset, depth, price = stack.pop()
-        visited += step(node, subset, depth, price, emit)
-    return visited
-
-
-# ----------------------------------------------------------------------
-# Target-pruned fused walk (uncached sampled evaluation)
-# ----------------------------------------------------------------------
-def _pruned_walk(
-    policy: Policy,
-    hierarchy: Hierarchy,
-    distribution: TargetDistribution | None,
-    model: QueryCostModel,
-    target_ix: np.ndarray,
-    queries: np.ndarray,
-    prices: np.ndarray,
-    budget: int,
-    check: bool,
-) -> int:
-    """Walk the decision structure directly, pruned to the given targets.
-
-    The compile walk and the plan walk fused into one pass: the policy is
-    driven with exact answer reversal, but branches none of the requested
-    targets can reach are never explored — the policy only works along the
-    sampled decision paths.  Used when compiling the full plan would be
-    wasted (restricted targets, no cache to make the plan reusable).
-    """
-    split = make_splitter(hierarchy, len(target_ix))
-    price_vec = model.as_array(hierarchy)
-    decision_nodes = 0
-
-    def settle(current: np.ndarray, depth: int, price: float) -> None:
-        """Record a leaf of the decision structure."""
-        if check:
-            rix = hierarchy.index(policy.result())
-            check_leaf(policy.name, hierarchy, current, rix)
-        queries[current] = depth
-        prices[current] = price
-
-    def open_frame(current: np.ndarray, depth: int, price: float):
-        """Propose at a decision point; None when the search settled."""
-        nonlocal decision_nodes
-        if policy.done():
-            settle(current, depth, price)
-            return None
-        if depth >= budget:
-            raise BudgetExceededError(
-                f"{policy.name} ({type(policy).__name__}) exceeded the "
-                f"query budget of {budget} questions after {depth} "
-                "questions in the engine walk"
-            )
-        query = policy.propose()
-        qix = hierarchy.index(query)
-        decision_nodes += 1
-        yes, no = split(qix, current)
-        branches = [
-            (answer, subset)
-            for answer, subset in ((True, yes), (False, no))
-            if subset.size
-        ]
-        # [branches, cursor, child depth, accumulated child price]
-        return [branches, 0, depth + 1, price + float(price_vec[qix])]
-
-    policy.enable_undo(True)
-    try:
-        policy.reset(hierarchy, distribution, model)
-        root = open_frame(target_ix, 0, 0.0)
-        stack = [root] if root is not None else []
-        while stack:
-            frame = stack[-1]
-            branches, cursor, depth, price = frame
-            if cursor < len(branches):
-                frame[1] += 1
-                answer, subset = branches[cursor]
-                policy.observe(answer)
-                child = open_frame(subset, depth, price)
-                if child is None:
-                    policy.undo()
-                else:
-                    stack.append(child)
-            else:
-                stack.pop()
-                if stack:
-                    policy.undo()
-    finally:
-        policy.enable_undo(False)
-    return decision_nodes
 
 
 # ----------------------------------------------------------------------

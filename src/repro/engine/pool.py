@@ -1,16 +1,14 @@
-"""Persistent shared-memory evaluation pool: long-lived workers, zero re-fork.
+"""Persistent shared-memory evaluation pool for the batched noisy sweeps.
 
-The per-call process pool of :mod:`repro.engine.parallel` made one big walk
-fast, but every invocation still pays ~20 ms to fork fresh workers and ship
-the plan — overhead that dominates repeated small-n evaluations and
-serializes :func:`~repro.evaluation.comparison.compare_policies` across
-policies.  :class:`EvaluationPool` removes both costs:
+:func:`repro.engine.belief.simulate_noisy` can shard its session grid over
+a per-call process pool (``jobs=``), but every such call pays to fork
+fresh workers and ship the plan — overhead that dominates repeated sweeps
+over one plan.  :class:`EvaluationPool` removes both costs:
 
 * **Long-lived workers.**  The pool owns worker processes that survive
-  across calls, fed through one shared task queue.  A walk is submitted as
-  a handful of frame buckets (the same disjoint plan regions the per-call
-  pool deals, via :func:`repro.engine.parallel.expand_frontier`), so the
-  per-call cost is a few queue round-trips instead of a pool spin-up.
+  across calls, fed through one shared task queue.  A sweep is submitted
+  as a handful of session shards (:meth:`run_noise`), so the per-call cost
+  is a few queue round-trips instead of a pool spin-up.
 
 * **Shared-memory plans.**  :meth:`publish` copies a
   :class:`~repro.plan.CompiledPlan`'s flat arrays and a pickle of its
@@ -18,35 +16,27 @@ policies.  :class:`EvaluationPool` removes both costs:
   by the plan's ``config_key``.  Workers attach lazily by key and rebuild
   the plan as zero-copy views over the mapped buffer (the plan
   constructor adopts contiguous int64 arrays without copying), so a plan
-  crosses the process boundary once per worker no matter how many walks
+  crosses the process boundary once per worker no matter how many sweeps
   it serves.  The hierarchy pickle carries no caches: each worker builds
   the reachability index it needs once per attached plan.
 
 * **Refcounted registry.**  Published segments live in a registry capped at
   ``max_plans``; publishing past the cap evicts the least-recently-used
   segment that is neither pinned (:meth:`publish` with ``pin=True`` /
-  :meth:`release`) nor serving an active walk, and unlinks it.  When every
-  entry is held, :class:`~repro.exceptions.PoolError` is raised instead of
-  silently unmapping a plan under a running worker.
-
-* **Cross-policy overlap.**  :meth:`run_batch` submits *all* requests'
-  frame buckets into the one queue before collecting, so the walks of
-  different policies interleave across workers —
-  ``compare_policies(..., pool=...)`` overlaps k policies' walks instead of
-  running k sharded walks back to back.  Results stay bit-identical to the
-  sequential walk: frames partition the plan into disjoint regions, so any
-  dealing order reproduces the same per-target arrays and
-  ``decision_nodes``.
+  :meth:`release`) nor serving an active sweep, and unlinks it.  When
+  every entry is held, :class:`~repro.exceptions.PoolError` is raised
+  instead of silently unmapping a plan under a running worker.
 
 * **Failure containment.**  Worker exceptions are shipped back and
   re-raised in the caller (domain errors like
-  :class:`~repro.exceptions.BudgetExceededError` keep their type); a
-  worker that dies mid-walk is detected by liveness polling, respawned,
-  and the unfinished buckets are resubmitted (walks are pure, duplicate
+  :class:`~repro.exceptions.OracleError` keep their type); a worker that
+  dies mid-sweep is detected by liveness polling, the pool restarts, and
+  the unfinished shards are resubmitted (shards are pure, duplicate
   results are dropped by task id) — after :data:`_MAX_RESPAWNS` failed
   rounds the call raises :class:`~repro.exceptions.PoolError` instead of
-  hanging.  Corrupt segments surface as :class:`PoolError` without killing
-  the pool.
+  hanging.  A per-call ``deadline`` turns a wedged-but-alive worker into
+  :class:`~repro.exceptions.PoolTimeoutError`.  Corrupt segments surface
+  as :class:`PoolError` without killing the pool.
 
 The pool works under every start method: ``fork`` where available
 (workers inherit the code base for free), otherwise ``spawn`` — workers
@@ -59,9 +49,9 @@ outlives the process (the test suite asserts this).
 
 A process-wide default pool is installed with :func:`set_default_pool`
 (the CLI's ``--pool`` flag) or sized by the ``REPRO_POOL_WORKERS``
-environment variable; the engine consults :func:`get_default_pool` when no
-explicit ``pool`` is passed, and an explicit ``jobs=`` argument opts a
-call out of the ambient default.
+environment variable; :func:`~repro.engine.belief.simulate_noisy` consults
+:func:`get_default_pool` when no explicit ``pool`` is passed, and an
+explicit ``jobs=`` argument opts a call out of the ambient default.
 """
 
 from __future__ import annotations
@@ -115,7 +105,7 @@ _JOIN_TIMEOUT = 5.0
 #: Worker-side segment-attach retries: a just-republished segment can be
 #: observed mid-swap (name unlinked, successor not yet created), which a
 #: short deterministic backoff absorbs without surfacing a transient
-#: PoolError to the walk.
+#: PoolError to the sweep.
 _ATTACH_RETRY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.1, seed=0xA77)
 
 #: Pacing between death-recovery rounds (restart + resubmit): backing off
@@ -298,19 +288,16 @@ def _worker_attach(attached: dict, order: list, key: str, seg_name: str):
 
 
 def _worker_main(tasks, results) -> None:
-    """Long-lived worker loop: attach plans by key, walk frame buckets.
+    """Long-lived worker loop: attach plans by key, run sweep shards.
 
     Module-level so the ``spawn`` start method can import it; receives only
     the two queues — everything else arrives via shared memory or inside
     task messages.
     """
-    from repro.engine.driver import _plan_walk
-    from repro.engine.vector import make_splitter
-
     attached: dict[str, tuple] = {}
     order: list[str] = []
     try:
-        _worker_loop(tasks, results, attached, order, _plan_walk, make_splitter)
+        _worker_loop(tasks, results, attached, order)
     finally:
         # Detach deterministically: drop the plan/hierarchy views *before*
         # closing each mapping, so interpreter-exit GC never tries to close
@@ -324,7 +311,7 @@ def _worker_main(tasks, results) -> None:
                 pass
 
 
-def _worker_loop(tasks, results, attached, order, _plan_walk, make_splitter):
+def _worker_loop(tasks, results, attached, order):
     # Results carry the worker's pid so the parent can attribute errors
     # ("task 17 on worker pid 4242") and keep per-worker health counters.
     pid = os.getpid()
@@ -337,28 +324,7 @@ def _worker_loop(tasks, results, attached, order, _plan_walk, make_splitter):
             return
         kind, task_id = msg[0], msg[1]
         try:
-            if kind == "walk":
-                _, _, key, seg_name, frames, model, budget, check, split_kind = msg
-                plan, hierarchy = _worker_attach(attached, order, key, seg_name)
-                evaluated = np.concatenate(
-                    [subset for _, subset, _, _ in frames]
-                )
-                queries = np.full(hierarchy.n, -1, dtype=np.int64)
-                prices = np.full(hierarchy.n, np.nan, dtype=float)
-                split = make_splitter(hierarchy, len(evaluated), kind=split_kind)
-                visited = _plan_walk(
-                    plan, hierarchy, model, evaluated, queries, prices,
-                    budget, check, split=split, frames=list(frames),
-                )
-                results.put(
-                    (
-                        task_id,
-                        "ok",
-                        (evaluated, queries[evaluated], prices[evaluated], visited),
-                        pid,
-                    )
-                )
-            elif kind == "noise":
+            if kind == "noise":
                 # One shard of a batched noisy sweep (repro.engine.belief).
                 # Deterministic by construction: the spec carries global
                 # session ids, and each session's seed derives from its id,
@@ -424,9 +390,9 @@ class _Segment:
         self.key = key
         self.shm = shm
         self.pins = 0     # explicit publish(pin=True) holds
-        self.active = 0   # walks currently reading the segment
+        self.active = 0   # sweeps currently reading the segment
         self.stamp = stamp  # LRU clock
-        self.anonymous = anonymous  # unkeyed plan: evict when the walk ends
+        self.anonymous = anonymous  # unkeyed plan: evict when the sweep ends
 
 
 class EvaluationPool:
@@ -436,7 +402,7 @@ class EvaluationPool:
     ----------
     workers:
         Worker processes to keep alive.  ``None`` or non-positive means all
-        cores.  Workers start lazily on the first walk.
+        cores.  Workers start lazily on the first sweep.
     max_plans:
         Registry capacity: published segments beyond it evict the
         least-recently-used unpinned, inactive entry (and unlink its
@@ -447,10 +413,9 @@ class EvaluationPool:
         (the no-fork fallback path is exercised by passing ``"spawn"``).
     deadline:
         Default per-call collection deadline in seconds for
-        :meth:`run_batch`/:meth:`run_walk`/:meth:`run_noise` —
-        :class:`~repro.exceptions.PoolTimeoutError` is raised when results
-        stop arriving for that long with buckets still outstanding, naming
-        the wedged task ids and worker pids.
+        :meth:`run_noise` — :class:`~repro.exceptions.PoolTimeoutError`
+        is raised when results stop arriving for that long with shards
+        still outstanding, naming the wedged task ids and worker pids.
         ``None`` (the default, or ``REPRO_POOL_DEADLINE`` when set)
         preserves the historical wait-forever-on-a-live-worker behavior;
         liveness polling still recovers *dead* workers either way.
@@ -500,7 +465,7 @@ class EvaluationPool:
         #: Per-worker heartbeat records, keyed by pid (see :meth:`health`).
         self._health: dict[int, WorkerHealth] = {}
         self._closed = False
-        #: Walks served, workers respawned after a death, segments evicted.
+        #: Sweeps served, workers respawned after a death, segments evicted.
         self.walks = 0
         self.respawns = 0
         self.evictions = 0
@@ -567,9 +532,9 @@ class EvaluationPool:
         only robust recovery is to terminate the survivors (they may be
         stuck on the poisoned lock already), rebuild both queues, and start
         a full set of fresh workers; the caller then resubmits every
-        unfinished bucket.  In-flight results are lost with the old queue,
+        unfinished shard.  In-flight results are lost with the old queue,
         which is safe: their task ids are still pending and the rerun
-        produces identical data (walks are pure).
+        produces identical data (shards are pure).
 
         Both fresh queues are built before anything is torn down.  When
         that fails (``OSError``, e.g. out of file descriptors) the pool is
@@ -717,7 +682,7 @@ class EvaluationPool:
         if not victims:
             raise PoolError(
                 f"plan registry exhausted: all {len(self._registry)} "
-                f"published plan(s) are pinned or serving active walks "
+                f"published plan(s) are pinned or serving active sweeps "
                 f"(max_plans={self.max_plans}); release() one or raise "
                 "max_plans"
             )
@@ -801,93 +766,8 @@ class EvaluationPool:
             self._unlink(entry)
 
     # ------------------------------------------------------------------
-    # Walks
+    # Noisy sweeps
     # ------------------------------------------------------------------
-    def run_walk(
-        self, plan, hierarchy, model, target_ix, queries, prices, budget, check,
-        *, deadline: float | None = None,
-    ) -> int:
-        """One sharded plan walk on the warm pool; returns nodes visited.
-
-        Same contract as :func:`repro.engine.parallel.run_parallel_walk` —
-        per-target arrays and the visited count are bit-identical to the
-        sequential walk — minus the per-call fork/pickle overhead.
-        ``deadline`` bounds the collection wait exactly as in
-        :meth:`run_batch` (the single-task path shares the same collector).
-        """
-        return self.run_batch(
-            [(plan, hierarchy, model, target_ix, queries, prices, budget, check)],
-            deadline=deadline,
-        )[0]
-
-    def run_batch(self, requests, *, deadline: float | None = None) -> list[int]:
-        """Overlap several plan walks; returns visited counts per request.
-
-        Each request is ``(plan, hierarchy, model, target_ix, queries,
-        prices, budget, check)``; results are scattered into the request's
-        own ``queries``/``prices`` arrays.  All requests' frame buckets
-        enter the one task queue up front, so workers drain them in
-        arrival order regardless of which walk they belong to — the
-        overlap that makes multi-policy comparisons finish in one
-        makespan instead of k.
-        """
-        from repro.engine.parallel import (
-            _FRONTIER_FACTOR,
-            _deal_frames,
-            expand_frontier,
-        )
-
-        self._ensure_started()
-        requests = list(requests)
-        totals = [0] * len(requests)
-        pending: dict[int, tuple] = {}
-        handlers: dict[int, object] = {}
-        acquired: list[str] = []
-        try:
-            for r_index, request in enumerate(requests):
-                (
-                    plan, hierarchy, model, target_ix,
-                    queries, prices, budget, check,
-                ) = request
-                visited, frames, split = expand_frontier(
-                    plan, hierarchy, model, target_ix, queries, prices,
-                    budget, check, self.workers * _FRONTIER_FACTOR,
-                )
-                totals[r_index] = visited
-                if not frames:
-                    continue
-                key, seg_name = self._acquire_for_walk(plan, hierarchy)
-                acquired.append(key)
-                split_kind = getattr(split, "kind", None)
-                for bucket in _deal_frames(frames, self.workers):
-                    task_id = next(self._task_ids)
-                    msg = (
-                        "walk", task_id, key, seg_name, bucket,
-                        model, budget, check, split_kind,
-                    )
-                    pending[task_id] = msg
-
-                    def scatter(
-                        payload, queries=queries, prices=prices, r_index=r_index
-                    ):
-                        evaluated, shard_q, shard_p, visited = payload
-                        queries[evaluated] = shard_q
-                        prices[evaluated] = shard_p
-                        totals[r_index] += visited
-
-                    handlers[task_id] = scatter
-                    self._tasks.put(msg)
-            self._collect(
-                pending,
-                handlers,
-                deadline=self.deadline if deadline is None else deadline,
-            )
-            self.walks += len(requests)
-        finally:
-            for key in acquired:
-                self._release_after_walk(key)
-        return totals
-
     def run_noise(
         self, plan, hierarchy, specs, *, deadline: float | None = None
     ) -> list:
@@ -896,9 +776,10 @@ class EvaluationPool:
         Each spec is a :class:`repro.engine.belief.NoiseChunkSpec`;
         returns the per-shard payload dicts in spec order.  The plan and
         hierarchy are published once (shared memory), so repeated sweeps
-        over one plan never re-pickle it; worker deaths restart and
-        resubmit exactly as in :meth:`run_batch` — shards are pure, so
-        duplicates are dropped by task id.
+        over one plan never re-pickle it; a worker death restarts the
+        pool and resubmits the unfinished shards — shards are pure, so
+        duplicates are dropped by task id.  ``deadline`` overrides the
+        pool's default collection deadline for this call.
         """
         self._ensure_started()
         specs = list(specs)
@@ -935,8 +816,8 @@ class EvaluationPool:
         """Drain results for ``pending``; survive worker deaths.
 
         A result for an unknown task id is a stale duplicate (a resubmitted
-        bucket finished twice, or a previous failed call's leftovers) and
-        is dropped — walks are pure, so duplicates carry identical data.
+        shard finished twice, or a previous failed call's leftovers) and
+        is dropped — shards are pure, so duplicates carry identical data.
 
         ``deadline`` bounds the *no-progress* wait: liveness polling only
         detects workers that died, so a wedged-but-alive worker (stuck in
@@ -960,7 +841,7 @@ class EvaluationPool:
                 ):
                     raise PoolTimeoutError(
                         f"pool made no progress for {deadline:g}s with "
-                        f"{len(pending)} unfinished walk bucket(s) "
+                        f"{len(pending)} unfinished shard(s) "
                         f"(tasks {sorted(pending)[:8]}); live worker pids "
                         f"{self._live_pids()}"
                     )
@@ -970,12 +851,12 @@ class EvaluationPool:
                 if respawn_rounds > _MAX_RESPAWNS:
                     raise PoolError(
                         f"pool workers died {respawn_rounds} times re-running "
-                        f"{len(pending)} unfinished walk bucket(s) "
+                        f"{len(pending)} unfinished shard(s) "
                         f"(tasks {sorted(pending)[:8]}); giving up"
                     )
                 # Any death forces a full restart (see _restart: a kill can
                 # poison the shared queue locks); then resubmit every
-                # unfinished bucket — duplicates are dropped by task id.
+                # unfinished shard — duplicates are dropped by task id.
                 # Backing off between rounds keeps a repeatedly dying
                 # pool from hot-looping.
                 time.sleep(_RECOVERY_RETRY.delay_for(respawn_rounds - 1))  # repro: noqa RPA004 - bounded recovery backoff, not result data
@@ -1001,7 +882,7 @@ class EvaluationPool:
     @staticmethod
     def _as_exception(payload, *, task_id=None, pid=None) -> BaseException:
         # Context names the task and worker for diagnosability; domain
-        # errors keep their type *and* message (walk parity), so only the
+        # errors keep their type *and* message (inline parity), so only the
         # PoolError wrappers carry it.
         context = ""
         if task_id is not None:
@@ -1056,7 +937,7 @@ def get_default_pool() -> EvaluationPool | None:
     """The installed default, lazily sized by ``REPRO_POOL_WORKERS``.
 
     Returns ``None`` when neither :func:`set_default_pool` nor the
-    environment variable configured one — the engine then walks in-process
+    environment variable configured one — noisy sweeps then run in-process
     (or through the per-call ``jobs=`` pool).
     """
     global _default_pool

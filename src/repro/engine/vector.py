@@ -16,8 +16,9 @@ indices.  Two ingredients make that possible:
   :func:`make_reach_rows` — per-hierarchy exact-oracle kernels, because the
   exact oracle's answer for target ``z`` on query ``q`` is
   ``reaches(q, z)``.  A splitter splits one target-index array on one
-  query into (yes, no) halves (the plan-walk shape), an answerer answers
-  aligned ``(q_i, z_i)`` pairs (the serving shape), and a row kernel
+  query into (yes, no) halves (the compile walk's shape), an answerer
+  answers aligned ``(q_i, z_i)`` pairs (the shape of the engine's
+  level-by-level descent and of the noisy sessions), and a row kernel
   returns one boolean reach mask per query (the belief engine's shape).
   This module is the only reader of the reachability indexes; each family
   comes in three kinds, picked from the input by :func:`_choose_kind` (or
@@ -119,10 +120,9 @@ def make_splitter(
     keep the targets' order.
 
     ``kind`` forces a specific kernel (one of :data:`SPLITTER_KINDS`),
-    bypassing the heuristics — the parallel engine uses this so every worker
-    shard takes the kernel chosen once for the *full* target set, and the
-    parity tests use it to compare kernels on one hierarchy.  The chosen
-    kind is exposed as ``.kind`` on the returned callable.
+    bypassing the heuristics — the parity tests use it to compare kernels
+    on one hierarchy.  The chosen kind is exposed as ``.kind`` on the
+    returned callable.
     """
     kind = _resolve_kind(hierarchy, num_targets, kind)
 
@@ -169,10 +169,11 @@ def make_answerer(
     """A batched exact-oracle kernel: answers for many sessions at once.
 
     Where :func:`make_splitter` splits *one* target vector on *one* query
-    (the plan-walk shape), an answerer evaluates ``reaches(q_i, z_i)``
+    (the compile walk's shape), an answerer evaluates ``reaches(q_i, z_i)``
     element-wise over aligned query/target arrays — the shape of the
-    batched noisy sessions (:mod:`repro.engine.belief`), where each
-    concurrent session sits at its *own* plan node.  Kernel choice and semantics
+    engine's descent (:mod:`repro.engine.driver`) and of the batched noisy
+    sessions (:mod:`repro.engine.belief`), where each target or session
+    sits at its *own* plan node.  Kernel choice and semantics
     mirror :func:`make_splitter` exactly (same ``kind`` values, same
     heuristics via ``num_sessions``); the chosen kind is exposed as
     ``.kind``.  The ``csr`` answerer builds its ``int64`` pair keys

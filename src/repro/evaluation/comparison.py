@@ -5,7 +5,7 @@ metrics (:func:`session_metrics`): the distribution of per-session question
 counts — median, tail percentiles, worst case — which is what a serving
 operator watches (a policy with a fine mean but a heavy p99 makes some
 users answer many questions).  Metrics come from the same engine arrays the
-cost rows aggregate, so they are free once the walk ran.
+cost rows aggregate, so they are free once the plan descent ran.
 """
 
 from __future__ import annotations
@@ -107,14 +107,11 @@ def session_metrics(
     cost_model: QueryCostModel | None = None,
     targets=None,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> tuple[SessionMetrics, ...]:
     """Per-policy session-length distributions under one configuration.
 
-    Built on :func:`repro.engine.simulate_policies`, so multi-policy calls
-    overlap their walks on a persistent ``pool`` exactly like
+    Built on :func:`repro.engine.simulate_policies`, like
     :func:`compare_policies`.  This is the *a-priori* view — what the
     session-length tail will look like before deploying a plan; the CLI
     ``serve`` mode reports the *observed* counterpart from the sessions it
@@ -127,9 +124,7 @@ def session_metrics(
         cost_model,
         targets=targets,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
-        pool=pool,
     )
     return tuple(metrics_from_engine(engine) for engine in engines)
 
@@ -145,9 +140,7 @@ def compare_policies(
     max_targets: int | None = None,
     rng: np.random.Generator | None = None,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> Comparison:
     """Evaluate every policy (or pre-compiled plan) under one configuration.
 
@@ -155,18 +148,13 @@ def compare_policies(
     set), every policy is measured on the *same* sampled target set, so the
     comparison stays paired.
 
-    Each policy is compiled once and scored by walking its plan
+    Each policy is compiled once and scored by one descent of its plan
     (:func:`repro.evaluation.evaluate_policies_expected_cost`), so
-    comparing k policies costs k plan walks, not ``k * |targets|``
+    comparing k policies costs k descents, not ``k * |targets|``
     interactive searches; with ``plan_cache`` set, repeated runs of the
-    same configuration skip the compilations too.  ``jobs`` shards each
-    walk over worker processes, ``result_cache`` persists the per-target
-    cost arrays (an unchanged configuration re-run skips the walks
-    entirely), and a persistent ``pool``
-    (:class:`~repro.engine.EvaluationPool`) *overlaps* the policies' walks
-    on its long-lived workers — all policies' shard frames enter one
-    queue, so k walks finish in one makespan instead of k — with numbers
-    identical to the policy-serial path.
+    same configuration skip the compilations too, and ``result_cache``
+    persists the per-target cost arrays (an unchanged configuration
+    re-run skips the evaluations entirely).
     """
     targets = None
     if max_targets is not None and len(distribution.support) > max_targets:
@@ -180,9 +168,7 @@ def compare_policies(
         cost_model=cost_model,
         targets=targets,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
-        pool=pool,
     )
     return Comparison(
         hierarchy_name=hierarchy_name,

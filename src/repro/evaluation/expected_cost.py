@@ -57,8 +57,8 @@ def _result_from_engine(
     """Aggregate one engine result into an :class:`EvaluationResult`.
 
     Shared by the single-policy and the batch entry points so the numbers
-    of ``compare_policies(..., pool=...)`` are — by construction — the same
-    aggregation of the same per-target arrays the per-policy path uses.
+    of ``compare_policies`` are — by construction — the same aggregation
+    of the same per-target arrays the per-policy path uses.
     Duplicate Monte-Carlo samples index the same engine entry repeatedly,
     so the unweighted mean weighs each target by its sample multiplicity.
     """
@@ -110,9 +110,7 @@ def evaluate_expected_cost(
     keep_per_target: bool = False,
     check_correctness: bool = True,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> EvaluationResult:
     """Exact or Monte-Carlo expected cost of a policy or compiled plan.
 
@@ -131,17 +129,10 @@ def evaluate_expected_cost(
     plan_cache:
         Forwarded to the engine: a :class:`~repro.plan.PlanCache` or
         directory path for persisting compiled plans across runs.
-    jobs:
-        Forwarded to the engine: shard the exact plan walk over this many
-        worker processes (identical numbers for every value).
     result_cache:
         Forwarded to the engine: an
         :class:`~repro.engine.EngineResultCache` or directory path; an
-        unchanged configuration re-run skips the walk entirely.
-    pool:
-        Forwarded to the engine: a persistent
-        :class:`~repro.engine.EvaluationPool` serving the walk from
-        long-lived workers (``False`` disables the ambient default pool).
+        unchanged configuration re-run skips the evaluation entirely.
     """
     model = cost_model or UnitCost()
     support = sorted(distribution.support, key=str)
@@ -171,9 +162,7 @@ def evaluate_expected_cost(
         targets=targets,
         check_correctness=check_correctness,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
-        pool=pool,
     )
     return _result_from_engine(
         engine, hierarchy, targets, weights, method, keep_per_target
@@ -190,19 +179,15 @@ def evaluate_policies_expected_cost(
     keep_per_target: bool = False,
     check_correctness: bool = True,
     plan_cache=None,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> tuple[EvaluationResult, ...]:
     """Expected costs of several policies under one shared configuration.
 
     The batch counterpart of :func:`evaluate_expected_cost`, built on
-    :func:`repro.engine.simulate_policies`: with a persistent ``pool`` the
-    policies' plan walks overlap on the pool's workers instead of running
-    back to back, and every policy faces the *same* target set (``targets``
-    for a shared Monte-Carlo sample, the full support otherwise) so the
-    comparison stays paired.  Numbers are identical to calling
-    :func:`evaluate_expected_cost` per policy.
+    :func:`repro.engine.simulate_policies`: every policy faces the *same*
+    target set (``targets`` for a shared Monte-Carlo sample, the full
+    support otherwise) so the comparison stays paired.  Numbers are
+    identical to calling :func:`evaluate_expected_cost` per policy.
     """
     model = cost_model or UnitCost()
     support = sorted(distribution.support, key=str)
@@ -224,9 +209,7 @@ def evaluate_policies_expected_cost(
         targets=targets,
         check_correctness=check_correctness,
         plan_cache=plan_cache,
-        jobs=jobs,
         result_cache=result_cache,
-        pool=pool,
     )
     return tuple(
         _result_from_engine(
@@ -242,9 +225,7 @@ def worst_case_cost(
     distribution: TargetDistribution | None = None,
     *,
     targets: Iterable[Hashable] | None = None,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> int:
     """Maximum query count over the given targets (default: all nodes)."""
     engine = simulate_all_targets(
@@ -253,8 +234,6 @@ def worst_case_cost(
         distribution,
         targets=targets,
         check_correctness=False,
-        jobs=jobs,
         result_cache=result_cache,
-        pool=pool,
     )
     return engine.worst_case()

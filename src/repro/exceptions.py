@@ -61,12 +61,11 @@ class PoolError(ReproError):
 
 
 class PoolTimeoutError(PoolError):
-    """A pool collection exceeded its deadline: ``run_batch``/``run_walk``
-    /``run_noise`` waited longer than the configured per-call deadline
-    with walk buckets still outstanding.  The message
-    names the unfinished task ids and the live worker pids — a wedged
-    *alive* worker looks exactly like this, where plain worker death is
-    detected by liveness polling and recovered."""
+    """A pool collection exceeded its deadline: ``run_noise`` waited
+    longer than the configured per-call deadline with sweep shards still
+    outstanding.  The message names the unfinished task ids and the live
+    worker pids — a wedged *alive* worker looks exactly like this, where
+    plain worker death is detected by liveness polling and recovered."""
 
 
 class ServeError(ReproError):

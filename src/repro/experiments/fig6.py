@@ -26,17 +26,8 @@ from repro.policies import GreedyDagPolicy, GreedyNaivePolicy, GreedyTreePolicy
 from repro.taxonomy import amazon_catalog, amazon_like, imagenet_catalog, imagenet_like
 
 
-def run_dataset(
-    kind: str, scale: Scale, seed: int = 0, *, jobs: int | None = None,
-    pool=None,
-) -> Series:
-    """One Fig. 6 panel (``kind`` is ``"Amazon"`` or ``"ImageNet"``).
-
-    ``jobs`` shards the all-targets engine pass over worker processes and
-    ``pool`` serves it from a persistent :class:`~repro.engine.EvaluationPool`
-    (``None`` inherits the process defaults, e.g. the CLI's ``--jobs`` /
-    ``--pool``).
-    """
+def run_dataset(kind: str, scale: Scale, seed: int = 0) -> Series:
+    """One Fig. 6 panel (``kind`` is ``"Amazon"`` or ``"ImageNet"``)."""
     n = scale.fig6_nodes
     if kind == "Amazon":
         hierarchy = amazon_like(n, seed=seed + 7)
@@ -78,25 +69,16 @@ def run_dataset(
     series.add_line("speedup (x)", speedups)
 
     start = time.perf_counter()
-    # result_cache=False: this line *times* the walk, so an installed
+    # result_cache=False: this line *times* the evaluation, so an installed
     # default result cache must not turn it into a disk load.
-    simulate_all_targets(
-        efficient, hierarchy, distribution, jobs=jobs, result_cache=False,
-        pool=pool,
-    )
+    simulate_all_targets(efficient, hierarchy, distribution, result_cache=False)
     engine_ms = 1000.0 * (time.perf_counter() - start) / hierarchy.n
     series.add_line("Engine (amortized ms/target)", [engine_ms] * len(depths))
     return series
 
 
-def run(
-    scale: Scale = SMALL, seed: int = 0, *, jobs: int | None = None,
-    pool=None,
-) -> list[Series]:
-    return [
-        run_dataset(k, scale, seed, jobs=jobs, pool=pool)
-        for k in ("Amazon", "ImageNet")
-    ]
+def run(scale: Scale = SMALL, seed: int = 0) -> list[Series]:
+    return [run_dataset(k, scale, seed) for k in ("Amazon", "ImageNet")]
 
 
 def main(scale: Scale = SMALL, seed: int = 0) -> str:

@@ -10,8 +10,8 @@ algorithm's per-search time grows roughly quadratically.
 The ``Engine/target`` column shows the same ``GreedyTree`` evaluated over
 *all* ``n`` targets by the vectorized engine
 (:func:`repro.engine.simulate_all_targets`), divided by ``n``: the amortized
-per-target cost of the one-pass decision-structure walk, which is the path
-every expected-cost experiment now takes.
+per-target cost of the one-pass descent of the compiled plan, which is the
+path every expected-cost experiment now takes.
 """
 
 from __future__ import annotations
@@ -39,16 +39,11 @@ def _avg_search_ms(policy, hierarchy, distribution, targets) -> float:
     return 1000.0 * (time.perf_counter() - start) / len(targets)
 
 
-def _engine_ms_per_target(
-    policy, hierarchy, distribution, jobs=None, pool=None
-) -> float:
+def _engine_ms_per_target(policy, hierarchy, distribution) -> float:
     start = time.perf_counter()
-    # result_cache=False: this column *times* the walk, so an installed
-    # default result cache must not turn it into a disk load.
-    simulate_all_targets(
-        policy, hierarchy, distribution, jobs=jobs, result_cache=False,
-        pool=pool,
-    )
+    # result_cache=False: this column *times* the evaluation, so an
+    # installed default result cache must not turn it into a disk load.
+    simulate_all_targets(policy, hierarchy, distribution, result_cache=False)
     return 1000.0 * (time.perf_counter() - start) / hierarchy.n
 
 
@@ -59,17 +54,13 @@ def run(
     sizes: tuple[int, ...] | None = None,
     samples: int | None = None,
     naive_cap: int = 500,
-    jobs: int | None = None,
-    pool=None,
 ) -> Table:
     """Per-search time versus hierarchy size.
 
     ``sizes``/``samples`` default according to the scale preset.  The naive
     algorithm is only measured up to ``naive_cap`` nodes (it is O(n m) *per
     round*; beyond that it dominates the suite's runtime without adding
-    information).  ``jobs`` shards the engine pass over worker processes
-    and ``pool`` serves it from a persistent pool (``None`` inherits the
-    process defaults, e.g. the CLI's ``--jobs`` / ``--pool``).
+    information).
     """
     if sizes is None:
         sizes = (100, 200, 400) if scale.name == "tiny" else (250, 500, 1000, 2000)
@@ -112,7 +103,7 @@ def run(
         else:
             row["GreedyNaive (tree)"] = "-"
         row["Engine/target (tree)"] = _engine_ms_per_target(
-            GreedyTreePolicy(), tree, tree_dist, jobs, pool
+            GreedyTreePolicy(), tree, tree_dist
         )
         table.add_row(row)
     return table

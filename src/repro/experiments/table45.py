@@ -42,18 +42,13 @@ def run_dataset(
     scale: Scale,
     seed: int = 0,
     *,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> Table:
     """One paper table (IV for the tree, V for the DAG).
 
-    ``jobs``, ``result_cache``, and ``pool`` are forwarded to the engine
-    (``None`` inherits the process defaults set by the CLI's ``--jobs`` /
-    ``--result-cache`` / ``--pool``); at paper scale the per-trial exact
-    walks dominate this driver, so all three matter here most — a
-    persistent pool overlaps the four competitors' walks within each
-    trial.
+    ``result_cache`` is forwarded to the engine (``None`` inherits the
+    process default set by the CLI's ``--result-cache``), so re-running
+    unchanged trials skips their evaluations.
     """
     number = "IV" if dataset.hierarchy.is_tree else "V"
     table = Table(
@@ -79,9 +74,7 @@ def run_dataset(
                 distribution_name=family,
                 max_targets=scale.max_targets,
                 rng=rng,
-                jobs=jobs,
                 result_cache=result_cache,
-                pool=pool,
             )
             for result in comparison.results:
                 sums[result.policy] = (
@@ -109,18 +102,14 @@ def run(
     seed: int = 0,
     *,
     dataset_name: str | None = None,
-    jobs: int | None = None,
     result_cache=None,
-    pool=None,
 ) -> list[Table]:
     datasets = build_datasets(scale, seed)
     selected = [
         d for d in datasets if dataset_name is None or d.name == dataset_name
     ]
     return [
-        run_dataset(
-            d, scale, seed, jobs=jobs, result_cache=result_cache, pool=pool
-        )
+        run_dataset(d, scale, seed, result_cache=result_cache)
         for d in selected
     ]
 

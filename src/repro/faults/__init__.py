@@ -20,7 +20,7 @@ trip -> cooldown -> single-probe -> restore; used per backend in
 :class:`~repro.exceptions.ServeTimeoutError` instead of hanging.
 
 ``benchmarks/bench_faults.py`` is the chaos soak: hundreds of seeded
-fault schedules against the real server and pool walks, asserting no
+fault schedules against the real server and pool sweeps, asserting no
 hangs, typed errors only, and bit-identical completed sessions.
 """
 

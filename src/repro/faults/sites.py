@@ -35,7 +35,7 @@ __all__ = ["FAULT_SITES", "site_exception"]
 #: ``schedule_point`` label -> exception type an injected crash raises
 #: there.  Grouped by the subsystem that owns the boundary.
 FAULT_SITES: dict[str, type[ReproError]] = {
-    # -- EvaluationPool registry + walk lifecycle (repro.engine.pool)
+    # -- EvaluationPool registry + sweep lifecycle (repro.engine.pool)
     "pool.publish": PoolError,
     "pool.evict": PoolError,
     "pool.release": PoolError,

@@ -84,11 +84,12 @@ class PlanCache:
         """Look up a plan without compiling on a miss, counting the hit.
 
         Used by the engine's sampled-evaluation path, which falls back to
-        a fused pruned walk (no compile) when nothing is on disk — so a
-        probe miss is *not* counted in :attr:`misses` (that counter tracks
-        compilations performed).  A corrupt entry is deleted after the
-        usual warning: no compile will overwrite it here, and without the
-        cleanup every later probe would warn about the same file.
+        compiling only the part of the plan the sample reaches (never
+        stored) when nothing is on disk — so a probe miss is *not* counted
+        in :attr:`misses` (that counter tracks full compilations).  A
+        corrupt entry is deleted after the usual warning: no compile will
+        overwrite it here, and without the cleanup every later probe would
+        warn about the same file.
         """
         plan = self.get(key)
         if plan is not None:

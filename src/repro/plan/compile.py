@@ -3,11 +3,12 @@
 :func:`compile_policy` materialises the policy's full decision structure in
 one pass.  Policies with exact answer reversal
 (:attr:`~repro.core.policy.Policy.supports_undo`) are walked depth-first
-with a single reset — every decision point is proposed exactly once, the
-same amortisation the engine's vectorized walk pioneered.  Policies without
-undo are compiled by answer-prefix replay (one reset per plan node), which
-is slower but still a one-time cost: every search served from the plan
-afterwards is a pure pointer walk.
+with a single reset, so every decision point is proposed exactly once.
+Policies without undo are compiled by answer-prefix replay (one reset per
+plan node), which is slower but still a one-time cost: every search
+served from the plan afterwards is a pure pointer walk.
+:func:`compile_reached` runs the same depth-first walk restricted to a
+target sample, for the engine's uncached sampled evaluation.
 
 Branch viability is decided with the hierarchy's reachability kernels
 (:func:`repro.engine.vector.make_splitter`): an answer no target is
@@ -126,10 +127,45 @@ def compile_policy(
     budget = default_budget(hierarchy, max_depth)
     builder = _Builder(policy.name)
     if policy.supports_undo:
-        _undo_walk(policy, hierarchy, distribution, model, budget, validate, builder)
+        _undo_walk(
+            policy, hierarchy, distribution, model, budget, validate, builder,
+            np.arange(hierarchy.n, dtype=np.int64),
+        )
     else:
         _replay_walk(policy, hierarchy, distribution, model, budget, validate, builder)
     return builder.finish(hierarchy, key)
+
+
+def compile_reached(
+    policy: Policy,
+    hierarchy: Hierarchy,
+    distribution: TargetDistribution | None,
+    cost_model: QueryCostModel | None,
+    targets: np.ndarray,
+    *,
+    max_depth: int | None = None,
+    validate: bool = True,
+) -> CompiledPlan:
+    """The part of ``policy``'s plan that ``targets`` reach.
+
+    The compile DFS restricted to a target sample (ascending hierarchy
+    indices): branches no sampled target takes become :data:`NO_PATH`, so
+    the policy proposes at about ``len(targets) * height`` decision points
+    instead of up to ``2 n - 1``.  The engine's uncached sampled
+    evaluation descends this plan.  It is partial, so it carries no
+    ``config_key`` (:class:`~repro.plan.PlanCache` refuses it) and must
+    never stand in for the full plan.  Needs ``policy.supports_undo``.
+    """
+    distribution, model = resolve_config(
+        policy, hierarchy, distribution, cost_model
+    )
+    budget = default_budget(hierarchy, max_depth)
+    builder = _Builder(policy.name)
+    _undo_walk(
+        policy, hierarchy, distribution, model, budget, validate, builder,
+        targets,
+    )
+    return builder.finish(hierarchy, "")
 
 
 class _Builder:
@@ -172,7 +208,7 @@ def check_leaf(
 ) -> None:
     """Every target consistent with this answer prefix must be identified.
 
-    Shared by the compile walks and the engine's plan/pruned walks so the
+    Shared by the compile walks and the engine's descent so the
     mis-identification diagnostics stay in one place.
     """
     wrong = subset[subset != returned_ix]
@@ -192,10 +228,15 @@ def _undo_walk(
     budget: int,
     validate: bool,
     builder: _Builder,
+    targets: np.ndarray,
 ) -> None:
-    """One-reset DFS over the decision structure via exact answer reversal."""
-    split = _make_splitter(hierarchy, hierarchy.n)
-    all_targets = np.arange(hierarchy.n, dtype=np.int64)
+    """One-reset DFS over the decision structure via exact answer reversal.
+
+    ``targets`` (ascending hierarchy indices) is the root's target subset:
+    every branch none of them takes becomes :data:`NO_PATH`, so the policy
+    only works along the paths they follow.
+    """
+    split = _make_splitter(hierarchy, len(targets))
 
     def open_node(subset: np.ndarray, depth: int):
         """Allocate a plan node; returns its id and a frame if internal."""
@@ -230,7 +271,7 @@ def _undo_walk(
     policy.enable_undo(True)
     try:
         policy.reset(hierarchy, distribution, model)
-        _, frame = open_node(all_targets, 0)
+        _, frame = open_node(targets, 0)
         stack = [frame] if frame is not None else []
         while stack:
             frame = stack[-1]

@@ -10,14 +10,15 @@ Definitions 5–7 in an execution-ready layout.  It is built once per
 * any number of concurrent sessions execute it through independent
   :class:`SearchCursor` objects — O(1) per question, zero per-session setup,
   no shared mutable state;
-* the simulation engine walks the arrays directly
-  (:func:`repro.engine.simulate_all_targets`);
+* the simulation engine moves every requested target down the arrays
+  together, one level per pass (:func:`repro.engine.simulate_all_targets`);
 * :meth:`CompiledPlan.save` / :meth:`CompiledPlan.load` persist it, keyed by
   a content hash of the configuration (:mod:`repro.plan.cache`).
 
 Plan nodes are dense ids ``0 .. num_nodes - 1`` with the root at
-:data:`ROOT`.  Queries and targets are stored as *hierarchy node indices*;
-cursors translate to labels at the API boundary so a cursor is a drop-in
+:data:`ROOT`.  Queries and targets are stored as *hierarchy node
+indices*; every plan, built or unpickled, has its ids range-checked.
+Cursors translate to labels at the API boundary so a cursor is a drop-in
 replacement for the ``propose()/observe()/done()/result()`` policy protocol
 — plus exact, free :meth:`SearchCursor.undo`.
 """
@@ -131,6 +132,7 @@ class CompiledPlan:
                 f"plan arrays must be non-empty and aligned, got lengths "
                 f"{[len(a) for a in arrays]}"
             )
+        _check_ids(hierarchy, *arrays)
         set_ = object.__setattr__
         set_(self, "hierarchy", hierarchy)
         set_(self, "policy_name", str(policy_name))
@@ -411,6 +413,47 @@ class CompiledPlan:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, slot, value)
+        # Pickle loads bypass __init__, so a plan file is checked here.
+        _check_ids(self.hierarchy, self._query, self._yes, self._no, self._target)
+
+
+def _check_ids(
+    hierarchy: Hierarchy,
+    query: np.ndarray,
+    yes: np.ndarray,
+    no: np.ndarray,
+    target: np.ndarray,
+) -> None:
+    """Reject ids the plan readers would index out of range.
+
+    Hierarchy indices lie in ``[-1, n)``, every node is exactly one of a
+    question and a leaf, and children lie in ``{-1, NO_PATH}`` or
+    ``[0, num_nodes)``.  Without this a bad id surfaces later as an
+    untyped ``IndexError``, or, negative, as a silently wrapped index.
+    """
+    n = hierarchy.n
+    for name, ids in (("query", query), ("target", target)):
+        bad = np.flatnonzero((ids < -1) | (ids >= n))
+        if bad.size:
+            raise PlanError(
+                f"plan node {int(bad[0])} has {name} index "
+                f"{int(ids[bad[0]])}, outside the hierarchy's {n} nodes"
+            )
+    bad = np.flatnonzero((query >= 0) == (target >= 0))
+    if bad.size:
+        raise PlanError(
+            f"plan node {int(bad[0])} must have exactly one of a query and "
+            f"a target, got query {int(query[bad[0]])} and target "
+            f"{int(target[bad[0]])}"
+        )
+    num_nodes = len(query)
+    for name, child in (("yes", yes), ("no", no)):
+        bad = np.flatnonzero((child < NO_PATH) | (child >= num_nodes))
+        if bad.size:
+            raise PlanError(
+                f"plan node {int(bad[0])} has {name}-child "
+                f"{int(child[bad[0]])}, outside the {num_nodes} plan nodes"
+            )
 
 
 class SearchCursor:

@@ -23,10 +23,11 @@ from repro.analysis import (
 )
 from repro.analysis import sanitize
 from repro.analysis.__main__ import main as lint_main
-from repro.engine import EvaluationPool
+from repro.engine import EvaluationPool, simulate_all_targets
 from repro.exceptions import AnalysisError, SanitizerError
 from repro.plan import compile_policy
 from repro.policies import GreedyTreePolicy
+from repro.testing import make_random_tree
 
 
 def codes_of(findings):
@@ -993,7 +994,8 @@ class TestSanitizers:
             pool.publish(plan, pin=True)
         # close() ran the leak check without raising.
 
-    def test_inexact_undo_caught(self, sanitizing, vehicle_hierarchy):
+    @pytest.mark.parametrize("entry", ["compile_policy", "simulate_all_targets"])
+    def test_inexact_undo_caught(self, sanitizing, vehicle_hierarchy, entry):
         class BrokenUndo(GreedyTreePolicy):
             name = "BrokenUndo"
 
@@ -1002,7 +1004,16 @@ class TestSanitizers:
                 self._tilde_p[0] += 0.125  # drift the restored state
 
         with pytest.raises(SanitizerError, match="_tilde_p"):
-            compile_policy(BrokenUndo(), vehicle_hierarchy)
+            if entry == "compile_policy":
+                compile_policy(BrokenUndo(), vehicle_hierarchy)
+            else:
+                # A small sample compiles only what it reaches ("vector"),
+                # through the same checked DFS.
+                hierarchy = make_random_tree(40, seed=41)
+                simulate_all_targets(
+                    BrokenUndo(), hierarchy, targets=hierarchy.nodes[5:9],
+                    result_cache=False,
+                )
 
     def test_exact_undo_passes(self, sanitizing, vehicle_hierarchy):
         plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)

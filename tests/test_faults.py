@@ -11,7 +11,7 @@ Four contracts:
    :class:`~repro.faults.CircuitBreaker` (tick-counted trip ->
    cooldown -> probe -> restore).
 
-3. **Stack behaviour under faults** — pool walk deadlines raise typed
+3. **Stack behaviour under faults** — pool sweep deadlines raise typed
    :class:`~repro.exceptions.PoolTimeoutError` instead of hanging,
    injected worker kills recover bit-identically, segment attacks and
    crashed restarts end typed and leave the pool usable, a slow oracle
@@ -19,9 +19,9 @@ Four contracts:
    crash-atomic cache writes never leave torn files.
 
 4. **Mini chaos soak** — seeded random fault schedules over a server and
-   a pool walk: termination, typed errors only, completed sessions and
-   walk arrays bit-identical to fault-free runs (the full-size soak is
-   ``benchmarks/bench_faults.py``).
+   a noisy sweep on the pool: termination, typed errors only, completed
+   sessions and sweep arrays bit-identical to fault-free runs (the
+   full-size soak is ``benchmarks/bench_faults.py``).
 
 Every test arms its own environment (``monkeypatch.setenv``), so the
 suite passes in a tier-1 run without ``REPRO_FAULTS`` set.
@@ -39,10 +39,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import schedule as _schedule
-from repro.core.costs import UnitCost
 from repro.core.oracle import ExactOracle
-from repro.core.session import default_budget, run_search
-from repro.engine import EvaluationPool, simulate_all_targets
+from repro.core.session import run_search
+from repro.engine import EvaluationPool, simulate_all_targets, simulate_noisy
+from repro.engine.belief import NoiseChunkSpec
 from repro.engine.cache import EngineResultCache, result_key
 from repro.exceptions import (
     AdmissionError,
@@ -91,6 +91,22 @@ def _reference_outcomes(plan, hierarchy, targets):
         t: run_search(plan, ExactOracle(hierarchy, t), hierarchy)
         for t in targets
     }
+
+
+def _sweep(plan, **kwargs):
+    """One noisy sweep over ``plan``; ``pool=False`` runs it inline."""
+    knobs = dict(error_model=0.1, replications=2, seed=3, votes=3)
+    return simulate_noisy(plan, **{**knobs, **kwargs})
+
+
+def _same_sweep(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in (
+            "labels", "queries", "vote_queries", "prices",
+            "run_labels", "run_outcomes", "run_queries",
+        )
+    )
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +356,7 @@ class TestPoolDeadlines:
     def test_wedged_worker_raises_typed_timeout(self):
         plan, hierarchy, _ = _config(seed=21)
         with EvaluationPool(workers=1) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)  # warm
+            _sweep(plan, pool=pool)  # warm
             # Tighten only after the warm run: under spawn, worker boot
             # itself takes longer than 0.3s of "no progress".  The
             # attribute is read per collect call, so this is the same
@@ -348,36 +364,43 @@ class TestPoolDeadlines:
             pool.deadline = 0.3
             pool._inject_sleep(60.0)  # the lone worker is now busy
             with pytest.raises(PoolTimeoutError) as exc_info:
-                simulate_all_targets(plan, result_cache=False, pool=pool)
+                _sweep(plan, pool=pool)
         message = str(exc_info.value)
         assert "no progress" in message
         assert "pid" in message and "task" in message
 
     def test_per_call_deadline_overrides_pool_default(self):
         plan, hierarchy, _ = _config(seed=22)
-        target_ix = np.arange(hierarchy.n, dtype=np.int64)
+        targets = np.arange(hierarchy.n, dtype=np.int64)
+        spec = NoiseChunkSpec(
+            flat_index=targets,
+            target_ix=targets,
+            seed=3,
+            rates=np.full(hierarchy.n, 0.1),
+            persistent=False,
+            votes=1,
+            budget=2 * hierarchy.n + 10,
+            price_vec=np.ones(hierarchy.n),
+            prior=np.full(hierarchy.n, 1.0 / hierarchy.n),
+            map_threshold=None,
+            track_posterior=False,
+            kind=None,
+        )
 
-        def walk(**kw):
-            queries = np.full(hierarchy.n, -1, dtype=np.int64)
-            prices = np.full(hierarchy.n, np.nan)
-            pool.run_walk(
-                plan, hierarchy, UnitCost(), target_ix, queries, prices,
-                default_budget(hierarchy), True, **kw,
-            )
-            return queries
+        def labels(**kw):
+            (payload,) = pool.run_noise(plan, hierarchy, [spec], **kw)
+            return payload["labels"]
 
         with EvaluationPool(workers=1) as pool:  # no pool-wide deadline
-            # Boot + attach before the deadlined walk: spawn workers take
+            # Boot + attach before the deadlined sweep: spawn workers take
             # longer than 0.3s to come up.
-            warm = walk()
-            assert np.array_equal(
-                warm,
-                simulate_all_targets(plan, result_cache=False, pool=False).queries,
-            )
+            warm = labels()
+            inline = _sweep(plan, replications=1, votes=1, pool=False)
+            assert np.array_equal(warm, inline.run_labels.ravel())
             pool._inject_sleep(60.0)  # the lone worker is now busy
             start = time.monotonic()
             with pytest.raises(PoolTimeoutError, match="no progress"):
-                walk(deadline=0.3)
+                labels(deadline=0.3)
             assert time.monotonic() - start < 20.0
 
     def test_deadline_validation(self):
@@ -387,7 +410,7 @@ class TestPoolDeadlines:
     def test_health_tracks_worker_results(self):
         plan, hierarchy, _ = _config(seed=23)
         with EvaluationPool(workers=2) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            _sweep(plan, pool=pool)
             health = pool.health()
             assert health  # at least one worker reported a result
             assert all(h.alive for h in health)
@@ -397,25 +420,17 @@ class TestPoolDeadlines:
 class TestInjectedPoolFaults:
     def test_kill_worker_recovers_bit_identical(self, faults_on):
         plan, hierarchy, _ = _config(seed=25)
-        reference = simulate_all_targets(
-            plan, result_cache=False, pool=False
-        )
+        reference = _sweep(plan, pool=False)
         fault = FaultPlan([FaultSpec("kill_worker", at="pool.collect", nth=1)])
         with EvaluationPool(workers=1) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)  # warm
+            _sweep(plan, pool=pool)  # warm
             pool._inject_sleep(60.0)  # the worker is busy: the kill
             # deterministically lands before it can produce a result
             with fault.armed(pool=pool):
-                result = simulate_all_targets(
-                    plan, result_cache=False, pool=pool
-                )
+                result = _sweep(plan, pool=pool)
             assert fault.fired == 1
             assert pool.respawns >= 1
-        assert np.array_equal(reference.queries, result.queries)
-        assert np.allclose(
-            reference.prices[reference.target_ix],
-            result.prices[result.target_ix],
-        )
+        assert _same_sweep(reference, result)
 
     def test_segment_attack_ends_typed_not_hung(self, faults_on):
         """Vanish the plan's segment, then kill the attached worker: the
@@ -430,12 +445,12 @@ class TestInjectedPoolFaults:
         )
         with EvaluationPool(workers=1) as pool:
             # Warm: the worker attaches the plan's segment.
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            _sweep(plan, pool=pool)
             pool._inject_sleep(60.0)  # wedge it so the kill lands first
             start = time.monotonic()
             with fault.armed(pool=pool):
                 with pytest.raises(PoolError):
-                    simulate_all_targets(plan, result_cache=False, pool=pool)
+                    _sweep(plan, pool=pool)
             assert time.monotonic() - start < 30.0
         assert {kind for _, _, kind in fault.trace} == {
             "vanish_segment", "kill_worker",
@@ -444,12 +459,10 @@ class TestInjectedPoolFaults:
 
     def test_crash_mid_restart_leaves_the_pool_usable(self, faults_on):
         """A crash injected while a restart rebuilds the queues must not
-        leave the pool holding the closed ones: the walk fails typed, and
-        the next walk on the pool matches the sequential arrays."""
+        leave the pool holding the closed ones: the sweep fails typed, and
+        the next sweep on the pool matches the inline arrays."""
         plan, hierarchy, _ = _config(n=30, seed=51)
-        reference = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
-        )
+        reference = _sweep(plan, pool=False)
         fault = FaultPlan(
             [
                 FaultSpec("kill_worker", at="pool.collect", nth=1),
@@ -457,30 +470,26 @@ class TestInjectedPoolFaults:
             ]
         )
         with EvaluationPool(workers=2) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)  # warm
+            _sweep(plan, pool=pool)  # warm
             for _ in range(pool.workers):
                 pool._inject_sleep(60.0)  # wedge both: the kill forces a restart
             with fault.armed(pool=pool):
                 with pytest.raises(PoolError, match="injected"):
-                    simulate_all_targets(plan, result_cache=False, pool=pool)
-            again = simulate_all_targets(plan, result_cache=False, pool=pool)
+                    _sweep(plan, pool=pool)
+            again = _sweep(plan, pool=pool)
         assert ("pool.restart.rebuild", 1, "crash") in fault.trace
-        assert np.array_equal(again.queries, reference.queries)
-        assert np.array_equal(again.prices, reference.prices)
-        assert again.decision_nodes == reference.decision_nodes
+        assert _same_sweep(again, reference)
 
     def test_queue_rebuild_failure_is_typed_and_leaves_the_pool_usable(
         self, monkeypatch
     ):
         """A restart whose second fresh queue cannot be built (out of file
         descriptors) raises ``PoolError`` chained to the ``OSError`` and
-        keeps the old queues; the next walk restarts again and matches."""
+        keeps the old queues; the next sweep restarts again and matches."""
         plan, hierarchy, _ = _config(n=120, seed=52)
-        reference = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
-        )
+        reference = _sweep(plan, pool=False)
         with EvaluationPool(workers=2) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            _sweep(plan, pool=pool)
             for proc in pool._procs:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.join()
@@ -495,14 +504,11 @@ class TestInjectedPoolFaults:
 
             monkeypatch.setattr(pool, "_new_queue", new_queue)
             with pytest.raises(PoolError, match="queues") as info:
-                simulate_all_targets(plan, result_cache=False, pool=pool)
+                _sweep(plan, pool=pool)
             assert isinstance(info.value.__cause__, OSError)
             assert pool.respawns == 0
             for _ in range(2):
-                again = simulate_all_targets(plan, result_cache=False, pool=pool)
-                assert np.array_equal(again.queries, reference.queries)
-                assert np.array_equal(again.prices, reference.prices)
-                assert again.decision_nodes == reference.decision_nodes
+                assert _same_sweep(_sweep(plan, pool=pool), reference)
             assert pool.respawns == 1
 
 
@@ -569,9 +575,7 @@ class TestServerBreaker:
 
 class TestCrashAtomicWrites:
     def _result(self, plan, hierarchy):
-        return simulate_all_targets(
-            plan, result_cache=False, pool=False
-        )
+        return simulate_all_targets(plan, result_cache=False)
 
     def test_result_cache_put_crash_preserves_old_entry(
         self, faults_on, tmp_path
@@ -640,9 +644,7 @@ class TestMiniSoak:
         plan, hierarchy, _ = _config(n=30, seed=51)
         targets = list(hierarchy.nodes)[:10]
         reference = _reference_outcomes(plan, hierarchy, targets)
-        walk_reference = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
-        )
+        sweep_reference = _sweep(plan, pool=False)
         with EvaluationPool(workers=2) as pool:
             for seed in range(12):
                 fault = FaultPlan.random(
@@ -653,7 +655,7 @@ class TestMiniSoak:
                 )
                 server = Server(plan)
                 outcomes = {}
-                walk = None
+                sweep = None
                 try:
                     with fault.armed(pool=pool):
                         try:
@@ -667,19 +669,15 @@ class TestMiniSoak:
                             # pass — sessions it cut short are unserved.
                             pass
                         try:
-                            walk = simulate_all_targets(
-                                plan, result_cache=False, pool=pool
-                            )
+                            sweep = _sweep(plan, pool=pool)
                         except ReproError:
-                            pass  # typed: the walk was cut short, legally
+                            pass  # typed: the sweep was cut short, legally
                 finally:
                     server.close()
-                if walk is not None:
-                    assert np.array_equal(
-                        walk.queries, walk_reference.queries
-                    ), f"seed {seed} trace {fault.trace}"
-                    assert np.array_equal(walk.prices, walk_reference.prices)
-                    assert walk.decision_nodes == walk_reference.decision_nodes
+                if sweep is not None:
+                    assert _same_sweep(sweep, sweep_reference), (
+                        f"seed {seed} trace {fault.trace}"
+                    )
                 for sid, outcome in outcomes.items():
                     if outcome.ok:
                         assert outcome.result == reference[sid], (

@@ -9,9 +9,10 @@ Three subsystems under contract here:
   kind must agree with ``Hierarchy.reaches`` on trees and on DAGs
   straddling ``_MATRIX_NODE_LIMIT``, and hierarchy pickles must never
   carry the indexes;
-* the sharded parallel engine (:mod:`repro.engine.parallel`) — the
-  :class:`~repro.engine.EngineResult` arrays *and* ``decision_nodes`` must
-  be bit-identical for every ``jobs`` value;
+* the sharded noisy sweep (:func:`repro.engine.simulate_noisy`'s
+  ``jobs=`` executor) — the :class:`~repro.engine.NoisyResult` arrays must
+  be bit-identical for every ``jobs`` value (the exact engine runs
+  in-process; ``test_bit_identity.py`` pins its descent);
 * the persistent engine-result cache (:mod:`repro.engine.cache`) —
   hit/miss/corrupt-entry behaviour mirroring the plan cache's suite.
 """
@@ -33,9 +34,11 @@ from repro.engine import (
     set_default_jobs,
     set_default_result_cache,
     simulate_all_targets,
+    simulate_noisy,
 )
 from repro.engine.vector import make_reach_rows
 from repro.exceptions import HierarchyError
+from repro.plan import compile_policy
 from repro.policies import GreedyDagPolicy, GreedyTreePolicy, make_policy
 from repro.testing import (
     make_random_dag,
@@ -201,47 +204,66 @@ class TestSplitterKinds:
 
 
 # ----------------------------------------------------------------------
-# Sharded parallel engine
+# Sharded noisy sweeps (simulate_noisy's jobs= executor)
 # ----------------------------------------------------------------------
+def _noisy(policy, hierarchy, distribution=None, costs=None, **kwargs):
+    return simulate_noisy(
+        policy, hierarchy, distribution, costs,
+        error_model=0.1, replications=2, seed=5, votes=3, **kwargs,
+    )
+
+
+def _assert_same_noisy(a, b):
+    """Two NoisyResults must agree bit for bit (the sharding contract)."""
+    for name in (
+        "target_ix", "labels", "queries", "vote_queries", "prices",
+        "run_labels", "run_outcomes", "run_queries",
+    ):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestShardedEngine:
+    """Noisy sweeps shard their sessions over ``jobs`` processes; every
+    session seeds from its global id, so the arrays match ``jobs=1``."""
+
     def test_tree_jobs_bit_identical(self):
         hierarchy = make_random_tree(120, seed=9)
         distribution = random_distribution(hierarchy, 9)
-        sequential = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, jobs=1
-        )
+        sequential = _noisy(GreedyTreePolicy(), hierarchy, distribution, jobs=1)
         for jobs in (2, 4):
-            sharded = simulate_all_targets(
+            sharded = _noisy(
                 GreedyTreePolicy(), hierarchy, distribution, jobs=jobs
             )
-            assert sharded.method == "plan"
-            _assert_same_result(sequential, sharded)
+            _assert_same_noisy(sequential, sharded)
 
     def test_dag_csr_path_jobs_bit_identical(self, monkeypatch):
+        """Above the matrix limit, and with no matrix built, the sweep
+        pins the csr kernel and every worker answers with it."""
         monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         hierarchy = _fresh_dag(n=60, seed=4)
-        assert make_splitter(hierarchy, hierarchy.n).kind == "csr"
-        distribution = random_distribution(hierarchy, 4)
-        sequential = simulate_all_targets(
-            GreedyDagPolicy(), hierarchy, distribution, jobs=1
+        plan = compile_policy(
+            GreedyDagPolicy(), hierarchy, random_distribution(hierarchy, 4)
         )
-        sharded = simulate_all_targets(
-            GreedyDagPolicy(), hierarchy, distribution, jobs=3
-        )
-        _assert_same_result(sequential, sharded)
+        cold = pickle.loads(pickle.dumps(hierarchy))
+        assert make_answerer(cold, 2 * cold.n).kind == "csr"
+        sequential = _noisy(plan, cold, jobs=1)
+        sharded = _noisy(plan, cold, jobs=3)
+        _assert_same_noisy(sequential, sharded)
+        assert cold._reach_matrix is None
 
     def test_restricted_targets_jobs_bit_identical(self):
         hierarchy = make_random_tree(80, seed=10)
         distribution = random_distribution(hierarchy, 10)
-        sample = list(hierarchy.nodes[::2])
+        # Caller order and duplicates are part of the session grid.
+        sample = list(hierarchy.nodes[::2]) + list(hierarchy.nodes[:5])
         kwargs = dict(targets=sample, max_queries=2 * hierarchy.n + 10)
-        sequential = simulate_all_targets(
+        sequential = _noisy(
             GreedyTreePolicy(), hierarchy, distribution, jobs=1, **kwargs
         )
-        sharded = simulate_all_targets(
+        sharded = _noisy(
             GreedyTreePolicy(), hierarchy, distribution, jobs=2, **kwargs
         )
-        _assert_same_result(sequential, sharded)
+        _assert_same_noisy(sequential, sharded)
 
     def test_heterogeneous_prices_jobs_bit_identical(self):
         hierarchy = make_random_tree(60, seed=12)
@@ -249,19 +271,19 @@ class TestShardedEngine:
         costs = TableCost(
             {node: 1.0 + (i % 5) for i, node in enumerate(hierarchy.nodes)}
         )
-        sequential = simulate_all_targets(
+        sequential = _noisy(
             GreedyTreePolicy(), hierarchy, distribution, costs, jobs=1
         )
-        sharded = simulate_all_targets(
+        sharded = _noisy(
             GreedyTreePolicy(), hierarchy, distribution, costs, jobs=2
         )
-        _assert_same_result(sequential, sharded)
+        _assert_same_noisy(sequential, sharded)
 
     def test_loaded_plan_with_callers_hierarchy_jobs_bit_identical(
         self, tmp_path
     ):
-        """Workers must walk with the caller's (pre-warmed) hierarchy."""
-        from repro.plan import CompiledPlan, compile_policy
+        """Workers must sweep with the caller's (pre-warmed) hierarchy."""
+        from repro.plan import CompiledPlan
 
         hierarchy = make_random_tree(80, seed=13)
         distribution = random_distribution(hierarchy, 13)
@@ -269,23 +291,9 @@ class TestShardedEngine:
         plan.save(tmp_path / "p.plan")
         loaded = CompiledPlan.load(tmp_path / "p.plan")
         assert loaded.hierarchy is not hierarchy  # equal but distinct
-        sequential = simulate_all_targets(loaded, hierarchy, jobs=1)
-        sharded = simulate_all_targets(loaded, hierarchy, jobs=2)
-        _assert_same_result(sequential, sharded)
-
-    def test_replay_policy_falls_back_sequential(self):
-        from repro.testing import ForcedReplayPolicy
-
-        hierarchy = make_random_tree(25, seed=11)
-        distribution = random_distribution(hierarchy, 11)
-        sequential = simulate_all_targets(
-            ForcedReplayPolicy(seed=11), hierarchy, distribution, jobs=1
-        )
-        parallel = simulate_all_targets(
-            ForcedReplayPolicy(seed=11), hierarchy, distribution, jobs=4
-        )
-        assert parallel.method == "replay"
-        _assert_same_result(sequential, parallel)
+        sequential = _noisy(loaded, hierarchy, jobs=1)
+        sharded = _noisy(loaded, hierarchy, jobs=2)
+        _assert_same_noisy(sequential, sharded)
 
     def test_resolve_jobs(self):
         import os
@@ -430,7 +438,7 @@ class TestEngineResultCache:
         _assert_same_result(first, second)
 
     def test_pruned_walk_results_cached(self, tmp_path):
-        """Sampled (fused-walk) evaluations cache per target-set."""
+        """Sampled (restricted-compile) evaluations cache per target-set."""
         hierarchy, distribution = self._config()
         cache = EngineResultCache(tmp_path)
         sample = list(hierarchy.nodes[:3])
@@ -454,8 +462,6 @@ class TestEngineResultCache:
 
     def test_plan_walked_under_different_cost_model_misses(self, tmp_path):
         """One plan, two walk-time cost models: entries must not collide."""
-        from repro.plan import compile_policy
-
         hierarchy, distribution = self._config()
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         cache = EngineResultCache(tmp_path)

@@ -277,6 +277,99 @@ class TestPersistence:
             CompiledPlan.load(path)
 
 
+class TestPlanIds:
+    """Out-of-range ids are refused where a plan is made, typed.
+
+    Unchecked, a child id past the end surfaced later as an untyped
+    ``IndexError`` (engine, cursor, ``Server``), and a negative query id
+    was silently wrapped by numpy.
+    """
+
+    @staticmethod
+    def _plan():
+        hierarchy = make_random_tree(12, seed=4)
+        return compile_policy(
+            GreedyTreePolicy(), hierarchy, random_distribution(hierarchy, 4)
+        )
+
+    @classmethod
+    def _defects(cls):
+        """(array name, edit) pairs, one per rule the arrays must obey."""
+        plan = cls._plan()
+        question = int(np.flatnonzero(plan.query_ix >= 0)[0])
+        leaf = int(np.flatnonzero(plan.target_ix >= 0)[0])
+        n, nodes = plan.hierarchy.n, plan.num_nodes
+        return plan, {
+            "child past the end": ("yes_child", question, nodes + 5),
+            "child below NO_PATH": ("no_child", question, -3),
+            "negative query id": ("query_ix", question, -3),
+            "query id past the hierarchy": ("query_ix", question, n),
+            "target id past the hierarchy": ("target_ix", leaf, n + 1),
+            "leaf that also asks": ("query_ix", leaf, 0),
+            "question with neither": ("query_ix", question, -1),
+        }
+
+    @staticmethod
+    def _arrays(plan, name, node, value):
+        arrays = {
+            "query_ix": plan.query_ix.copy(),
+            "yes_child": plan.yes_child.copy(),
+            "no_child": plan.no_child.copy(),
+            "target_ix": plan.target_ix.copy(),
+        }
+        arrays[name][node] = value
+        return arrays
+
+    def test_constructor_refuses_bad_ids(self):
+        plan, defects = self._defects()
+        for what, (name, node, value) in defects.items():
+            with pytest.raises(PlanError, match=f"plan node {node} "):
+                CompiledPlan(
+                    plan.hierarchy,
+                    **self._arrays(plan, name, node, value),
+                    policy_name="Broken",
+                    config_key="",
+                )
+
+    def _saved_with(self, path, plan, name, node, value):
+        """Write a plan file holding bad arrays (bypassing __init__)."""
+        broken = object.__new__(CompiledPlan)
+        state = plan.__getstate__()
+        slot = {"query_ix": "_query", "yes_child": "_yes",
+                "no_child": "_no", "target_ix": "_target"}[name]
+        state[slot] = self._arrays(plan, name, node, value)[name]
+        for key, arr in state.items():
+            object.__setattr__(broken, key, arr)
+        broken.save(path)
+
+    def test_load_refuses_bad_ids(self, tmp_path):
+        plan, defects = self._defects()
+        for i, (name, node, value) in enumerate(defects.values()):
+            path = tmp_path / f"broken{i}.plan"
+            self._saved_with(path, plan, name, node, value)
+            with pytest.raises(PlanError, match=f"plan node {node} "):
+                CompiledPlan.load(path)
+            with pytest.raises(PlanError, match=f"plan node {node} "):
+                pickle.loads(path.read_bytes())
+
+    def test_plan_cache_treats_bad_ids_as_corrupt(self, tmp_path):
+        plan, defects = self._defects()
+        cache = PlanCache(tmp_path)
+        name, node, value = defects["child past the end"]
+        self._saved_with(
+            cache.path_for(plan.config_key), plan, name, node, value
+        )
+        distribution = random_distribution(plan.hierarchy, 4)
+        with pytest.warns(UserWarning, match="unreadable plan-cache entry"):
+            again = cache.get_or_compile(
+                GreedyTreePolicy(), plan.hierarchy, distribution
+            )
+        # A miss with a warning: recompiled, and the entry overwritten.
+        assert (cache.hits, cache.misses, cache.errors) == (0, 1, 1)
+        assert np.array_equal(again.yes_child, plan.yes_child)
+        assert cache.get(plan.config_key) is not None
+
+
 class TestPlanKey:
     def test_stable_for_identical_config(self, vehicle_hierarchy):
         d1 = vehicle_distribution()
@@ -467,7 +560,8 @@ class TestEngineOnPlans:
             simulate_all_targets(plan, relabeled)
 
     def test_restricted_targets_skip_compilation(self):
-        """Uncached sampled evaluation takes the fused pruned walk."""
+        """Uncached sampled evaluation compiles only what the sample
+        reaches, then descends that partial plan."""
         hierarchy = make_random_tree(40, seed=41)
         distribution = random_distribution(hierarchy, 41)
         sample = list(hierarchy.nodes[5:9])
@@ -537,7 +631,7 @@ class TestEngineOnPlans:
             engine = simulate_all_targets(
                 GreedyTreePolicy(), hierarchy, distribution, **kwargs
             )
-        assert engine.method == "vector"  # fell back to the pruned walk
+        assert engine.method == "vector"  # fell back to the restricted compile
         assert cache.errors == 1
         assert not cache.path_for(key).exists()  # bad entry dropped
         # The next probe is a clean, silent miss.

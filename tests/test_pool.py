@@ -1,12 +1,13 @@
 """Tests for the persistent shared-memory evaluation pool.
 
-Contracts under test (:mod:`repro.engine.pool`):
+Contracts under test (:mod:`repro.engine.pool`), driven through the pool's
+one consumer, the batched noisy sweep
+(``simulate_noisy(plan, ..., pool=pool)`` → :meth:`EvaluationPool.run_noise`):
 
-* **bit-identity** — a warm pool walk, a repeated warm walk, and an
-  overlapped multi-policy batch all reproduce the sequential engine arrays
-  and ``decision_nodes`` exactly (the property suite in
-  ``test_bit_identity.py`` fuzzes this across random configurations; here
-  the fixed cases double as precise failure locators);
+* **bit-identity** — a warm pool sweep and a repeated warm sweep
+  reproduce the inline sweep's arrays exactly (``test_belief.py`` fuzzes
+  this across random configurations; here the fixed cases double as
+  precise failure locators);
 * **lifecycle** — context-manager / ``close()`` teardown unlinks every
   published segment (the session fixture in ``conftest.py`` backs this up
   globally), double close is safe, a closed pool refuses work;
@@ -20,6 +21,9 @@ Contracts under test (:mod:`repro.engine.pool`):
 * **spawn** — the no-fork fallback path works end to end
   (``EvaluationPool(start_method="spawn")``; CI also runs this module with
   ``REPRO_POOL_START_METHOD=spawn`` on Linux, whose default is fork).
+
+``simulate_policies`` is pinned here too: it is the loop over
+``simulate_all_targets`` that multi-policy comparisons use.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ from repro.core.costs import TableCost
 from repro.engine import (
     EvaluationPool,
     get_default_pool,
-    make_splitter,
+    make_answerer,
     resolve_pool,
     set_default_pool,
     simulate_all_targets,
+    simulate_noisy,
     simulate_policies,
 )
-from repro.evaluation.comparison import compare_policies
-from repro.exceptions import BudgetExceededError, PoolError
+from repro.exceptions import BudgetExceededError, HierarchyError, PoolError
 from repro.plan import compile_policy
 from repro.policies import GreedyTreePolicy, make_policy
 from repro.testing import make_random_dag, make_random_tree, random_distribution
@@ -69,6 +73,23 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.prices, b.prices, equal_nan=True)
 
 
+def _sweep(plan, hierarchy=None, costs=None, **kwargs):
+    """One noisy sweep over ``plan``; ``pool=False`` runs it inline."""
+    return simulate_noisy(
+        plan, hierarchy, None, costs,
+        error_model=0.1, replications=2, seed=3, votes=3, **kwargs,
+    )
+
+
+def _assert_same_sweep(a, b):
+    assert a.policy == b.policy
+    for name in (
+        "target_ix", "labels", "queries", "vote_queries", "prices",
+        "run_labels", "run_outcomes", "run_queries",
+    ):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def _tree_config(n=120, seed=3):
     hierarchy = make_random_tree(n, seed=seed)
     return hierarchy, random_distribution(hierarchy, seed)
@@ -81,21 +102,19 @@ def pool():
 
 
 # ----------------------------------------------------------------------
-# Bit-identity of the warm-pool walk
+# Bit-identity of the warm-pool sweep
 # ----------------------------------------------------------------------
 class TestPoolParity:
     def test_tree_walk_matches_sequential(self, pool):
         hierarchy, distribution = _tree_config()
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
-        )
-        warm = simulate_all_targets(plan, result_cache=False, pool=pool)
-        _assert_same_result(sequential, warm)
-        again = simulate_all_targets(plan, result_cache=False, pool=pool)
-        _assert_same_result(sequential, again)
+        inline = _sweep(plan, pool=False)
+        warm = _sweep(plan, pool=pool)
+        _assert_same_sweep(inline, warm)
+        again = _sweep(plan, pool=pool)
+        _assert_same_sweep(inline, again)
         assert pool.walks == 2
-        # One publication serves both walks: that is the point of the pool.
+        # One publication serves both sweeps: that is the point of the pool.
         assert len(pool.published_keys) == 1
 
     def test_dag_walk_matches_sequential(self, pool):
@@ -104,139 +123,109 @@ class TestPoolParity:
         plan = compile_policy(
             make_policy("greedy-dag"), hierarchy, distribution
         )
-        sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
-        )
-        warm = simulate_all_targets(plan, result_cache=False, pool=pool)
-        _assert_same_result(sequential, warm)
+        _assert_same_sweep(_sweep(plan, pool=False), _sweep(plan, pool=pool))
 
     def test_heterogeneous_prices(self, pool):
         hierarchy, distribution = _tree_config(seed=12)
         costs = TableCost(
             {node: 1.0 + (i % 5) for i, node in enumerate(hierarchy.nodes)}
         )
-        sequential = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, costs,
-            jobs=1, result_cache=False, pool=False,
+        plan = compile_policy(
+            GreedyTreePolicy(), hierarchy, distribution, costs
         )
-        warm = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, costs,
-            result_cache=False, pool=pool,
+        _assert_same_sweep(
+            _sweep(plan, costs=costs, pool=False),
+            _sweep(plan, costs=costs, pool=pool),
         )
-        _assert_same_result(sequential, warm)
 
     def test_restricted_targets(self, pool):
         hierarchy, distribution = _tree_config(seed=9)
         sample = list(hierarchy.nodes[::2])
         kwargs = dict(targets=sample, max_queries=2 * hierarchy.n + 10)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False, **kwargs
+        _assert_same_sweep(
+            _sweep(plan, pool=False, **kwargs), _sweep(plan, pool=pool, **kwargs)
         )
-        warm = simulate_all_targets(
-            plan, result_cache=False, pool=pool, **kwargs
-        )
-        _assert_same_result(sequential, warm)
 
     def test_csr_walk_rebuilds_closure_in_workers(self, pool, monkeypatch):
         """Above ``_MATRIX_NODE_LIMIT`` the parent pins the "csr" kind.  The
         segment ships the hierarchy pickle, which carries no closure, so
-        every worker rebuilds it and walks bit-identically."""
+        every worker rebuilds it and sweeps bit-identically."""
         monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         hierarchy = make_random_dag(80, seed=5)
         distribution = random_distribution(hierarchy, 5)
         plan = compile_policy(
             make_policy("greedy-dag"), hierarchy, distribution
         )
-        assert make_splitter(hierarchy, hierarchy.n).kind == "csr"
-        sequential = simulate_all_targets(
-            plan, hierarchy, jobs=1, result_cache=False, pool=False
-        )
-        warm = simulate_all_targets(
-            plan, hierarchy, result_cache=False, pool=pool
-        )
-        _assert_same_result(sequential, warm)
+        cold = pickle.loads(pickle.dumps(hierarchy))
+        assert make_answerer(cold, 2 * cold.n).kind == "csr"
+        inline = _sweep(plan, cold, pool=False)
+        warm = _sweep(plan, cold, pool=pool)
+        _assert_same_sweep(inline, warm)
         assert pool.walks == 1
-        assert hierarchy._reach_matrix is None
-        assert hierarchy._reach_closure is not None
-        assert pickle.loads(pickle.dumps(hierarchy))._reach_closure is None
+        assert cold._reach_matrix is None
+        assert cold._reach_closure is not None
+        assert pickle.loads(pickle.dumps(cold))._reach_closure is None
 
-    def test_budget_error_propagates_with_type(self, pool):
-        hierarchy, distribution = _tree_config()
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        with pytest.raises(BudgetExceededError):
-            simulate_all_targets(
-                plan, max_queries=1, result_cache=False, pool=pool
-            )
+    def test_domain_error_propagates_with_type(self, pool):
+        """A worker's own library error reaches the caller with its type
+        (here the interval kernel refusing a DAG), and the pool survives."""
+        hierarchy = make_random_dag(40, seed=2)
+        plan = compile_policy(
+            make_policy("greedy-dag"), hierarchy,
+            random_distribution(hierarchy, 2),
+        )
+        with pytest.raises(HierarchyError, match="requires a tree"):
+            _sweep(plan, kind="tree", pool=pool)
         # The pool survives the domain error and keeps serving.
-        ok = simulate_all_targets(plan, result_cache=False, pool=pool)
-        assert ok.num_targets == hierarchy.n
+        _assert_same_sweep(_sweep(plan, pool=False), _sweep(plan, pool=pool))
 
 
 # ----------------------------------------------------------------------
-# Overlapped multi-policy batches
+# Multi-policy batches
 # ----------------------------------------------------------------------
 class TestOverlappedBatch:
-    def test_simulate_policies_matches_singles(self, pool):
+    """``simulate_policies`` is a loop over ``simulate_all_targets`` with
+    one shared target set; its results equal the one-policy calls."""
+
+    def test_simulate_policies_matches_singles(self):
         hierarchy = make_random_dag(80, seed=4)
         distribution = random_distribution(hierarchy, 4)
         policies = [make_policy("greedy-dag"), make_policy("topdown")]
         singles = [
             simulate_all_targets(
-                p, hierarchy, distribution,
-                jobs=1, result_cache=False, pool=False,
+                p, hierarchy, distribution, result_cache=False,
             )
             for p in policies
         ]
         batch = simulate_policies(
             [make_policy("greedy-dag"), make_policy("topdown")],
-            hierarchy, distribution, result_cache=False, pool=pool,
+            hierarchy, distribution, result_cache=False,
         )
-        for single, overlapped in zip(singles, batch):
-            _assert_same_result(single, overlapped)
+        for single, batched in zip(singles, batch):
+            _assert_same_result(single, batched)
 
-    def test_replay_policy_mixes_into_batch(self, pool):
+    def test_replay_policy_mixes_into_batch(self):
         """A non-compilable policy inside a batch takes its replay path
-        while the others overlap — same numbers either way."""
+        while the others descend their plans — same numbers either way."""
         from repro.testing import ForcedReplayPolicy
 
         hierarchy, distribution = _tree_config(n=40, seed=6)
+        sample = iter(hierarchy.nodes[::3])  # one-shot: read once, shared
         singles = [
             simulate_all_targets(
                 policy, hierarchy, distribution,
-                jobs=1, result_cache=False, pool=False,
+                targets=hierarchy.nodes[::3], result_cache=False,
             )
             for policy in (make_policy("greedy-tree"), ForcedReplayPolicy())
         ]
         batch = simulate_policies(
             [make_policy("greedy-tree"), ForcedReplayPolicy()],
-            hierarchy, distribution, result_cache=False, pool=pool,
+            hierarchy, distribution, targets=sample, result_cache=False,
         )
         assert batch[1].method == "replay"
-        for single, overlapped in zip(singles, batch):
-            _assert_same_result(single, overlapped)
-
-    def test_compare_policies_overlapped_matches_serial(self, pool):
-        hierarchy = make_random_dag(70, seed=8)
-        distribution = random_distribution(hierarchy, 8)
-
-        def run(**kwargs):
-            return compare_policies(
-                [make_policy("greedy-dag"), make_policy("topdown"),
-                 make_policy("wigs")],
-                hierarchy,
-                distribution,
-                result_cache=False,
-                **kwargs,
-            )
-
-        serial = run(jobs=1, pool=False)
-        overlapped = run(pool=pool)
-        for a, b in zip(serial.results, overlapped.results):
-            assert a.policy == b.policy
-            assert a.expected_queries == b.expected_queries  # exact, not approx
-            assert a.expected_price == b.expected_price
-            assert a.num_targets == b.num_targets
+        for single, batched in zip(singles, batch):
+            _assert_same_result(single, batched)
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +236,7 @@ class TestLifecycle:
         hierarchy, distribution = _tree_config(n=60)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         with EvaluationPool(workers=1) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            _sweep(plan, pool=pool)
             assert _pool_segments()  # resident while the pool lives
         assert not _pool_segments()
         assert pool.closed
@@ -259,7 +248,7 @@ class TestLifecycle:
         hierarchy, distribution = _tree_config(n=30)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         with pytest.raises(PoolError, match="closed"):
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            _sweep(plan, pool=pool)
         with pytest.raises(PoolError, match="closed"):
             pool.publish(plan)
 
@@ -268,7 +257,7 @@ class TestLifecycle:
         script = tmp_path / "orphan.py"
         script.write_text(
             "import os\n"
-            "from repro.engine import EvaluationPool, simulate_all_targets\n"
+            "from repro.engine import EvaluationPool, simulate_noisy\n"
             "from repro.plan import compile_policy\n"
             "from repro.policies import GreedyTreePolicy\n"
             "from repro.testing import make_random_tree, random_distribution\n"
@@ -280,7 +269,7 @@ class TestLifecycle:
             "    d = random_distribution(h, 1)\n"
             "    plan = compile_policy(GreedyTreePolicy(), h, d)\n"
             "    pool = EvaluationPool(workers=1)\n"
-            "    simulate_all_targets(plan, result_cache=False, pool=pool)\n"
+            "    simulate_noisy(plan, error_model=0.1, pool=pool)\n"
             "    print(os.getpid())\n"
             "    # no close(): the atexit hook must tear the pool down\n"
         )
@@ -317,16 +306,18 @@ class TestLifecycle:
         assert resolve_pool(None) is None
 
     def test_explicit_jobs_opts_out_of_default_pool(self):
-        """jobs=1 must mean a sequential in-process walk even when a
+        """jobs=1 must mean a sequential in-process sweep even when a
         default pool is installed (timing callers depend on it)."""
         hierarchy, distribution = _tree_config(n=40)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         pool = EvaluationPool(workers=1)
         try:
             set_default_pool(pool)
-            result = simulate_all_targets(plan, jobs=1, result_cache=False)
-            assert result.num_targets == hierarchy.n
+            result = _sweep(plan, jobs=1)
+            assert len(result.target_ix) == hierarchy.n
             assert pool.walks == 0  # the pool was never consulted
+            _sweep(plan)  # no jobs=: the installed default serves it
+            assert pool.walks == 1
         finally:
             set_default_pool(None)
             pool.close()
@@ -370,23 +361,19 @@ class TestRegistry:
                 pool.release(key)
 
     def test_eviction_respects_active_walk_then_recovers(self):
-        """A plan evicted between walks is transparently republished."""
+        """A plan evicted between sweeps is transparently republished."""
         with EvaluationPool(workers=1, max_plans=1) as pool:
             plan = self._plan(seed=1)
-            sequential = simulate_all_targets(
-                plan, jobs=1, result_cache=False, pool=False
-            )
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            inline = _sweep(plan, pool=False)
+            _sweep(plan, pool=pool)
             # Push the plan out of the registry with a different one.
-            simulate_all_targets(
-                self._plan(seed=2), result_cache=False, pool=pool
-            )
+            _sweep(self._plan(seed=2), pool=pool)
             assert pool.evictions == 1
-            again = simulate_all_targets(plan, result_cache=False, pool=pool)
-            _assert_same_result(sequential, again)
+            again = _sweep(plan, pool=pool)
+            _assert_same_sweep(inline, again)
 
     def test_uncacheable_plan_is_transient(self):
-        """Plans without a content key are published per walk, never
+        """Plans without a content key are published per sweep, never
         resident (no stable identity to evict later)."""
         from repro.core.decision_tree import build_decision_tree
         from repro.policies import StaticTreePolicy
@@ -396,11 +383,7 @@ class TestRegistry:
         plan = compile_policy(StaticTreePolicy(tree), hierarchy, distribution)
         assert plan.config_key == ""
         with EvaluationPool(workers=1) as pool:
-            sequential = simulate_all_targets(
-                plan, jobs=1, result_cache=False, pool=False
-            )
-            warm = simulate_all_targets(plan, result_cache=False, pool=pool)
-            _assert_same_result(sequential, warm)
+            _assert_same_sweep(_sweep(plan, pool=False), _sweep(plan, pool=pool))
             assert pool.published_keys == ()
             with pytest.raises(PoolError, match="cannot be pinned"):
                 pool.publish(plan, pin=True)
@@ -413,21 +396,18 @@ class TestFailureInjection:
     def _plan_and_reference(self, seed=3):
         hierarchy, distribution = _tree_config(seed=seed)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        reference = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
-        )
-        return plan, reference
+        return plan, _sweep(plan, pool=False)
 
     def test_worker_killed_mid_task_recovers(self):
         """SIGKILL during a task: restart, resubmit, identical results."""
         plan, reference = self._plan_and_reference()
         with EvaluationPool(workers=1) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            _sweep(plan, pool=pool)
             pool._inject_sleep(60.0)  # the lone worker is now busy
             time.sleep(0.3)
             os.kill(pool._procs[0].pid, signal.SIGKILL)
-            result = simulate_all_targets(plan, result_cache=False, pool=pool)
-            _assert_same_result(reference, result)
+            result = _sweep(plan, pool=pool)
+            _assert_same_sweep(reference, result)
             assert pool.respawns >= 1
 
     def test_worker_killed_while_idle_recovers(self):
@@ -435,11 +415,11 @@ class TestFailureInjection:
         queue's shared read lock; recovery must rebuild the queues."""
         plan, reference = self._plan_and_reference(seed=4)
         with EvaluationPool(workers=2) as pool:
-            simulate_all_targets(plan, result_cache=False, pool=pool)
+            _sweep(plan, pool=pool)
             time.sleep(0.2)  # both workers back in Queue.get()
             os.kill(pool._procs[0].pid, signal.SIGKILL)
-            result = simulate_all_targets(plan, result_cache=False, pool=pool)
-            _assert_same_result(reference, result)
+            result = _sweep(plan, pool=pool)
+            _assert_same_sweep(reference, result)
 
     def test_corrupt_segment_raises_clear_error_and_pool_survives(self):
         plan, reference = self._plan_and_reference(seed=5)
@@ -447,24 +427,24 @@ class TestFailureInjection:
             key = pool.publish(plan, pin=True)
             pool._registry[key].shm.buf[:64] = b"\x00" * 64
             with pytest.raises(PoolError, match="torn header|corrupt"):
-                simulate_all_targets(plan, result_cache=False, pool=pool)
-            # Drop the torn segment; the next walk republishes cleanly.
+                _sweep(plan, pool=pool)
+            # Drop the torn segment; the next sweep republishes cleanly.
             pool.release(key)
             pool._unlink(pool._registry.pop(key))
-            result = simulate_all_targets(plan, result_cache=False, pool=pool)
-            _assert_same_result(reference, result)
+            result = _sweep(plan, pool=pool)
+            _assert_same_sweep(reference, result)
 
     def test_vanished_segment_raises_not_hangs(self):
         """Unlinking a segment behind the pool's back is an error, not a
         deadlock (workers report the failed attach)."""
-        plan, reference = self._plan_and_reference(seed=6)
+        plan, _ = self._plan_and_reference(seed=6)
         with EvaluationPool(workers=1) as pool:
             key = pool.publish(plan, pin=True)
             entry = pool._registry[key]
             entry.shm.unlink()  # simulate an external rm /dev/shm/...
             # A fresh worker cannot attach a vanished segment.
             with pytest.raises(PoolError, match="gone|corrupt"):
-                simulate_all_targets(plan, result_cache=False, pool=pool)
+                _sweep(plan, pool=pool)
             pool.release(key)
 
     def test_max_respawns_bounds_repeated_deaths(self):
@@ -505,7 +485,7 @@ class TestFailureInjection:
 
     def test_error_marshalling_preserves_domain_types(self):
         """Worker exceptions keep their type when they are this library's
-        own (walk parity), everything else wraps into PoolError."""
+        own (inline parity), everything else wraps into PoolError."""
         import pickle
 
         exc = EvaluationPool._as_exception(
@@ -530,15 +510,11 @@ class TestSpawnStartMethod:
     def test_spawn_pool_parity(self):
         hierarchy, distribution = _tree_config(n=80, seed=10)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        sequential = simulate_all_targets(
-            plan, jobs=1, result_cache=False, pool=False
-        )
+        inline = _sweep(plan, pool=False)
         with EvaluationPool(workers=2, start_method="spawn") as pool:
             assert pool.start_method == "spawn"
-            warm = simulate_all_targets(plan, result_cache=False, pool=pool)
-            _assert_same_result(sequential, warm)
-            again = simulate_all_targets(plan, result_cache=False, pool=pool)
-            _assert_same_result(sequential, again)
+            _assert_same_sweep(inline, _sweep(plan, pool=pool))
+            _assert_same_sweep(inline, _sweep(plan, pool=pool))
 
     def test_env_start_method_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_START_METHOD", "spawn")
