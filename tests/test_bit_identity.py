@@ -367,3 +367,25 @@ class TestErrorParity:
         )
         assert raised[0] is SearchError
         assert "requested target(s) need it" in raised[1]
+
+    @pytest.mark.parametrize("kind", ["tree", "dag"])
+    def test_both_branches_cut_reports_yes_first(self, kind):
+        """Within one node the walk checks the yes-branch first."""
+        plan, hierarchy = _config(kind, 5)
+        node = int(
+            np.flatnonzero((plan.yes_child >= 0) & (plan.no_child >= 0))[0]
+        )
+
+        def cut(child):
+            child[node] = NO_PATH
+
+        broken = _with_arrays(plan, yes_child=cut, no_child=cut)
+        target_ix = np.arange(hierarchy.n, dtype=np.int64)
+        raised = _raised(lambda: simulate_all_targets(broken, result_cache=False))
+        assert raised == _raised(
+            lambda: reference_walk(
+                broken, hierarchy, UnitCost(), target_ix,
+                default_budget(hierarchy), True,
+            )
+        )
+        assert "has no yes-branch" in raised[1]

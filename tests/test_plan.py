@@ -565,15 +565,17 @@ class TestEngineOnPlans:
         hierarchy = make_random_tree(40, seed=41)
         distribution = random_distribution(hierarchy, 41)
         sample = list(hierarchy.nodes[5:9])
+        CountingGreedy.calls = 0
         engine = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, targets=sample
+            CountingGreedy(), hierarchy, distribution, targets=sample
         )
         assert engine.method == "vector"
-        full = simulate_all_targets(
-            compile_policy(GreedyTreePolicy(), hierarchy, distribution),
-            targets=sample,
-        )
+        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
+        full = simulate_all_targets(plan, targets=sample)
         assert engine.decision_nodes == full.decision_nodes  # same pruning
+        # The policy was asked only at the questions the sample reaches.
+        assert CountingGreedy.calls == engine.decision_nodes
+        assert engine.decision_nodes < plan.num_questions
         for target in sample:
             assert engine.query_count(target) == full.query_count(target)
 
