@@ -1,12 +1,12 @@
-"""Chaos soak: seeded fault schedules against a server and pool sweeps.
+"""Chaos soak: seeded fault schedules against a server and noisy sweeps.
 
 The resilience layer's acceptance gate.  Hundreds of seeded random
 :class:`~repro.faults.FaultPlan` schedules (worker kills, injected typed
 crashes, slow boundaries) each run a :class:`~repro.serve.Server` feed
-and then one noisy sweep on a live :class:`~repro.engine.EvaluationPool`
-under the same armed plan; a handful of scripted segment-attack
-schedules (vanish/corrupt a published shared-memory segment under a
-worker kill) attack sweeps on throwaway pools; and seeded schedules hit
+and then one ``jobs=2`` noisy sweep on the warm sweep executor under the
+same armed plan; three scripted schedules put a worker kill mid-sweep, a
+kill while the workers sit idle between two sweeps, and a crash inside
+the rebuild that follows a kill; and seeded schedules hit
 the **network edge** — crashes and slowdowns at the ``transport.*``
 boundaries of a real localhost :class:`~repro.serve.ServeTransport`,
 absorbed by the client's retry policy, per-request deadlines, and
@@ -37,8 +37,8 @@ Both entry points write ``BENCH_faults.json`` at the repo root.
 Environment knobs:
 
 ``REPRO_BENCH_FAULTS_SCHEDULES``
-    Number of seeded random schedules (default 200; the CI spawn leg
-    sets a smaller count — respawns are much costlier under spawn).
+    Number of seeded random schedules (default 200, 60 with ``--smoke``;
+    CI runs the smoke under both fork and spawn).
 ``REPRO_BENCH_FAULTS_SESSIONS``
     Sessions per schedule (default 24).
 """
@@ -63,7 +63,7 @@ from bench_json import write_bench_json
 from repro.analysis.schedule import schedule_point
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import EvaluationPool, simulate_noisy
+from repro.engine import close_sweep_executor, simulate_noisy
 from repro.exceptions import ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.plan import compile_policy
@@ -97,16 +97,16 @@ def _serve_once(server, targets):
     return outcomes, escaped
 
 
-def _sweep(plan, pool):
-    """One noisy sweep over every target; ``pool=False`` runs it inline."""
+def _sweep(plan, jobs=2):
+    """One noisy sweep over every target; ``jobs=1`` runs it inline."""
     return simulate_noisy(
-        plan, error_model=0.1, replications=2, seed=7, votes=3, pool=pool
+        plan, error_model=0.1, replications=2, seed=7, votes=3, jobs=jobs
     )
 
 
-def _sweep_once(plan, pool):
+def _sweep_once(plan):
     try:
-        return _sweep(plan, pool), None
+        return _sweep(plan), None
     except ReproError as exc:
         return None, exc  # typed: the schedule cut the sweep short, legally
 
@@ -122,7 +122,7 @@ def _check_sweep(sweep, reference, seed, trace, violations):
         )
     ):
         violations.append(
-            f"seed {seed}: the pool sweep diverged from the fault-free "
+            f"seed {seed}: the jobs=2 sweep diverged from the fault-free "
             f"sweep (trace {trace})"
         )
 
@@ -170,7 +170,7 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         for t in targets
     }
 
-    sweep_reference = _sweep(plan, pool=False)
+    sweep_reference = _sweep(plan, jobs=1)
 
     # Fault-free wall time (hook installed but nothing armed) — the
     # baseline for both bit-identity and the overhead projection.
@@ -195,73 +195,88 @@ def run_soak(schedules=200, sessions=24, rate=0.04) -> dict:
         crossings = _count_crossings(plan, targets)
 
         # Phase 1: seeded random schedules, each a serve run plus one
-        # noisy sweep on one long-lived pool.  Kills and crashes recover
-        # in place; segment attacks get their own throwaway pools below (a
-        # vanished segment poisons the plan's residency for every later
-        # schedule).
-        with EvaluationPool(workers=2) as pool:
-            for seed in range(schedules):
-                fault = FaultPlan.random(
-                    seed,
-                    rate=rate,
-                    kinds=("crash", "kill_worker", "slow"),
-                    max_faults=4,
-                )
-                begin = time.perf_counter()
-                with Server(plan) as server:
-                    with fault.armed(pool=pool):
-                        outcomes, escaped = _serve_once(server, targets)
-                        sweep, sweep_escaped = _sweep_once(plan, pool)
-                elapsed = time.perf_counter() - begin
-                if elapsed > _SCHEDULE_BOUND_S:
-                    violations.append(
-                        f"seed {seed}: schedule took {elapsed:.1f}s "
-                        f"(bound {_SCHEDULE_BOUND_S}s) — hang (trace "
-                        f"{fault.trace})"
-                    )
-                _check_outcomes(
-                    outcomes, reference, seed, fault.trace, violations
-                )
-                _check_sweep(
-                    sweep, sweep_reference, seed, fault.trace, violations
-                )
-                faults_fired += fault.fired
-                escaped_typed += escaped is not None
-                sweeps_cut_short += sweep_escaped is not None
-                sessions_completed += sum(
-                    1 for o in outcomes.values() if o.ok
-                )
-                sessions_errored += sum(
-                    1 for o in outcomes.values() if not o.ok
-                )
-
-        # Phase 2: scripted segment attacks on sweeps, one throwaway pool
-        # each: two sweeps, the second one's publish kills the warm worker
-        # and the attack lands at the 2nd crossing of its site, so the
-        # respawned worker meets the attacked segment.
-        segment_specs = [
-            ("vanish_segment", "pool.acquire_for_walk"),
-            ("corrupt_segment", "pool.acquire_for_walk"),
-            ("vanish_segment", "pool.collect"),
-            ("corrupt_segment", "pool.collect"),
-        ]
-        for i, (kind, site) in enumerate(segment_specs):
-            fault = FaultPlan(
-                [
-                    FaultSpec(kind, at=site, nth=2),
-                    FaultSpec("kill_worker", at="pool.publish", nth=2),
-                ]
+        # jobs=2 noisy sweep on the warm executor.  Kills break the
+        # executor, which the next sweep (or this one) rebuilds.
+        for seed in range(schedules):
+            fault = FaultPlan.random(
+                seed,
+                rate=rate,
+                kinds=("crash", "kill_worker", "slow"),
+                max_faults=4,
             )
-            with EvaluationPool(workers=1) as mortal:
-                with fault.armed(pool=mortal):
-                    for _ in range(2):
-                        sweep, sweep_escaped = _sweep_once(plan, mortal)
-                        _check_sweep(
-                            sweep, sweep_reference, f"segment-{i}",
-                            fault.trace, violations,
-                        )
-                        sweeps_cut_short += sweep_escaped is not None
+            begin = time.perf_counter()
+            with Server(plan) as server:
+                with fault.armed():
+                    outcomes, escaped = _serve_once(server, targets)
+                    sweep, sweep_escaped = _sweep_once(plan)
+            elapsed = time.perf_counter() - begin
+            if elapsed > _SCHEDULE_BOUND_S:
+                violations.append(
+                    f"seed {seed}: schedule took {elapsed:.1f}s "
+                    f"(bound {_SCHEDULE_BOUND_S}s) — hang (trace "
+                    f"{fault.trace})"
+                )
+            _check_outcomes(
+                outcomes, reference, seed, fault.trace, violations
+            )
+            _check_sweep(
+                sweep, sweep_reference, seed, fault.trace, violations
+            )
             faults_fired += fault.fired
+            escaped_typed += escaped is not None
+            sweeps_cut_short += sweep_escaped is not None
+            sessions_completed += sum(
+                1 for o in outcomes.values() if o.ok
+            )
+            sessions_errored += sum(
+                1 for o in outcomes.values() if not o.ok
+            )
+
+        # Phase 2: scripted schedules, each two rounds of a serve run and
+        # a jobs=2 sweep.  The first serve run's submit stalls the warm
+        # workers where a kill must land mid-sweep (no shard can finish
+        # before it), or kills one while it idles between two sweeps.
+        stall = FaultSpec("stall", at="serve.submit", nth=1)
+        kill_mid_sweep = FaultSpec("kill_worker", at="pool.collect", nth=1)
+        scripted = {
+            "kill-mid-sweep": [stall, kill_mid_sweep],
+            "kill-while-idle": [
+                FaultSpec("kill_worker", at="serve.submit", nth=1)
+            ],
+            "crash-at-rebuild": [
+                stall,
+                kill_mid_sweep,
+                FaultSpec("crash", at="pool.restart.rebuild", nth=1),
+            ],
+        }
+        for name, specs in scripted.items():
+            fault = FaultPlan(specs)
+            begin = time.perf_counter()
+            with fault.armed():
+                for _ in range(2):
+                    with Server(plan) as server:
+                        outcomes, escaped = _serve_once(server, targets)
+                    sweep, sweep_escaped = _sweep_once(plan)
+                    _check_outcomes(
+                        outcomes, reference, name, fault.trace, violations
+                    )
+                    _check_sweep(
+                        sweep, sweep_reference, name, fault.trace, violations
+                    )
+                    escaped_typed += escaped is not None
+                    sweeps_cut_short += sweep_escaped is not None
+            elapsed = time.perf_counter() - begin
+            if elapsed > _SCHEDULE_BOUND_S:
+                violations.append(
+                    f"{name}: schedule took {elapsed:.1f}s (bound "
+                    f"{_SCHEDULE_BOUND_S}s) — hang (trace {fault.trace})"
+                )
+            if fault.fired != len(specs):
+                violations.append(
+                    f"{name}: fired {fault.trace}, scripted {specs}"
+                )
+            faults_fired += fault.fired
+        close_sweep_executor()
 
         # Phase 3: the network edge — seeded transport.* fault schedules
         # over a real localhost transport (fewer schedules: each one
@@ -335,7 +350,7 @@ def _transport_soak(plan, hierarchy, targets, reference, violations, schedules):
 
     Runs target sessions over a real localhost transport
     (:mod:`repro.serve.transport`) with crashes and slowdowns injected
-    at the ``transport.*`` boundaries.  Same invariants as the pool
+    at the ``transport.*`` boundaries.  Same invariants as the sweep
     phases: typed errors only, bit-identical completions, no hangs —
     the client's retry policy and per-request deadlines must absorb
     the chaos.

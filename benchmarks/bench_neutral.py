@@ -1,12 +1,11 @@
 """Neutralise process-wide engine defaults around a timed region.
 
 The acceptance benchmarks time real compiles and walks; an installed
-default plan cache, engine-result cache, ``--jobs`` shard count, or
-persistent evaluation pool (``REPRO_PLAN_CACHE`` / ``REPRO_RESULT_CACHE``
-/ ``set_default_jobs`` / ``REPRO_POOL_WORKERS``) would silently turn the
-timed runs into disk loads or change their parallelism, fabricating the
-gated speedups.  :func:`neutral_defaults`
-clears all four for the duration of the ``with`` block and restores
+default plan cache, engine-result cache or ``--jobs`` shard count
+(``REPRO_PLAN_CACHE`` / ``REPRO_RESULT_CACHE`` / ``set_default_jobs``)
+would silently turn the timed runs into disk loads or change their
+parallelism, fabricating the gated speedups.  :func:`neutral_defaults`
+clears all three for the duration of the ``with`` block and restores
 whatever was installed afterwards, so a mixed benchmark session
 (``pytest benchmarks/``) keeps the user's configuration for the
 experiment-replay benchmarks that *should* use it.
@@ -21,10 +20,8 @@ from contextlib import contextmanager
 def neutral_defaults():
     from repro.engine import (
         get_default_jobs,
-        get_default_pool,
         get_default_result_cache,
         set_default_jobs,
-        set_default_pool,
         set_default_result_cache,
     )
     from repro.plan import get_default_cache, set_default_cache
@@ -32,15 +29,12 @@ def neutral_defaults():
     saved_plan = get_default_cache()
     saved_result = get_default_result_cache()
     saved_jobs = get_default_jobs()
-    saved_pool = get_default_pool()
     set_default_cache(None)
     set_default_result_cache(None)
     set_default_jobs(None)
-    set_default_pool(None)
     try:
         yield
     finally:
         set_default_cache(saved_plan)
         set_default_result_cache(saved_result)
         set_default_jobs(saved_jobs)
-        set_default_pool(saved_pool)

@@ -1,7 +1,7 @@
 """repro.analysis — invariant linter, protocol checker, schedule explorer.
 
 Static half (``python -m repro.analysis`` / ``repro lint``): nine
-AST-level rules encoding the invariants the plan/pool/serve stack is
+AST-level rules encoding the invariants the plan/sweep/serve stack is
 built on — exact undo (RPA001), compiled-plan immutability (RPA002),
 shared-memory lifecycle (RPA003), hot-path determinism (RPA004),
 process-boundary exception discipline (RPA005), pickle hygiene
@@ -17,7 +17,7 @@ committed baseline file.
 
 Runtime half, part one (:mod:`repro.analysis.sanitize`, enabled with
 ``REPRO_SANITIZE=1``): array freezing for the reachability caches, a
-shared-memory leak tracker asserted on pool/server close, and an
+worker leak check asserted when the sweep executor closes, and an
 undo-integrity checker that fingerprints policy state around the plan
 compiler's undo-DFS.
 

@@ -3,8 +3,8 @@
 Everything downstream of ``repro.plan``, ``repro.engine`` and
 ``repro.serve`` is gated on **bit-identity**: the same configuration must
 produce byte-identical arrays whether descended in one pass, walked per
-node, run per session, or (noisy sweeps) sharded over ``jobs=N`` or
-served from the warm pool — the hypothesis suites in
+node, run per session, or (noisy sweeps) sharded over ``jobs=N`` on a
+cold or warm executor — the hypothesis suites in
 ``tests/test_bit_identity.py`` and ``tests/test_belief.py`` diff them
 literally.  Three
 classes of nondeterminism keep sneaking into such code:

@@ -1,9 +1,8 @@
 """RPA002 — compiled-plan immutability.
 
 A :class:`~repro.plan.CompiledPlan`'s four flat arrays are *shared*
-state: the persistent pool maps them as zero-copy ``np.frombuffer`` views
-over one shared-memory segment, so a single in-place write in any process
-corrupts the plan for every attached worker and every live cursor,
+state: every live cursor, server and forked sweep worker reads the same
+bytes, so a single in-place write corrupts the plan for all of them,
 silently.  The hierarchy's cached reachability indexes are shared too:
 every kernel built on a hierarchy reads the same arrays.  The arrays are
 built read-only, but numpy's read-only flag can be flipped back and views

@@ -1,15 +1,15 @@
 """RPA005/RPA006 — process-boundary exception discipline and pickle hygiene.
 
-The pool and the serving layer push work across a ``spawn`` process
-boundary.  Two whole bug families live exactly at that seam:
+The noisy sweeps push work across a ``fork``/``spawn`` process boundary.
+Two whole bug families live exactly at that seam:
 
 **RPA005 — exception discipline.**  A worker that dies with an
 unmarshalled exception looks, from the parent, like a hang or a silent
-wrong answer; the contract (see ``repro.engine.pool._worker_loop``) is
-that a process entry point catches *everything*, pickles the exception,
-and ships it home typed — parent-side, only :class:`~repro.exceptions.
-ReproError` subclasses (or a :class:`~repro.exceptions.PoolError`
-wrapper) resurface.  The rule flags:
+wrong answer; the contract is that a process entry point catches
+*everything*, pickles the exception, and ships it home typed —
+parent-side, only :class:`~repro.exceptions.ReproError` subclasses (or a
+:class:`~repro.exceptions.PoolError` wrapper) resurface.  The rule
+flags:
 
 * ``except:`` with no exception type — it eats ``KeyboardInterrupt`` and
   ``SystemExit`` and makes worker shutdown undebuggable;

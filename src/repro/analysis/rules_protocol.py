@@ -1,6 +1,6 @@
 """RPA007/RPA008 — the cross-process message protocol, checked statically.
 
-The pool and the serving layer talk to their workers through exactly two
+Process pools and the serving layer talk to their workers through two
 shapes of state: *tagged messages* on multiprocessing queues (``("walk",
 task_id, ...)`` requests, ``(task_id, "ok" | "error", payload)`` replies)
 and *refcounted holds* on shared resources (registry pins, active-walk

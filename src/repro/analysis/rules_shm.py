@@ -3,10 +3,9 @@
 A ``multiprocessing.shared_memory.SharedMemory`` handle is an OS resource
 with no garbage collector backstop that matters: a segment that is created
 and never ``unlink``ed survives the process in ``/dev/shm``, and a mapping
-that is never ``close``d pins its pages.  The pool's registry
-(:meth:`~repro.engine.pool.EvaluationPool.publish`/``release``) exists so
-most code never touches the raw handle; code that does must release it on
-**every** path, exception paths included — the historical leak shape is::
+that is never ``close``d pins its pages.  Code that touches the raw
+handle must release it on **every** path, exception paths included — the
+historical leak shape is::
 
     shm = SharedMemory(name=seg)   # attach
     meta = parse(shm.buf)          # raises on a torn segment...
@@ -15,7 +14,7 @@ most code never touches the raw handle; code that does must release it on
 Per function, the rule finds each name bound to a ``SharedMemory(...)``
 call and requires that the handle either *escapes* (returned/yielded,
 stored on an object or into a container, or passed to another call — the
-receiver now owns the lifecycle, e.g. the pool registry) or is
+receiver now owns the lifecycle, e.g. a registry) or is
 ``close()``/``unlink()``ed; and that any non-trivial statement executed
 between creation and that hand-off is protected by a ``try`` whose
 handler or ``finally`` releases the handle.  ``with SharedMemory(...)``

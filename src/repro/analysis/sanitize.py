@@ -4,8 +4,8 @@ The static rules prove what is provable from source; these checks catch
 the remainder while tests (or a cautious production run) execute, and
 they stay **off by default**: every entry point here is a no-op unless
 the ``REPRO_SANITIZE`` environment variable is set to something truthy
-(anything but empty/``0``/``false``).  CI runs the pool, serve and
-bit-identity suites once more with ``REPRO_SANITIZE=1``.
+(anything but empty/``0``/``false``).  CI runs the sweep-worker, serve
+and bit-identity suites once more with ``REPRO_SANITIZE=1``.
 
 Three checks live here:
 
@@ -17,12 +17,13 @@ Three checks live here:
   in-place write anywhere downstream fails loudly at the write site
   instead of corrupting a shared cache;
 
-* **shared-memory leak tracking** — pools record every segment name they
-  create; :func:`check_segments_released` is asserted on
-  ``EvaluationPool.close()`` and raises :class:`SanitizerError` naming
-  any segment still present in ``/dev/shm`` (the tests' session-scoped
-  orphan check is the same helper, :func:`pool_segments`, run against
-  the whole process);
+* **worker leak tracking** — the noisy sweeps' warm executor records
+  every worker process it starts; closing it
+  (:func:`repro.engine.belief.close_sweep_executor`) asserts
+  :func:`check_workers_exited`, which raises :class:`SanitizerError`
+  naming any worker still alive (the tests' session fixture makes the
+  same promise for the whole process with
+  ``multiprocessing.active_children()``);
 
 * **undo integrity** — :func:`undo_checker` fingerprints a policy's
   state before every ``observe`` of the plan compiler's one-reset
@@ -34,7 +35,6 @@ Three checks live here:
 
 from __future__ import annotations
 
-import glob
 import os
 from typing import Iterable
 
@@ -76,35 +76,23 @@ def freeze(array: np.ndarray | None) -> np.ndarray | None:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory leak tracking
+# Worker leak tracking
 # ----------------------------------------------------------------------
-def pool_segments(pid: int | None = None) -> list[str]:
-    """Basenames of this process's live pool segments in ``/dev/shm``.
-
-    Pool segments are named ``rp_<creator pid>_<8 hex>``; the tests'
-    session-scoped orphan check diffs this set before and after.
-    """
-    prefix = f"rp_{os.getpid() if pid is None else pid}_"
-    return sorted(
-        os.path.basename(p) for p in glob.glob(f"/dev/shm/{prefix}*")
-    )
-
-
-def check_segments_released(names: Iterable[str], owner: str) -> None:
-    """Raise :class:`SanitizerError` if any of ``names`` still exists.
+def check_workers_exited(processes: Iterable, owner: str) -> None:
+    """Raise :class:`SanitizerError` if any of ``processes`` is alive.
 
     Called (under ``REPRO_SANITIZE=1``) after an owner tears down, with
-    every segment name it ever created; ``unlink`` removes the name from
-    ``/dev/shm``, so anything still present leaked.
+    every worker process it ever started; close joins or terminates them
+    all, so anything still running leaked.
     """
     if not enabled():
         return
-    leaked = sorted(n for n in names if os.path.exists(f"/dev/shm/{n}"))
+    leaked = sorted(p.pid for p in processes if p.is_alive())
     if leaked:
         raise SanitizerError(
-            f"{owner} closed but {len(leaked)} shared-memory segment(s) "
-            f"survived in /dev/shm: {', '.join(leaked)} — every publish "
-            "must be unlinked by close/eviction"
+            f"{owner} closed but {len(leaked)} worker process(es) are "
+            f"still alive: pids {leaked} — close must join or terminate "
+            "every worker it started"
         )
 
 

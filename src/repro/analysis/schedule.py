@@ -1,8 +1,8 @@
 """Deterministic-schedule concurrency explorer (``REPRO_SCHEDULE=1``).
 
-The pool and the serving layer are concurrent systems whose bugs live in
-*interleavings* — an evict racing a pin, a worker dying between a poll
-and a delivery — and the ordinary test suite only ever observes the one
+The serving layer is a concurrent system whose bugs live in
+*interleavings* — a drain racing a late admission, a release racing a
+pin — and the ordinary test suite only ever observes the one
 interleaving the OS scheduler happens to produce.  This module runs such
 components under a **virtual scheduler** instead, the way loom (Rust) and
 PCT/Coyote (Microsoft) de-risk concurrent runtimes:
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: Hard ceiling on scheduler grants in one schedule; a loop that polls
-#: forever (``EvaluationPool._collect`` with nothing arriving) is
+#: forever (a result poll with nothing arriving) is
 #: truncated, not spun on — truncated schedules skip the invariant (they
 #: are partial executions, not counterexamples).
 _DEFAULT_MAX_STEPS = 400

@@ -8,8 +8,8 @@ Three modes:
   disk so repeated runs skip identical compilations; ``--result-cache
   DIR`` persists the per-target cost arrays so re-running an unchanged
   evaluation skips it entirely; ``--jobs N`` shards the noise
-  experiment's sweeps over N worker processes, and ``--pool [N]`` serves
-  them from a persistent shared-memory worker pool (no per-call forking);
+  experiment's sweeps over N worker processes, started once and kept
+  warm across the experiment's sweeps;
 * interactive mode — ``python -m repro interactive --edges hierarchy.tsv``
   categorises one object by asking *you* the reachability questions, i.e.
   the paper's crowdsourcing workflow with a human-in-the-terminal oracle
@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="noise experiment: shard the noisy sweeps over N worker "
-        "processes (0 or negative = all cores); results are identical "
-        "for every N",
+        "processes, started once and kept warm across the experiment's "
+        "sweeps (0 or negative = all cores); results are identical for "
+        "every N",
     )
     parser.add_argument(
         "--result-cache",
@@ -137,18 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1024)",
     )
     parser.add_argument(
-        "--pool",
-        type=int,
-        nargs="?",
-        const=0,
-        metavar="N",
-        help="noise experiment: run the noisy sweeps on a persistent pool "
-        "of N long-lived workers sharing plans via shared memory (bare "
-        "--pool or 0 = all cores); repeated sweeps skip the per-call "
-        "pool spin-up.  REPRO_POOL_WORKERS installs the same default "
-        "without a flag",
-    )
-    parser.add_argument(
         "--faults",
         type=int,
         metavar="SEED",
@@ -180,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="noise experiment: independent noisy searches per sampled "
         "target (default: 3); seeded per (target, replication), so "
-        "results are identical for every --jobs/--pool setting",
+        "results are identical for every --jobs setting",
     )
     parser.add_argument(
         "--rate",
@@ -477,20 +466,14 @@ def main(argv: list[str] | None = None) -> int:
         from repro.engine import set_default_result_cache
 
         set_default_result_cache(args.result_cache)
-    if args.pool is not None:
-        from repro.engine import EvaluationPool, set_default_pool
-
-        # Closed by the engine's atexit hook; the noise experiment below
-        # routes its sweeps through this pool automatically.
-        set_default_pool(EvaluationPool(args.pool or None))
     scale = get_scale(args.scale)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         start = time.perf_counter()
         if name == "noise":
             # The noise experiment grew belief-engine knobs beyond the
-            # uniform (scale, seed) signature; jobs/pool flow through the
-            # ambient defaults installed above.
+            # uniform (scale, seed) signature; jobs flows through the
+            # ambient default installed above.
             from repro.experiments import noise as noise_experiment
 
             noise_experiment.main(

@@ -541,7 +541,7 @@ class Hierarchy:
     #: Lazily built caches excluded from pickles: the matrix takes n^2
     #: bytes, the closure 4 bytes per reachable pair, and the descendant
     #: sets O(n^2) entries — embedding them would bloat every plan-cache
-    #: file, pool segment and spawn-context worker pickle.  They rebuild on
+    #: file and spawn-context worker pickle.  They rebuild on
     #: demand; the content fingerprint (a 64-byte hex string) is kept.
     _LAZY_SLOTS = (
         "_desc_cache",

@@ -51,7 +51,7 @@ def default_budget(hierarchy: Hierarchy, max_queries: int | None = None) -> int:
     eliminates at least one candidate); doubling plus slack keeps the
     guard far from legitimate searches while still bounding broken
     policies.  Every layer that needs the default (runtime, compiler,
-    lazy plans, decision trees, engine, pool streams, server) shares this
+    lazy plans, decision trees, engine, server) shares this
     helper so the admission budget can never desynchronize from the
     execution budget.
     """

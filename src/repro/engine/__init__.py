@@ -10,14 +10,14 @@ kernels, :mod:`repro.engine.cache` for the persistent engine-result cache
 (``result_cache=``), and :mod:`repro.engine.belief` for the batched
 noisy-oracle evaluation path (posterior kernels, seeded flip draws,
 majority voting) behind the noise study.  Noisy sweeps are the one
-process-parallel path: ``jobs=`` shards them over a per-call process
-pool, and :mod:`repro.engine.pool` serves them from a persistent
-shared-memory worker pool (``pool=``) without re-forking or re-pickling
-plans.
+process-parallel path: ``jobs=`` shards them over a process pool that
+stays warm across sweeps of one plan (:func:`close_sweep_executor` shuts
+it down).
 """
 
 from repro.engine.belief import (
     NoisyResult,
+    close_sweep_executor,
     get_default_jobs,
     make_belief_updater,
     posterior_from_transcript,
@@ -39,13 +39,6 @@ from repro.engine.driver import (
     simulate_all_targets,
     simulate_policies,
 )
-from repro.engine.pool import (
-    EvaluationPool,
-    WorkerHealth,
-    get_default_pool,
-    resolve_pool,
-    set_default_pool,
-)
 from repro.engine.vector import (
     SPLITTER_KINDS,
     VectorPolicy,
@@ -57,14 +50,12 @@ from repro.engine.vector import (
 __all__ = [
     "EngineResult",
     "EngineResultCache",
-    "EvaluationPool",
     "NoisyResult",
     "SPLITTER_KINDS",
     "VectorPolicy",
-    "WorkerHealth",
     "as_result_cache",
+    "close_sweep_executor",
     "get_default_jobs",
-    "get_default_pool",
     "get_default_result_cache",
     "is_vector_policy",
     "make_answerer",
@@ -74,11 +65,9 @@ __all__ = [
     "reference_noisy",
     "simulate_noisy",
     "resolve_jobs",
-    "resolve_pool",
     "resolve_result_cache",
     "result_key",
     "set_default_jobs",
-    "set_default_pool",
     "set_default_result_cache",
     "simulate_all_targets",
     "simulate_policies",

@@ -21,10 +21,12 @@ Three layers:
   reachability index itself.
 * :func:`simulate_noisy` — the batched sweep: seeded flip draws, early-
   stopped majority voting, repeated-search plurality reduction, optional
-  MAP/threshold stopping read off the posterior, with ``jobs=`` sharding
-  or :class:`~repro.engine.pool.EvaluationPool` offload.  These noisy
-  sweeps are the repo's only process-parallel evaluation; the exact
-  engine (:mod:`repro.engine.driver`) runs in-process.
+  MAP/threshold stopping read off the posterior.  ``jobs=N`` shards the
+  sessions over a :class:`~concurrent.futures.ProcessPoolExecutor` that
+  stays warm across sweeps of one plan (:func:`close_sweep_executor`
+  shuts it down).  These noisy sweeps are the repo's only
+  process-parallel evaluation; the exact engine
+  (:mod:`repro.engine.driver`) runs in-process.
 * :func:`reference_noisy` — the per-session oracle stack
   (``CountingOracle`` / ``MajorityVoteOracle`` / ``NoisyOracle``) driven
   through the same plan, one ``run_search`` at a time.  The property suite
@@ -36,20 +38,25 @@ draws all its uniforms from ``default_rng(SeedSequence(seed,
 spawn_key=(s,)))``, one uniform per *drawn* flip in question order,
 exactly like a per-session :class:`~repro.core.NoisyOracle` holding that
 generator.  Sessions never share a stream, so labels, query counts and
-prices are bit-identical regardless of batch shape, ``jobs=``, ``pool=``,
-or kernel ``kind``.
+prices are bit-identical regardless of batch shape, ``jobs=``, or kernel
+``kind``.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from repro.analysis import sanitize
+from repro.analysis.schedule import schedule_point
 from repro.core import (
     CountingOracle,
     ErrorRateModel,
@@ -69,7 +76,15 @@ from repro.engine.vector import (
     make_answerer,
     make_reach_rows,
 )
-from repro.exceptions import BudgetExceededError, OracleError, SearchError
+from repro.exceptions import (
+    BudgetExceededError,
+    OracleError,
+    PoolError,
+    PoolTimeoutError,
+    ReproError,
+    SearchError,
+)
+from repro.faults.resilience import RetryPolicy
 from repro.plan import (
     NO_PATH,
     CompiledPlan,
@@ -272,11 +287,11 @@ def run_noise_chunk(
 ) -> dict:
     """Advance one shard of noisy sessions to completion; returns arrays.
 
-    This is the kernel both execution backends share: ``jobs=`` workers
-    call it via a fork/spawn initializer, pool workers via the ``"noise"``
-    task kind.  All sessions advance one question per step; truth comes
-    from a batched :func:`~repro.engine.vector.make_answerer` kernel,
-    flips from the per-session streams, and the optional posterior from
+    The kernel of every execution path: inline chunks call it directly,
+    ``jobs=`` workers with the plan their initializer installed.  All
+    sessions advance one question per step; truth comes from a batched
+    :func:`~repro.engine.vector.make_answerer` kernel, flips from the
+    per-session streams, and the optional posterior from
     :func:`make_belief_updater` (same forced ``kind``, so tracking never
     perturbs the walk).
     """
@@ -420,7 +435,7 @@ def run_noise_chunk(
 
 
 # ----------------------------------------------------------------------
-# Execution backends
+# Execution: inline chunks, or shards on the warm sweep executor
 # ----------------------------------------------------------------------
 _default_jobs: int | None = None
 
@@ -452,6 +467,39 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+#: Posterior cells per chunk when a posterior is tracked: the dense
+#: ``(sessions, n)`` float64 block stays near 32 MB whatever ``n`` is.
+_POSTERIOR_CELLS = 4_000_000
+
+
+def _chunk_step(
+    total: int, n: int, batch_size: int | None, track: bool
+) -> int:
+    """Most sessions one chunk (inline) or shard (workers) may hold."""
+    if batch_size is not None:
+        return max(1, int(batch_size))
+    if track:
+        return max(1, _POSTERIOR_CELLS // max(n, 1))
+    return max(1, total)
+
+
+def _shard_bounds(
+    total: int, step: int, workers: int = 1
+) -> list[tuple[int, int]]:
+    """Contiguous, deterministic [start, stop) shards covering ``total``.
+
+    At least ``workers`` shards (when there are that many sessions), and
+    enough of them that none holds more than ``step`` sessions.
+    """
+    chunks = max(1, min(max(-(-total // step), workers), total))
+    edges = np.linspace(0, total, chunks + 1, dtype=np.int64)
+    return [
+        (int(edges[i]), int(edges[i + 1]))
+        for i in range(chunks)
+        if edges[i + 1] > edges[i]
+    ]
+
+
 _JOBS_STATE = None
 
 
@@ -465,15 +513,274 @@ def _run_chunk_jobs(spec: NoiseChunkSpec) -> dict:
     return run_noise_chunk(plan, hierarchy, spec)
 
 
-def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
-    """Contiguous, deterministic [start, stop) shards covering ``total``."""
-    chunks = max(1, min(chunks, total))
-    edges = np.linspace(0, total, chunks + 1, dtype=np.int64)
-    return [
-        (int(edges[i]), int(edges[i + 1]))
-        for i in range(chunks)
-        if edges[i + 1] > edges[i]
-    ]
+#: Seconds between result polls.  Each poll crosses the ``pool.collect``
+#: boundary and checks the ``REPRO_POOL_DEADLINE`` no-progress bound.
+_POLL_INTERVAL = 0.1
+
+#: Executor rebuilds per sweep after worker deaths before giving up.
+_MAX_RESPAWNS = 2
+
+#: Pacing between rebuilds, so a repeatedly dying executor cannot
+#: hot-loop through respawns.
+_RECOVERY_RETRY = RetryPolicy(
+    attempts=_MAX_RESPAWNS + 1, base_delay=0.05, seed=0x9E
+)
+
+
+@dataclass
+class _WarmExecutor:
+    """The executor kept alive across sweeps, and what it was built for."""
+
+    executor: ProcessPoolExecutor
+    plan: CompiledPlan
+    workers: int
+    start_method: str
+    #: Every worker process this executor started, by pid.
+    started: dict = field(default_factory=dict)
+    #: Submitted futures that were not done when last checked.
+    submitted: list = field(default_factory=list)
+
+    def track(self, futures) -> None:
+        self.submitted = [f for f in self.submitted if not f.done()]
+        self.submitted.extend(futures)
+        self.started.update(
+            (p.pid, p) for p in _worker_processes(self.executor)
+        )
+
+
+_WARM: _WarmExecutor | None = None
+
+
+def _worker_processes(executor: ProcessPoolExecutor) -> list:
+    """The executor's worker processes, live or dead.
+
+    Python 3.11 has no public accessor for them, so this is the one place
+    that reads ``ProcessPoolExecutor._processes``.
+    """
+    return list((getattr(executor, "_processes", None) or {}).values())
+
+
+def sweep_workers() -> list:
+    """Worker processes of the warm sweep executor; empty when none runs.
+
+    The fault layer's ``kill_worker`` and ``stall`` act on these.
+    """
+    warm = _WARM
+    return [] if warm is None else _worker_processes(warm.executor)
+
+
+def _start_method() -> str:
+    method = os.environ.get("REPRO_POOL_START_METHOD") or None
+    if method is None and "fork" in multiprocessing.get_all_start_methods():
+        method = "fork"
+    try:
+        return multiprocessing.get_context(method).get_start_method()
+    except ValueError as exc:
+        raise PoolError(
+            f"REPRO_POOL_START_METHOD={method!r} is not a start method: {exc}"
+        ) from exc
+
+
+def _sweep_deadline() -> float | None:
+    raw = os.environ.get("REPRO_POOL_DEADLINE")
+    if not raw:
+        return None
+    try:
+        deadline = float(raw)
+    except ValueError:
+        deadline = 0.0
+    if not deadline > 0:
+        raise PoolError(
+            f"REPRO_POOL_DEADLINE must be a positive number of seconds, "
+            f"got {raw!r}"
+        )
+    return deadline
+
+
+def _same_plan(a: CompiledPlan, b: CompiledPlan) -> bool:
+    """Plans with a content key match by key, keyless plans by identity."""
+    if a.config_key and b.config_key:
+        return a.config_key == b.config_key
+    return a is b
+
+
+def _warm_executor(
+    plan: CompiledPlan, hierarchy: Hierarchy, workers: int
+) -> _WarmExecutor:
+    """The warm executor for ``plan``, replacing one built for another.
+
+    Workers receive the plan once, through the initializer: fork workers
+    inherit it, spawn workers unpickle it at start.  An executor that
+    lost a worker while idle is replaced too, before any shard is
+    submitted to it.
+    """
+    global _WARM
+    method = _start_method()
+    warm = _WARM
+    if (
+        warm is not None
+        and warm.workers == workers
+        and warm.start_method == method
+        and _same_plan(warm.plan, plan)
+        and all(p.is_alive() for p in _worker_processes(warm.executor))
+    ):
+        return warm
+    close_sweep_executor()
+    executor = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_init_noise_jobs,
+        initargs=(plan, hierarchy),
+    )
+    _WARM = _WarmExecutor(executor, plan, workers, method)
+    return _WARM
+
+
+def close_sweep_executor() -> None:
+    """Shut the warm sweep executor down and reap every worker it started.
+
+    Idempotent, and registered to run at interpreter exit (after the
+    standard library's own exit hook, which lets running shards finish
+    and stops idle workers).  The workers are killed first: shards are
+    pure, so nothing is lost, and a clean shutdown can hang — a worker
+    that died while idle may hold the call queue's read lock, which
+    wedges its siblings, and a busy one holds the shutdown up.  With
+    every worker dead, the executor fails what was in flight and drains
+    its queues.  Under ``REPRO_SANITIZE=1`` a worker still alive
+    afterwards raises :class:`~repro.exceptions.SanitizerError`.
+    """
+    global _WARM
+    warm, _WARM = _WARM, None
+    if warm is None:
+        return
+    warm.track(())
+    for proc in warm.started.values():
+        proc.kill()
+    wait(warm.submitted)
+    warm.executor.shutdown(wait=True, cancel_futures=True)
+    sanitize.check_workers_exited(
+        warm.started.values(), f"the sweep executor ({warm.workers} workers)"
+    )
+
+
+atexit.register(close_sweep_executor)
+
+
+def _stall_workers(seconds: float) -> None:
+    """Occupy every warm worker with a sleep (the fault layer's ``stall``)."""
+    warm = _WARM
+    if warm is None:
+        return
+    try:
+        warm.track(
+            [
+                warm.executor.submit(time.sleep, float(seconds))
+                for _ in range(warm.workers)
+            ]
+        )
+    except (BrokenProcessPool, RuntimeError):
+        pass  # broken or shut down: nothing left to wedge
+
+
+def _run_on_workers(
+    plan: CompiledPlan,
+    hierarchy: Hierarchy,
+    specs: list[NoiseChunkSpec],
+    workers: int,
+) -> list[dict]:
+    """Run the shards on the warm executor; payloads in ``specs`` order.
+
+    A worker death breaks the executor (:class:`BrokenProcessPool`),
+    whether the worker died mid-sweep or while idle.  The executor is then
+    rebuilt and only the unfinished shards are resubmitted — shards are
+    pure, so a rerun carries identical data — at most
+    :data:`_MAX_RESPAWNS` times before :class:`~repro.exceptions.PoolError`.
+    """
+    deadline = _sweep_deadline()
+    payloads: list = [None] * len(specs)
+    pending = set(range(len(specs)))
+    rebuilds = 0
+    while pending:
+        try:
+            warm = _warm_executor(plan, hierarchy, workers)
+            futures = {
+                warm.executor.submit(_run_chunk_jobs, specs[index]): index
+                for index in sorted(pending)
+            }
+            warm.track(futures)
+            _collect(futures, payloads, pending, deadline)
+        except BrokenProcessPool as exc:
+            rebuilds += 1
+            if rebuilds > _MAX_RESPAWNS:
+                close_sweep_executor()
+                raise PoolError(
+                    f"sweep workers died {rebuilds} times re-running "
+                    f"{len(pending)} unfinished shard(s) "
+                    f"{sorted(pending)[:8]}; giving up"
+                ) from exc
+            time.sleep(_RECOVERY_RETRY.delay_for(rebuilds - 1))  # repro: noqa RPA004 - bounded recovery backoff, not result data
+            # Dropped before the fault point: a rebuild that fails there
+            # leaves no broken executor behind for the next sweep.
+            close_sweep_executor()
+            schedule_point("pool.restart.rebuild")
+        except OSError as exc:  # no pipe or process left for the workers
+            close_sweep_executor()
+            raise PoolError(
+                f"cannot start {workers} sweep workers: {exc}"
+            ) from exc
+    return payloads
+
+
+def _collect(
+    futures: dict, payloads: list, pending: set, deadline: float | None
+) -> None:
+    """Wait for ``futures``, storing each payload and retiring its index.
+
+    With a ``deadline``, that many seconds without a finished shard
+    kill the workers and raise
+    :class:`~repro.exceptions.PoolTimeoutError` — the case liveness cannot
+    see, a wedged but alive worker.
+    """
+    waiting = set(futures)
+    last_progress = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
+    try:
+        while waiting:
+            schedule_point("pool.collect")
+            done, waiting = wait(
+                waiting, timeout=_POLL_INTERVAL, return_when=FIRST_COMPLETED
+            )
+            now = time.monotonic()  # repro: noqa RPA004 - deadline bookkeeping, not result data
+            if done:
+                last_progress = now
+            elif deadline is not None and now - last_progress >= deadline:
+                pids = sorted(p.pid for p in sweep_workers() if p.is_alive())
+                close_sweep_executor()  # kills the wedged workers
+                raise PoolTimeoutError(
+                    f"sweep made no progress for {deadline:g}s with "
+                    f"{len(waiting)} unfinished shard(s) "
+                    f"{sorted(futures[f] for f in waiting)[:8]}; killed "
+                    f"worker pids {pids}"
+                )
+            for future in done:
+                index = futures[future]
+                payloads[index] = _shard_result(future, index)
+                pending.discard(index)
+    finally:
+        for future in waiting:
+            future.cancel()
+
+
+def _shard_result(future, index: int) -> dict:
+    """A shard's payload; a worker's ``ReproError`` keeps its type."""
+    try:
+        return future.result()
+    except (ReproError, BrokenProcessPool):
+        raise
+    except Exception as exc:
+        raise PoolError(
+            f"sweep worker failed on shard {index}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -722,7 +1029,6 @@ def simulate_noisy(
     check_correctness: bool = True,
     plan_cache=None,
     jobs: int | None = None,
-    pool=None,
     kind: str | None = None,
     batch_size: int | None = None,
 ) -> NoisyResult:
@@ -759,23 +1065,25 @@ def simulate_noisy(
     track_posterior:
         Keep the final per-run posteriors in the result without changing
         any walk decision.
-    jobs, pool:
-        Shard sessions over a per-call process pool / offload to a warm
-        :class:`~repro.engine.pool.EvaluationPool`, with bit-identical
-        output either way.  ``jobs=None`` uses the process default
-        (:func:`set_default_jobs`, the CLI's ``--jobs``); ``pool=None``
-        uses :func:`~repro.engine.pool.get_default_pool` (``--pool`` /
-        ``REPRO_POOL_WORKERS``) unless an explicit ``jobs`` was given;
-        ``pool=False`` disables pooling outright.
+    jobs:
+        Worker processes to shard the sessions over (``1`` sweeps
+        inline), with bit-identical output for every value.  ``None``
+        uses the process default (:func:`set_default_jobs`, the CLI's
+        ``--jobs``); non-positive means all cores.  The executor stays
+        warm while later sweeps use the same plan and worker count, and
+        is replaced when either changes.  ``REPRO_POOL_START_METHOD``
+        picks its start method (``fork`` where available), and
+        ``REPRO_POOL_DEADLINE`` bounds how long a sweep waits without a
+        finished shard before it kills the workers and raises
+        :class:`~repro.exceptions.PoolTimeoutError`.
     kind:
         Force one answerer/updater kernel (see
         :data:`~repro.engine.vector.SPLITTER_KINDS`).
     batch_size:
-        Sessions advanced per inline chunk (memory lever; results are
-        chunk-shape-invariant).
+        Most sessions advanced together, inline or in one worker's shard
+        (memory lever; results are chunk-shape-invariant).  By default a
+        tracked posterior bounds it at ``4_000_000 // n`` sessions.
     """
-    from repro.engine.pool import resolve_pool
-
     _validate_knobs(replications, repeats, votes)
     model = _as_error_model(error_model)
     price_model = cost_model or UnitCost()
@@ -842,50 +1150,20 @@ def simulate_noisy(
         if flat["posterior"] is not None:
             flat["posterior"][start:stop] = payload["posterior"]
 
-    # An explicit jobs= opts out of the ambient default pool, so jobs=1
-    # still means "sweep here" when REPRO_POOL_WORKERS is exported.
-    if pool is None and jobs is not None:
-        active_pool = None
-    else:
-        active_pool = resolve_pool(pool)
-    if active_pool is not None and total > 1:
-        bounds = _chunk_bounds(total, active_pool.workers * 2)
-        payloads = active_pool.run_noise(
-            plan, hierarchy, [spec_for(lo, hi) for lo, hi in bounds]
+    workers = resolve_jobs(jobs) if total > 1 else 1
+    step = _chunk_step(total, hierarchy.n, batch_size, track)
+    bounds = _shard_bounds(total, step, workers)
+    if workers > 1:
+        payloads = _run_on_workers(
+            plan, hierarchy, [spec_for(lo, hi) for lo, hi in bounds], workers
         )
-        for (lo, hi), payload in zip(bounds, payloads):
-            scatter(lo, hi, payload)
     else:
-        workers = resolve_jobs(jobs)
-        if workers > 1 and total > 1:
-            bounds = _chunk_bounds(total, workers)
-            ctx = (
-                multiprocessing.get_context("fork")
-                if "fork" in multiprocessing.get_all_start_methods()
-                else multiprocessing.get_context()
-            )
-            with ProcessPoolExecutor(
-                max_workers=len(bounds),
-                mp_context=ctx,
-                initializer=_init_noise_jobs,
-                initargs=(plan, hierarchy),
-            ) as executor:
-                for (lo, hi), payload in zip(
-                    bounds,
-                    executor.map(_run_chunk_jobs, [spec_for(lo, hi) for lo, hi in bounds]),
-                ):
-                    scatter(lo, hi, payload)
-        else:
-            if batch_size is not None:
-                step = max(1, int(batch_size))
-            elif track:
-                # Bound the dense (S, n) posterior block per chunk.
-                step = max(1, 4_000_000 // max(hierarchy.n, 1))
-            else:
-                step = total
-            for lo in range(0, total, step):
-                hi = min(lo + step, total)
-                scatter(lo, hi, run_noise_chunk(plan, hierarchy, spec_for(lo, hi)))
+        payloads = (
+            run_noise_chunk(plan, hierarchy, spec_for(lo, hi))
+            for lo, hi in bounds
+        )
+    for (lo, hi), payload in zip(bounds, payloads):
+        scatter(lo, hi, payload)
 
     return _reduce_runs(
         hierarchy,

@@ -56,16 +56,17 @@ class PlanError(ReproError):
 
 
 class PoolError(ReproError):
-    """The persistent evaluation pool failed (worker death, corrupt shared
-    segment, exhausted plan registry, or use after :meth:`close`)."""
+    """The worker processes of a ``jobs=`` noisy sweep failed: they kept
+    dying past the rebuild bound, could not be started, or raised an
+    error that is not a :class:`ReproError` (wrapped here)."""
 
 
 class PoolTimeoutError(PoolError):
-    """A pool collection exceeded its deadline: ``run_noise`` waited
-    longer than the configured per-call deadline with sweep shards still
-    outstanding.  The message names the unfinished task ids and the live
-    worker pids — a wedged *alive* worker looks exactly like this, where
-    plain worker death is detected by liveness polling and recovered."""
+    """A ``jobs=`` noisy sweep finished no shard for ``REPRO_POOL_DEADLINE``
+    seconds.  The workers are terminated and the message names the
+    unfinished shards and the worker pids — a wedged *alive* worker looks
+    exactly like this, where a dead worker breaks the executor, which is
+    rebuilt."""
 
 
 class ServeError(ReproError):

@@ -9,7 +9,8 @@ repetition, and posterior (MAP) stopping as mitigations.
 Every strategy row is one :func:`repro.engine.belief.simulate_noisy` sweep:
 all ``replications`` noisy searches of all sampled targets advance through
 one compiled plan in a few vectorized steps, instead of one ``run_search``
-per session.  Accounting is honest under heavy noise — dead-ended and
+per session.  With ``jobs=N`` the seven sweeps share one warm executor:
+its workers start once and receive the plan once.  Accounting is honest under heavy noise — dead-ended and
 budget-exhausted runs keep their query spend (they asked and paid; they
 just failed), and the ``Failures`` column reports how many cells produced
 no label at all.
@@ -34,7 +35,6 @@ def run(
     error_rate: float = 0.1,
     replications: int = 3,
     jobs: int | None = None,
-    pool=None,
 ) -> Table:
     amazon, _ = build_datasets(scale, seed)
     hierarchy = amazon.hierarchy
@@ -80,7 +80,6 @@ def run(
             seed=seed,
             max_queries=budget,
             jobs=jobs,
-            pool=pool,
             **extra,
         )
         table.add_row(
@@ -101,7 +100,6 @@ def main(
     error_rate: float = 0.1,
     replications: int = 3,
     jobs: int | None = None,
-    pool=None,
 ) -> str:
     output = run(
         scale,
@@ -109,7 +107,6 @@ def main(
         error_rate=error_rate,
         replications=replications,
         jobs=jobs,
-        pool=pool,
     ).render()
     print(output)
     return output

@@ -1,18 +1,17 @@
 """Deterministic fault injection at the stack's ``schedule_point`` sites.
 
-The pool/serve/cache stack is instrumented with
+The sweep/serve/cache stack is instrumented with
 :func:`~repro.analysis.schedule.schedule_point` calls at every
-interesting operation boundary (PR 7 added them for the schedule
+interesting operation boundary (they were added for the schedule
 explorer).  This module reuses that exact hook surface to *inject
 failures*: while a :class:`FaultPlan` is armed, every boundary crossing
 consults the plan, which may
 
 * raise the boundary's registered typed exception
   (:data:`~repro.faults.sites.FAULT_SITES` — ``kind="crash"``),
-* SIGKILL a pool worker (``kind="kill_worker"``),
-* unlink or scribble over a published shared-memory segment
-  (``kind="vanish_segment"`` / ``kind="corrupt_segment"``),
-* wedge a worker with a long sleep task (``kind="stall"``), or
+* SIGKILL a worker of the noisy sweeps' warm executor
+  (``kind="kill_worker"``),
+* wedge every such worker with a long sleep task (``kind="stall"``), or
 * delay the caller briefly (``kind="slow"``).
 
 Determinism and replay: a scripted plan fires exactly the
@@ -41,6 +40,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing import connection
 
 from repro.analysis import schedule as _schedule
 from repro.exceptions import FaultError, OracleError
@@ -56,20 +56,12 @@ __all__ = [
 ]
 
 #: Every injectable failure mode.  ``crash`` and ``slow`` work at any
-#: boundary; the others need an armed pool to act on.
-FAULT_KINDS = (
-    "crash",
-    "kill_worker",
-    "vanish_segment",
-    "corrupt_segment",
-    "stall",
-    "slow",
-)
+#: boundary; the others act on the sweep executor's workers.
+FAULT_KINDS = ("crash", "kill_worker", "stall", "slow")
 
-#: Kinds that only make sense with a live pool attached to the plan.
-_POOL_KINDS = frozenset(
-    {"kill_worker", "vanish_segment", "corrupt_segment", "stall"}
-)
+#: Kinds that need a running sweep executor
+#: (:func:`repro.engine.belief.sweep_workers`) to act on.
+_WORKER_KINDS = frozenset({"kill_worker", "stall"})
 
 #: Sites excluded from random sampling by default: teardown boundaries,
 #: where an injected failure tests the interpreter's exit machinery
@@ -122,14 +114,14 @@ class FaultPlan:
     seeded generator.  Either way, arm it around the code under test::
 
         plan = FaultPlan.random(seed=7, rate=0.02)
-        with plan.armed(pool=pool):
-            ...  # pool/serve traffic; faults fire at schedule points
+        with plan.armed():
+            ...  # sweep/serve traffic; faults fire at schedule points
         print(plan.trace)  # [(site, occurrence, kind), ...]
 
     One plan may be armed at a time, and only with ``REPRO_FAULTS=1``.
     The hook ignores crossings in forked worker processes (the armed
     state is inherited under ``fork``): faults act on the parent's view
-    of the pool, where kills and segment attacks are well-defined.
+    of the sweep executor, where kills and stalls are well-defined.
     """
 
     def __init__(self, specs=()) -> None:
@@ -149,7 +141,6 @@ class FaultPlan:
         self.trace: list[tuple[str, int, str]] = []
         #: Boundary-crossing counters per site label.
         self.counts: dict[str, int] = {}
-        self._pool = None
         self._armed_pid: int | None = None
 
     @classmethod
@@ -204,13 +195,14 @@ class FaultPlan:
     # Arming
     # ------------------------------------------------------------------
     @contextmanager
-    def armed(self, *, pool=None):
+    def armed(self):
         """Install this plan as the process-wide fault hook.
 
-        ``pool`` gives the pool-acting kinds (kill/vanish/corrupt/stall)
-        their target; without one those kinds are skipped when drawn.
-        Raises :class:`~repro.exceptions.FaultError` without
-        ``REPRO_FAULTS=1`` or when another plan is already armed.
+        ``kill_worker`` and ``stall`` act on the workers of the noisy
+        sweeps' warm executor; while none runs, random plans skip those
+        kinds when drawn and scripted ones fire as no-ops.  Raises
+        :class:`~repro.exceptions.FaultError` without ``REPRO_FAULTS=1``
+        or when another plan is already armed.
         """
         if not enabled():
             raise FaultError(
@@ -219,14 +211,12 @@ class FaultPlan:
             )
         if _schedule._FAULT_HOOK is not None:
             raise FaultError("another FaultPlan is already armed")
-        self._pool = pool
         self._armed_pid = os.getpid()
         _schedule.set_fault_hook(self._on_point)
         try:
             yield self
         finally:
             _schedule.set_fault_hook(None)
-            self._pool = None
             self._armed_pid = None
 
     # ------------------------------------------------------------------
@@ -263,8 +253,10 @@ class FaultPlan:
         if self._rng.random() >= self._rate:
             return None
         kinds = self._kinds
-        if self._pool is None:
-            kinds = tuple(k for k in kinds if k not in _POOL_KINDS)
+        from repro.engine import belief  # the engine imports this package
+
+        if not belief.sweep_workers():
+            kinds = tuple(k for k in kinds if k not in _WORKER_KINDS)
             if not kinds:
                 return None
         return kinds[self._rng.randrange(len(kinds))]
@@ -277,30 +269,18 @@ class FaultPlan:
         if kind == "slow":
             time.sleep(_SLOW_SECONDS)
             return
-        pool = self._pool
-        if pool is None or pool.closed:
-            return
+        from repro.engine import belief  # the engine imports this package
+
         if kind == "kill_worker":
-            alive = [p for p in pool._procs if p.is_alive()]
+            alive = [p for p in belief.sweep_workers() if p.is_alive()]
             if alive:
-                alive[occurrence % len(alive)].kill()
+                victim = alive[occurrence % len(alive)]
+                victim.kill()
+                # Dead before the stack goes on.  Waiting on the sentinel
+                # leaves reaping to the executor, which joins its workers.
+                connection.wait([victim.sentinel], 1.0)
         elif kind == "stall":
-            pool._inject_sleep(_STALL_SECONDS)
-        elif kind in ("vanish_segment", "corrupt_segment"):
-            entries = list(pool._registry.values())
-            if not entries:
-                return
-            entry = entries[occurrence % len(entries)]
-            if kind == "vanish_segment":
-                try:
-                    entry.shm.unlink()
-                except FileNotFoundError:
-                    pass
-            else:
-                # Scribble the header: future attaches read a torn meta
-                # length and fail typed; already-attached workers keep
-                # their (consistent) views.
-                entry.shm.buf[:8] = (2 ** 62).to_bytes(8, "little")
+            belief._stall_workers(_STALL_SECONDS)
 
     def __repr__(self) -> str:
         mode = (

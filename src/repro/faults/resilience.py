@@ -14,8 +14,8 @@ Both primitives are deliberately clock- and RNG-free in their *decisions*:
   tests and under the deterministic-schedule explorer: a client that
   sends N requests behaves identically no matter how long each took.
 
-Used by :class:`~repro.engine.pool.EvaluationPool` (segment-attach
-retries, backoff between death-recovery rounds) and
+Used by the noisy sweeps' warm executor (:mod:`repro.engine.belief`,
+backoff between death-recovery rebuilds) and
 :class:`~repro.serve.ServeClient` (retries on admission rejections, and
 one breaker per backend).
 """

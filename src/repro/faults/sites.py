@@ -1,6 +1,6 @@
 """Registry of injectable boundaries and their typed failure modes.
 
-Every ``schedule_point(label)`` in the pool/serve/cache stack is an
+Every ``schedule_point(label)`` in the sweep/serve/cache stack is an
 *injectable boundary*: the fault layer (:mod:`repro.faults.inject`) may
 fire a fault there, and the ``kind="crash"`` fault raises the exception
 class registered here — so an injected failure always surfaces as the
@@ -35,15 +35,9 @@ __all__ = ["FAULT_SITES", "site_exception"]
 #: ``schedule_point`` label -> exception type an injected crash raises
 #: there.  Grouped by the subsystem that owns the boundary.
 FAULT_SITES: dict[str, type[ReproError]] = {
-    # -- EvaluationPool registry + sweep lifecycle (repro.engine.pool)
-    "pool.publish": PoolError,
-    "pool.evict": PoolError,
-    "pool.release": PoolError,
-    "pool.acquire_for_walk": PoolError,
-    "pool.release_after_walk": PoolError,
-    "pool.collect": PoolTimeoutError,
-    "pool.restart.rebuild": PoolError,
-    "pool.attach": PoolError,  # worker-side segment attach
+    # -- The noisy sweeps' warm executor (repro.engine.belief)
+    "pool.collect": PoolTimeoutError,  # one result poll of a sweep
+    "pool.restart.rebuild": PoolError,  # rebuild after a worker death
     # -- serve.Server (session serving over shared plans)
     "serve.register_plan": ServeError,
     "serve.release_plan": ServeError,

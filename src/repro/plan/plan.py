@@ -120,9 +120,7 @@ class CompiledPlan:
         for arr in (query_ix, yes_child, no_child, target_ix):
             # ascontiguousarray adopts an already-contiguous int64 array
             # without copying, so a plan can be built as zero-copy views
-            # over an externally owned buffer — the persistent evaluation
-            # pool (:mod:`repro.engine.pool`) hands workers views over one
-            # shared-memory segment and every worker walks the same bytes.
+            # over an externally owned buffer.
             frozen = np.ascontiguousarray(arr, dtype=np.int64)
             frozen.setflags(write=False)
             arrays.append(frozen)
@@ -194,11 +192,9 @@ class CompiledPlan:
     def payload_arrays(self) -> dict[str, np.ndarray]:
         """The four aligned plan arrays, keyed by a stable layout name.
 
-        This is the publication order of the shared-memory pool
-        (:mod:`repro.engine.pool`): the parent copies exactly these bytes
-        into a segment, and workers rebuild an equivalent plan from
-        zero-copy views over the mapped buffer (the constructor adopts
-        contiguous int64 arrays without copying).
+        The constructor adopts contiguous int64 arrays without copying, so
+        ``CompiledPlan(hierarchy, *payload_arrays().values(), ...)``
+        rebuilds an equivalent plan over the same bytes.
         """
         return {
             "query": self._query,

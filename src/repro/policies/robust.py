@@ -117,7 +117,7 @@ def batched_repeated_search_majority(
     Returns the :class:`~repro.engine.belief.NoisyResult`; cells whose runs
     all failed carry label ``-1`` instead of raising, so a sweep never
     aborts on one unlucky cell.  Extra keyword arguments (``jobs=``,
-    ``pool=``, ``votes=``, ...) pass through to the engine.
+    ``votes=``, ...) pass through to the engine.
     """
     from repro.engine.belief import simulate_noisy
 

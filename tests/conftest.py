@@ -10,36 +10,34 @@ module (which is ambiguous when several directories define one).  The
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro.analysis import sanitize
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
+from repro.engine import close_sweep_executor
 from repro import testing
 
 
 @pytest.fixture(autouse=True, scope="session")
-def assert_no_orphaned_pool_segments():
-    """Fail the session if any pool shared-memory segment outlives its test.
+def assert_no_worker_outlives_the_session():
+    """Fail the session if any worker process outlives the tests.
 
-    Every :class:`repro.engine.EvaluationPool` unlinks its segments on
-    ``close()`` (and the engine's ``atexit`` hook covers pools left open at
-    interpreter exit) — but ``atexit`` runs *after* pytest, so a test that
-    leaks an open pool would silently rely on it.  This fixture is
-    instantiated before any pool-creating fixture and therefore finalizes
-    after all of them, asserting the invariant the hardening pass is about:
-    no orphaned ``/dev/shm`` segment remains once the suite is done.
-    The scan itself is :func:`repro.analysis.sanitize.pool_segments`, the
-    same helper ``EvaluationPool.close()`` asserts with under
-    ``REPRO_SANITIZE=1``.
+    ``simulate_noisy(jobs=N)`` keeps its executor warm across sweeps, and
+    the engine's ``atexit`` hook shuts it down — but ``atexit`` runs
+    *after* pytest, so a leaked worker would go unnoticed.  This fixture
+    finalizes after every test: it closes the warm executor (which, under
+    ``REPRO_SANITIZE=1``, raises if a worker it started survives) and
+    asserts that no child process of the test session is left alive.
     """
     yield
-    leaked = sanitize.pool_segments()
+    close_sweep_executor()
+    leaked = multiprocessing.active_children()
     assert not leaked, (
-        f"pool shared-memory segments leaked by the test session: {leaked}; "
-        "every EvaluationPool must be closed (context manager or explicit "
-        "close())"
+        f"worker processes outlived the test session: {leaked}; every "
+        "executor and process a test starts must be shut down"
     )
 
 

@@ -8,8 +8,9 @@ runtime checks (frozen caches, shm leak detection, undo integrity).
 
 from __future__ import annotations
 
-import os
-from multiprocessing import shared_memory
+import multiprocessing
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from repro.analysis import (
 )
 from repro.analysis import sanitize
 from repro.analysis.__main__ import main as lint_main
-from repro.engine import EvaluationPool, simulate_all_targets
+from repro.engine import (
+    belief,
+    close_sweep_executor,
+    simulate_all_targets,
+    simulate_noisy,
+)
+from repro.engine.belief import sweep_workers
 from repro.exceptions import AnalysisError, SanitizerError
 from repro.plan import compile_policy
 from repro.policies import GreedyTreePolicy
@@ -956,43 +963,52 @@ class TestSanitizers:
         matrix = vehicle_hierarchy.reachability_matrix()
         assert matrix.flags.writeable
 
-    def test_leaked_segment_detected(self, sanitizing):
-        name = f"rp_{os.getpid()}_deadbeef"
-        shm = shared_memory.SharedMemory(create=True, size=16, name=name)
+    def test_leaked_worker_detected(self, sanitizing):
+        worker = multiprocessing.get_context("spawn").Process(
+            target=time.sleep, args=(60.0,)
+        )
+        worker.start()
         try:
-            with pytest.raises(SanitizerError, match="survived"):
-                sanitize.check_segments_released([name], "test-owner")
+            with pytest.raises(SanitizerError, match="still alive"):
+                sanitize.check_workers_exited([worker], "test-owner")
         finally:
-            shm.close()
-            shm.unlink()
+            worker.kill()
+            worker.join(10.0)
         # Gone now: the same check passes.
-        sanitize.check_segments_released([name], "test-owner")
+        sanitize.check_workers_exited([worker], "test-owner")
 
-    def test_pool_close_catches_unlink_leak(
+    def test_pool_close_catches_worker_leak(
         self, sanitizing, monkeypatch, vehicle_hierarchy
     ):
         plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
-        pool = EvaluationPool(1, start_method="fork")
-        pool.publish(plan, pin=True)
-        leaked = list(pool._created_segments)
-        # Simulate the leak shape: close() tears down but unlink is lost.
+        close_sweep_executor()
+        simulate_noisy(plan, error_model=0.1, jobs=2)
+        executor = belief._WARM.executor
+        workers = list(sweep_workers())
+        assert len(workers) == 2
+        # Simulate the leak shape: close runs but its kills and the
+        # executor's shutdown are lost.
         monkeypatch.setattr(
-            EvaluationPool, "_unlink", staticmethod(lambda entry: None)
+            ProcessPoolExecutor, "shutdown", lambda self, *a, **k: None
+        )
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "kill", lambda self: None
         )
         try:
-            with pytest.raises(SanitizerError, match="survived"):
-                pool.close()
+            with pytest.raises(SanitizerError, match="still alive"):
+                close_sweep_executor()
         finally:
-            for name in leaked:
-                seg = shared_memory.SharedMemory(name=name)
-                seg.close()
-                seg.unlink()
+            monkeypatch.undo()
+            executor.shutdown(wait=True)
+        assert not any(worker.is_alive() for worker in workers)
 
     def test_pool_close_clean_under_sanitize(self, sanitizing, vehicle_hierarchy):
         plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
-        with EvaluationPool(1, start_method="fork") as pool:
-            pool.publish(plan, pin=True)
+        simulate_noisy(plan, error_model=0.1, jobs=2)
+        assert sweep_workers()
+        close_sweep_executor()
         # close() ran the leak check without raising.
+        assert not sweep_workers()
 
     @pytest.mark.parametrize("entry", ["compile_policy", "simulate_all_targets"])
     def test_inexact_undo_caught(self, sanitizing, vehicle_hierarchy, entry):

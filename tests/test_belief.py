@@ -7,11 +7,10 @@ per-session reference (one oracle stack + ``run_search`` per session)
 — same labels, same question/vote counts, same prices, same outcome
 codes — and stays bit-identical to itself whichever way the batch
 executes: inline in one block, chunked (``batch_size=``), sharded over
-a per-call process pool (``jobs=``), on a warm
-:class:`~repro.engine.EvaluationPool`, or with any splitter kernel
-forced (``kind=``).  Hypothesis searches random trees/DAGs for
-violations and shrinks any counterexample to a printed seed;
-``derandomize=True`` keeps CI stable run to run.
+``jobs=2`` workers on a cold or a warm executor, both at once, or with
+any splitter kernel forced (``kind=``).  Hypothesis searches random
+trees/DAGs for violations and shrinks any counterexample to a printed
+seed; ``derandomize=True`` keeps CI stable run to run.
 
 The posterior half of the suite pins the Bayes step itself: rows are
 proper distributions (sum to one), every kernel kind computes the same
@@ -26,9 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import ErrorRateModel
-from repro.engine import EvaluationPool, simulate_noisy
+from repro.engine import close_sweep_executor, simulate_noisy
 from repro.engine.belief import (
     OUTCOME_MAP,
+    _chunk_step,
+    _shard_bounds,
     make_belief_updater,
     posterior_from_transcript,
     reference_noisy,
@@ -48,22 +49,6 @@ _SETTINGS = dict(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-_POOL: EvaluationPool | None = None
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _module_pool():
-    """One warm pool for the whole module (hypothesis examples must not
-    pay a pool spin-up each, and function-scoped fixtures do not mix
-    with ``@given``)."""
-    global _POOL
-    _POOL = EvaluationPool(workers=2)
-    try:
-        yield
-    finally:
-        _POOL.close()
-        _POOL = None
 
 
 def _hierarchy(kind: str, n: int, seed: int):
@@ -202,11 +187,13 @@ class TestBatchShapeInvariance:
             )
 
         reference = run()
+        close_sweep_executor()
         modes = {
             "batch_size=1": run(batch_size=1),
             "batch_size=5": run(batch_size=5),
-            "jobs=2": run(jobs=2),
-            "warm pool": run(pool=_POOL),
+            "jobs=2 cold": run(jobs=2),
+            "jobs=2 warm": run(jobs=2),
+            "batch_size=7, jobs=2": run(batch_size=7, jobs=2),
         }
         for splitter in SPLITTER_KINDS:
             if splitter == "tree" and kind != "tree":
@@ -219,6 +206,64 @@ class TestBatchShapeInvariance:
                 f"{mode} diverged: kind={kind} n={n} seed={seed} "
                 f"persistent={persistent}",
             )
+
+    @settings(**_SETTINGS)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        kind=st.sampled_from(["tree", "dag"]),
+        n=st.integers(min_value=8, max_value=32),
+    )
+    def test_tracked_posterior_modes(self, seed, kind, n):
+        """MAP stopping and posterior tracking chunk the sweep by the
+        posterior bound; shards and chunks never show in the result."""
+        hierarchy = _hierarchy(kind, n, seed)
+        distribution = random_distribution(hierarchy, seed)
+        common = dict(
+            error_model=ErrorRateModel(0.15),
+            replications=2,
+            seed=seed,
+            map_threshold=0.9,
+            track_posterior=True,
+        )
+
+        def run(**extra):
+            return simulate_noisy(
+                _policy_for(kind), hierarchy, distribution, **common, **extra
+            )
+
+        reference = run()
+        for mode, result in {
+            "jobs=2": run(jobs=2),
+            "batch_size=7, jobs=2": run(batch_size=7, jobs=2),
+        }.items():
+            context = f"{mode} diverged: kind={kind} n={n} seed={seed}"
+            _assert_same(reference, result, context)
+            assert np.array_equal(
+                reference.posterior, result.posterior
+            ), context
+
+    @settings(**{**_SETTINGS, "max_examples": 200})
+    @given(
+        total=st.integers(min_value=1, max_value=5_000),
+        n=st.integers(min_value=1, max_value=40_000),
+        batch_size=st.one_of(st.none(), st.integers(1, 600)),
+        track=st.booleans(),
+        workers=st.integers(min_value=1, max_value=8),
+    )
+    def test_shards_never_exceed_the_chunk_step(
+        self, total, n, batch_size, track, workers
+    ):
+        """Every path cuts the grid into contiguous shards no larger than
+        the step (``batch_size``, or the posterior bound when tracked),
+        and into at least one shard per worker while sessions last."""
+        step = _chunk_step(total, n, batch_size, track)
+        bounds = _shard_bounds(total, step, workers)
+        assert bounds[0][0] == 0 and bounds[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert all(0 < hi - lo <= step for lo, hi in bounds)
+        assert len(bounds) >= min(workers, total)
+        if track and batch_size is None:
+            assert step * n <= max(4_000_000, n)
 
 
 class TestPosterior:

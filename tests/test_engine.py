@@ -17,7 +17,12 @@ from repro.core.costs import UnitCost, random_costs
 from repro.core.decision_tree import build_decision_tree
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import VectorPolicy, is_vector_policy, simulate_all_targets
+from repro.engine import (
+    VectorPolicy,
+    is_vector_policy,
+    simulate_all_targets,
+    simulate_policies,
+)
 from repro.exceptions import PolicyError, SearchError
 from repro.policies import (
     GreedyTreePolicy,
@@ -353,3 +358,63 @@ class TestTreeIntervals:
         dag = make_random_dag(12, seed=0)
         with pytest.raises(HierarchyError, match="tree"):
             dag.tree_intervals()
+
+
+def _assert_same_result(a, b):
+    assert a.policy == b.policy
+    assert a.decision_nodes == b.decision_nodes
+    assert np.array_equal(a.target_ix, b.target_ix)
+    assert np.array_equal(a.queries, b.queries)
+    assert np.array_equal(a.prices, b.prices, equal_nan=True)
+
+
+def _tree_config(n=120, seed=3):
+    hierarchy = make_random_tree(n, seed=seed)
+    return hierarchy, random_distribution(hierarchy, seed)
+
+
+# ----------------------------------------------------------------------
+# Multi-policy batches
+# ----------------------------------------------------------------------
+class TestOverlappedBatch:
+    """``simulate_policies`` is a loop over ``simulate_all_targets`` with
+    one shared target set; its results equal the one-policy calls."""
+
+    def test_simulate_policies_matches_singles(self):
+        hierarchy = make_random_dag(80, seed=4)
+        distribution = random_distribution(hierarchy, 4)
+        policies = [make_policy("greedy-dag"), make_policy("topdown")]
+        singles = [
+            simulate_all_targets(
+                p, hierarchy, distribution, result_cache=False,
+            )
+            for p in policies
+        ]
+        batch = simulate_policies(
+            [make_policy("greedy-dag"), make_policy("topdown")],
+            hierarchy, distribution, result_cache=False,
+        )
+        for single, batched in zip(singles, batch):
+            _assert_same_result(single, batched)
+
+    def test_replay_policy_mixes_into_batch(self):
+        """A non-compilable policy inside a batch takes its replay path
+        while the others descend their plans — same numbers either way."""
+        from repro.testing import ForcedReplayPolicy
+
+        hierarchy, distribution = _tree_config(n=40, seed=6)
+        sample = iter(hierarchy.nodes[::3])  # one-shot: read once, shared
+        singles = [
+            simulate_all_targets(
+                policy, hierarchy, distribution,
+                targets=hierarchy.nodes[::3], result_cache=False,
+            )
+            for policy in (make_policy("greedy-tree"), ForcedReplayPolicy())
+        ]
+        batch = simulate_policies(
+            [make_policy("greedy-tree"), ForcedReplayPolicy()],
+            hierarchy, distribution, targets=sample, result_cache=False,
+        )
+        assert batch[1].method == "replay"
+        for single, batched in zip(singles, batch):
+            _assert_same_result(single, batched)

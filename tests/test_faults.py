@@ -11,17 +11,18 @@ Four contracts:
    :class:`~repro.faults.CircuitBreaker` (tick-counted trip ->
    cooldown -> probe -> restore).
 
-3. **Stack behaviour under faults** — pool sweep deadlines raise typed
+3. **Stack behaviour under faults** — ``jobs=2`` noisy sweeps stalled
+   past ``REPRO_POOL_DEADLINE`` raise typed
    :class:`~repro.exceptions.PoolTimeoutError` instead of hanging,
-   injected worker kills recover bit-identically, segment attacks and
-   crashed restarts end typed and leave the pool usable, a slow oracle
-   cannot hold ``Server.drain(timeout=)`` past its bound, and
-   crash-atomic cache writes never leave torn files.
+   injected worker kills mid-sweep or between sweeps recover
+   bit-identically, crashed rebuilds end typed and leave the sweeps
+   usable, a slow oracle cannot hold ``Server.drain(timeout=)`` past its
+   bound, and crash-atomic cache writes never leave torn files.
 
 4. **Mini chaos soak** — seeded random fault schedules over a server and
-   a noisy sweep on the pool: termination, typed errors only, completed
-   sessions and sweep arrays bit-identical to fault-free runs (the
-   full-size soak is ``benchmarks/bench_faults.py``).
+   a ``jobs=2`` noisy sweep on the warm executor: termination, typed
+   errors only, completed sessions and sweep arrays bit-identical to
+   fault-free runs (the full-size soak is ``benchmarks/bench_faults.py``).
 
 Every test arms its own environment (``monkeypatch.setenv``), so the
 suite passes in a tier-1 run without ``REPRO_FAULTS`` set.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import multiprocessing
 import os
 import signal
 import time
@@ -41,8 +43,13 @@ import pytest
 from repro.analysis import schedule as _schedule
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
-from repro.engine import EvaluationPool, simulate_all_targets, simulate_noisy
-from repro.engine.belief import NoiseChunkSpec
+from repro.engine import (
+    belief,
+    close_sweep_executor,
+    simulate_all_targets,
+    simulate_noisy,
+)
+from repro.engine.belief import sweep_workers
 from repro.engine.cache import EngineResultCache, result_key
 from repro.exceptions import (
     AdmissionError,
@@ -79,6 +86,14 @@ def faults_on(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS", "1")
 
 
+@pytest.fixture
+def cold_executor():
+    """Start without a warm sweep executor and leave none behind."""
+    close_sweep_executor()
+    yield
+    close_sweep_executor()
+
+
 def _config(n=40, seed=7):
     hierarchy = make_random_tree(n, seed=seed)
     distribution = random_distribution(hierarchy, seed)
@@ -94,9 +109,20 @@ def _reference_outcomes(plan, hierarchy, targets):
 
 
 def _sweep(plan, **kwargs):
-    """One noisy sweep over ``plan``; ``pool=False`` runs it inline."""
-    knobs = dict(error_model=0.1, replications=2, seed=3, votes=3)
+    """One noisy sweep over ``plan``; ``jobs=1`` runs it inline."""
+    knobs = dict(error_model=0.1, replications=2, seed=3, votes=3, jobs=2)
     return simulate_noisy(plan, **{**knobs, **kwargs})
+
+
+def _wedge(plan) -> None:
+    """A warm sweep whose first poll stalls the workers: the sweep's own
+    shards are queued first and finish, then every worker sleeps."""
+    with FaultPlan([FaultSpec("stall", at="pool.collect")]).armed():
+        _sweep(plan)
+
+
+def _pids() -> list[int]:
+    return sorted(p.pid for p in sweep_workers() if p.is_alive())
 
 
 def _same_sweep(a, b) -> bool:
@@ -217,7 +243,26 @@ class TestDeterminism:
         )
         assert self._drive(plan, crossings=50) == []
 
+    def test_scripted_worker_kinds_without_workers_are_noops(self, faults_on):
+        # A scripted kill or stall fires (and is traced) even with no
+        # sweep executor running; it just has nothing to act on.
+        close_sweep_executor()
+        plan = FaultPlan(
+            [
+                FaultSpec("kill_worker", at="serve.step"),
+                FaultSpec("stall", at="serve.step", nth=2),
+            ]
+        )
+        assert self._drive(plan, crossings=3) == [
+            ("serve.step", 1, "kill_worker"),
+            ("serve.step", 2, "stall"),
+        ]
+        assert sweep_workers() == []
+
     def test_pool_kinds_skipped_without_pool(self, faults_on):
+        # kill_worker and stall act on the sweep executor's workers; with
+        # no executor running, random plans never draw them.
+        close_sweep_executor()
         plan = FaultPlan.random(
             seed=3, rate=1.0, kinds=("kill_worker", "stall")
         )
@@ -352,164 +397,127 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 # 3. Stack behaviour under faults
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("cold_executor")
 class TestPoolDeadlines:
-    def test_wedged_worker_raises_typed_timeout(self):
+    def test_wedged_worker_raises_typed_timeout(self, faults_on, monkeypatch):
         plan, hierarchy, _ = _config(seed=21)
-        with EvaluationPool(workers=1) as pool:
-            _sweep(plan, pool=pool)  # warm
-            # Tighten only after the warm run: under spawn, worker boot
-            # itself takes longer than 0.3s of "no progress".  The
-            # attribute is read per collect call, so this is the same
-            # deadline the constructor argument installs.
-            pool.deadline = 0.3
-            pool._inject_sleep(60.0)  # the lone worker is now busy
-            with pytest.raises(PoolTimeoutError) as exc_info:
-                _sweep(plan, pool=pool)
+        reference = _sweep(plan, jobs=1)
+        # Warm before the deadline: under spawn, worker boot itself takes
+        # longer than 0.3s of "no progress".  The variable is read on
+        # every sweep.
+        _wedge(plan)
+        wedged = _pids()
+        monkeypatch.setenv("REPRO_POOL_DEADLINE", "0.3")
+        start = time.monotonic()
+        with pytest.raises(PoolTimeoutError) as exc_info:
+            _sweep(plan)
+        assert time.monotonic() - start < 20.0
         message = str(exc_info.value)
         assert "no progress" in message
-        assert "pid" in message and "task" in message
+        assert "pids" in message and "shard" in message
+        assert sweep_workers() == []  # the wedged workers were killed
+        assert multiprocessing.active_children() == []
+        # Without the deadline (a spawn boot alone can exceed 0.3s), the
+        # next sweep starts fresh workers and matches.
+        monkeypatch.delenv("REPRO_POOL_DEADLINE")
+        assert _same_sweep(_sweep(plan), reference)
+        assert set(_pids()).isdisjoint(wedged)
 
-    def test_per_call_deadline_overrides_pool_default(self):
+    def test_deadline_validation(self, monkeypatch):
         plan, hierarchy, _ = _config(seed=22)
-        targets = np.arange(hierarchy.n, dtype=np.int64)
-        spec = NoiseChunkSpec(
-            flat_index=targets,
-            target_ix=targets,
-            seed=3,
-            rates=np.full(hierarchy.n, 0.1),
-            persistent=False,
-            votes=1,
-            budget=2 * hierarchy.n + 10,
-            price_vec=np.ones(hierarchy.n),
-            prior=np.full(hierarchy.n, 1.0 / hierarchy.n),
-            map_threshold=None,
-            track_posterior=False,
-            kind=None,
-        )
-
-        def labels(**kw):
-            (payload,) = pool.run_noise(plan, hierarchy, [spec], **kw)
-            return payload["labels"]
-
-        with EvaluationPool(workers=1) as pool:  # no pool-wide deadline
-            # Boot + attach before the deadlined sweep: spawn workers take
-            # longer than 0.3s to come up.
-            warm = labels()
-            inline = _sweep(plan, replications=1, votes=1, pool=False)
-            assert np.array_equal(warm, inline.run_labels.ravel())
-            pool._inject_sleep(60.0)  # the lone worker is now busy
-            start = time.monotonic()
-            with pytest.raises(PoolTimeoutError, match="no progress"):
-                labels(deadline=0.3)
-            assert time.monotonic() - start < 20.0
-
-    def test_deadline_validation(self):
-        with pytest.raises(PoolError, match="deadline"):
-            EvaluationPool(workers=1, deadline=-1.0)
-
-    def test_health_tracks_worker_results(self):
-        plan, hierarchy, _ = _config(seed=23)
-        with EvaluationPool(workers=2) as pool:
-            _sweep(plan, pool=pool)
-            health = pool.health()
-            assert health  # at least one worker reported a result
-            assert all(h.alive for h in health)
-            assert sum(h.completed for h in health) > 0
+        for raw in ("-1", "0", "soon"):
+            monkeypatch.setenv("REPRO_POOL_DEADLINE", raw)
+            with pytest.raises(PoolError, match="DEADLINE"):
+                _sweep(plan)
+        _sweep(plan, jobs=1)  # inline sweeps have no workers to wait on
 
 
+@pytest.mark.usefixtures("cold_executor")
 class TestInjectedPoolFaults:
     def test_kill_worker_recovers_bit_identical(self, faults_on):
+        """A kill mid-sweep: the wedged workers cannot finish a shard
+        before the kill lands, the executor is rebuilt, and the shards
+        rerun with identical results."""
         plan, hierarchy, _ = _config(seed=25)
-        reference = _sweep(plan, pool=False)
+        reference = _sweep(plan, jobs=1)
+        _wedge(plan)
+        wedged = _pids()
         fault = FaultPlan([FaultSpec("kill_worker", at="pool.collect", nth=1)])
-        with EvaluationPool(workers=1) as pool:
-            _sweep(plan, pool=pool)  # warm
-            pool._inject_sleep(60.0)  # the worker is busy: the kill
-            # deterministically lands before it can produce a result
-            with fault.armed(pool=pool):
-                result = _sweep(plan, pool=pool)
-            assert fault.fired == 1
-            assert pool.respawns >= 1
+        with fault.armed():
+            result = _sweep(plan)
+        assert fault.fired == 1
+        assert set(_pids()).isdisjoint(wedged)
         assert _same_sweep(reference, result)
 
-    def test_segment_attack_ends_typed_not_hung(self, faults_on):
-        """Vanish the plan's segment, then kill the attached worker: the
-        respawned worker cannot re-attach, and the failure must surface
-        as a typed PoolError within the retry budget — never a hang."""
+    def test_kill_while_idle_between_sweeps_recovers(self, faults_on):
+        """A kill between two sweeps, while the workers wait for work:
+        the second sweep finds the executor broken, rebuilds it and
+        matches the fault-free arrays."""
         plan, hierarchy, _ = _config(seed=26)
-        fault = FaultPlan(
-            [
-                FaultSpec("vanish_segment", at="pool.acquire_for_walk", nth=1),
-                FaultSpec("kill_worker", at="pool.collect", nth=1),
-            ]
-        )
-        with EvaluationPool(workers=1) as pool:
-            # Warm: the worker attaches the plan's segment.
-            _sweep(plan, pool=pool)
-            pool._inject_sleep(60.0)  # wedge it so the kill lands first
-            start = time.monotonic()
-            with fault.armed(pool=pool):
-                with pytest.raises(PoolError):
-                    _sweep(plan, pool=pool)
-            assert time.monotonic() - start < 30.0
-        assert {kind for _, _, kind in fault.trace} == {
-            "vanish_segment", "kill_worker",
-        }
-
+        reference = _sweep(plan, jobs=1)
+        fault = FaultPlan([FaultSpec("kill_worker", at="serve.submit")])
+        with fault.armed():
+            first = _sweep(plan)
+            idle = _pids()
+            with Server(plan) as server:
+                server.submit(SessionRequest("s", target=hierarchy.root))
+                server.drain(timeout=30.0)
+            second = _sweep(plan)
+        assert fault.trace == [("serve.submit", 1, "kill_worker")]
+        assert set(_pids()).isdisjoint(idle)
+        assert _same_sweep(first, reference)
+        assert _same_sweep(second, reference)
 
     def test_crash_mid_restart_leaves_the_pool_usable(self, faults_on):
-        """A crash injected while a restart rebuilds the queues must not
-        leave the pool holding the closed ones: the sweep fails typed, and
-        the next sweep on the pool matches the inline arrays."""
+        """A crash injected while a rebuild replaces the broken executor
+        must not leave the broken one behind: the sweep fails typed, and
+        the next sweep matches the inline arrays."""
         plan, hierarchy, _ = _config(n=30, seed=51)
-        reference = _sweep(plan, pool=False)
+        reference = _sweep(plan, jobs=1)
+        _wedge(plan)  # the kill lands before any shard can finish
         fault = FaultPlan(
             [
                 FaultSpec("kill_worker", at="pool.collect", nth=1),
                 FaultSpec("crash", at="pool.restart.rebuild", nth=1),
             ]
         )
-        with EvaluationPool(workers=2) as pool:
-            _sweep(plan, pool=pool)  # warm
-            for _ in range(pool.workers):
-                pool._inject_sleep(60.0)  # wedge both: the kill forces a restart
-            with fault.armed(pool=pool):
-                with pytest.raises(PoolError, match="injected"):
-                    _sweep(plan, pool=pool)
-            again = _sweep(plan, pool=pool)
+        with fault.armed():
+            with pytest.raises(PoolError, match="injected"):
+                _sweep(plan)
+        assert sweep_workers() == []
+        again = _sweep(plan)
         assert ("pool.restart.rebuild", 1, "crash") in fault.trace
         assert _same_sweep(again, reference)
 
     def test_queue_rebuild_failure_is_typed_and_leaves_the_pool_usable(
         self, monkeypatch
     ):
-        """A restart whose second fresh queue cannot be built (out of file
-        descriptors) raises ``PoolError`` chained to the ``OSError`` and
-        keeps the old queues; the next sweep restarts again and matches."""
+        """A rebuild whose fresh executor cannot build its result queue
+        (out of file descriptors) raises ``PoolError`` chained to the
+        ``OSError``; the next sweep builds an executor and matches."""
         plan, hierarchy, _ = _config(n=120, seed=52)
-        reference = _sweep(plan, pool=False)
-        with EvaluationPool(workers=2) as pool:
-            _sweep(plan, pool=pool)
-            for proc in pool._procs:
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.join()
-            calls = []
-            real_new_queue = pool._new_queue
+        reference = _sweep(plan, jobs=1)
+        _sweep(plan)
+        for proc in sweep_workers():
+            os.kill(proc.pid, signal.SIGKILL)
+        context = multiprocessing.get_context(belief._start_method())
+        real_simple_queue = context.SimpleQueue
+        calls = []
 
-            def new_queue():
-                calls.append(None)
-                if len(calls) == 2:
-                    raise OSError(errno.EMFILE, "Too many open files")
-                return real_new_queue()
+        def simple_queue():
+            calls.append(None)
+            if len(calls) == 1:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_simple_queue()
 
-            monkeypatch.setattr(pool, "_new_queue", new_queue)
-            with pytest.raises(PoolError, match="queues") as info:
-                _sweep(plan, pool=pool)
-            assert isinstance(info.value.__cause__, OSError)
-            assert pool.respawns == 0
-            for _ in range(2):
-                assert _same_sweep(_sweep(plan, pool=pool), reference)
-            assert pool.respawns == 1
+        monkeypatch.setattr(context, "SimpleQueue", simple_queue)
+        with pytest.raises(PoolError, match="cannot start") as info:
+            _sweep(plan)
+        assert isinstance(info.value.__cause__, OSError)
+        assert sweep_workers() == []
+        for _ in range(2):
+            assert _same_sweep(_sweep(plan), reference)
+        assert len(calls) == 2  # one failed build, then one warm executor
 
 
 class TestServerBreaker:
@@ -637,6 +645,7 @@ class TestCrashAtomicWrites:
 # ----------------------------------------------------------------------
 # 4. Mini chaos soak (the full-size one is benchmarks/bench_faults.py)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("cold_executor")
 class TestMiniSoak:
     def test_seeded_schedules_terminate_typed_and_bit_identical(
         self, faults_on
@@ -644,49 +653,48 @@ class TestMiniSoak:
         plan, hierarchy, _ = _config(n=30, seed=51)
         targets = list(hierarchy.nodes)[:10]
         reference = _reference_outcomes(plan, hierarchy, targets)
-        sweep_reference = _sweep(plan, pool=False)
-        with EvaluationPool(workers=2) as pool:
-            for seed in range(12):
-                fault = FaultPlan.random(
-                    seed,
-                    rate=0.03,
-                    kinds=("crash", "kill_worker", "slow"),
-                    max_faults=3,
+        sweep_reference = _sweep(plan, jobs=1)
+        for seed in range(12):
+            fault = FaultPlan.random(
+                seed,
+                rate=0.03,
+                kinds=("crash", "kill_worker", "slow"),
+                max_faults=3,
+            )
+            server = Server(plan)
+            outcomes = {}
+            sweep = None
+            try:
+                with fault.armed():
+                    try:
+                        for o in server.serve(
+                            SessionRequest(t, target=t) for t in targets
+                        ):
+                            outcomes[o.session_id] = o
+                    except ReproError:
+                        # An injected crash escaped through the serve
+                        # loop itself: typed, so the schedule is a
+                        # pass — sessions it cut short are unserved.
+                        pass
+                    try:
+                        sweep = _sweep(plan)
+                    except ReproError:
+                        pass  # typed: the sweep was cut short, legally
+            finally:
+                server.close()
+            if sweep is not None:
+                assert _same_sweep(sweep, sweep_reference), (
+                    f"seed {seed} trace {fault.trace}"
                 )
-                server = Server(plan)
-                outcomes = {}
-                sweep = None
-                try:
-                    with fault.armed(pool=pool):
-                        try:
-                            for o in server.serve(
-                                SessionRequest(t, target=t) for t in targets
-                            ):
-                                outcomes[o.session_id] = o
-                        except ReproError:
-                            # An injected crash escaped through the serve
-                            # loop itself: typed, so the schedule is a
-                            # pass — sessions it cut short are unserved.
-                            pass
-                        try:
-                            sweep = _sweep(plan, pool=pool)
-                        except ReproError:
-                            pass  # typed: the sweep was cut short, legally
-                finally:
-                    server.close()
-                if sweep is not None:
-                    assert _same_sweep(sweep, sweep_reference), (
+            for sid, outcome in outcomes.items():
+                if outcome.ok:
+                    assert outcome.result == reference[sid], (
                         f"seed {seed} trace {fault.trace}"
                     )
-                for sid, outcome in outcomes.items():
-                    if outcome.ok:
-                        assert outcome.result == reference[sid], (
-                            f"seed {seed} trace {fault.trace}"
-                        )
-                    else:
-                        assert isinstance(outcome.error, ReproError), (
-                            f"seed {seed} trace {fault.trace}"
-                        )
+                else:
+                    assert isinstance(outcome.error, ReproError), (
+                        f"seed {seed} trace {fault.trace}"
+                    )
 
 
 # ----------------------------------------------------------------------

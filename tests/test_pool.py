@@ -1,29 +1,28 @@
-"""Tests for the persistent shared-memory evaluation pool.
+"""Tests for the noisy sweeps' worker processes (``simulate_noisy(jobs=N)``).
 
-Contracts under test (:mod:`repro.engine.pool`), driven through the pool's
-one consumer, the batched noisy sweep
-(``simulate_noisy(plan, ..., pool=pool)`` → :meth:`EvaluationPool.run_noise`):
+Contracts under test (the warm executor in :mod:`repro.engine.belief`),
+each checked against the inline sweep (``jobs=1``):
 
-* **bit-identity** — a warm pool sweep and a repeated warm sweep
-  reproduce the inline sweep's arrays exactly (``test_belief.py`` fuzzes
+* **bit-identity** — a cold and a warm ``jobs=2`` sweep reproduce the
+  inline sweep's arrays exactly on trees, DAGs, the csr kernel,
+  heterogeneous prices and restricted targets (``test_belief.py`` fuzzes
   this across random configurations; here the fixed cases double as
   precise failure locators);
-* **lifecycle** — context-manager / ``close()`` teardown unlinks every
-  published segment (the session fixture in ``conftest.py`` backs this up
-  globally), double close is safe, a closed pool refuses work;
-* **registry** — publications are idempotent per ``config_key``,
-  refcounted, LRU-evicted at ``max_plans``, and exhausting the registry
-  (everything pinned) raises a clear :class:`PoolError` instead of
-  unmapping plans in use;
-* **failure injection** — a worker killed mid-task or while idle (holding
-  the shared queue's read lock!), a corrupted shared segment, and worker
-  exceptions all surface as errors or transparent recovery, never a hang;
-* **spawn** — the no-fork fallback path works end to end
-  (``EvaluationPool(start_method="spawn")``; CI also runs this module with
-  ``REPRO_POOL_START_METHOD=spawn`` on Linux, whose default is fork).
-
-``simulate_policies`` is pinned here too: it is the loop over
-``simulate_all_targets`` that multi-policy comparisons use.
+* **warm reuse** — a second sweep on the same plan keeps the worker
+  processes; another plan, another worker count or another start method
+  replaces them;
+* **lifecycle** — close joins every worker, double close is safe, a
+  sweep after close starts afresh, and a process that never closes still
+  leaves no worker behind at exit (the session fixture in ``conftest.py``
+  checks ``multiprocessing.active_children()`` for the whole suite);
+* **failure handling** — a worker killed mid-task or while idle is
+  replaced and only the unfinished shards rerun, with identical results;
+  workers that keep dying end in :class:`PoolError`; a worker's
+  :class:`ReproError` keeps its type and anything else becomes
+  :class:`PoolError`;
+* **spawn** — the no-fork path works end to end
+  (``REPRO_POOL_START_METHOD=spawn``; CI also runs this module under that
+  setting on Linux, whose default is fork).
 """
 
 from __future__ import annotations
@@ -34,7 +33,9 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
+from multiprocessing import connection
 from pathlib import Path
 
 import numpy as np
@@ -43,41 +44,25 @@ import pytest
 from repro.core import hierarchy as hierarchy_mod
 from repro.core.costs import TableCost
 from repro.engine import (
-    EvaluationPool,
-    get_default_pool,
+    belief,
+    close_sweep_executor,
     make_answerer,
-    resolve_pool,
-    set_default_pool,
-    simulate_all_targets,
+    set_default_jobs,
     simulate_noisy,
-    simulate_policies,
 )
-from repro.exceptions import BudgetExceededError, HierarchyError, PoolError
+from repro.engine.belief import NoiseChunkSpec, sweep_workers
+from repro.exceptions import HierarchyError, PoolError
+from repro.faults import FaultPlan
 from repro.plan import compile_policy
 from repro.policies import GreedyTreePolicy, make_policy
 from repro.testing import make_random_dag, make_random_tree, random_distribution
 
 
-def _pool_segments() -> list[str]:
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.exists():
-        return []
-    return sorted(p.name for p in shm_dir.glob(f"rp_{os.getpid()}_*"))
-
-
-def _assert_same_result(a, b):
-    assert a.policy == b.policy
-    assert a.decision_nodes == b.decision_nodes
-    assert np.array_equal(a.target_ix, b.target_ix)
-    assert np.array_equal(a.queries, b.queries)
-    assert np.array_equal(a.prices, b.prices, equal_nan=True)
-
-
-def _sweep(plan, hierarchy=None, costs=None, **kwargs):
-    """One noisy sweep over ``plan``; ``pool=False`` runs it inline."""
+def _sweep(plan, hierarchy=None, costs=None, *, jobs=2, **kwargs):
+    """One noisy sweep over ``plan``; ``jobs=1`` runs it inline."""
     return simulate_noisy(
         plan, hierarchy, None, costs,
-        error_model=0.1, replications=2, seed=3, votes=3, **kwargs,
+        error_model=0.1, replications=2, seed=3, votes=3, jobs=jobs, **kwargs,
     )
 
 
@@ -95,37 +80,63 @@ def _tree_config(n=120, seed=3):
     return hierarchy, random_distribution(hierarchy, seed)
 
 
-@pytest.fixture
-def pool():
-    with EvaluationPool(workers=2) as p:
-        yield p
+def _tree_plan(n=120, seed=3):
+    hierarchy, distribution = _tree_config(n, seed)
+    return compile_policy(GreedyTreePolicy(), hierarchy, distribution)
+
+
+def _pids() -> list[int]:
+    return sorted(p.pid for p in sweep_workers() if p.is_alive())
+
+
+def _exited(processes, timeout=10.0) -> bool:
+    """Wait until every process has exited.
+
+    Waits on the sentinels rather than joining: the executor's own thread
+    reaps its workers, and a second joiner can briefly see a reaped
+    worker as alive.
+    """
+    end = time.monotonic() + timeout
+    pending = list(processes)
+    while pending and time.monotonic() < end:
+        ready = connection.wait(
+            [p.sentinel for p in pending], end - time.monotonic()
+        )
+        pending = [p for p in pending if p.sentinel not in ready]
+    return not pending
+
+
+@pytest.fixture(autouse=True)
+def cold_executor():
+    """Every test starts without a warm executor and leaves none behind."""
+    close_sweep_executor()
+    yield
+    close_sweep_executor()
 
 
 # ----------------------------------------------------------------------
-# Bit-identity of the warm-pool sweep
+# Bit-identity of the sharded sweep
 # ----------------------------------------------------------------------
 class TestPoolParity:
-    def test_tree_walk_matches_sequential(self, pool):
-        hierarchy, distribution = _tree_config()
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        inline = _sweep(plan, pool=False)
-        warm = _sweep(plan, pool=pool)
-        _assert_same_sweep(inline, warm)
-        again = _sweep(plan, pool=pool)
-        _assert_same_sweep(inline, again)
-        assert pool.walks == 2
-        # One publication serves both sweeps: that is the point of the pool.
-        assert len(pool.published_keys) == 1
+    def test_tree_walk_matches_sequential(self):
+        plan = _tree_plan()
+        inline = _sweep(plan, jobs=1)
+        cold = _sweep(plan)
+        _assert_same_sweep(inline, cold)
+        workers = _pids()
+        assert len(workers) == 2
+        _assert_same_sweep(inline, _sweep(plan))  # warm
+        assert _pids() == workers
 
-    def test_dag_walk_matches_sequential(self, pool):
+    def test_dag_walk_matches_sequential(self):
         hierarchy = make_random_dag(90, seed=7)
         distribution = random_distribution(hierarchy, 7)
         plan = compile_policy(
             make_policy("greedy-dag"), hierarchy, distribution
         )
-        _assert_same_sweep(_sweep(plan, pool=False), _sweep(plan, pool=pool))
+        _assert_same_sweep(_sweep(plan, jobs=1), _sweep(plan))
 
-    def test_heterogeneous_prices(self, pool):
+    def test_heterogeneous_prices(self):
         hierarchy, distribution = _tree_config(seed=12)
         costs = TableCost(
             {node: 1.0 + (i % 5) for i, node in enumerate(hierarchy.nodes)}
@@ -134,23 +145,23 @@ class TestPoolParity:
             GreedyTreePolicy(), hierarchy, distribution, costs
         )
         _assert_same_sweep(
-            _sweep(plan, costs=costs, pool=False),
-            _sweep(plan, costs=costs, pool=pool),
+            _sweep(plan, costs=costs, jobs=1), _sweep(plan, costs=costs)
         )
 
-    def test_restricted_targets(self, pool):
+    def test_restricted_targets(self):
         hierarchy, distribution = _tree_config(seed=9)
         sample = list(hierarchy.nodes[::2])
         kwargs = dict(targets=sample, max_queries=2 * hierarchy.n + 10)
         plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
         _assert_same_sweep(
-            _sweep(plan, pool=False, **kwargs), _sweep(plan, pool=pool, **kwargs)
+            _sweep(plan, jobs=1, **kwargs), _sweep(plan, **kwargs)
         )
 
-    def test_csr_walk_rebuilds_closure_in_workers(self, pool, monkeypatch):
-        """Above ``_MATRIX_NODE_LIMIT`` the parent pins the "csr" kind.  The
-        segment ships the hierarchy pickle, which carries no closure, so
-        every worker rebuilds it and sweeps bit-identically."""
+    def test_csr_walk_rebuilds_closure_in_workers(self, monkeypatch):
+        """Above ``_MATRIX_NODE_LIMIT`` the parent pins the "csr" kind.
+        The workers' hierarchy carries no closure (spawn workers unpickle
+        a cache-free copy), so every worker builds its own and sweeps
+        bit-identically."""
         monkeypatch.setattr(hierarchy_mod, "_MATRIX_NODE_LIMIT", 16)
         hierarchy = make_random_dag(80, seed=5)
         distribution = random_distribution(hierarchy, 5)
@@ -159,119 +170,178 @@ class TestPoolParity:
         )
         cold = pickle.loads(pickle.dumps(hierarchy))
         assert make_answerer(cold, 2 * cold.n).kind == "csr"
-        inline = _sweep(plan, cold, pool=False)
-        warm = _sweep(plan, cold, pool=pool)
-        _assert_same_sweep(inline, warm)
-        assert pool.walks == 1
+        _assert_same_sweep(_sweep(plan, cold, jobs=1), _sweep(plan, cold))
         assert cold._reach_matrix is None
         assert cold._reach_closure is not None
         assert pickle.loads(pickle.dumps(cold))._reach_closure is None
 
-    def test_domain_error_propagates_with_type(self, pool):
+    def test_domain_error_propagates_with_type(self):
         """A worker's own library error reaches the caller with its type
-        (here the interval kernel refusing a DAG), and the pool survives."""
+        (here the interval kernel refusing a DAG), and the warm workers
+        survive it."""
         hierarchy = make_random_dag(40, seed=2)
         plan = compile_policy(
             make_policy("greedy-dag"), hierarchy,
             random_distribution(hierarchy, 2),
         )
         with pytest.raises(HierarchyError, match="requires a tree"):
-            _sweep(plan, kind="tree", pool=pool)
-        # The pool survives the domain error and keeps serving.
-        _assert_same_sweep(_sweep(plan, pool=False), _sweep(plan, pool=pool))
+            _sweep(plan, kind="tree")
+        workers = _pids()
+        _assert_same_sweep(_sweep(plan, jobs=1), _sweep(plan))
+        assert _pids() == workers
 
 
 # ----------------------------------------------------------------------
-# Multi-policy batches
+# Warm reuse across sweeps
 # ----------------------------------------------------------------------
-class TestOverlappedBatch:
-    """``simulate_policies`` is a loop over ``simulate_all_targets`` with
-    one shared target set; its results equal the one-policy calls."""
+class TestWarmReuse:
+    def test_same_plan_keeps_the_workers(self):
+        hierarchy, distribution = _tree_config(n=60, seed=1)
+        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
+        _sweep(plan)
+        workers = _pids()
+        # Other sweep knobs, and an equal plan compiled again (same
+        # config_key, another object), reuse the workers.
+        simulate_noisy(plan, error_model=0.2, seed=9, jobs=2, repeats=3)
+        again = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
+        assert again is not plan and again.config_key == plan.config_key
+        _sweep(again)
+        assert _pids() == workers
 
-    def test_simulate_policies_matches_singles(self):
-        hierarchy = make_random_dag(80, seed=4)
-        distribution = random_distribution(hierarchy, 4)
-        policies = [make_policy("greedy-dag"), make_policy("topdown")]
-        singles = [
-            simulate_all_targets(
-                p, hierarchy, distribution, result_cache=False,
+    def test_another_plan_replaces_the_workers(self):
+        first, second = _tree_plan(n=60, seed=1), _tree_plan(n=60, seed=2)
+        reference = _sweep(second, jobs=1)
+        _sweep(first)
+        old = list(sweep_workers())
+        _assert_same_sweep(reference, _sweep(second))
+        assert not any(p.is_alive() for p in old)
+        assert set(_pids()).isdisjoint(p.pid for p in old)
+
+    def test_another_worker_count_replaces_the_workers(self):
+        plan = _tree_plan(n=60, seed=4)
+        reference = _sweep(plan, jobs=1)
+        _sweep(plan)
+        assert len(_pids()) == 2
+        _assert_same_sweep(reference, _sweep(plan, jobs=3))
+        assert len(_pids()) == 3
+
+    def test_keyless_plan_reused_by_identity(self):
+        """A plan without a content key (here a static decision tree's)
+        keeps the workers only while the same plan object sweeps."""
+        from repro.core.decision_tree import build_decision_tree
+        from repro.policies import StaticTreePolicy
+
+        hierarchy, distribution = _tree_config(n=30, seed=2)
+        tree = build_decision_tree(GreedyTreePolicy, hierarchy, distribution)
+
+        def keyless():
+            return compile_policy(
+                StaticTreePolicy(tree), hierarchy, distribution
             )
-            for p in policies
-        ]
-        batch = simulate_policies(
-            [make_policy("greedy-dag"), make_policy("topdown")],
-            hierarchy, distribution, result_cache=False,
-        )
-        for single, batched in zip(singles, batch):
-            _assert_same_result(single, batched)
 
-    def test_replay_policy_mixes_into_batch(self):
-        """A non-compilable policy inside a batch takes its replay path
-        while the others descend their plans — same numbers either way."""
-        from repro.testing import ForcedReplayPolicy
-
-        hierarchy, distribution = _tree_config(n=40, seed=6)
-        sample = iter(hierarchy.nodes[::3])  # one-shot: read once, shared
-        singles = [
-            simulate_all_targets(
-                policy, hierarchy, distribution,
-                targets=hierarchy.nodes[::3], result_cache=False,
-            )
-            for policy in (make_policy("greedy-tree"), ForcedReplayPolicy())
-        ]
-        batch = simulate_policies(
-            [make_policy("greedy-tree"), ForcedReplayPolicy()],
-            hierarchy, distribution, targets=sample, result_cache=False,
-        )
-        assert batch[1].method == "replay"
-        for single, batched in zip(singles, batch):
-            _assert_same_result(single, batched)
+        plan = keyless()
+        assert plan.config_key == ""
+        _assert_same_sweep(_sweep(plan, jobs=1), _sweep(plan))
+        workers = _pids()
+        _sweep(plan)
+        assert _pids() == workers
+        _sweep(keyless())
+        assert set(_pids()).isdisjoint(workers)
 
 
 # ----------------------------------------------------------------------
 # Lifecycle and teardown
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_context_manager_unlinks_segments(self):
-        hierarchy, distribution = _tree_config(n=60)
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        with EvaluationPool(workers=1) as pool:
-            _sweep(plan, pool=pool)
-            assert _pool_segments()  # resident while the pool lives
-        assert not _pool_segments()
-        assert pool.closed
+    def test_jobs_one_sweeps_inline(self):
+        _sweep(_tree_plan(n=40), jobs=1)
+        assert sweep_workers() == []
+
+    def test_close_leaves_no_worker_alive(self):
+        _sweep(_tree_plan(n=60))
+        workers = list(sweep_workers())
+        assert len(workers) == 2 and all(p.is_alive() for p in workers)
+        close_sweep_executor()
+        assert not any(p.is_alive() for p in workers)
+        assert sweep_workers() == []
+        assert multiprocessing.active_children() == []
+
+    def test_default_jobs_shards_sweeps(self):
+        """``set_default_jobs`` (the CLI's ``--jobs``) is what a sweep
+        without ``jobs=`` uses; an explicit ``jobs=1`` still runs inline."""
+        plan = _tree_plan(n=40, seed=7)
+        reference = _sweep(plan, jobs=1)
+        set_default_jobs(2)
+        try:
+            _assert_same_sweep(reference, _sweep(plan, jobs=None))
+            assert len(_pids()) == 2
+            close_sweep_executor()
+            _sweep(plan, jobs=1)
+            assert sweep_workers() == []
+        finally:
+            set_default_jobs(None)
+
+    def test_cli_jobs_prints_the_inline_table(self, capsys):
+        """``repro noise --jobs 2`` sweeps on the warm workers and prints
+        the ``--jobs 1`` table; the ``--pool`` flag is gone."""
+        from repro.cli import main
+
+        def table():
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "finished" not in line]
+
+        try:
+            assert main(["noise", "--scale", "tiny", "--jobs", "1"]) == 0
+            inline = table()
+            assert main(["noise", "--scale", "tiny", "--jobs", "2"]) == 0
+            assert table() == inline
+            assert len(_pids()) == 2
+        finally:
+            set_default_jobs(None)
+        with pytest.raises(SystemExit):
+            main(["noise", "--scale", "tiny", "--pool", "2"])
+
+    def test_close_kills_busy_workers_promptly(self):
+        """Close never waits on running tasks: a stalled executor is shut
+        down in well under the stall, every worker reaped."""
+        _sweep(_tree_plan(n=40, seed=8))
+        workers = list(sweep_workers())
+        belief._stall_workers(60.0)
+        start = time.monotonic()
+        close_sweep_executor()
+        assert time.monotonic() - start < 10.0
+        assert not any(p.is_alive() for p in workers)
+        assert multiprocessing.active_children() == []
 
     def test_double_close_and_use_after_close(self):
-        pool = EvaluationPool(workers=1)
-        pool.close()
-        pool.close()  # idempotent
-        hierarchy, distribution = _tree_config(n=30)
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        with pytest.raises(PoolError, match="closed"):
-            _sweep(plan, pool=pool)
-        with pytest.raises(PoolError, match="closed"):
-            pool.publish(plan)
+        plan = _tree_plan(n=30)
+        _sweep(plan)
+        old = _pids()
+        close_sweep_executor()
+        close_sweep_executor()  # idempotent
+        _assert_same_sweep(_sweep(plan, jobs=1), _sweep(plan))
+        assert set(_pids()).isdisjoint(old)  # a fresh executor
 
     def test_atexit_teardown_of_orphaned_pool(self, tmp_path):
-        """A pool never closed explicitly must still unlink at exit."""
+        """A process that never closes the executor still leaves no
+        worker behind when it exits."""
         script = tmp_path / "orphan.py"
         script.write_text(
-            "import os\n"
-            "from repro.engine import EvaluationPool, simulate_noisy\n"
+            "from repro.engine import simulate_noisy\n"
+            "from repro.engine.belief import sweep_workers\n"
             "from repro.plan import compile_policy\n"
             "from repro.policies import GreedyTreePolicy\n"
             "from repro.testing import make_random_tree, random_distribution\n"
             "\n"
             "# __main__ guard: under the spawn start method the workers\n"
-            "# re-import this module, and must not build pools of their own.\n"
+            "# re-import this module, and must not sweep on their own.\n"
             "if __name__ == '__main__':\n"
             "    h = make_random_tree(40, seed=1)\n"
             "    d = random_distribution(h, 1)\n"
             "    plan = compile_policy(GreedyTreePolicy(), h, d)\n"
-            "    pool = EvaluationPool(workers=1)\n"
-            "    simulate_noisy(plan, error_model=0.1, pool=pool)\n"
-            "    print(os.getpid())\n"
-            "    # no close(): the atexit hook must tear the pool down\n"
+            "    simulate_noisy(plan, error_model=0.1, jobs=2)\n"
+            "    print(*(p.pid for p in sweep_workers()))\n"
+            "    # no close: the atexit hook must shut the workers down\n"
         )
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -281,245 +351,151 @@ class TestLifecycle:
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        child_pid = int(proc.stdout.strip().splitlines()[-1])
-        shm_dir = Path("/dev/shm")
-        if shm_dir.exists():
-            leaked = list(shm_dir.glob(f"rp_{child_pid}_*"))
-            assert not leaked, f"atexit left segments behind: {leaked}"
+        worker_pids = [int(p) for p in proc.stdout.split()]
+        assert len(worker_pids) == 2
+        for pid in worker_pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
         assert "Traceback" not in proc.stderr
 
-    def test_default_pool_resolution(self):
-        pool = EvaluationPool(workers=1)
-        try:
-            set_default_pool(pool)
-            assert get_default_pool() is pool
-            assert resolve_pool(None) is pool
-            assert resolve_pool(False) is None  # explicit opt-out
-            other = EvaluationPool(workers=1)
-            try:
-                assert resolve_pool(other) is other
-            finally:
-                other.close()
-        finally:
-            set_default_pool(None)
-            pool.close()
-        assert resolve_pool(None) is None
-
-    def test_explicit_jobs_opts_out_of_default_pool(self):
-        """jobs=1 must mean a sequential in-process sweep even when a
-        default pool is installed (timing callers depend on it)."""
-        hierarchy, distribution = _tree_config(n=40)
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        pool = EvaluationPool(workers=1)
-        try:
-            set_default_pool(pool)
-            result = _sweep(plan, jobs=1)
-            assert len(result.target_ix) == hierarchy.n
-            assert pool.walks == 0  # the pool was never consulted
-            _sweep(plan)  # no jobs=: the installed default serves it
-            assert pool.walks == 1
-        finally:
-            set_default_pool(None)
-            pool.close()
-
 
 # ----------------------------------------------------------------------
-# Registry: refcounts, pinning, eviction, exhaustion
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def _plan(self, n=40, seed=1, name="greedy-tree"):
-        hierarchy = make_random_tree(n, seed=seed)
-        distribution = random_distribution(hierarchy, seed)
-        return compile_policy(make_policy(name), hierarchy, distribution)
-
-    def test_publish_is_idempotent_per_key(self):
-        with EvaluationPool(workers=1) as pool:
-            plan = self._plan()
-            key = pool.publish(plan)
-            assert pool.publish(plan) == key
-            assert pool.published_keys == (key,)
-
-    def test_lru_eviction_unlinks(self):
-        with EvaluationPool(workers=1, max_plans=2) as pool:
-            keys = [pool.publish(self._plan(seed=s)) for s in range(3)]
-            assert pool.evictions == 1
-            resident = pool.published_keys
-            assert keys[0] not in resident  # oldest went first
-            assert set(keys[1:]) == set(resident)
-            assert len(_pool_segments()) == 2
-
-    def test_exhaustion_raises_and_release_recovers(self):
-        with EvaluationPool(workers=1, max_plans=1) as pool:
-            first = self._plan(seed=1)
-            key = pool.publish(first, pin=True)
-            with pytest.raises(PoolError, match="registry exhausted"):
-                pool.publish(self._plan(seed=2))
-            pool.release(key)
-            pool.publish(self._plan(seed=2))  # now evicts the released plan
-            assert pool.evictions == 1
-            with pytest.raises(PoolError, match="not pinned"):
-                pool.release(key)
-
-    def test_eviction_respects_active_walk_then_recovers(self):
-        """A plan evicted between sweeps is transparently republished."""
-        with EvaluationPool(workers=1, max_plans=1) as pool:
-            plan = self._plan(seed=1)
-            inline = _sweep(plan, pool=False)
-            _sweep(plan, pool=pool)
-            # Push the plan out of the registry with a different one.
-            _sweep(self._plan(seed=2), pool=pool)
-            assert pool.evictions == 1
-            again = _sweep(plan, pool=pool)
-            _assert_same_sweep(inline, again)
-
-    def test_uncacheable_plan_is_transient(self):
-        """Plans without a content key are published per sweep, never
-        resident (no stable identity to evict later)."""
-        from repro.core.decision_tree import build_decision_tree
-        from repro.policies import StaticTreePolicy
-
-        hierarchy, distribution = _tree_config(n=30, seed=2)
-        tree = build_decision_tree(GreedyTreePolicy, hierarchy, distribution)
-        plan = compile_policy(StaticTreePolicy(tree), hierarchy, distribution)
-        assert plan.config_key == ""
-        with EvaluationPool(workers=1) as pool:
-            _assert_same_sweep(_sweep(plan, pool=False), _sweep(plan, pool=pool))
-            assert pool.published_keys == ()
-            with pytest.raises(PoolError, match="cannot be pinned"):
-                pool.publish(plan, pin=True)
-
-
-# ----------------------------------------------------------------------
-# Failure injection
+# Failure handling
 # ----------------------------------------------------------------------
 class TestFailureInjection:
     def _plan_and_reference(self, seed=3):
-        hierarchy, distribution = _tree_config(seed=seed)
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        return plan, _sweep(plan, pool=False)
+        plan = _tree_plan(seed=seed)
+        return plan, _sweep(plan, jobs=1)
 
     def test_worker_killed_mid_task_recovers(self):
-        """SIGKILL during a task: restart, resubmit, identical results."""
+        """SIGKILL while the sweep waits on busy workers: the executor
+        breaks, is rebuilt, and the shards rerun with identical results."""
         plan, reference = self._plan_and_reference()
-        with EvaluationPool(workers=1) as pool:
-            _sweep(plan, pool=pool)
-            pool._inject_sleep(60.0)  # the lone worker is now busy
-            time.sleep(0.3)
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            result = _sweep(plan, pool=pool)
-            _assert_same_sweep(reference, result)
-            assert pool.respawns >= 1
+        _sweep(plan)
+        old = _pids()
+        belief._stall_workers(60.0)  # the sweep's shards queue behind these
+        killer = threading.Timer(0.3, os.kill, (old[0], signal.SIGKILL))
+        killer.start()
+        try:
+            result = _sweep(plan)
+        finally:
+            killer.join(10.0)
+        _assert_same_sweep(reference, result)
+        assert set(_pids()).isdisjoint(old)
 
     def test_worker_killed_while_idle_recovers(self):
-        """SIGKILL while blocked in Queue.get() — the kill poisons the
-        queue's shared read lock; recovery must rebuild the queues."""
+        """SIGKILL while a worker waits for work (it may die holding the
+        call queue's read lock): the next sweep replaces the executor."""
         plan, reference = self._plan_and_reference(seed=4)
-        with EvaluationPool(workers=2) as pool:
-            _sweep(plan, pool=pool)
-            time.sleep(0.2)  # both workers back in Queue.get()
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            result = _sweep(plan, pool=pool)
-            _assert_same_sweep(reference, result)
+        _sweep(plan)
+        old = _pids()
+        time.sleep(0.2)  # both workers back waiting on the call queue
+        victim = next(p for p in sweep_workers() if p.pid == old[0])
+        os.kill(victim.pid, signal.SIGKILL)
+        assert _exited([victim])
+        _assert_same_sweep(reference, _sweep(plan))
+        assert set(_pids()).isdisjoint(old)
 
-    def test_corrupt_segment_raises_clear_error_and_pool_survives(self):
-        plan, reference = self._plan_and_reference(seed=5)
-        with EvaluationPool(workers=1) as pool:
-            key = pool.publish(plan, pin=True)
-            pool._registry[key].shm.buf[:64] = b"\x00" * 64
-            with pytest.raises(PoolError, match="torn header|corrupt"):
-                _sweep(plan, pool=pool)
-            # Drop the torn segment; the next sweep republishes cleanly.
-            pool.release(key)
-            pool._unlink(pool._registry.pop(key))
-            result = _sweep(plan, pool=pool)
-            _assert_same_sweep(reference, result)
-
-    def test_vanished_segment_raises_not_hangs(self):
-        """Unlinking a segment behind the pool's back is an error, not a
-        deadlock (workers report the failed attach)."""
-        plan, _ = self._plan_and_reference(seed=6)
-        with EvaluationPool(workers=1) as pool:
-            key = pool.publish(plan, pin=True)
-            entry = pool._registry[key]
-            entry.shm.unlink()  # simulate an external rm /dev/shm/...
-            # A fresh worker cannot attach a vanished segment.
-            with pytest.raises(PoolError, match="gone|corrupt"):
-                _sweep(plan, pool=pool)
-            pool.release(key)
-
-    def test_max_respawns_bounds_repeated_deaths(self):
-        """A worker population that keeps dying ends in PoolError, not an
-        infinite restart loop (and not a hang).
-
-        Deterministic construction: the one pending task is a 60 s sleep —
-        far longer than the 50 ms kill cadence — so no restarted worker can
-        ever complete it and the respawn budget must run out.
+    def test_max_respawns_bounds_repeated_deaths(self, monkeypatch):
+        """Workers that keep dying end in PoolError, not an endless
+        rebuild loop (and not a hang): a worker is killed at every result
+        poll, so every rebuilt executor breaks before its shards finish.
         """
-        import threading
+        monkeypatch.setenv("REPRO_FAULTS", "1")
+        plan = _tree_plan(seed=5)
+        _sweep(plan)  # warm: the kill finds workers at the first poll
+        murder = FaultPlan.random(
+            seed=0, rate=1.0, kinds=("kill_worker",),
+            sites=("pool.collect",), max_faults=None,
+        )
+        with murder.armed():
+            with pytest.raises(PoolError, match="giving up"):
+                _sweep(plan)
+        assert murder.fired >= belief._MAX_RESPAWNS + 1
+        assert sweep_workers() == []  # the last broken executor is closed
 
-        stop = threading.Event()
-        with EvaluationPool(workers=1) as pool:
-            pool._ensure_started()
-            task_id = pool._inject_sleep(60.0)
-            pending = {task_id: ("sleep", task_id, 60.0)}
-            time.sleep(0.2)  # let the worker pull the sleep task
+    def test_worker_shards_respect_the_posterior_bound(self, monkeypatch):
+        """A tracked posterior bounds every worker's shard like an inline
+        chunk (``4_000_000 // n`` sessions by default), so no worker is
+        asked for a dense block over all of its sessions at once."""
+        plan = _tree_plan(n=60, seed=9)
+        monkeypatch.setattr(belief, "_POSTERIOR_CELLS", 60 * 25)  # 25 sessions
+        shard_sizes = []
+        run_on_workers = belief._run_on_workers
 
-            def murder_loop():
-                while not stop.is_set():
-                    for proc in list(pool._procs):
-                        if proc.pid and proc.is_alive():
-                            try:
-                                os.kill(proc.pid, signal.SIGKILL)
-                            except ProcessLookupError:
-                                pass
-                    stop.wait(0.05)
+        def spy(plan, hierarchy, specs, workers):
+            shard_sizes.extend(len(spec.flat_index) for spec in specs)
+            return run_on_workers(plan, hierarchy, specs, workers)
 
-            killer = threading.Thread(target=murder_loop, daemon=True)
-            killer.start()
-            try:
-                with pytest.raises(PoolError, match="giving up"):
-                    pool._collect(pending, {task_id: lambda payload: None})
-            finally:
-                stop.set()
-                killer.join(5.0)
+        monkeypatch.setattr(belief, "_run_on_workers", spy)
+        knobs = dict(map_threshold=0.9, track_posterior=True)
+        inline = _sweep(plan, jobs=1, **knobs)
+        sharded = _sweep(plan, **knobs)
+        _assert_same_sweep(inline, sharded)
+        assert np.array_equal(inline.posterior, sharded.posterior)
+        assert sum(shard_sizes) == 60 * 2  # targets x replications
+        assert max(shard_sizes) <= 25 and len(shard_sizes) >= 5
 
     def test_error_marshalling_preserves_domain_types(self):
-        """Worker exceptions keep their type when they are this library's
-        own (inline parity), everything else wraps into PoolError."""
-        import pickle
+        """A worker's ReproError keeps its type (inline parity); any other
+        exception arrives as PoolError naming the original."""
+        hierarchy, _ = _tree_config(n=30, seed=6)
+        plan = compile_policy(GreedyTreePolicy(), hierarchy)
+        n = hierarchy.n
 
-        exc = EvaluationPool._as_exception(
-            pickle.dumps(BudgetExceededError("boom"))
-        )
-        assert isinstance(exc, BudgetExceededError)
-        wrapped = EvaluationPool._as_exception(pickle.dumps(ValueError("x")))
-        assert isinstance(wrapped, PoolError)
-        assert "ValueError" in str(wrapped)
-        plain = EvaluationPool._as_exception("worker exploded")
-        assert isinstance(plain, PoolError)
+        def spec(kind=None, target=0):
+            return NoiseChunkSpec(
+                flat_index=np.arange(2, dtype=np.int64),
+                target_ix=np.array([0, target], dtype=np.int64),
+                seed=0, rates=np.full(n, 0.1), persistent=False, votes=1,
+                budget=2 * n + 10, price_vec=np.ones(n),
+                prior=np.full(n, 1.0 / n), map_threshold=None,
+                track_posterior=False, kind=kind,
+            )
+
+        with pytest.raises(HierarchyError, match="unknown splitter kind"):
+            belief._run_on_workers(plan, hierarchy, [spec(kind="bogus")], 2)
+        with pytest.raises(PoolError, match="IndexError"):
+            belief._run_on_workers(plan, hierarchy, [spec(target=n + 7)], 2)
+        (payload,) = belief._run_on_workers(plan, hierarchy, [spec()], 2)
+        assert payload["labels"].shape == (2,)
 
 
 # ----------------------------------------------------------------------
-# Spawn start method (the no-fork fallback)
+# Spawn start method (the no-fork path)
 # ----------------------------------------------------------------------
+_needs_spawn = pytest.mark.skipif(
+    "spawn" not in multiprocessing.get_all_start_methods(),
+    reason="spawn start method unavailable",
+)
+
+
 class TestSpawnStartMethod:
-    @pytest.mark.skipif(
-        "spawn" not in multiprocessing.get_all_start_methods(),
-        reason="spawn start method unavailable",
-    )
-    def test_spawn_pool_parity(self):
-        hierarchy, distribution = _tree_config(n=80, seed=10)
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        inline = _sweep(plan, pool=False)
-        with EvaluationPool(workers=2, start_method="spawn") as pool:
-            assert pool.start_method == "spawn"
-            _assert_same_sweep(inline, _sweep(plan, pool=pool))
-            _assert_same_sweep(inline, _sweep(plan, pool=pool))
-
-    def test_env_start_method_override(self, monkeypatch):
+    @_needs_spawn
+    def test_spawn_pool_parity(self, monkeypatch):
+        plan = _tree_plan(n=80, seed=10)
+        inline = _sweep(plan, jobs=1)
         monkeypatch.setenv("REPRO_POOL_START_METHOD", "spawn")
-        pool = EvaluationPool(workers=1)
-        try:
-            assert pool.start_method == "spawn"
-        finally:
-            pool.close()
+        _assert_same_sweep(inline, _sweep(plan))
+        assert belief._WARM.start_method == "spawn"
+        workers = _pids()
+        _assert_same_sweep(inline, _sweep(plan))
+        assert _pids() == workers
+
+    @_needs_spawn
+    def test_env_start_method_override(self, monkeypatch):
+        plan = _tree_plan(n=30, seed=11)
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", "spawn")
+        _sweep(plan)
+        assert belief._WARM.start_method == "spawn"
+        spawned = _pids()
+        # The start method is read per sweep: changing it replaces the
+        # workers even for the same plan.
+        monkeypatch.delenv("REPRO_POOL_START_METHOD")
+        _sweep(plan)
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert belief._WARM.start_method == "fork"  # the default
+            assert set(_pids()).isdisjoint(spawned)
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", "no-such-method")
+        with pytest.raises(PoolError, match="start method"):
+            _sweep(plan)

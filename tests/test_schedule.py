@@ -1,6 +1,6 @@
 """The deterministic-schedule explorer (``repro.analysis.schedule``).
 
-Four layers:
+Three layers:
 
 1. **Explorer mechanics** on toy scenarios — the REPRO_SCHEDULE gate,
    DFS determinism, truncation, teardown-always-runs, replay divergence.
@@ -9,20 +9,13 @@ Four layers:
    deterministic decision trace; replaying that trace must reproduce the
    failure; seeded PCT must find it too and be reproducible by seed; the
    atomically-fixed variant must survive full exploration.
-3. **Real pool code under the virtual scheduler** — an
-   :class:`~repro.engine.EvaluationPool` subclass swaps the
-   multiprocessing queues/processes for deterministic in-process fakes
-   (via the ``_new_queue``/``_spawn_worker`` seams), so registry
-   evict-vs-pin runs the real pool logic, interleaved at its
-   ``schedule_point`` sites.
-4. **Real server code** — drain racing a late admission.
+3. **Real server code** — drain racing a late admission, interleaved at
+   the server's ``schedule_point`` sites.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
 import re
-from collections import deque
 
 import pytest
 
@@ -34,10 +27,9 @@ from repro.analysis.schedule import (
     replay,
     schedule_point,
 )
-from repro.engine import EvaluationPool
 from repro.exceptions import ScheduleError
 from repro.plan import compile_policy
-from repro.policies import GreedyNaivePolicy, GreedyTreePolicy
+from repro.policies import GreedyTreePolicy
 from repro.serve import Server, SessionRequest
 
 
@@ -263,108 +255,15 @@ class TestLostReleaseRace:
 
 
 # ----------------------------------------------------------------------
-# Real pool/server code under the virtual scheduler
+# Real server code under the virtual scheduler
 # ----------------------------------------------------------------------
-class _FakeProc:
-    """Stands in for a worker process; 'dies' by flipping a flag."""
-
-    def __init__(self) -> None:
-        self.alive = True
-
-    def is_alive(self) -> bool:
-        return self.alive
-
-    def terminate(self) -> None:
-        self.alive = False
-
-    kill = terminate
-
-    def join(self, timeout=None) -> None:
-        return None
-
-
-class _LocalQueue:
-    """Deterministic drop-in for the pool's multiprocessing queues."""
-
-    def __init__(self) -> None:
-        self._items: deque = deque()
-
-    def put(self, item) -> None:
-        self._items.append(item)
-
-    def get_nowait(self):
-        if not self._items:
-            raise queue_mod.Empty
-        return self._items.popleft()
-
-    def get(self, timeout=None):
-        return self.get_nowait()
-
-    def close(self) -> None:
-        return None
-
-    def cancel_join_thread(self) -> None:
-        return None
-
-
-class VirtualPool(EvaluationPool):
-    """The real pool with its process/queue seams replaced.
-
-    The registry logic is the real code; only the worker processes and
-    their queues are replaced by in-process fakes.
-    """
-
-    def _new_queue(self):
-        return _LocalQueue()
-
-    def _spawn_worker(self) -> None:
-        self._procs.append(_FakeProc())
-
-
 @pytest.fixture
 def tiny_plan(vehicle_hierarchy):
     return compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
 
 
 class TestRealPoolSchedules:
-    def test_registry_evict_vs_pin(self, scheduling, tiny_plan):
-        """LRU eviction interleaved with a pin/release pair at every
-        boundary the pool exposes: no interleaving may corrupt refcounts,
-        evict a pinned plan, or leak a pin."""
-        hierarchy = tiny_plan.hierarchy
-        churn = [
-            compile_policy(GreedyNaivePolicy(), hierarchy),
-            compile_policy(GreedyNaivePolicy(rounded=True), hierarchy),
-        ]
-
-        def factory() -> Scenario:
-            pool = VirtualPool(workers=1, max_plans=2)
-
-            def pinner() -> None:
-                key = pool.publish(tiny_plan, pin=True)
-                pool.release(key)
-
-            def churner() -> None:
-                # Two distinct plans on a 2-slot registry: the second
-                # publish must evict — around a pin at every boundary.
-                pool.publish(churn[0])
-                pool.publish(churn[1])
-
-            def invariant() -> None:
-                assert all(
-                    e.pins == 0 for e in pool._registry.values()
-                ), "a pin leaked past its release"
-                assert len(pool._registry) <= pool.max_plans
-
-            return Scenario(
-                tasks={"pinner": pinner, "churner": churner},
-                invariant=invariant,
-                teardown=pool.close,
-            )
-
-        report = explore(factory, mode="dfs", max_schedules=300)
-        assert report.truncated == 0
-        assert report.schedules > 1
+    """The real server explored at its schedule points."""
 
     def test_server_drain_vs_late_admission(self, scheduling, tiny_plan):
         """A submission landing mid-drain is either caught by that drain
