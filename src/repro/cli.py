@@ -417,11 +417,7 @@ def _run_loadgen(args) -> int:
             return await run_load(
                 host or "127.0.0.1", int(port), profile, hierarchy
             )
-        with Server(
-            plan,
-            max_sessions=args.max_sessions,
-            queue_limit=args.queue_limit,
-        ) as server:
+        with Server(plan) as server:
             async with ServeTransport(server) as transport:
                 host, port = transport.address
                 return await run_load(host, port, profile, hierarchy)

@@ -249,7 +249,7 @@ class Hierarchy:
         """Dense integer index of ``label`` (raises on unknown labels)."""
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise HierarchyError(f"unknown node {label!r}") from None
 
     def label(self, ix: int) -> Hashable:

@@ -10,16 +10,18 @@ Three layers, one loop:
 * :class:`Server` — many concurrent sessions grouped per shared
   :class:`~repro.plan.CompiledPlan`, behind admission control (in-flight
   cap, bounded queue, typed rejection) and per-tenant plan quotas.
-  Target sessions settle from the plan's leaf table on the first step
-  after admission; oracle-driven sessions step one question at a time.
+  Target sessions settle from the plan's leaf table — at once through
+  ``Server.settle``, or on the first step after admission; oracle-driven
+  sessions step one question at a time.
 
 * :class:`ServeTransport` / :class:`ServeClient` — the network edge:
-  NDJSON frames over asyncio streams feeding ``Server.aserve``, session
-  stickiness by id, typed backpressure, graceful drain; the client side
-  carries retries, per-request deadlines, and a per-backend circuit
-  breaker.  :func:`run_load` drives it open-loop (seeded Poisson
-  arrivals, think time, adversarial slow/abandoning clients) and
-  reports per-question and per-session latency.
+  NDJSON frames over asyncio streams; each target ``open`` is settled by
+  ``Server.settle`` as it is read, interactive sessions run at the
+  transport; session stickiness by id, typed backpressure, graceful
+  drain; the client side carries retries, per-request deadlines, and a
+  per-backend circuit breaker.  :func:`run_load` drives it open-loop
+  (seeded Poisson arrivals, think time, adversarial slow/abandoning
+  clients) and reports per-question and per-session latency.
 
 See the README's "Serving sessions at scale" and "Serving over the
 network" sections for the workflow, and ``benchmarks/bench_serve.py``

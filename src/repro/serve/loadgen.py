@@ -250,8 +250,9 @@ async def _run_target(
 ) -> None:
     session_id = f"lg-{script.index}"
     if script.abandon_after is not None:
-        # Adversarial walk-away: open the session, never wait for the
-        # result (the transport must orphan it without leaking).
+        # Adversarial walk-away: open the session and close it without
+        # reading the result (the transport settles it at open; the
+        # client drops the reply, and nothing may stay live).
         await client._post(
             {"op": "open", "id": session_id, "target": script.target}
         )

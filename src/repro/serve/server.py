@@ -2,17 +2,20 @@
 
 The production shape of the paper's protocol: many users are *simultaneously*
 inside interactive searches over a handful of shared compiled plans.
-:class:`Server` groups in-flight sessions by plan and serves two kinds:
+:class:`Server` groups sessions by plan and serves two kinds:
 
 * **Target sessions** (``target=``, the labelling-service shape: the answer
   source is reachability of the true category).  Their cost is the depth of
   the target's leaf in the plan's decision tree (Eq. 2), so the whole
   outcome — leaf, question count, price, transcript — is fixed before the
-  first question.  The first :meth:`Server.step` after admission settles
-  them from a per-plan leaf table, byte-identical to per-session
-  :class:`~repro.serve.runtime.SessionRuntime` driving
-  (``benchmarks/bench_serve.py`` asserts it, at a >= 5x sessions/sec
-  floor over sequential ``run_search``).
+  first question.  :meth:`Server.settle` returns it at once from a per-plan
+  leaf table (the network transport calls it as each ``open`` frame is
+  read); a target session admitted through :meth:`Server.submit` or
+  :meth:`Server.serve` settles the same way on the first
+  :meth:`Server.step` after admission.  Either way the outcome is
+  byte-identical to per-session :class:`~repro.serve.runtime.SessionRuntime`
+  driving (``benchmarks/bench_serve.py`` asserts it, at a >= 5x
+  sessions/sec floor over sequential ``run_search``).
 
 * **Oracle sessions** (``oracle=``, an arbitrary answer source) run on a
   per-session :class:`SessionRuntime`, one question per step.
@@ -23,18 +26,18 @@ Both finish through the same :class:`~repro.core.session.SearchResult`.
   beyond that, :meth:`submit` parks requests in a bounded queue
   (``queue_limit``) and then sheds load with a typed
   :class:`~repro.exceptions.AdmissionError` instead of growing without
-  bound.  The iterator feed (:meth:`serve` / :meth:`aserve`) applies
-  backpressure instead — it simply stops pulling while full.  A session
-  is in flight from its admission until the step that returns it.
+  bound.  The iterator feed (:meth:`serve`) applies backpressure instead —
+  it simply stops pulling while full.  A session is in flight from its
+  admission until the step that returns it; :meth:`settle` leaves nothing
+  in flight, so it meets no cap.
 
 * **Per-tenant plan quotas.**  Each tenant may have at most ``plan_quota``
   distinct plans registered concurrently
-  (:class:`~repro.exceptions.QuotaExceededError` beyond it).
+  (:class:`~repro.exceptions.QuotaExceededError` beyond it), on every path.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections import deque
 from collections.abc import Hashable, Iterable
@@ -111,7 +114,7 @@ class ServerStats:
     steps: int = 0
     peak_in_flight: int = 0
     #: Sessions reclaimed because their feed was abandoned mid-flight
-    #: (a ``serve``/``aserve`` consumer dropped the generator).
+    #: (a ``serve`` consumer dropped the generator).
     abandoned: int = 0
     tenants: set = field(default_factory=set)
 
@@ -308,43 +311,48 @@ class _PlanGroup:
         return outcomes
 
     def _settle(self, record_transcripts: bool) -> list[SessionOutcome]:
-        """Outcomes of the fresh target sessions, in admission order.
-
-        A session completes when its target's leaf lies within the budget
-        and errors otherwise — the case where ``SessionRuntime.propose``
-        refuses question ``budget + 1``.
-        """
+        """Outcomes of the fresh target sessions, in admission order."""
         fresh = self.incoming
         self.incoming = []
+        leaves = self.index.leaf_of[[target_ix for _, target_ix in fresh]]
+        outcome = self.outcome
+        return [
+            outcome(request, target_ix, leaf, record_transcripts)
+            for (request, target_ix), leaf in zip(fresh, leaves.tolist())
+        ]
+
+    def outcome(
+        self,
+        request: SessionRequest,
+        target_ix: int,
+        leaf: int,
+        record_transcripts: bool,
+    ) -> SessionOutcome:
+        """The outcome of a target session whose target's leaf is ``leaf``.
+
+        The session completes when the leaf lies within the budget and
+        errors otherwise — the case where ``SessionRuntime.propose``
+        refuses question ``budget + 1``.  ``leaf < 0`` means the plan has
+        no leaf for the target.
+        """
         index = self.index
-        leaves = index.leaf_of[[target_ix for _, target_ix in fresh]].tolist()
-        depth = index.depth
-        budget = self.budget
-        result_at = index.result_at
-        outcomes: list[SessionOutcome] = []
-        append = outcomes.append
-        for (request, target_ix), leaf in zip(fresh, leaves):
-            if leaf >= 0 and depth[leaf] <= budget:
-                append(
-                    SessionOutcome(
-                        request.session_id,
-                        request.tenant,
-                        result_at(leaf, transcript=record_transcripts),
-                    )
-                )
-                continue
-            if leaf < 0:
-                error: ReproError = SearchError(
-                    f"plan of {self.plan.policy_name!r} has no leaf for "
-                    f"target {index.hierarchy.label(target_ix)!r}"
-                )
-            else:
-                error = BudgetExceededError(
-                    f"session {request.session_id!r} exceeded the query "
-                    f"budget of {budget} questions"
-                )
-            append(SessionOutcome(request.session_id, request.tenant, None, error))
-        return outcomes
+        if leaf >= 0 and index.depth[leaf] <= self.budget:
+            return SessionOutcome(
+                request.session_id,
+                request.tenant,
+                index.result_at(leaf, transcript=record_transcripts),
+            )
+        if leaf < 0:
+            error: ReproError = SearchError(
+                f"plan of {self.plan.policy_name!r} has no leaf for "
+                f"target {index.hierarchy.label(target_ix)!r}"
+            )
+        else:
+            error = BudgetExceededError(
+                f"session {request.session_id!r} exceeded the query "
+                f"budget of {self.budget} questions"
+            )
+        return SessionOutcome(request.session_id, request.tenant, None, error)
 
     def _step_scalar(self) -> list[SessionOutcome]:
         """One question for each oracle-driven session."""
@@ -377,8 +385,9 @@ class _PlanGroup:
 class Server:
     """Serve a stream of interactive sessions over shared plans.
 
-    Target sessions are settled from the plan's leaf table, which equals
-    walking the plan whenever its leaves identify their targets.
+    Target sessions are settled from the plan's leaf table — at once by
+    :meth:`settle`, or on the first :meth:`step` after admission — which
+    equals walking the plan whenever its leaves identify their targets.
     ``compile_policy`` checks exactly that by default (``validate=True``),
     and every plan saved from such a compile passes too; serve only such
     plans.
@@ -388,7 +397,8 @@ class Server:
     plan:
         Default plan for requests that do not name one.
     max_sessions:
-        In-flight session cap (admission control).
+        In-flight session cap (admission control for :meth:`submit` and
+        :meth:`serve`).
     queue_limit:
         Waiting-queue bound; :meth:`submit` raises
         :class:`~repro.exceptions.AdmissionError` beyond it.
@@ -619,6 +629,47 @@ class Server:
             if self._active > self.stats.peak_in_flight:
                 self.stats.peak_in_flight = self._active
 
+    def settle(self, request: SessionRequest) -> SessionOutcome:
+        """Serve one fresh target session now; return its outcome.
+
+        Does for the request what :meth:`serve` does: resolves its plan
+        (registering it for the tenant under ``plan_quota``), looks up the
+        target's leaf, and moves ``submitted``, ``completed``, ``errored``
+        and ``rejected`` the same way, with the same outcome — result or
+        typed error, texts included.  Nothing is left in flight, so the
+        in-flight cap does not apply.  A failing request (unknown target,
+        over quota, an oracle session) becomes an error outcome; only a
+        closed server raises.
+        """
+        if self._closed:
+            raise ServeError("the server is closed")
+        stats = self.stats
+        try:
+            group, target_ix = self._resolve(request)
+            if target_ix is None:
+                raise ServeError(
+                    f"session {request.session_id!r} has an oracle; "
+                    "settle() serves target sessions"
+                )
+        except ReproError as exc:
+            if isinstance(exc, AdmissionError):
+                stats.rejected += 1
+            else:
+                stats.errored += 1
+            return SessionOutcome(request.session_id, request.tenant, None, exc)
+        stats.submitted += 1
+        outcome = group.outcome(
+            request,
+            target_ix,
+            int(group.index.leaf_of[target_ix]),
+            self.record_transcripts,
+        )
+        if outcome.error is None:
+            stats.completed += 1
+        else:
+            stats.errored += 1
+        return outcome
+
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
@@ -693,17 +744,13 @@ class Server:
     def _feed_admit(self, request: SessionRequest, fast: list):
         """Admit one feed request; returns a rejection outcome or ``None``.
 
-        ``fast`` is a three-slot ``[tenant, group, index]`` cache shared
-        between :meth:`serve` and :meth:`aserve`: most feeds are one
-        tenant on the default plan, and admitting those straight into the
-        group's incoming list skips the per-request
-        ``submit()``/``_resolve()`` machinery.  The cache holds only while
-        the tenant still holds the cached group: after a
+        ``fast`` is :meth:`serve`'s three-slot ``[tenant, group, index]``
+        cache: most feeds are one tenant on the default plan, and admitting
+        those straight into the group's incoming list skips the
+        per-request ``submit()``/``_resolve()`` machinery.  The cache holds
+        only while the tenant still holds the cached group: after a
         :meth:`release_plan` the next request goes through :meth:`submit`,
-        which registers the plan again under the quota.  Both feeds route
-        through this one method, so the sync and async paths admit
-        identically (the ``aserve`` parity suite diffs their outcomes
-        byte for byte).
+        which registers the plan again under the quota.
         """
         stats = self.stats
         if (
@@ -744,9 +791,9 @@ class Server:
     def _reclaim_in_flight(self) -> int:
         """Cancel every in-flight and queued session (abandoned feed).
 
-        A ``serve``/``aserve`` consumer that drops the generator mid-feed
-        (``GeneratorExit``, task cancellation) would otherwise strand its
-        sessions: ``_active`` never decrements, the groups keep them, and
+        A ``serve`` consumer that drops the generator mid-feed
+        (``GeneratorExit``) would otherwise strand its sessions:
+        ``_active`` never decrements, the groups keep them, and
         ``release_plan`` sees phantom in-flight work.  Reclaiming drops
         them all and fixes the accounting; under ``REPRO_SANITIZE=1`` it
         first audits that the cached count matches the groups.
@@ -797,78 +844,6 @@ class Server:
                 if exhausted and not self.in_flight and not self._queue:
                     return
         finally:
-            if not self._closed and (self.in_flight or self._queue):
-                self._reclaim_in_flight()
-
-    async def aserve(self, feed):
-        """Async variant of :meth:`serve` for an ``async for`` feed.
-
-        :meth:`step` runs in a worker thread via :func:`asyncio.to_thread`:
-        an oracle session's answer source may block, and other tasks on
-        the event loop (e.g. the network transport's connection handlers)
-        must keep making progress meanwhile.  Admission uses the same fast
-        path as :meth:`serve` (one shared :meth:`_feed_admit`), so
-        identical feeds take identical code paths and produce
-        byte-identical outcomes.  Cancellation or an abandoned ``async
-        for`` reclaims in-flight sessions exactly like the sync feed.
-        """
-        if self._closed:
-            raise ServeError("the server is closed")
-        iterator = feed.__aiter__()
-        exhausted = False
-        #: In-flight ``__anext__`` task.  A *live* feed (a network
-        #: transport bridging connections through a queue) may have no
-        #: request ready for a while; awaiting it directly would stall
-        #: every in-flight session.  Instead the pull runs as a task: when
-        #: it has not produced yet and there is work to do, step the work
-        #: and pick the request up next tick; only an *idle* server
-        #: blocks on the feed.
-        pending: asyncio.Task | None = None
-        #: In-flight :meth:`step` thread.  Shielded: a cancellation (a
-        #: drain timeout cancelling the transport pump) cannot stop the
-        #: thread mid-step, so the reclaim below must wait it out —
-        #: reclaiming while the step still walks the groups would race.
-        step_task: asyncio.Task | None = None
-        fast: list = [None, None, None]  # [tenant, group, index] cache
-        try:
-            while True:
-                while not exhausted and self._active < self.max_sessions:
-                    if pending is None:
-                        pending = asyncio.ensure_future(iterator.__anext__())
-                        # One loop pass so a ready feed completes the
-                        # task (static feeds admit in full, like serve).
-                        await asyncio.sleep(0)
-                    if not pending.done() and (self.in_flight or self._queue):
-                        break
-                    try:
-                        request = await pending
-                    except StopAsyncIteration:
-                        exhausted = True
-                        pending = None
-                        break
-                    pending = None
-                    rejected = self._feed_admit(request, fast)
-                    if rejected is not None:
-                        yield rejected
-                step_task = asyncio.ensure_future(
-                    asyncio.to_thread(self.step)
-                )
-                try:
-                    finished = await asyncio.shield(step_task)
-                finally:
-                    if step_task.done():
-                        step_task = None
-                for outcome in finished:
-                    yield outcome
-                if not finished:
-                    await asyncio.sleep(0)  # yield to the loop
-                if exhausted and not self.in_flight and not self._queue:
-                    return
-        finally:
-            if pending is not None:
-                pending.cancel()
-            if step_task is not None:
-                await asyncio.gather(step_task, return_exceptions=True)
             if not self._closed and (self.in_flight or self._queue):
                 self._reclaim_in_flight()
 

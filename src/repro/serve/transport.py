@@ -24,10 +24,11 @@ Server -> client::
 
 Two session shapes, two serving paths:
 
-* **Target sessions** (``"target"``) ride :meth:`Server.aserve`: the
-  transport bridges every connection's opens into one queue-backed
-  feed, and the server settles each session from its plan's leaf table
-  on the next step.  This is the labelling-service hot path.
+* **Target sessions** (``"target"``) settle as their ``open`` frame is
+  read: :meth:`Server.settle` looks the target's leaf up in the plan's
+  leaf table on the event loop, and the result (or typed error) frame is
+  queued at once.  Nothing is left in flight, so the transport holds no
+  state for them.  This is the labelling-service hot path.
 * **Interactive sessions** (``"interactive"``) are driven by a
   per-session :class:`~repro.serve.SessionRuntime` *at the transport
   layer*.  The server's oracle path answers synchronously inside
@@ -40,15 +41,21 @@ that opened it, and ``(tenant, id)`` is *sticky* across the transport —
 a second connection opening a live id is refused typed, so a client
 pool cannot split one logical session across backends.
 
-Backpressure, three layers, all typed
-:class:`~repro.exceptions.AdmissionError` at the client: per-connection
-open-session caps, the bounded feed bridge, and the server's own
-admission control (its rejections flow back as error frames).  A
-consumer too slow to drain its replies is disconnected rather than
-allowed to grow the outbox without bound.
+Backpressure, all typed :class:`~repro.exceptions.AdmissionError` at the
+client: per-connection and transport-wide caps on live interactive
+sessions, and the server's per-tenant plan quota (its rejections flow
+back as error frames).  A consumer too slow to drain its replies is
+disconnected rather than allowed to grow the outbox without bound.
 
-Graceful drain: :meth:`ServeTransport.shutdown` stops accepting, closes
-the feed, and waits for ``aserve`` to finish every admitted session —
+Protocol errors are typed too: a frame that does not decode or exceeds
+``MAX_FRAME_BYTES`` is answered with a
+:class:`~repro.exceptions.TransportError` frame and its connection
+closed; a frame whose ``id``, ``tenant`` or ``target`` is not a JSON
+scalar, or whose op is unknown, gets the same frame and the connection
+stays open.
+
+Graceful drain: :meth:`ServeTransport.shutdown` stops accepting, refuses
+new opens, and closes every connection once its outbox is flushed —
 bounded by ``timeout`` and raising
 :class:`~repro.exceptions.ServeTimeoutError` past it, mirroring
 ``Server.drain(timeout=)``.
@@ -81,7 +88,7 @@ from repro.exceptions import (
 from repro.faults.inject import maybe_inject
 from repro.faults.resilience import CircuitBreaker, RetryPolicy
 from repro.serve.runtime import SessionRuntime
-from repro.serve.server import Server, SessionOutcome, SessionRequest
+from repro.serve.server import Server, SessionRequest
 
 __all__ = [
     "RemoteSession",
@@ -93,8 +100,12 @@ __all__ = [
 #: Hard cap on one NDJSON frame (bytes, including the newline).
 MAX_FRAME_BYTES = 1 << 20
 
-#: Feed-close sentinel (also ends each connection's writer loop).
+#: Ends a connection's writer loop once the frames queued before it are out.
 _CLOSE = object()
+
+#: The JSON values a frame's ``id``, ``tenant`` and ``target`` may take
+#: (``bool`` is an ``int``).
+_SCALARS = (str, int, float, type(None))
 
 #: Error names the wire may carry -> typed classes the client re-raises.
 #: Built from the exception module so new ReproError subclasses are
@@ -162,22 +173,23 @@ class TransportStats:
     rejected: int = 0
     #: Connections dropped because their outbox overflowed (slow reader).
     slow_disconnects: int = 0
-    #: Protocol violations (bad JSON, oversized frame, unknown op).
+    #: Protocol violations (a frame that does not decode or is oversized,
+    #: an unknown op, a non-scalar ``id``, ``tenant`` or ``target``).
     protocol_errors: int = 0
-    #: In-flight sessions whose connection vanished before the result.
+    #: In-flight target sessions whose connection vanished before the
+    #: result.  Target sessions settle as their ``open`` frame is read,
+    #: so none is ever in flight and this stays 0.
     orphaned: int = 0
 
 
 class _Connection:
-    """Per-connection state: reader identity, outbox, open sessions."""
+    """Per-connection state: writer, outbox, live interactive sessions."""
 
     __slots__ = (
         "conn_id",
         "writer",
         "outbox",
-        "targets",
         "interactive",
-        "sticky",
         "writer_task",
         "closed",
     )
@@ -186,19 +198,11 @@ class _Connection:
         self.conn_id = conn_id
         self.writer = writer
         self.outbox: asyncio.Queue = asyncio.Queue(maxsize=outbox_limit)
-        #: Client session ids with a target session in the server.
-        self.targets: set = set()
-        #: Client session id -> SessionRuntime (propose/observe shape).
+        #: Client session id -> (SessionRuntime, sticky-registry key); the
+        #: key keeps the tenant the session was opened with.
         self.interactive: dict = {}
-        #: Client session id -> (tenant, id) sticky-registry key, so a
-        #: drop releases the key under the tenant it was opened with.
-        self.sticky: dict = {}
         self.writer_task: asyncio.Task | None = None
         self.closed = False
-
-    @property
-    def open_sessions(self) -> int:
-        return len(self.targets) + len(self.interactive)
 
 
 class ServeTransport:
@@ -207,26 +211,22 @@ class ServeTransport:
     Parameters
     ----------
     server:
-        The server to put on the wire.  Target sessions feed its
-        :meth:`~repro.serve.Server.aserve`; interactive sessions run on
+        The server to put on the wire.  Target sessions are settled by its
+        :meth:`~repro.serve.Server.settle`; interactive sessions run on
         its default plan and cost model.
     host, port:
         Listen address; ``port=0`` (default) picks a free port —
         :attr:`address` reports the bound one.
     max_sessions_per_conn:
-        Open-session cap per connection (both shapes combined); beyond
-        it an ``open`` is refused with a typed
+        Live interactive sessions per connection; beyond it an
+        interactive ``open`` is refused with a typed
         :class:`~repro.exceptions.AdmissionError` frame.
     max_interactive:
         Transport-wide cap on concurrent interactive runtimes (each is
-        per-session state on the event loop; target sessions are capped
-        by the server's own admission control).
+        per-session state on the event loop; target sessions hold none).
     outbox_limit:
         Reply frames buffered per connection before the peer is
         declared a slow consumer and disconnected.
-    feed_limit:
-        Target-session opens buffered between the transport and
-        ``aserve`` before opens are refused with ``AdmissionError``.
     tenant:
         Default tenant attributed to sessions whose ``open`` frame
         names none.
@@ -241,7 +241,6 @@ class ServeTransport:
         max_sessions_per_conn: int = 512,
         max_interactive: int = 1024,
         outbox_limit: int = 1024,
-        feed_limit: int = 4096,
         tenant: str = "default",
     ) -> None:
         if max_sessions_per_conn < 1:
@@ -255,8 +254,6 @@ class ServeTransport:
             )
         if outbox_limit < 1:
             raise ServeError(f"outbox_limit must be >= 1, got {outbox_limit}")
-        if feed_limit < 1:
-            raise ServeError(f"feed_limit must be >= 1, got {feed_limit}")
         self.server = server
         self.stats = TransportStats()
         self.tenant = tenant
@@ -265,14 +262,10 @@ class ServeTransport:
         self.outbox_limit = int(outbox_limit)
         self._host = host
         self._port = port
-        self._feed_queue: asyncio.Queue = asyncio.Queue(maxsize=feed_limit)
         self._listener: asyncio.base_events.Server | None = None
-        self._pump: asyncio.Task | None = None
-        self._pump_error: ReproError | None = None
+        #: Every connection whose handler is running, closing ones included.
         self._conns: dict[int, _Connection] = {}
         self._next_conn_id = 0
-        #: Server session id (conn_id, client id) -> owning connection.
-        self._routes: dict = {}
         #: Sticky registry: (tenant, client id) -> conn_id while live.
         self._sticky: dict = {}
         self._interactive_count = 0
@@ -283,16 +276,17 @@ class ServeTransport:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind, start the aserve pump, and return ``(host, port)``."""
+        """Bind and return ``(host, port)``."""
         if self._started:
             raise ServeError("the transport is already started")
         if self.server.closed:
             raise ServeError("the server is closed")
         self._started = True
+        # The stream limit bounds a line before its newline, so this
+        # admits frames of at most MAX_FRAME_BYTES, newline included.
         self._listener = await asyncio.start_server(
-            self._accept, self._host, self._port, limit=MAX_FRAME_BYTES
+            self._accept, self._host, self._port, limit=MAX_FRAME_BYTES - 1
         )
-        self._pump = asyncio.create_task(self._run_pump())
         return self.address
 
     @property
@@ -310,13 +304,13 @@ class ServeTransport:
         await self.shutdown()
 
     async def shutdown(self, timeout: float | None = None) -> None:
-        """Stop accepting, drain every admitted session, close connections.
+        """Stop accepting, refuse new opens, flush and close every connection.
 
-        Mirrors ``Server.drain(timeout=)``: with a ``timeout`` the wait
-        for in-flight sessions is bounded, and past it the pump is
-        cancelled (reclaiming in-flight sessions via ``aserve``'s
-        abandonment path) and :class:`~repro.exceptions.ServeTimeoutError`
-        is raised.
+        Target sessions settle as their ``open`` frame is read, so what is
+        left to finish is each connection's outbox.  Mirrors
+        ``Server.drain(timeout=)``: with a ``timeout`` the flush is
+        bounded, and past it every connection is aborted and
+        :class:`~repro.exceptions.ServeTimeoutError` is raised.
         """
         if not self._started:
             return
@@ -326,66 +320,22 @@ class ServeTransport:
         maybe_inject("transport.drain")
         if self._listener is not None:
             self._listener.close()
-            await self._listener.wait_closed()
-        pump = self._pump
-        if pump is not None and not pump.done():
-            await self._feed_queue.put(_CLOSE)
-            try:
-                if timeout is None:
-                    await pump
-                else:
-                    await asyncio.wait_for(pump, timeout)
-            except asyncio.TimeoutError:
-                # wait_for cancelled the pump; aserve's finally reclaimed
-                # whatever was in flight.
-                await asyncio.gather(pump, return_exceptions=True)
-                raise ServeTimeoutError(
-                    f"transport drain exceeded its {timeout:g}s deadline "
-                    f"with {self.server.in_flight} session(s) in flight "
-                    f"and {self.server.queued} queued"
-                ) from None
-            finally:
-                for conn in list(self._conns.values()):
-                    await self._close_conn(conn)
-        else:
-            for conn in list(self._conns.values()):
-                await self._close_conn(conn)
-        if self._pump_error is not None:
-            raise self._pump_error
-
-    # ------------------------------------------------------------------
-    # The aserve pump: feed bridge in, outcome routing out
-    # ------------------------------------------------------------------
-    async def _feed(self):
-        while True:
-            item = await self._feed_queue.get()
-            if item is _CLOSE:
-                return
-            yield item
-
-    async def _run_pump(self) -> None:
+        conns = list(self._conns.values())
         try:
-            async for outcome in self.server.aserve(self._feed()):
-                self._route(outcome)
-        except ReproError as exc:
-            # A server-level failure (not a per-session error) kills the
-            # transport: remember it for shutdown() and refuse new work.
-            self._pump_error = exc
-            self._draining = True
-
-    def _route(self, outcome: SessionOutcome) -> None:
-        _, client_id = outcome.session_id
-        conn = self._routes.pop(outcome.session_id, None)
-        self._sticky.pop((outcome.tenant, client_id), None)
-        if conn is None or conn.closed:
-            self.stats.orphaned += 1
-            return
-        conn.targets.discard(client_id)
-        conn.sticky.pop(client_id, None)
-        if outcome.ok:
-            self._send(conn, _result_frame(client_id, outcome.result))
-        else:
-            self._send(conn, _error_frame(client_id, outcome.error))
+            await asyncio.wait_for(
+                asyncio.gather(*(self._close_conn(conn) for conn in conns)),
+                timeout,
+            )
+        except asyncio.TimeoutError:
+            for conn in conns:
+                conn.writer.transport.abort()
+            raise ServeTimeoutError(
+                f"transport drain exceeded its {timeout:g}s deadline "
+                f"flushing the replies of {len(conns)} connection(s)"
+            ) from None
+        if self._listener is not None:
+            # Last: from Python 3.12.1 on it waits for every connection.
+            await self._listener.wait_closed()
 
     def _send(self, conn: _Connection, frame: dict) -> None:
         """Queue a reply; a full outbox means a slow reader — disconnect."""
@@ -394,8 +344,11 @@ class ServeTransport:
         try:
             conn.outbox.put_nowait(frame)
         except asyncio.QueueFull:
+            # Its replies are dropped, so nothing is left to flush.
             self.stats.slow_disconnects += 1
             self._abandon_conn(conn)
+            conn.writer_task.cancel()
+            conn.writer.transport.abort()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -432,14 +385,16 @@ class ServeTransport:
         while not conn.closed:
             try:
                 line = await reader.readline()
-            except (
-                asyncio.LimitOverrunError,
-                ValueError,
-                ConnectionError,
-                OSError,
-            ):
-                # Oversized frame or torn connection: protocol over.
+            except (ConnectionError, OSError):
+                # Torn connection: protocol over.
                 self.stats.protocol_errors += 1
+                return
+            except ValueError:  # past the stream limit
+                self._protocol_error(
+                    conn,
+                    None,
+                    f"frame exceeds the {MAX_FRAME_BYTES}-byte limit",
+                )
                 return
             if not line:
                 return  # EOF: the client hung up
@@ -450,16 +405,34 @@ class ServeTransport:
                 return
             try:
                 frame = json.loads(line)
-                if not isinstance(frame, dict):
-                    raise TransportError("frames must be JSON objects")
-            except (json.JSONDecodeError, TransportError) as exc:
-                self.stats.protocol_errors += 1
-                self._send(conn, _error_frame(None, TransportError(str(exc))))
+            except (ValueError, RecursionError) as exc:
+                # ValueError: malformed JSON, invalid UTF-8 or an integer
+                # too long to convert; RecursionError: nesting too deep.
+                self._protocol_error(conn, None, str(exc))
+                return
+            if not isinstance(frame, dict):
+                self._protocol_error(conn, None, "frames must be JSON objects")
                 return
             self.stats.frames_in += 1
             self._dispatch(conn, frame)
 
+    def _protocol_error(self, conn: _Connection, session_id, message) -> None:
+        """Count a protocol violation; answer it with a TransportError."""
+        self.stats.protocol_errors += 1
+        self._send(conn, _error_frame(session_id, TransportError(message)))
+
     def _dispatch(self, conn: _Connection, frame: dict) -> None:
+        # Before any lookup: an unhashable id or tenant cannot key the
+        # sticky registry, nor a target name a node.
+        for field in ("id", "tenant", "target"):
+            if not isinstance(frame.get(field), _SCALARS):
+                self._protocol_error(
+                    conn,
+                    None if field == "id" else frame.get("id"),
+                    f"frame field {field!r} must be a string, number, "
+                    "boolean or null",
+                )
+                return
         op = frame.get("op")
         if op == "ping":
             self._send(
@@ -476,15 +449,11 @@ class ServeTransport:
         elif op == "answer":
             self._answer(conn, frame)
         elif op == "close":
-            self._abandon_session(conn, frame.get("id"))
+            # Abandons an interactive session; a target session has
+            # already settled.
+            self._drop_interactive(conn, frame.get("id"))
         else:
-            self.stats.protocol_errors += 1
-            self._send(
-                conn,
-                _error_frame(
-                    frame.get("id"), TransportError(f"unknown op {op!r}")
-                ),
-            )
+            self._protocol_error(conn, frame.get("id"), f"unknown op {op!r}")
 
     def _open(self, conn: _Connection, frame: dict) -> None:
         client_id = frame.get("id")
@@ -506,47 +475,42 @@ class ServeTransport:
                     f"session {client_id!r} is already open on {where} "
                     "(ids are sticky while a session is live)"
                 )
-            if conn.open_sessions >= self.max_sessions_per_conn:
-                raise AdmissionError(
-                    f"connection at its session cap "
-                    f"({self.max_sessions_per_conn}); finish or close a "
-                    "session first"
-                )
             if frame.get("interactive"):
                 self._open_interactive(conn, client_id, sticky_key)
             else:
-                self._open_target(conn, frame, client_id, tenant, sticky_key)
+                self._open_target(conn, frame, client_id, tenant)
         except ReproError as exc:
             self.stats.rejected += 1
             self._send(conn, _error_frame(client_id, exc))
 
     def _open_target(
-        self, conn: _Connection, frame: dict, client_id, tenant, sticky_key
+        self, conn: _Connection, frame: dict, client_id, tenant
     ) -> None:
         target = frame.get("target")
         if target is None:
             raise TransportError(
                 "open frames need target= (or interactive=true)"
             )
-        request = SessionRequest(
-            session_id=(conn.conn_id, client_id),
-            target=target,
-            tenant=tenant,
+        outcome = self.server.settle(
+            SessionRequest(
+                session_id=(conn.conn_id, client_id),
+                target=target,
+                tenant=tenant,
+            )
         )
-        try:
-            self._feed_queue.put_nowait(request)
-        except asyncio.QueueFull:
-            raise AdmissionError(
-                f"the feed bridge is full ({self._feed_queue.maxsize} "
-                "opens buffered); back off and retry"
-            ) from None
-        self._routes[request.session_id] = conn
-        self._sticky[sticky_key] = conn.conn_id
-        conn.sticky[client_id] = sticky_key
-        conn.targets.add(client_id)
         self.stats.opened_target += 1
+        if outcome.error is None:
+            self._send(conn, _result_frame(client_id, outcome.result))
+        else:
+            self._send(conn, _error_frame(client_id, outcome.error))
 
     def _open_interactive(self, conn: _Connection, client_id, sticky_key):
+        if len(conn.interactive) >= self.max_sessions_per_conn:
+            raise AdmissionError(
+                f"connection at its session cap "
+                f"({self.max_sessions_per_conn}); finish or close a "
+                "session first"
+            )
         if self._interactive_count >= self.max_interactive:
             raise AdmissionError(
                 f"transport at its interactive-session cap "
@@ -562,17 +526,16 @@ class ServeTransport:
             cost_model=self.server.model,
             max_queries=self.server.max_queries,
         )
-        conn.interactive[client_id] = runtime
+        conn.interactive[client_id] = (runtime, sticky_key)
         self._interactive_count += 1
         self._sticky[sticky_key] = conn.conn_id
-        conn.sticky[client_id] = sticky_key
         self.stats.opened_interactive += 1
         self._advance_interactive(conn, client_id, runtime)
 
     def _answer(self, conn: _Connection, frame: dict) -> None:
         client_id = frame.get("id")
-        runtime = conn.interactive.get(client_id)
-        if runtime is None:
+        entry = conn.interactive.get(client_id)
+        if entry is None:
             self._send(
                 conn,
                 _error_frame(
@@ -592,6 +555,7 @@ class ServeTransport:
                 ),
             )
             return
+        runtime = entry[0]
         try:
             runtime.observe(bool(frame["answer"]))
         except ReproError as exc:  # protocol misuse: typed, session over
@@ -617,24 +581,10 @@ class ServeTransport:
         self._send(conn, {"op": "ask", "id": client_id, "query": query})
 
     def _drop_interactive(self, conn: _Connection, client_id) -> None:
-        if conn.interactive.pop(client_id, None) is not None:
+        entry = conn.interactive.pop(client_id, None)
+        if entry is not None:
             self._interactive_count -= 1
-            sticky_key = conn.sticky.pop(client_id, None)
-            if sticky_key is not None:
-                self._sticky.pop(sticky_key, None)
-
-    def _abandon_session(self, conn: _Connection, client_id) -> None:
-        """Client walked away from one session (explicit ``close`` frame)."""
-        self._drop_interactive(conn, client_id)
-        if client_id in conn.targets:
-            # The server still settles the session on its next step, but
-            # its outcome now has nowhere to go: unroute it so _route
-            # counts it orphaned instead of writing to the connection.
-            conn.targets.discard(client_id)
-            self._routes.pop((conn.conn_id, client_id), None)
-            sticky_key = conn.sticky.pop(client_id, None)
-            if sticky_key is not None:
-                self._sticky.pop(sticky_key, None)
+            self._sticky.pop(entry[1], None)
 
     # ------------------------------------------------------------------
     # Writer side
@@ -653,33 +603,24 @@ class ServeTransport:
             # Torn pipe or injected write fault: close the socket so the
             # peer (and our reader loop) see EOF now, not at their next
             # deadline, and the reader tears the connection down.
-            conn.closed = True
+            self._abandon_conn(conn)
             try:
                 conn.writer.close()
             except (ConnectionError, OSError):
                 pass
 
     def _abandon_conn(self, conn: _Connection) -> None:
-        """Synchronous part of teardown (callable from the pump)."""
+        """Mark a connection closed; its interactive sessions die with it."""
         if conn.closed:
             return
         conn.closed = True
-        # Interactive sessions die with their connection.
         for client_id in list(conn.interactive):
             self._drop_interactive(conn, client_id)
-        # Target sessions keep running in the server; orphan their routes.
-        for client_id in list(conn.targets):
-            self._routes.pop((conn.conn_id, client_id), None)
-            sticky_key = conn.sticky.pop(client_id, None)
-            if sticky_key is not None:
-                self._sticky.pop(sticky_key, None)
-        conn.targets.clear()
-        self._conns.pop(conn.conn_id, None)
 
     async def _close_conn(self, conn: _Connection) -> None:
+        """Flush the connection's outbox, then close its socket."""
         self._abandon_conn(conn)
         if conn.writer_task is not None and not conn.writer_task.done():
-            # Let queued frames flush, then stop the writer.
             try:
                 conn.outbox.put_nowait(_CLOSE)
             except asyncio.QueueFull:
@@ -690,6 +631,7 @@ class ServeTransport:
             await conn.writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+        self._conns.pop(conn.conn_id, None)
 
 
 # ----------------------------------------------------------------------

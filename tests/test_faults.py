@@ -813,7 +813,7 @@ class TestTransportFaults:
                 with fault.armed():
                     with pytest.raises(ServeTimeoutError, match="injected"):
                         await transport.shutdown(timeout=5.0)
-                # The typed failure aborted the drain before the feed
+                # The typed failure aborted the drain before the listener
                 # closed; a clean retry finishes the shutdown.
                 await transport.shutdown(timeout=5.0)
 

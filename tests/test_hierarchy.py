@@ -94,6 +94,11 @@ class TestAccessors:
         with pytest.raises(HierarchyError, match="unknown node"):
             vehicle_hierarchy.children("Tesla")
 
+    @pytest.mark.parametrize("label", [[1], {"a": 1}, {"Car"}])
+    def test_unhashable_label_is_unknown_typed(self, vehicle_hierarchy, label):
+        with pytest.raises(HierarchyError, match="unknown node"):
+            vehicle_hierarchy.index(label)
+
     def test_depth(self, vehicle_hierarchy):
         h = vehicle_hierarchy
         assert h.depth("Vehicle") == 0

@@ -18,7 +18,6 @@ Two contracts:
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 import numpy as np
@@ -32,6 +31,7 @@ from repro.engine import simulate_all_targets
 from repro.exceptions import (
     AdmissionError,
     BudgetExceededError,
+    HierarchyError,
     PolicyError,
     QuotaExceededError,
     SearchError,
@@ -497,6 +497,46 @@ class TestAdmissionControl:
         assert isinstance(outcomes[3].error, ServeError)
         assert server.stats.errored == 2
 
+    def test_unhashable_target_is_an_error_outcome(self):
+        """An unhashable target label errors typed like an unknown one, on
+        the feed's first request and on its fast path alike; the other
+        sessions keep their outcomes."""
+        plan, hierarchy = self._plan()
+        feed = [
+            SessionRequest("a", target=[1]),
+            SessionRequest("b", target=hierarchy.nodes[2]),
+            SessionRequest("c", target={"x": 1}),
+            SessionRequest("d", target=hierarchy.nodes[5]),
+        ]
+        with Server(plan) as server:
+            outcomes = _served(server, iter(feed))
+        assert set(outcomes) == {"a", "b", "c", "d"}
+        for sid in "ac":
+            assert type(outcomes[sid].error) is HierarchyError
+            assert "unknown node" in str(outcomes[sid].error)
+        for sid, target in (("b", hierarchy.nodes[2]), ("d", hierarchy.nodes[5])):
+            assert outcomes[sid].result == run_search(
+                plan, ExactOracle(hierarchy, target), hierarchy
+            )
+        assert server.stats.errored == 2
+        assert server.stats.completed == 2
+
+    def test_settle_serves_target_sessions_only(self, vehicle_hierarchy):
+        """``settle`` turns an oracle session into a typed error outcome,
+        leaves nothing in flight, and refuses a closed server."""
+        plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
+        server = Server(plan)
+        with server:
+            oracle = ExactOracle(vehicle_hierarchy, "Car")
+            outcome = server.settle(SessionRequest("o", oracle=oracle))
+            assert type(outcome.error) is ServeError
+            assert "settle() serves target sessions" in str(outcome.error)
+            assert server.settle(SessionRequest("t", target="Car")).ok
+            assert server.in_flight == 0
+            assert (server.stats.errored, server.stats.completed) == (1, 1)
+        with pytest.raises(ServeError, match="closed"):
+            server.settle(SessionRequest("late", target="Car"))
+
     def test_request_must_pick_target_or_oracle(self, vehicle_hierarchy):
         plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
         with Server(plan) as server:
@@ -583,33 +623,6 @@ class TestTenantQuotas:
 
 
 
-class TestServerAsync:
-    def test_aserve_matches_serve(self, vehicle_hierarchy):
-        import asyncio
-
-        plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
-        targets = ["Sentra", "Car", "Maxima", "Honda", "Vehicle"]
-
-        async def feed():
-            for i, t in enumerate(targets):
-                yield SessionRequest(i, target=t)
-
-        async def main():
-            out = {}
-            with Server(plan, max_sessions=2) as server:
-                async for outcome in server.aserve(feed()):
-                    out[outcome.session_id] = outcome
-            return out
-
-        outcomes = asyncio.run(main())
-        assert len(outcomes) == len(targets)
-        for i, target in enumerate(targets):
-            reference = run_search(
-                plan, ExactOracle(vehicle_hierarchy, target), vehicle_hierarchy
-            )
-            assert outcomes[i].result == reference
-
-
 # ----------------------------------------------------------------------
 # Releasing the default plan between two pulls of a feed
 # ----------------------------------------------------------------------
@@ -668,24 +681,6 @@ class TestReleaseMidFeed:
 
         with server:
             outcomes = _bounded(run)
-            self._check(server, plan, vehicle_hierarchy, outcomes)
-
-    def test_aserve(self, vehicle_hierarchy):
-        plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
-        server = Server(plan, plan_quota=1, max_sessions=1)
-
-        async def feed():
-            for i, t in enumerate(self.TARGETS):
-                yield SessionRequest(i, target=t)
-
-        async def main():
-            gen = server.aserve(feed())
-            first = await gen.__anext__()
-            server.release_plan(plan)
-            return [first, *[o async for o in gen]]
-
-        with server:
-            outcomes = _bounded(lambda: asyncio.run(main()))
             self._check(server, plan, vehicle_hierarchy, outcomes)
 
 

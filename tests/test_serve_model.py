@@ -3,10 +3,11 @@
 A Hypothesis state machine drives one small server — two plans (a tree
 and a DAG), two tenants under ``plan_quota=1``, a tight in-flight cap and
 queue — through target and oracle submissions (unknown labels and a
-failing oracle included), ``step``, ``drain``, ``register_plan`` /
-``release_plan``, and pulls from a live ``serve()`` feed that may be
-abandoned.  A reference model of admission, queue, quota and feed
-accounting predicts every rejection; after every rule the machine checks:
+failing oracle included), ``settle`` (the wire's path), ``step``,
+``drain``, ``register_plan`` / ``release_plan``, and pulls from a live
+``serve()`` feed that may be abandoned.  A reference model of admission,
+queue, quota and feed accounting predicts every rejection; after every
+rule the machine checks:
 
 * every request is accounted exactly once: returned as an outcome,
   rejected typed, abandoned, queued, or in flight (or settled and still
@@ -267,6 +268,26 @@ class ServerMachine(RuleBasedStateMachine):
             self.model.done.add(sid)
         else:
             assert predicted is None, predicted
+
+    @rule(spec=request_specs)
+    def settle(self, spec):
+        """The wire's path: the same quota and label checks as a
+        submission, an oracle session refused typed, and the outcome
+        returned at once with nothing left in flight."""
+        kind, tenant, plan_arg, pick = spec
+        request, plan_name, known = self._request(kind, tenant, plan_arg, pick)
+        model = self.model
+        model.done.add(request.session_id)
+        expected = model._resolve(tenant, plan_name, known)
+        if expected is None and kind in ("oracle", "failing"):
+            expected = ServeError
+        if expected is None:
+            expected = model.expected[request.session_id]
+        outcome = self.server.settle(request)
+        if isinstance(expected, type):
+            assert type(outcome.error) is expected, (outcome, expected)
+        else:
+            assert outcome.result == expected, outcome
 
     # -- stepping ---------------------------------------------------------
     @rule()

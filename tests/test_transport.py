@@ -9,22 +9,21 @@ Five contracts:
 2. **Stickiness & backpressure** — a live session id is refused on a
    second open (same or other connection) with a typed error; the
    per-connection cap, the interactive cap, and a slow consumer's outbox
-   overflow all degrade typed, never hang.
+   overflow all degrade typed, never hang; a client pipelining 1,000
+   target opens gets 1,000 results.
 
-3. **Adversarial clients** — mid-session disconnects orphan (not crash)
-   in-flight work, abandoned interactive runtimes are reclaimed, and the
-   transport keeps serving everyone else.
+3. **Adversarial clients** — clients that hang up with sessions open, or
+   close ids, leave nothing live (no runtime, no sticky id), and the
+   transport keeps serving everyone else.  Under ``REPRO_SANITIZE=1``,
+   an abandoned ``serve()`` feed reclaims every in-flight session.
 
-4. **Event-loop liveness** — the regression test for the ``aserve``
-   stall bug: while one connection's session is inside a blocking
-   ``step()`` (a blocking oracle, emulated with a deterministic sleep),
-   a second connection's pings keep round-tripping, proving the step
-   runs off-loop (``asyncio.to_thread``).
+4. **Settle-vs-serve parity** — :meth:`Server.settle`, which the wire
+   calls as each target ``open`` is read, gives the same outcomes (results
+   byte for byte, error types and texts) and counters as ``serve()``.
 
-5. **Abandoned-generator hygiene** — breaking out of ``serve()`` /
-   ``aserve()`` mid-flight reclaims every in-flight session; runs under
-   ``REPRO_SANITIZE=1`` so any accounting drift raises
-   :class:`SanitizerError`.
+5. **Frame fuzzing** — arbitrary NDJSON frames, split and coalesced,
+   oversized, undecodable or deeply nested, get typed replies only; the
+   transport stays live and leaks no session.
 
 Plus the open-loop load generator: deterministic schedules for a seed,
 sane percentile math, and a short end-to-end run over the real wire.
@@ -35,22 +34,27 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro import exceptions
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
 from repro.exceptions import (
     AdmissionError,
+    BudgetExceededError,
     QuotaExceededError,
+    ReproError,
+    SearchError,
     ServeError,
     ServeTimeoutError,
     TransportError,
 )
 from repro.faults import RetryPolicy
-from repro.plan import compile_policy
+from repro.plan import CompiledPlan, compile_policy
 from repro.policies import GreedyTreePolicy
 from repro.serve import (
     LoadProfile,
@@ -61,7 +65,7 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.loadgen import _draw_schedule, percentile
-from repro.serve.transport import MAX_FRAME_BYTES, _encode
+from repro.serve.transport import MAX_FRAME_BYTES, _decode_result, _encode
 from repro.testing import make_random_tree, random_distribution
 
 
@@ -91,6 +95,23 @@ async def _poll(predicate, *, timeout=5.0, interval=0.005):
         if time.monotonic() > deadline:
             raise AssertionError("condition not reached before timeout")
         await asyncio.sleep(interval)
+
+
+async def _read_frames(reader, count, *, timeout=5.0):
+    """The next ``count`` reply frames; fails, not hangs, past ``timeout``."""
+
+    async def read():
+        return [json.loads(await reader.readline()) for _ in range(count)]
+
+    return await asyncio.wait_for(read(), timeout)
+
+
+def _assert_nothing_live(transport, server):
+    """No interactive runtime, sticky id or server session is left."""
+    assert transport._interactive_count == 0
+    assert not transport._sticky
+    assert server.in_flight == 0
+    assert server.queued == 0
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +249,66 @@ class TestRoundTrip:
         assert protocol_errors == 1
         assert result == reference
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"op": "ping", "id": "\xff\xfe"}\n',
+            b"[" * 100_000 + b"\n",
+            b'{"op": "ping", "id": ' + b"9" * 5000 + b"}\n",
+        ],
+        ids=["invalid-utf8", "deep-nesting", "long-int"],
+    )
+    def test_undecodable_frame_is_protocol_error(self, payload):
+        """A frame that is not valid UTF-8, nests past the recursion limit
+        or holds an integer too long to convert is answered like malformed
+        JSON: a TransportError frame, then the connection closes."""
+        plan, _, _ = _config()
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    writer.write(payload)
+                    await writer.drain()
+                    (frame,) = await _read_frames(reader, 1)
+                    rest = await asyncio.wait_for(reader.read(), 5.0)
+                    writer.close()
+                    await writer.wait_closed()
+                    return frame, rest, transport.stats.protocol_errors
+
+        frame, rest, protocol_errors = asyncio.run(main())
+        assert frame["error"] == "TransportError"
+        assert rest == b""  # closed by the transport
+        assert protocol_errors == 1
+
+    @pytest.mark.parametrize("field", ["id", "tenant", "target"])
+    def test_non_scalar_field_is_refused_typed(self, field):
+        """An ``id``, ``tenant`` or ``target`` that is not a JSON scalar
+        is answered like an unknown op — a TransportError frame — and the
+        connection keeps serving."""
+        plan, hierarchy, _ = _config()
+        target = list(hierarchy.nodes)[1]
+        bad = {"op": "open", "id": "s", "target": target}
+        bad[field] = [1] if field == "target" else {"a": [1]}
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    writer.write(_encode(bad) + _encode({"op": "ping"}))
+                    await writer.drain()
+                    replies = await _read_frames(reader, 2)
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies, transport.stats
+
+        (error, pong), stats = asyncio.run(main())
+        assert error["error"] == "TransportError"
+        assert field in error["message"]
+        assert pong["op"] == "pong"
+        assert stats.protocol_errors == 1
+        assert stats.opened_target == 0
+
 
 # ----------------------------------------------------------------------
 # 2. Stickiness and backpressure
@@ -352,12 +433,51 @@ class TestBackpressure:
 
         assert asyncio.run(main()) == reference[targets[0]]
 
+    def test_pipelined_target_opens_all_settle(self):
+        """1,000 target opens in one write, replies read as they come:
+        every open gets its result and the reader is not called slow.
+        Target sessions hold no state, so no per-connection cap applies
+        to them."""
+        plan, hierarchy, _ = _config()
+        nodes = list(hierarchy.nodes)
+        targets = [nodes[i % len(nodes)] for i in range(1000)]
+        reference = _references(plan, hierarchy, nodes)
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    host, port = transport.address
+                    reader, writer = await _raw_connect(host, port)
+                    writer.write(
+                        b"".join(
+                            _encode({"op": "open", "id": i, "target": t})
+                            for i, t in enumerate(targets)
+                        )
+                    )
+                    await writer.drain()
+                    replies = await _read_frames(reader, len(targets))
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies, transport.stats
+
+        replies, stats = asyncio.run(main())
+        assert [frame["id"] for frame in replies] == list(range(1000))
+        for frame, target in zip(replies, targets):
+            assert _decode_result(frame) == reference[target], frame
+        assert stats.slow_disconnects == 0
+        assert stats.rejected == 0
+        assert stats.opened_target == 1000
+
 
 # ----------------------------------------------------------------------
 # 3. Adversarial clients
 # ----------------------------------------------------------------------
 class TestDisconnects:
     def test_mid_session_disconnect_orphans_not_crashes(self):
+        """A client that pipelines opens and hangs up at once: its target
+        opens settle as they are read, its interactive sessions die with
+        the connection, nothing stays live, and the next client is
+        served."""
         plan, hierarchy, _ = _config()
         targets = list(hierarchy.nodes)[:6]
         survivor = list(hierarchy.nodes)[10]
@@ -376,46 +496,97 @@ class TestDisconnects:
                                 {"op": "open", "id": f"gone-{i}", "target": t}
                             )
                         )
+                    for i in range(2):
+                        writer.write(
+                            _encode(
+                                {"op": "open", "id": f"talk-{i}",
+                                 "interactive": True}
+                            )
+                        )
                     await writer.drain()
-                    writer.close()  # hang up mid-flight
+                    writer.close()  # hang up with sessions open
+                    await _poll(lambda: not transport._conns)
+                    _assert_nothing_live(transport, server)
                     async with await ServeClient.connect(
                         host, port
                     ) as client:
                         result = await client.serve_target("live", survivor)
-                    await _poll(
-                        lambda: transport.stats.orphaned == len(targets)
-                    )
-                    return result, server.stats
+                    return result, server.stats, transport.stats
 
-        result, stats = asyncio.run(main())
+        result, stats, wire = asyncio.run(main())
         assert result == reference
-        # The server finished the orphans (vectorized cohorts run to
-        # completion); nothing leaked.
         assert stats.completed == len(targets) + 1
+        assert wire.opened_interactive == 2
 
     def test_close_frame_abandons_target_session(self):
+        """``close`` after a target open finds the session settled, and
+        after an interactive open drops it: either way nothing stays live
+        on the still-open connection, and the id is free for the next
+        client."""
         plan, hierarchy, _ = _config()
         target = list(hierarchy.nodes)[4]
+        reference = run_search(
+            plan, ExactOracle(hierarchy, target), hierarchy
+        )
 
         async def main():
             with Server(plan) as server:
                 async with ServeTransport(server) as transport:
                     host, port = transport.address
+                    reader, writer = await _raw_connect(host, port)
+                    for frame in (
+                        {"op": "open", "id": "walk", "target": target},
+                        {"op": "close", "id": "walk"},
+                        {"op": "open", "id": "talk", "interactive": True},
+                        {"op": "close", "id": "talk"},
+                        {"op": "ping"},
+                    ):
+                        writer.write(_encode(frame))
+                    await writer.drain()
+                    replies = await _read_frames(reader, 3)
+                    _assert_nothing_live(transport, server)
                     async with await ServeClient.connect(
                         host, port
                     ) as client:
-                        await client._post(
-                            {"op": "open", "id": "walk", "target": target}
-                        )
-                        await client._post({"op": "close", "id": "walk"})
-                        await _poll(lambda: transport.stats.orphaned == 1)
-                        # The id is free again immediately after the close.
-                        return await client.serve_target("walk", target)
+                        again = await client.serve_target("walk", target)
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies, again
 
-        result = asyncio.run(main())
-        assert result == run_search(
-            plan, ExactOracle(hierarchy, target), hierarchy
-        )
+        replies, again = asyncio.run(main())
+        assert [frame["op"] for frame in replies] == ["result", "ask", "pong"]
+        assert _decode_result(replies[0]) == reference
+        assert again == reference
+
+    def test_write_failure_drops_interactive_sessions(self):
+        """A reply that cannot be written (a torn pipe, emulated by a
+        failing write drain) closes the connection, and its interactive
+        sessions and sticky ids go with it."""
+        plan, _, _ = _config()
+
+        async def torn():
+            raise ConnectionResetError("peer reset")
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    writer.write(
+                        _encode({"op": "open", "id": "q", "interactive": True})
+                    )
+                    await writer.drain()
+                    (ask,) = await _read_frames(reader, 1)
+                    (conn,) = transport._conns.values()
+                    conn.writer.drain = torn
+                    writer.write(_encode({"op": "ping"}))
+                    await writer.drain()
+                    await _poll(lambda: not transport._conns)
+                    _assert_nothing_live(transport, server)
+                    writer.close()
+                    await writer.wait_closed()
+                    return ask
+
+        assert asyncio.run(main())["op"] == "ask"
 
     def test_interactive_dies_with_its_connection(self):
         plan, _, _ = _config()
@@ -473,32 +644,43 @@ class TestDrain:
         for target, result in zip(targets, results):
             assert result == reference[target]
 
-    def test_drain_past_deadline_raises_typed(self, monkeypatch):
+    def test_drain_past_deadline_raises_typed(self):
+        """Replies that cannot be flushed — a peer whose socket never
+        drains, emulated by a write drain that never completes — outlast
+        the shutdown timeout: a typed ServeTimeoutError, and the
+        connection is aborted, not leaked."""
         plan, hierarchy, _ = _config()
         target = list(hierarchy.nodes)[3]
 
         async def main():
             with Server(plan) as server:
-                def stuck_step():
-                    time.sleep(0.25)
-                    return []  # finishes nobody: the session stays in flight
-
-                monkeypatch.setattr(server, "step", stuck_step)
                 transport = ServeTransport(server)
                 host, port = await transport.start()
-                client = await ServeClient.connect(host, port)
-                task = asyncio.ensure_future(
-                    client.serve_target("slow", target, deadline=5.0)
-                )
-                await asyncio.sleep(0.05)  # the open is in flight
+                reader, writer = await _raw_connect(host, port)
+                await _poll(lambda: transport._conns)
+                (conn,) = transport._conns.values()
+                conn.writer.drain = asyncio.Event().wait  # never set
+                for frame in (
+                    {"op": "open", "id": "slow", "target": target},
+                    {"op": "ping"},
+                ):
+                    writer.write(_encode(frame))
+                await writer.drain()
+                await _poll(lambda: transport.stats.frames_in == 2)
                 with pytest.raises(ServeTimeoutError, match="deadline"):
-                    await transport.shutdown(timeout=0.05)
-                task.cancel()
-                await asyncio.gather(task, return_exceptions=True)
-                await client.close()
-                return server.stats.abandoned
+                    await asyncio.wait_for(
+                        transport.shutdown(timeout=0.05), 5.0
+                    )
+                # The first reply reached the socket before the stall; the
+                # pong never left the outbox.
+                received = await asyncio.wait_for(reader.read(), 5.0)
+                await _poll(lambda: not transport._conns)
+                writer.close()
+                await writer.wait_closed()
+                return received
 
-        assert asyncio.run(main()) >= 1
+        lines = asyncio.run(main()).splitlines()
+        assert [json.loads(line)["op"] for line in lines] == ["result"]
 
     def test_connect_after_shutdown_fails_typed(self):
         plan, _, _ = _config()
@@ -527,61 +709,7 @@ class TestDrain:
 
 
 # ----------------------------------------------------------------------
-# 5. Event-loop liveness: the aserve stall regression
-# ----------------------------------------------------------------------
-class TestEventLoopLiveness:
-    def test_second_connection_progresses_during_blocking_collect(
-        self, monkeypatch
-    ):
-        """The regression: ``aserve`` used to run the blocking ``step()``
-        directly on the event loop, so while one step was blocked (on an
-        oracle, say) *every other connection froze*.  With the step in
-        ``asyncio.to_thread``, connection B's pings must round-trip while
-        connection A's session is pinned inside a 0.5s step."""
-        plan, hierarchy, _ = _config()
-        target = list(hierarchy.nodes)[7]
-
-        async def main():
-            with Server(plan) as server:
-                real_step = server.step
-
-                def blocking_step():
-                    # Stand-in for a blocking oracle: deterministic, long,
-                    # and genuinely blocking the calling thread.
-                    time.sleep(0.5)
-                    return real_step()
-
-                monkeypatch.setattr(server, "step", blocking_step)
-                async with ServeTransport(server) as transport:
-                    host, port = transport.address
-                    a = await ServeClient.connect(host, port)
-                    b = await ServeClient.connect(host, port)
-                    try:
-                        pinned = asyncio.ensure_future(
-                            a.serve_target("cohort", target, deadline=30.0)
-                        )
-                        await asyncio.sleep(0.1)  # A is inside step()
-                        rtts = []
-                        for _ in range(3):
-                            t0 = time.monotonic()
-                            await b.ping(deadline=5.0)
-                            rtts.append(time.monotonic() - t0)
-                        result = await pinned
-                    finally:
-                        await a.close()
-                        await b.close()
-                    return rtts, result
-
-        rtts, result = asyncio.run(main())
-        # Un-fixed, each ping waits out at least one full 0.5s step.
-        assert max(rtts) < 0.4, rtts
-        assert result == run_search(
-            plan, ExactOracle(hierarchy, target), hierarchy
-        )
-
-
-# ----------------------------------------------------------------------
-# 6. Abandoned-generator hygiene (REPRO_SANITIZE=1)
+# 5. Abandoned feeds and clients (REPRO_SANITIZE=1)
 # ----------------------------------------------------------------------
 class TestAbandonedFeeds:
     @pytest.fixture
@@ -622,50 +750,18 @@ class TestAbandonedFeeds:
             assert outcomes[0].ok
         # close() ran its sanitizer pin audit without tripping.
 
-    def test_aserve_abandoned_midflight_reclaims(self, sanitized):
-        plan, hierarchy, _ = _config()
-        requests, _ = self._oracle_feed(plan, hierarchy)
-
-        async def feed():
-            for request in requests:
-                yield request
-
-        async def main():
-            with Server(plan, max_sessions=4) as server:
-                gen = server.aserve(feed())
-                first = await gen.__anext__()
-                assert first.session_id == 0
-                assert server.in_flight > 0
-                await gen.aclose()
-                assert server.in_flight == 0
-                assert server.queued == 0
-                return server.stats.abandoned
-
-        assert asyncio.run(main()) > 0
-
     def test_abandoned_transport_client_leaves_zero_pin_drift(
         self, sanitized
     ):
-        """The acceptance scenario: a client that abandons its sessions
-        while they are in flight, then a clean drain — the sessions are
-        orphaned over the wire, not leaked, and the accounting audits
-        pass."""
+        """The acceptance scenario: a client that hangs up with sessions
+        open — target opens pipelined, interactive sessions waiting on an
+        answer — leaves no runtime, sticky id or server session behind,
+        and the transport drains clean."""
         plan, hierarchy, _ = _config(n=60, seed=13)
         targets = list(hierarchy.nodes)[:12]
-        hung_up = threading.Event()
 
         async def main():
             with Server(plan, max_sessions=16) as server:
-                real_step = server.step
-
-                def held_step():
-                    # Nobody finishes until the client has hung up.
-                    if not hung_up.is_set():
-                        time.sleep(0.005)
-                        return []
-                    return real_step()
-
-                server.step = held_step
                 async with ServeTransport(server) as transport:
                     host, port = transport.address
                     _, writer = await _raw_connect(host, port)
@@ -673,22 +769,28 @@ class TestAbandonedFeeds:
                         writer.write(
                             _encode({"op": "open", "id": f"x-{i}", "target": t})
                         )
+                        writer.write(
+                            _encode(
+                                {"op": "open", "id": f"y-{i}",
+                                 "interactive": True}
+                            )
+                        )
                     await writer.drain()
                     await _poll(
-                        lambda: transport.stats.opened_target == len(targets)
+                        lambda: transport._interactive_count == len(targets)
                     )
                     writer.close()  # abandon every session
                     await _poll(lambda: not transport._conns)
-                    hung_up.set()
-                    await _poll(lambda: server.stats.completed == len(targets))
-                assert server.in_flight == 0
-                return transport.stats.orphaned
+                    _assert_nothing_live(transport, server)
+                return server.stats, transport.stats
 
-        assert asyncio.run(main()) == len(targets)
+        stats, wire = asyncio.run(main())
+        assert stats.completed == wire.opened_target == len(targets)
+        assert wire.opened_interactive == len(targets)
 
 
 # ----------------------------------------------------------------------
-# 7. The open-loop load generator
+# 6. The open-loop load generator
 # ----------------------------------------------------------------------
 class TestLoadgen:
     def test_percentile_interpolates(self):
@@ -750,64 +852,58 @@ class TestLoadgen:
 
 
 # ----------------------------------------------------------------------
-# 8. aserve-vs-serve parity on seeded feeds
+# 7. settle-vs-serve parity
 # ----------------------------------------------------------------------
 class TestAsyncSyncParity:
+    """The wire's path, :meth:`Server.settle` on each request as its
+    ``open`` is read, against the sync ``serve()`` feed: the same results
+    byte for byte, the same error types and texts, and the same
+    ``submitted``/``completed``/``errored``/``rejected`` counts."""
+
+    @staticmethod
+    def _assert_parity(requests, **server_kwargs):
+        with Server(**server_kwargs) as server:
+            served = {o.session_id: o for o in server.serve(iter(requests))}
+            serve_stats = server.stats
+        with Server(**server_kwargs) as server:
+            settled = {r.session_id: server.settle(r) for r in requests}
+            settle_stats = server.stats
+            assert server.in_flight == 0
+        ids = {r.session_id for r in requests}
+        assert set(served) == set(settled) == ids
+        for sid in ids:
+            s, t = served[sid], settled[sid]
+            assert s.result == t.result, sid
+            assert type(s.error) is type(t.error), sid
+            assert str(s.error) == str(t.error), sid
+            assert s.tenant == t.tenant, sid
+        for counter in ("submitted", "completed", "errored", "rejected"):
+            assert getattr(serve_stats, counter) == getattr(
+                settle_stats, counter
+            ), counter
+        return settled
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_feed_outcomes_identical(self, seed):
-        """The same seeded request mix (good targets, unknown targets,
-        quota-limited tenants) through ``serve()`` and ``aserve()``
-        yields identical outcomes: same results byte-for-byte, same
-        typed error classes, same stats."""
-        import numpy as _np
-
+        """A seeded mix of good targets, unknown and unhashable targets,
+        and two tenants."""
         plan, hierarchy, _ = _config(n=50, seed=9)
-        rng = _np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         nodes = list(hierarchy.nodes)
         requests = []
         for i in range(30):
             roll = float(rng.random())
-            if roll < 0.15:
+            if roll < 0.1:
                 target = f"missing-{i}"  # unknown node -> typed error
+            elif roll < 0.15:
+                target = [i]  # unhashable -> the same typed error
             else:
                 target = nodes[int(rng.integers(len(nodes)))]
             tenant = ["default", "acme"][int(rng.integers(2))]
             requests.append(
                 SessionRequest(i, target=target, tenant=tenant)
             )
-
-        def run_sync():
-            with Server(plan, max_sessions=4) as server:
-                outcomes = {
-                    o.session_id: o for o in server.serve(iter(requests))
-                }
-                return outcomes, server.stats
-
-        def run_async():
-            async def feed():
-                for request in requests:
-                    yield request
-
-            async def main():
-                with Server(plan, max_sessions=4) as server:
-                    outcomes = {}
-                    async for o in server.aserve(feed()):
-                        outcomes[o.session_id] = o
-                    return outcomes, server.stats
-
-            return asyncio.run(main())
-
-        sync_out, sync_stats = run_sync()
-        async_out, async_stats = run_async()
-        assert set(sync_out) == set(async_out) == set(range(30))
-        for i in range(30):
-            s, a = sync_out[i], async_out[i]
-            assert s.result == a.result, i
-            assert type(s.error) is type(a.error), i
-            assert s.tenant == a.tenant, i
-        assert sync_stats.completed == async_stats.completed
-        assert sync_stats.errored == async_stats.errored
-        assert sync_stats.submitted == async_stats.submitted
+        self._assert_parity(requests, plan=plan, max_sessions=4)
 
     def test_quota_rejections_identical(self):
         """Per-tenant plan quotas reject identically on both paths."""
@@ -820,29 +916,272 @@ class TestAsyncSyncParity:
             SessionRequest(0, target=hierarchy.nodes[1], tenant="t"),
             SessionRequest(1, target=h2.root, plan=other, tenant="t"),
         ]
+        settled = self._assert_parity(requests, plan=base_plan, plan_quota=1)
+        assert type(settled[1].error) is QuotaExceededError
 
-        def outcomes_sync():
-            with Server(base_plan, plan_quota=1) as server:
-                return [
-                    (o.session_id, type(o.error))
-                    for o in server.serve(iter(requests))
-                ]
+    def test_budget_below_deepest_leaf(self):
+        """A budget under the deepest leaf: shallow targets complete, deep
+        ones raise the budget error with the same text."""
+        plan, hierarchy, _ = _config(n=60, seed=23)
+        depths = plan.leaf_depths()
+        budget = max(depths.values()) - 1
+        requests = [SessionRequest(t, target=t) for t in hierarchy.nodes]
+        settled = self._assert_parity(
+            requests, plan=plan, max_queries=budget, max_sessions=8
+        )
+        errors = {type(o.error) for o in settled.values()}
+        assert errors == {type(None), BudgetExceededError}
 
-        def outcomes_async():
-            async def feed():
-                for request in requests:
-                    yield request
+    def test_plan_without_a_leaf(self, vehicle_hierarchy):
+        """A plan whose only leaf is the root settles every other target
+        as the same typed SearchError."""
+        plan = CompiledPlan(
+            vehicle_hierarchy,
+            np.array([-1]),
+            np.array([-1]),
+            np.array([-1]),
+            np.array([vehicle_hierarchy.index("Vehicle")]),
+            policy_name="OneLeaf",
+            config_key="",
+        )
+        requests = [
+            SessionRequest(t, target=t) for t in vehicle_hierarchy.nodes
+        ]
+        settled = self._assert_parity(requests, plan=plan)
+        assert settled["Vehicle"].ok
+        assert type(settled["Car"].error) is SearchError
 
-            async def main():
-                with Server(base_plan, plan_quota=1) as server:
-                    return [
-                        (o.session_id, type(o.error))
-                        async for o in server.aserve(feed())
-                    ]
 
-            return asyncio.run(main())
+# ----------------------------------------------------------------------
+# 8. The NDJSON frame fuzzer
+# ----------------------------------------------------------------------
+#: Any JSON value; every field of a fuzzed frame may take one.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
 
-        sync_view = sorted(outcomes_sync(), key=str)
-        async_view = sorted(outcomes_async(), key=str)
-        assert sync_view == async_view
-        assert (1, QuotaExceededError) in sync_view
+#: Ends a connection's part of an example: no fuzzed id is this long.
+_FENCE = "fence-id"
+
+
+def _ping_of_size(size: int) -> bytes:
+    """A well-formed ping frame of exactly ``size`` bytes, newline included."""
+    head, tail = b'{"op":"ping","pad":"', b'"}\n'
+    return head + b"x" * (size - len(head) - len(tail)) + tail
+
+
+#: Frames drawn by name (a failing example's report stays short).  The
+#: ``fatal-*`` ones end their connection: the transport answers with a
+#: TransportError frame and closes it.
+_SPECIAL_FRAMES = {
+    "at-limit": _ping_of_size(MAX_FRAME_BYTES),
+    "fatal-empty": b"\n",
+    "fatal-not-json": b"this is not json\n",
+    "fatal-not-an-object": b"[1, 2, 3]\n",
+    "fatal-invalid-utf8": b'{"op": "ping", "id": "\xff\xfe"}\n',
+    "fatal-deep": b"[" * 100_000 + b"\n",  # past the recursion limit
+    "fatal-long-int": b'{"op": "ping", "id": ' + b"9" * 5000 + b"}\n",
+    "fatal-oversized": _ping_of_size(MAX_FRAME_BYTES + 1),
+}
+
+
+#: Run before the generated examples: every special frame, split and
+#: whole, and non-scalar fields in each place one could crash the wire.
+_EXPLICIT_SCRIPTS = [
+    [(0, "at-limit", 0.5), (0, "fatal-oversized", 0.3), (1, "fatal-deep", None)],
+    [(0, "fatal-invalid-utf8", None), (1, "fatal-long-int", 0.5)],
+    [(0, "fatal-empty", None), (1, "fatal-not-json", 0.9)],
+    [
+        (0, "fatal-not-an-object", None),
+        (1, {"op": "open", "id": [1], "interactive": True}, None),
+        (1, {"op": "open", "id": "a", "tenant": {"t": 1}}, None),
+        (1, {"op": "open", "id": "a", "target": [1]}, None),
+        (1, {"op": "answer", "id": {"a": 1}, "answer": True}, None),
+        (1, {"op": "close", "id": [[]]}, None),
+    ],
+]
+
+
+@st.composite
+def _fuzz_frames(draw, targets):
+    """A special frame's name, or a JSON object: mostly usual values (so
+    sessions open, answer, collide and close), often any JSON value."""
+    roll = draw(st.integers(0, 9))
+    if roll == 0:
+        return draw(st.sampled_from(sorted(_SPECIAL_FRAMES)))
+    usual_only = roll > 4
+
+    def pick(usual):
+        if usual_only:
+            return draw(st.sampled_from(usual))
+        return draw(st.sampled_from(usual) | _JSON_VALUES)
+
+    frame = {"op": pick(["open", "open", "answer", "answer", "close", "ping",
+                         "stats"])}
+    if draw(st.integers(0, 9)) > 0:
+        frame["id"] = pick(["a", "b", 0])
+    for field, usual in (
+        ("tenant", ["default", "acme"]),
+        ("target", [*targets, "missing"]),
+        ("interactive", [True]),
+        ("answer", [True, False]),
+    ):
+        if draw(st.booleans()):
+            frame[field] = pick(usual)
+    return frame
+
+
+def _fuzz_scripts(targets):
+    """Frames for two connections; each step may cut its frame at a drawn
+    point and flush (``None``: coalesce it with the next frames)."""
+    return st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            _fuzz_frames(targets),
+            st.none() | st.floats(0, 1),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+
+
+async def _collect(reader):
+    """Replies until EOF, a reset, or the fence's reply."""
+    replies = []
+    try:
+        while True:
+            line = await reader.readline()
+            if not line:
+                return replies, "eof"
+            replies.append(json.loads(line))
+            if replies[-1].get("id") == _FENCE:
+                return replies, "fence"
+    except ConnectionResetError:
+        return replies, "reset"
+
+
+def _assert_typed(frame):
+    assert frame["op"] in {"result", "ask", "pong", "error"}, frame
+    if frame["op"] == "error":
+        cls = getattr(exceptions, frame["error"], None)
+        assert isinstance(cls, type) and issubclass(cls, ReproError), frame
+
+
+async def _fuzz_once(transport, steps, probe, reference):
+    host, port = transport.address
+    conns = [await _raw_connect(host, port) for _ in range(2)]
+    try:
+        collectors = [
+            asyncio.ensure_future(_collect(reader)) for reader, _ in conns
+        ]
+        pending = [b"", b""]
+        fatal = [None, None]
+
+        async def flush(k):
+            writer = conns[k][1]
+            writer.write(pending[k])
+            pending[k] = b""
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass  # the transport closed after a fatal frame
+            await asyncio.sleep(0)  # let the transport read a partial frame
+
+        for k, frame, cut in steps:
+            if fatal[k] is not None:
+                continue  # nothing follows a connection's fatal frame
+            if isinstance(frame, str):
+                data = _SPECIAL_FRAMES[frame]
+                if frame.startswith("fatal-"):
+                    fatal[k] = frame
+            else:
+                data = json.dumps(frame).encode() + b"\n"
+            if cut is None:
+                pending[k] += data
+            else:
+                at = int(cut * len(data))
+                pending[k] += data[:at]
+                await flush(k)
+                pending[k] = data[at:]
+        for k in (0, 1):
+            if fatal[k] is None:
+                pending[k] += _encode(
+                    {"op": "open", "id": _FENCE, "target": probe}
+                )
+            await flush(k)
+        for k in (0, 1):
+            replies, end = await asyncio.wait_for(collectors[k], 5.0)
+            for frame in replies:
+                _assert_typed(frame)
+            if fatal[k] is None:
+                assert end == "fence", (end, replies)
+                assert _decode_result(replies[-1]) == reference
+            elif end == "eof":
+                assert replies and replies[-1]["error"] == "TransportError"
+            else:  # the rest of an oversized frame reset the socket
+                assert fatal[k] == "fatal-oversized", (end, replies)
+    finally:
+        for _, writer in conns:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+    await _poll(lambda: not transport._conns)
+    assert transport._interactive_count == 0
+    assert not transport._sticky
+    async with await ServeClient.connect(host, port) as client:
+        assert (await client.ping(deadline=5.0))["op"] == "pong"
+        assert await client.serve_target(_FENCE, probe) == reference
+    await _poll(lambda: not transport._conns)
+
+
+class TestFrameFuzzer:
+    def test_fuzzed_frames_get_typed_replies_and_leak_nothing(self):
+        """Against one live transport: fields of every JSON type, unknown
+        ops, duplicate ids and answers after close, frames split across
+        writes and coalesced into one, frames at and a byte over
+        ``MAX_FRAME_BYTES``, invalid UTF-8 and deep nesting.  Every reply
+        is a ``result``, ``ask``, ``pong`` or an ``error`` naming a
+        ``ReproError`` subclass; a connection closes only after a
+        TransportError frame for a frame that does not decode; afterwards
+        no interactive session or sticky id is left, and a fresh
+        connection pings and serves a target session equal to
+        ``run_search``."""
+        plan, hierarchy, _ = _config()
+        targets = list(hierarchy.nodes)[:6]
+        probe = targets[-1]
+        reference = run_search(plan, ExactOracle(hierarchy, probe), hierarchy)
+        server = Server(plan)
+        transport = ServeTransport(server)
+        loop = asyncio.new_event_loop()
+        loop.run_until_complete(transport.start())
+
+        def run(steps):
+            loop.run_until_complete(
+                asyncio.wait_for(
+                    _fuzz_once(transport, steps, probe, reference), 30.0
+                )
+            )
+
+        for script in _EXPLICIT_SCRIPTS:
+            run = example(steps=script)(run)
+        fuzz = settings(
+            max_examples=60,
+            deadline=None,
+            derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow],
+        )(given(steps=_fuzz_scripts(targets))(run))
+        try:
+            fuzz()
+        finally:
+            loop.run_until_complete(transport.shutdown(timeout=5.0))
+            server.close()
+            loop.close()
