@@ -3,16 +3,10 @@
 The invariant linter (:mod:`repro.analysis`) runs in the CI lint job on
 every push, so its cost is paid on every change — it must stay an
 eyeblink, not a coffee break.  This benchmark times a full cold pass over
-``src/repro`` (every rule, **including the interprocedural call-graph
-layer** under RPA002/RPA005 and the RPA007/RPA008 protocol checks, no
-baseline) and asserts the **5 second floor**; it also reports per-file
-throughput so a rule that goes accidentally quadratic shows up as a
-number, not as CI drag.
-
-It also measures the deterministic-schedule explorer
-(:mod:`repro.analysis.schedule`): seeded PCT exploration of a two-task
-toy scenario, reported as schedules/second — the knob that decides how
-big a ``max_schedules`` budget the CI concurrency leg can afford.
+``src/repro`` (every rule, **including RPA002's interprocedural
+return-alias fixpoint**, no baseline) and asserts the **5 second
+floor**; it also reports per-file throughput so a rule that goes
+accidentally quadratic shows up as a number, not as CI drag.
 
 Run standalone::
 
@@ -50,36 +44,6 @@ RESULTS = REPO_ROOT / "results"
 TREE = REPO_ROOT / "src" / "repro"
 
 
-def _explore_throughput(schedules: int = 200) -> tuple[int, float]:
-    """Seeded PCT exploration of a toy two-task scenario; returns
-    (schedules actually run, wall seconds)."""
-    from repro.analysis.schedule import Scenario, explore, schedule_point
-
-    def factory() -> Scenario:
-        state = {"n": 0}
-
-        def bump() -> None:
-            for _ in range(4):
-                schedule_point("bench.bump")
-                state["n"] += 1
-
-        return Scenario(
-            tasks={"a": bump, "b": bump},
-            invariant=lambda: None,
-        )
-
-    os.environ["REPRO_SCHEDULE"] = "1"
-    try:
-        start = time.perf_counter()
-        report = explore(
-            factory, mode="pct", max_schedules=schedules, seed=1234
-        )
-        wall = time.perf_counter() - start
-    finally:
-        del os.environ["REPRO_SCHEDULE"]
-    return report.schedules, wall
-
-
 def run_benchmark(max_seconds: float = 5.0) -> dict:
     """Time one full cold lint pass over ``src/repro``."""
     files = list(_iter_py_files([TREE]))
@@ -88,11 +52,6 @@ def run_benchmark(max_seconds: float = 5.0) -> dict:
     start = time.perf_counter()
     findings = lint_paths([TREE])
     wall = time.perf_counter() - start
-
-    n_schedules, explore_wall = _explore_throughput()
-    schedules_per_s = (
-        round(n_schedules / explore_wall, 1) if explore_wall else None
-    )
 
     write_bench_json(
         "analysis",
@@ -103,9 +62,6 @@ def run_benchmark(max_seconds: float = 5.0) -> dict:
         rules=len(RULES),
         source_lines=n_lines,
         findings=len(findings),
-        explore_schedules=n_schedules,
-        explore_wall_s=explore_wall,
-        explore_schedules_per_s=schedules_per_s,
     )
     return {
         "benchmark": "bench_analysis",
@@ -118,9 +74,6 @@ def run_benchmark(max_seconds: float = 5.0) -> dict:
         "lines_per_second": round(n_lines / wall, 1) if wall else None,
         "floor_seconds": max_seconds,
         "under_floor": wall < max_seconds,
-        "explore_schedules": n_schedules,
-        "explore_wall_seconds": round(explore_wall, 4),
-        "explore_schedules_per_second": schedules_per_s,
     }
 
 

@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Static invariant checks for the repro codebase "
-            "(exact undo, plan immutability, shm lifecycle, determinism, "
-            "process-boundary discipline, pickle hygiene)."
+            "(exact undo, plan immutability, determinism, exception "
+            "discipline, pickle hygiene, fault-site registry)."
         ),
     )
     parser.add_argument(

@@ -8,7 +8,6 @@ beyond :mod:`repro.exceptions`.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
 
 
 def import_map(tree: ast.Module) -> dict[str, str]:
@@ -69,23 +68,6 @@ def resolve(node: ast.expr, imports: dict[str, str]) -> str | None:
     return f"{origin}.{rest}" if rest else origin
 
 
-def walk_functions(
-    tree: ast.Module,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function/method definition in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def contains_name(node: ast.AST, name: str) -> bool:
-    """True when ``name`` is read anywhere inside ``node``."""
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name
-        for sub in ast.walk(node)
-    )
-
-
 def call_attr(node: ast.expr) -> str | None:
     """For a call's ``func``, the final attribute name (``x.y.close -> close``)."""
     if isinstance(node, ast.Attribute):
@@ -93,11 +75,3 @@ def call_attr(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def is_docstring(stmt: ast.stmt) -> bool:
-    return (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and isinstance(stmt.value.value, str)
-    )

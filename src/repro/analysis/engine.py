@@ -25,8 +25,6 @@ from repro.analysis import (
     rules_faults,
     rules_plan,
     rules_process,
-    rules_protocol,
-    rules_shm,
     rules_undo,
 )
 from repro.analysis.diagnostics import (
@@ -43,10 +41,8 @@ from repro.exceptions import AnalysisError
 RULE_MODULES = (
     rules_undo,
     rules_plan,
-    rules_shm,
     rules_determinism,
     rules_process,
-    rules_protocol,
     rules_faults,
 )
 

@@ -1,9 +1,8 @@
 """RPA009 — fault-site registry discipline for ``schedule_point`` labels.
 
-Fault injection (:mod:`repro.faults.inject`) and the schedule explorer
-share one instrumentation surface: the string labels passed to
-:func:`repro.analysis.schedule.schedule_point` (and its out-of-stack
-sibling :func:`repro.faults.inject.maybe_inject`).  An injected ``crash``
+Fault injection (:mod:`repro.faults.inject`) arms one instrumentation
+surface: the string labels passed to
+:func:`repro.analysis.schedule.schedule_point`.  An injected ``crash``
 at a boundary raises the *typed* exception registered for that label in
 :data:`repro.faults.sites.FAULT_SITES` — which only works if every
 boundary label actually is registered, and registered to a
@@ -12,15 +11,13 @@ call site but never added to the registry would crash with the generic
 fallback instead of the boundary's contract type; a label built at
 runtime cannot be audited at all.
 
-The rule flags, at each ``schedule_point``/``maybe_inject`` call:
+The rule flags, at each ``schedule_point`` call:
 
 * a non-literal label (f-string, variable, concatenation) — the
   site registry is a static contract, so labels must be string
   literals;
 * a literal label missing from ``FAULT_SITES`` when the call lives in
-  repo source (``maybe_inject`` is exempt: it exists precisely so
-  ad-hoc call sites outside the instrumented stack can join fault
-  schedules, falling back to
+  repo source (ad-hoc labels in tests and fixtures fall back to
   :class:`~repro.exceptions.FaultInjectedError`);
 * a literal label the registry maps to something that is not a
   ``ReproError`` subclass — injected failures must stay inside the
@@ -54,13 +51,6 @@ _POINT_FUNCS = frozenset(
         "schedule_point",
     }
 )
-_INJECT_FUNCS = frozenset(
-    {
-        "repro.faults.inject.maybe_inject",
-        "repro.faults.maybe_inject",
-        "maybe_inject",
-    }
-)
 
 
 def _registry():
@@ -85,14 +75,8 @@ def check(ctx) -> Iterator[Diagnostic]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        resolved = resolve(node.func, ctx.imports)
-        if resolved in _POINT_FUNCS:
-            strict = True
-        elif resolved in _INJECT_FUNCS:
-            strict = False
-        else:
+        if resolve(node.func, ctx.imports) not in _POINT_FUNCS:
             continue
-        short = resolved.rsplit(".", 1)[-1]
         if not node.args:
             continue  # a missing argument is the interpreter's problem
         label_node = node.args[0]
@@ -103,7 +87,7 @@ def check(ctx) -> Iterator[Diagnostic]:
             yield ctx.diagnostic(
                 node,
                 "RPA009",
-                f"{short}() label must be a string literal — the "
+                "schedule_point() label must be a string literal — the "
                 "fault-site registry (FAULT_SITES) is a static contract "
                 "and a computed label cannot be audited against it",
             )
@@ -116,11 +100,10 @@ def check(ctx) -> Iterator[Diagnostic]:
             continue
         sites, repro_error = registry
         if label not in sites:
-            # maybe_inject exists for ad-hoc boundaries (tests, wrappers
-            # like FlakyOracle users) and falls back to a typed
-            # FaultInjectedError; only the instrumented stack's own
-            # schedule points must be registered.
-            if strict and ctx.repro_parts:
+            # Ad-hoc labels outside the repo tree (tests, fixtures) fall
+            # back to a typed FaultInjectedError; only the instrumented
+            # stack's own schedule points must be registered.
+            if ctx.repro_parts:
                 yield ctx.diagnostic(
                     node,
                     "RPA009",

@@ -239,9 +239,9 @@ def check(ctx) -> Iterator[Diagnostic]:
                     yield ctx.diagnostic(
                         node,
                         "RPA002",
-                        f"item-store into {attr!r} — these are zero-copy "
-                        "shared-memory views; one write corrupts every "
-                        "attached worker",
+                        f"item-store into {attr!r} — these arrays are "
+                        "shared by every cursor and server reading the "
+                        "plan; one write corrupts all of them",
                     )
                     continue
                 if (

@@ -1,15 +1,11 @@
-"""RPA005/RPA006 — process-boundary exception discipline and pickle hygiene.
+"""RPA005/RPA006 — exception discipline and pickle hygiene.
 
-The noisy sweeps push work across a ``fork``/``spawn`` process boundary.
-Two whole bug families live exactly at that seam:
+The noisy sweeps push work across a ``fork``/``spawn`` process boundary
+on a stdlib ``ProcessPoolExecutor``, which marshals a worker's exception
+to the parent (where the sweep types it).  Two bug families remain for
+the linter:
 
-**RPA005 — exception discipline.**  A worker that dies with an
-unmarshalled exception looks, from the parent, like a hang or a silent
-wrong answer; the contract is that a process entry point catches
-*everything*, pickles the exception, and ships it home typed —
-parent-side, only :class:`~repro.exceptions.ReproError` subclasses (or a
-:class:`~repro.exceptions.PoolError` wrapper) resurface.  The rule
-flags:
+**RPA005 — exception discipline.**  The rule flags:
 
 * ``except:`` with no exception type — it eats ``KeyboardInterrupt`` and
   ``SystemExit`` and makes worker shutdown undebuggable;
@@ -17,15 +13,7 @@ flags:
   ``pass`` — a swallowed error, unless the ``try`` body is a recognized
   *best-effort teardown idiom* (at most two simple statements: a call, an
   import, or a plain assignment — e.g. ``try: results.put(...) except
-  Exception: pass`` on a dying queue);
-* a process entry point (a function handed to a ``Process(target=...)``
-  or ``Thread(target=...)`` call) with no broad handler anywhere in the
-  code it can reach — exceptions would escape the process raw;
-* ``raise <builtin exception>`` anywhere in the entry point's
-  *transitive* call-graph envelope (module-local reachability via
-  :class:`~repro.analysis.callgraph.ModuleCallGraph`, not just one hop)
-  — raise a ``ReproError`` subclass instead so the error marshals typed
-  instead of being wrapped opaquely.
+  Exception: pass`` on a dying queue).
 
 **RPA006 — pickle hygiene.**  Under the ``spawn`` start method the
 child *imports* its target, so lambdas and nested (local) functions
@@ -44,9 +32,8 @@ from repro.analysis.diagnostics import Diagnostic
 
 CODES = {
     "RPA005": (
-        "process-boundary exceptions: no bare/swallowed broad excepts; "
-        "process entry points must marshal every exception and raise only "
-        "ReproError subclasses"
+        "exception discipline: no bare excepts, no broad excepts that "
+        "swallow the error with 'pass'"
     ),
     "RPA006": (
         "pickle hygiene: no lambdas or locally-defined functions as "
@@ -55,21 +42,6 @@ CODES = {
 }
 
 _BROAD = frozenset({"Exception", "BaseException"})
-
-#: Builtin exception types that must not be raised inside worker entry
-#: points — they marshal as opaque PoolError wrappers instead of typed
-#: repro errors.
-_BUILTIN_EXCEPTIONS = frozenset(
-    {
-        "Exception", "BaseException", "ValueError", "TypeError",
-        "RuntimeError", "KeyError", "IndexError", "AttributeError",
-        "OSError", "IOError", "LookupError", "ArithmeticError",
-        "ZeroDivisionError", "AssertionError", "NotImplementedError",
-        "StopIteration", "MemoryError", "OverflowError", "SystemError",
-        "EOFError", "TimeoutError", "ConnectionError", "BufferError",
-        "FileNotFoundError", "PermissionError", "UnicodeError",
-    }
-)
 
 #: Executor/pool methods whose first positional argument crosses the
 #: process boundary and therefore must be importable in the child.
@@ -122,58 +94,6 @@ def _best_effort(try_stmt: ast.Try) -> bool:
     return len(try_stmt.body) <= 2 and all(_simple(s) for s in try_stmt.body)
 
 
-def _has_broad_handler(func: ast.AST) -> bool:
-    return any(
-        isinstance(node, ast.ExceptHandler) and _is_broad(node)
-        for node in ast.walk(func)
-    )
-
-
-def _module_functions(tree: ast.AST) -> dict[str, ast.FunctionDef]:
-    return {
-        node.name: node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-#: Call names whose ``target=`` kwarg is a process/thread entry point.
-#: (Restricting to these keeps unrelated APIs with a ``target=`` kwarg —
-#: e.g. a search request's target node — out of the worker envelope.)
-_ENTRY_CALLS = frozenset({"Process", "Thread"})
-
-
-def _entry_point_names(tree: ast.AST) -> set[str]:
-    """Names handed to ``Process/Thread(target=...)`` in this module."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if call_attr(node.func) not in _ENTRY_CALLS:
-            continue
-        for kw in node.keywords:
-            if kw.arg == "target" and isinstance(kw.value, ast.Name):
-                names.add(kw.value.id)
-    return names
-
-
-def _worker_scope(
-    ctx, entry_name: str, functions: dict[str, ast.FunctionDef]
-) -> list[ast.FunctionDef]:
-    """Every module-local function the entry point can reach.
-
-    Transitive closure over the module call graph — a builtin ``raise``
-    three helpers deep still crosses the process boundary untyped, so the
-    whole reachable envelope is in scope (the old rule stopped one hop
-    out and missed exactly those).
-    """
-    graph = ctx.callgraph
-    return [
-        graph.functions[qual]
-        for qual in sorted(graph.reachable([entry_name]))
-    ]
-
-
 def _nested_function_names(tree: ast.AST) -> set[str]:
     """Names of functions defined inside another function (unpicklable
     as spawn targets: the child cannot import them)."""
@@ -210,9 +130,7 @@ def _check_shipped_callable(
 
 
 def check(ctx) -> Iterator[Diagnostic]:
-    functions = _module_functions(ctx.tree)
     nested = _nested_function_names(ctx.tree)
-    entry_names = _entry_point_names(ctx.tree)
 
     # --- RPA005: except discipline, everywhere -------------------------
     for node in ast.walk(ctx.tree):
@@ -240,38 +158,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                     "it (worker loops), re-raise as a ReproError, or narrow "
                     "the exception type",
                 )
-
-    # --- RPA005: process entry points marshal everything ---------------
-    for name in sorted(entry_names):
-        entry = functions.get(name)
-        if entry is None:
-            continue  # imported target — analyzed in its home module
-        scope = _worker_scope(ctx, name, functions) or [entry]
-        if not any(_has_broad_handler(f) for f in scope):
-            yield ctx.diagnostic(
-                entry,
-                "RPA005",
-                f"process entry point {name!r} has no broad exception "
-                "handler — a mid-task exception escapes the process "
-                "unmarshalled and the parent sees a hang",
-            )
-        for func in scope:
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Raise) or node.exc is None:
-                    continue
-                exc = node.exc
-                callee = exc.func if isinstance(exc, ast.Call) else exc
-                if (
-                    isinstance(callee, ast.Name)
-                    and callee.id in _BUILTIN_EXCEPTIONS
-                ):
-                    yield ctx.diagnostic(
-                        node,
-                        "RPA005",
-                        f"raise {callee.id} inside process entry scope "
-                        f"({func.name}) — raise a ReproError subclass so "
-                        "the error crosses the boundary typed",
-                    )
 
     # --- RPA006: shipped callables must be importable ------------------
     for node in ast.walk(ctx.tree):

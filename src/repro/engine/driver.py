@@ -28,11 +28,13 @@ shared/cached plan — is proportional to the number of *distinct* questions
 cases: a small sampled (Monte-Carlo) target set compiles only the part of
 the plan the sample reaches (:func:`repro.plan.compile.compile_reached`)
 unless a full plan is already on disk, so a handful of sampled targets
-never pays for the full compile; and policies without exact undo (the
-seeded random baseline) fall back to a transcript-replay adapter (one
-``run_search`` per target) — compiling them by prefix replay would cost
-the same as that loop with nothing amortised.  Every registry policy, and
-any third-party :class:`~repro.core.policy.Policy`, produces identical
+never pays for the full compile; and a third-party policy without exact
+undo falls back to a transcript-replay adapter (one ``run_search`` per
+target) — compiling it by prefix replay would cost the same as that loop
+with nothing amortised.  Every registry policy has exact undo and
+compiles by the undo DFS; tests drive the replay paths through
+:class:`repro.testing.ForcedReplayPolicy`.  Registry and third-party
+:class:`~repro.core.policy.Policy` objects alike produce identical
 numbers through the same API.
 
 Finished per-target cost arrays can also persist on disk, keyed by

@@ -8,9 +8,10 @@ indices.  Two ingredients make that possible:
 * :class:`VectorPolicy` — the protocol a policy must satisfy for the
   one-pass compile walk: the usual interactive protocol plus exact answer
   reversal (:meth:`undo`).  ``GreedyTree``, ``GreedyDAG``, ``TopDown``,
-  ``MIGS``, ``WIGS``, ``StaticTree``, ``GreedyNaive``, and ``CostGreedy``
-  implement it natively (``supports_undo``); any other deterministic policy
-  is handled by the engine's transcript-replay adapter instead.
+  ``MIGS``, ``WIGS``, ``StaticTree``, ``GreedyNaive``, ``CostGreedy`` and
+  ``Random`` implement it natively (``supports_undo``); a third-party
+  deterministic policy without it is handled by the engine's
+  transcript-replay adapter instead.
 
 * :func:`make_splitter`, :func:`make_answerer` and
   :func:`make_reach_rows` — per-hierarchy exact-oracle kernels, because the

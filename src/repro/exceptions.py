@@ -106,20 +106,12 @@ class AnalysisError(ReproError):
     (unknown rule code, unreadable source path, or corrupt baseline file)."""
 
 
-class ScheduleError(ReproError):
-    """The deterministic-schedule explorer (:mod:`repro.analysis.schedule`)
-    found an interleaving that violates an invariant, or was misused
-    (activation without ``REPRO_SCHEDULE=1``, a diverging replay trace, a
-    task blocking outside a schedule point).  When a schedule failed, the
-    error message carries the decision trace and — in randomized mode —
-    the seed that reproduces it."""
-
-
 class SanitizerError(ReproError):
     """A runtime sanitizer check (``REPRO_SANITIZE=1``) caught an invariant
-    violation — a leaked shared-memory segment or a policy whose ``undo``
-    failed to restore the pre-answer state exactly.  Loud by design: the
-    violation is reported where it happens, not as a downstream diff."""
+    violation — a sweep worker left alive after its executor closed, or a
+    policy whose ``undo`` failed to restore the pre-answer state exactly.
+    Loud by design: the violation is reported where it happens, not as a
+    downstream diff."""
 
 
 class FaultError(ReproError):

@@ -3,9 +3,8 @@
 Injection half (:mod:`repro.faults.inject`, enabled with
 ``REPRO_FAULTS=1``): a seeded, replayable :class:`FaultPlan` fires
 sweep-worker kills and stalls, cache-write crashes and typed exceptions
-at the same
-:func:`~repro.analysis.schedule.schedule_point` boundaries the schedule
-explorer interleaves — the boundary -> typed-exception contract lives in
+at the stack's :func:`~repro.analysis.schedule.schedule_point`
+boundaries — the boundary -> typed-exception contract lives in
 :data:`~repro.faults.sites.FAULT_SITES` and is lint-enforced (RPA009).
 
 Resilience half (:mod:`repro.faults.resilience`): the policies the
@@ -31,7 +30,6 @@ from repro.faults.inject import (
     FaultSpec,
     FlakyOracle,
     enabled,
-    maybe_inject,
 )
 from repro.faults.resilience import CircuitBreaker, RetryPolicy
 from repro.faults.sites import FAULT_SITES, site_exception
@@ -45,6 +43,5 @@ __all__ = [
     "FlakyOracle",
     "RetryPolicy",
     "enabled",
-    "maybe_inject",
     "site_exception",
 ]

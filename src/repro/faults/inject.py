@@ -1,9 +1,8 @@
 """Deterministic fault injection at the stack's ``schedule_point`` sites.
 
-The sweep/serve/cache stack is instrumented with
-:func:`~repro.analysis.schedule.schedule_point` calls at every
-interesting operation boundary (they were added for the schedule
-explorer).  This module reuses that exact hook surface to *inject
+The sweep/serve/cache stack, the network edge and :class:`FlakyOracle`
+call :func:`~repro.analysis.schedule.schedule_point` at every
+interesting operation boundary.  This module arms that hook to *inject
 failures*: while a :class:`FaultPlan` is armed, every boundary crossing
 consults the plan, which may
 
@@ -21,8 +20,7 @@ draws depend only on the sequence of boundary crossings.  Every fired
 fault is recorded in :attr:`FaultPlan.trace`, and
 :meth:`FaultPlan.from_trace` rebuilds a scripted plan that replays the
 recorded decisions — the ``(seed, trace)`` pair travels in soak failure
-messages the way :class:`~repro.exceptions.ScheduleError` carries its
-decision string.  (Occurrence counts at high-frequency polling sites
+messages.  (Occurrence counts at high-frequency polling sites
 depend on OS timing, so a random seed is only approximately replayable
 against live workers; the *trace* is the exact artifact.)
 
@@ -52,7 +50,6 @@ __all__ = [
     "FaultSpec",
     "FlakyOracle",
     "enabled",
-    "maybe_inject",
 ]
 
 #: Every injectable failure mode.  ``crash`` and ``slow`` work at any
@@ -291,18 +288,6 @@ class FaultPlan:
         return f"FaultPlan({mode}, fired={self.fired})"
 
 
-def maybe_inject(label: str) -> None:
-    """Consult the armed plan at a boundary outside the instrumented stack.
-
-    The function :class:`FlakyOracle` (and any ad-hoc test code) uses to
-    participate in fault schedules without importing the schedule
-    explorer; no-op when nothing is armed.
-    """
-    hook = _schedule._FAULT_HOOK
-    if hook is not None:
-        hook(label)
-
-
 class FlakyOracle:
     """Wrap any oracle so its answers cross the ``oracle.answer`` boundary.
 
@@ -321,7 +306,7 @@ class FlakyOracle:
         self._oracle = oracle
 
     def answer(self, query) -> bool:
-        maybe_inject("oracle.answer")
+        _schedule.schedule_point("oracle.answer")
         return self._oracle.answer(query)
 
     def __repr__(self) -> str:

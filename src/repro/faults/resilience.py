@@ -11,8 +11,8 @@ Both primitives are deliberately clock- and RNG-free in their *decisions*:
 
 * :class:`CircuitBreaker` counts *ticks* (requests), not seconds, so
   the trip -> cooldown -> half-open -> restore cycle is reproducible in
-  tests and under the deterministic-schedule explorer: a client that
-  sends N requests behaves identically no matter how long each took.
+  tests and under seeded fault plans: a client that sends N requests
+  behaves identically no matter how long each took.
 
 Used by the noisy sweeps' warm executor (:mod:`repro.engine.belief`,
 backoff between death-recovery rebuilds) and

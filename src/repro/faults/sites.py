@@ -1,7 +1,7 @@
 """Registry of injectable boundaries and their typed failure modes.
 
-Every ``schedule_point(label)`` in the sweep/serve/cache stack is an
-*injectable boundary*: the fault layer (:mod:`repro.faults.inject`) may
+Every ``schedule_point(label)`` in the sweep/serve/cache stack, the
+network edge and the oracle wrapper is an *injectable boundary*: the fault layer (:mod:`repro.faults.inject`) may
 fire a fault there, and the ``kind="crash"`` fault raises the exception
 class registered here — so an injected failure always surfaces as the
 same typed :class:`~repro.exceptions.ReproError` subclass a real failure
@@ -46,9 +46,7 @@ FAULT_SITES: dict[str, type[ReproError]] = {
     "serve.step": ServeError,
     "serve.drain": ServeTimeoutError,
     "serve.close": ServeError,
-    # -- serve.transport (network edge; ``maybe_inject`` boundaries —
-    #    transport code is async, so it uses the hook directly rather
-    #    than ``schedule_point``)
+    # -- serve.transport (network edge, on the event loop)
     "transport.accept": TransportError,  # server accepting a connection
     "transport.open": AdmissionError,  # session open admission
     "transport.read": TransportError,  # server reading a client frame

@@ -41,11 +41,14 @@ that opened it, and ``(tenant, id)`` is *sticky* across the transport —
 a second connection opening a live id is refused typed, so a client
 pool cannot split one logical session across backends.
 
-Backpressure, all typed :class:`~repro.exceptions.AdmissionError` at the
-client: per-connection and transport-wide caps on live interactive
-sessions, and the server's per-tenant plan quota (its rejections flow
-back as error frames).  A consumer too slow to drain its replies is
-disconnected rather than allowed to grow the outbox without bound.
+Backpressure: per-connection and transport-wide caps on live
+interactive sessions, and the server's per-tenant plan quota, all typed
+:class:`~repro.exceptions.AdmissionError` at the client (the quota's
+rejections flow back as error frames).  Every frame earns at most one
+reply, and a connection buffers at most ``outbox_limit`` of them: past
+that the transport stops reading the peer until the writer catches up,
+so a client that pipelines faster than it reads is slowed by TCP, not
+disconnected, and the outbox never grows without bound.
 
 Protocol errors are typed too: a frame that does not decode or exceeds
 ``MAX_FRAME_BYTES`` is answered with a
@@ -66,8 +69,8 @@ primitives to the wire: a seeded
 rejections, every request carries a deadline, and a per-backend
 :class:`~repro.faults.resilience.CircuitBreaker` stops hammering a dead
 backend.  Both sides cross ``transport.*`` fault boundaries
-(:func:`repro.faults.maybe_inject`), so the chaos soak covers the
-network edge too.
+(:func:`~repro.analysis.schedule.schedule_point`), so the chaos soak
+covers the network edge too.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ import json
 from dataclasses import dataclass
 
 from repro import exceptions as _exceptions
+from repro.analysis.schedule import schedule_point
 from repro.core.session import SearchResult
 from repro.exceptions import (
     AdmissionError,
@@ -85,7 +89,6 @@ from repro.exceptions import (
     ServeTimeoutError,
     TransportError,
 )
-from repro.faults.inject import maybe_inject
 from repro.faults.resilience import CircuitBreaker, RetryPolicy
 from repro.serve.runtime import SessionRuntime
 from repro.serve.server import Server, SessionRequest
@@ -171,7 +174,8 @@ class TransportStats:
     opened_interactive: int = 0
     #: Opens refused at the transport layer (before the server saw them).
     rejected: int = 0
-    #: Connections dropped because their outbox overflowed (slow reader).
+    #: Connections dropped as slow readers.  The transport stops reading a
+    #: peer whose outbox is full instead, so this stays 0.
     slow_disconnects: int = 0
     #: Protocol violations (a frame that does not decode or is oversized,
     #: an unknown op, a non-scalar ``id``, ``tenant`` or ``target``).
@@ -191,17 +195,21 @@ class _Connection:
         "outbox",
         "interactive",
         "writer_task",
+        "taken",
         "closed",
     )
 
-    def __init__(self, conn_id: int, writer, outbox_limit: int) -> None:
+    def __init__(self, conn_id: int, writer) -> None:
         self.conn_id = conn_id
         self.writer = writer
-        self.outbox: asyncio.Queue = asyncio.Queue(maxsize=outbox_limit)
+        #: Reply frames; the read loop keeps at most ``outbox_limit`` here.
+        self.outbox: asyncio.Queue = asyncio.Queue()
         #: Client session id -> (SessionRuntime, sticky-registry key); the
         #: key keeps the tenant the session was opened with.
         self.interactive: dict = {}
         self.writer_task: asyncio.Task | None = None
+        #: Set when the writer takes a frame or the connection closes.
+        self.taken = asyncio.Event()
         self.closed = False
 
 
@@ -225,8 +233,8 @@ class ServeTransport:
         Transport-wide cap on concurrent interactive runtimes (each is
         per-session state on the event loop; target sessions hold none).
     outbox_limit:
-        Reply frames buffered per connection before the peer is
-        declared a slow consumer and disconnected.
+        Reply frames buffered per connection.  Past it the transport
+        stops reading the peer until the writer has sent one.
     tenant:
         Default tenant attributed to sessions whose ``open`` frame
         names none.
@@ -317,7 +325,7 @@ class ServeTransport:
         if timeout is not None and timeout <= 0:
             raise ServeError(f"timeout must be positive, got {timeout}")
         self._draining = True
-        maybe_inject("transport.drain")
+        schedule_point("transport.drain")
         if self._listener is not None:
             self._listener.close()
         conns = list(self._conns.values())
@@ -338,28 +346,20 @@ class ServeTransport:
             await self._listener.wait_closed()
 
     def _send(self, conn: _Connection, frame: dict) -> None:
-        """Queue a reply; a full outbox means a slow reader — disconnect."""
-        if conn.closed:
-            return
-        try:
+        """Queue a reply for the connection's writer."""
+        if not conn.closed:
             conn.outbox.put_nowait(frame)
-        except asyncio.QueueFull:
-            # Its replies are dropped, so nothing is left to flush.
-            self.stats.slow_disconnects += 1
-            self._abandon_conn(conn)
-            conn.writer_task.cancel()
-            conn.writer.transport.abort()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
     async def _accept(self, reader, writer) -> None:
         try:
-            maybe_inject("transport.accept")
+            schedule_point("transport.accept")
         except ReproError:
             writer.close()
             return
-        conn = _Connection(self._next_conn_id, writer, self.outbox_limit)
+        conn = _Connection(self._next_conn_id, writer)
         self._next_conn_id += 1
         if self._draining:
             writer.write(
@@ -383,6 +383,12 @@ class ServeTransport:
 
     async def _read_loop(self, conn: _Connection, reader) -> None:
         while not conn.closed:
+            if conn.outbox.qsize() >= self.outbox_limit:
+                # A frame earns at most one reply: with the outbox full,
+                # read nothing more until the writer takes one.
+                conn.taken.clear()
+                await conn.taken.wait()
+                continue
             try:
                 line = await reader.readline()
             except (ConnectionError, OSError):
@@ -399,7 +405,7 @@ class ServeTransport:
             if not line:
                 return  # EOF: the client hung up
             try:
-                maybe_inject("transport.read")
+                schedule_point("transport.read")
             except ReproError as exc:
                 self._send(conn, _error_frame(None, exc))
                 return
@@ -459,7 +465,7 @@ class ServeTransport:
         client_id = frame.get("id")
         tenant = frame.get("tenant", self.tenant)
         try:
-            maybe_inject("transport.open")
+            schedule_point("transport.open")
             if client_id is None:
                 raise TransportError("open frames need an id")
             if self._draining:
@@ -593,9 +599,10 @@ class ServeTransport:
         try:
             while True:
                 frame = await conn.outbox.get()
+                conn.taken.set()
                 if frame is _CLOSE:
                     return
-                maybe_inject("transport.write")
+                schedule_point("transport.write")
                 conn.writer.write(_encode(frame))
                 await conn.writer.drain()
                 self.stats.frames_out += 1
@@ -603,17 +610,21 @@ class ServeTransport:
             # Torn pipe or injected write fault: close the socket so the
             # peer (and our reader loop) see EOF now, not at their next
             # deadline, and the reader tears the connection down.
-            self._abandon_conn(conn)
             try:
                 conn.writer.close()
             except (ConnectionError, OSError):
                 pass
+        finally:
+            # Nothing more is sent, so a read loop paused on the full
+            # outbox must not wait for this writer.
+            self._abandon_conn(conn)
 
     def _abandon_conn(self, conn: _Connection) -> None:
         """Mark a connection closed; its interactive sessions die with it."""
         if conn.closed:
             return
         conn.closed = True
+        conn.taken.set()  # wakes a read loop paused on a full outbox
         for client_id in list(conn.interactive):
             self._drop_interactive(conn, client_id)
 
@@ -621,10 +632,7 @@ class ServeTransport:
         """Flush the connection's outbox, then close its socket."""
         self._abandon_conn(conn)
         if conn.writer_task is not None and not conn.writer_task.done():
-            try:
-                conn.outbox.put_nowait(_CLOSE)
-            except asyncio.QueueFull:
-                conn.writer_task.cancel()
+            conn.outbox.put_nowait(_CLOSE)
             await asyncio.gather(conn.writer_task, return_exceptions=True)
         try:
             conn.writer.close()
@@ -738,7 +746,7 @@ class ServeClient:
         policy = self.retry
         for attempt in range(policy.attempts):
             try:
-                maybe_inject("transport.connect")
+                schedule_point("transport.connect")
                 self._reader, self._writer = await asyncio.open_connection(
                     self.host, self.port, limit=MAX_FRAME_BYTES
                 )
@@ -841,7 +849,7 @@ class ServeClient:
         if inbox is None:
             inbox = self._inbox[session_id] = asyncio.Queue()
         try:
-            maybe_inject("transport.request")
+            schedule_point("transport.request")
             await self._post(frame)
             reply = await asyncio.wait_for(inbox.get(), bound)
         except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
@@ -873,7 +881,7 @@ class ServeClient:
         waiter = asyncio.get_running_loop().create_future()
         self._pongs.append(waiter)
         try:
-            maybe_inject("transport.request")
+            schedule_point("transport.request")
             await self._post({"op": "ping"})
             frame = await asyncio.wait_for(waiter, bound)
         except (asyncio.TimeoutError, ConnectionError, OSError) as exc:

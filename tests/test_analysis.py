@@ -3,7 +3,7 @@
 Each RPA rule gets a fixture pair — source that must be flagged and the
 closest conforming variant that must stay clean — plus the suppression
 layers (inline noqa, baseline round-trip) and the ``REPRO_SANITIZE=1``
-runtime checks (frozen caches, shm leak detection, undo integrity).
+runtime checks (frozen caches, worker leak detection, undo integrity).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -176,69 +175,6 @@ class WalkResult:
 
 
 # ----------------------------------------------------------------------
-# RPA003 — shared-memory lifecycle
-# ----------------------------------------------------------------------
-class TestShmRule:
-    def test_never_released_flagged(self):
-        src = """
-from multiprocessing import shared_memory
-
-def attach(name):
-    shm = shared_memory.SharedMemory(name=name)
-    return bytes(shm.buf[:8])
-"""
-        findings = check(src, select=["RPA003"])
-        assert codes_of(findings) == ["RPA003"]
-
-    def test_unprotected_exception_path_flagged(self):
-        src = """
-from multiprocessing import shared_memory
-
-def attach(name, parse):
-    shm = shared_memory.SharedMemory(name=name)
-    meta = parse(shm.buf)
-    shm.close()
-    return meta
-"""
-        findings = check(src, select=["RPA003"])
-        assert any("raise" in d.message for d in findings)
-
-    def test_try_finally_clean(self):
-        src = """
-from multiprocessing import shared_memory
-
-def attach(name, parse):
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        return parse(shm.buf)
-    finally:
-        shm.close()
-"""
-        assert check(src, select=["RPA003"]) == []
-
-    def test_escape_to_owner_clean(self):
-        src = """
-from multiprocessing import shared_memory
-
-def publish(registry, key, size):
-    shm = shared_memory.SharedMemory(create=True, size=size)
-    registry.add(key, shm)
-    return shm
-"""
-        assert check(src, select=["RPA003"]) == []
-
-    def test_with_statement_clean(self):
-        src = """
-from multiprocessing import shared_memory
-
-def peek(name):
-    with shared_memory.SharedMemory(name=name) as shm:
-        return bytes(shm.buf[:4])
-"""
-        assert check(src, select=["RPA003"]) == []
-
-
-# ----------------------------------------------------------------------
 # RPA004 — determinism in plan/engine/serve
 # ----------------------------------------------------------------------
 class TestDeterminismRule:
@@ -283,7 +219,7 @@ class TestDeterminismRule:
 
 
 # ----------------------------------------------------------------------
-# RPA005 — process-boundary exception discipline
+# RPA005 — exception discipline
 # ----------------------------------------------------------------------
 class TestProcessExceptionRule:
     def test_bare_except_flagged(self):
@@ -312,53 +248,6 @@ def drain(q):
         pass
 """
         assert check(src, select=["RPA005"]) == []
-
-    def test_unguarded_entry_point_flagged(self):
-        src = """
-def _worker(tasks, results):
-    while True:
-        results.put(handle(tasks.get()))
-
-def start(ctx, tasks, results):
-    return ctx.Process(target=_worker, args=(tasks, results))
-"""
-        findings = check(src, select=["RPA005"])
-        assert any("entry point" in d.message for d in findings)
-
-    def test_marshalling_entry_point_clean(self):
-        src = """
-import pickle
-
-def _worker(tasks, results):
-    while True:
-        try:
-            results.put(("ok", handle(tasks.get())))
-        except BaseException as exc:
-            results.put(("error", pickle.dumps(exc)))
-
-def start(ctx, tasks, results):
-    return ctx.Process(target=_worker, args=(tasks, results))
-"""
-        assert check(src, select=["RPA005"]) == []
-
-    def test_builtin_raise_in_entry_scope_flagged(self):
-        src = """
-def _worker(tasks, results):
-    while True:
-        try:
-            msg = tasks.get()
-            if msg is None:
-                raise ValueError("no message")
-            results.put(msg)
-        except BaseException as exc:
-            results.put(exc)
-
-def start(ctx):
-    return ctx.Process(target=_worker)
-"""
-        findings = check(src, select=["RPA005"])
-        assert any("ReproError" in d.message for d in findings)
-
 
 # ----------------------------------------------------------------------
 # RPA006 — pickle hygiene
@@ -390,187 +279,6 @@ def start(ctx, q):
     return ctx.Process(target=_worker, args=(q,))
 """
         assert check(src, select=["RPA006"]) == []
-
-
-# ----------------------------------------------------------------------
-# RPA007 — message protocol conformance
-# ----------------------------------------------------------------------
-class TestProtocolRule:
-    def test_unhandled_tag_flagged(self):
-        src = """
-def feed(tasks):
-    tasks.put(("walk", 1, None))
-    tasks.put(("frobnicate", 2, None))
-
-def worker(tasks, out):
-    msg = tasks.get()
-    kind = msg[0]
-    if kind == "walk":
-        out.append(msg[1])
-"""
-        findings = check(src, select=["RPA007"])
-        assert len(findings) == 1
-        assert "'frobnicate'" in findings[0].message
-        assert "no consumer dispatches" in findings[0].message
-
-    def test_dead_dispatch_branch_flagged(self):
-        src = """
-def feed(tasks):
-    tasks.put(("walk", 1))
-
-def worker(tasks):
-    msg = tasks.get()
-    kind = msg[0]
-    if kind == "wlak":
-        return 1
-    elif kind == "walk":
-        return 2
-    else:
-        raise ValueError(kind)
-"""
-        findings = check(src, select=["RPA007"])
-        assert len(findings) == 1
-        assert "'wlak'" in findings[0].message and "dead" in findings[0].message
-
-    def test_duplicate_tag_flagged(self):
-        src = """
-def worker(tasks):
-    msg = tasks.get()
-    kind = msg[0]
-    if kind == "walk":
-        return 1
-    elif kind == "walk":
-        return 2
-    else:
-        raise ValueError(kind)
-"""
-        findings = check(src, select=["RPA007"])
-        assert len(findings) == 1
-        assert "unreachable" in findings[0].message
-
-    def test_missing_terminal_else_flagged(self):
-        src = """
-def worker(tasks):
-    msg = tasks.get()
-    kind = msg[0]
-    if kind == "walk":
-        return 1
-    elif kind == "sleep":
-        return 2
-"""
-        findings = check(src, select=["RPA007"])
-        assert len(findings) == 1
-        assert "no terminal else" in findings[0].message
-
-    def test_conforming_protocol_clean(self):
-        src = """
-def feed(tasks):
-    tasks.put(("walk", 1, None))
-    tasks.put(("sleep", 2, 0.5))
-
-def worker(tasks, out):
-    while True:
-        msg = tasks.get()
-        if msg is None:
-            return
-        kind, task_id = msg[0], msg[1]
-        if kind == "walk":
-            out.append(task_id)
-        elif kind == "sleep":
-            out.append(None)
-        else:
-            raise ValueError(kind)
-"""
-        assert check(src, select=["RPA007"]) == []
-
-    def test_producer_only_module_clean(self):
-        # The consumer lives in another module; nothing to audit here.
-        src = 'def feed(tasks):\n    tasks.put(("walk", 1))\n'
-        assert check(src, select=["RPA007"]) == []
-
-
-# ----------------------------------------------------------------------
-# RPA008 — acquire/release pairing
-# ----------------------------------------------------------------------
-class TestResourcePairingRule:
-    def test_pin_without_release_flagged(self):
-        src = """
-class Holder:
-    def grab(self, pool, plan):
-        self.key = pool.publish(plan, pin=True)
-"""
-        findings = check(src, select=["RPA008"])
-        assert len(findings) == 1
-        assert "release" in findings[0].message
-
-    def test_pin_with_class_scope_release_clean(self):
-        src = """
-class Holder:
-    def grab(self, pool, plan):
-        self.key = pool.publish(plan, pin=True)
-
-    def drop(self, pool):
-        pool.release(self.key)
-"""
-        assert check(src, select=["RPA008"]) == []
-
-    def test_unprotected_same_function_pair_flagged(self):
-        src = """
-def walk_once(pool, plan, hierarchy):
-    key, seg = pool._acquire_for_walk(plan, hierarchy)
-    run(seg)
-    pool._release_after_walk(key)
-"""
-        findings = check(src, select=["RPA008"])
-        assert len(findings) == 1
-        assert "try/finally" in findings[0].message
-
-    def test_try_finally_pair_clean(self):
-        src = """
-def walk_once(pool, plan, hierarchy):
-    key, seg = pool._acquire_for_walk(plan, hierarchy)
-    try:
-        run(seg)
-    finally:
-        pool._release_after_walk(key)
-"""
-        assert check(src, select=["RPA008"]) == []
-
-    def test_escape_to_owner_clean(self):
-        src = """
-class Stream:
-    def __init__(self, pool, plan, hierarchy):
-        self._pool = pool
-        self._key, self._seg = pool._acquire_for_walk(plan, hierarchy)
-
-    def close(self):
-        self._pool._release_after_walk(self._key)
-"""
-        assert check(src, select=["RPA008"]) == []
-
-    def test_shared_memory_create_without_unlink_flagged(self):
-        src = """
-from multiprocessing import shared_memory
-
-def make_segment(nbytes):
-    return shared_memory.SharedMemory(create=True, size=nbytes)
-"""
-        findings = check(src, select=["RPA008"])
-        assert len(findings) == 1
-        assert "unlink" in findings[0].message
-
-    def test_shared_memory_with_unlink_clean(self):
-        src = """
-from multiprocessing import shared_memory
-
-def make_segment(nbytes):
-    return shared_memory.SharedMemory(create=True, size=nbytes)
-
-def drop_segment(shm):
-    shm.close()
-    shm.unlink()
-"""
-        assert check(src, select=["RPA008"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -608,32 +316,9 @@ def collect(name):
         assert len(findings) == 1
         assert "literal" in findings[0].message
 
-    def test_maybe_inject_adhoc_label_tolerated(self):
-        # maybe_inject exists for ad-hoc boundaries; it falls back to
-        # FaultInjectedError, so unregistered labels are fine — but
-        # computed ones still are not.
-        src = """
-from repro.faults.inject import maybe_inject
-
-def answer(query):
-    maybe_inject("my_test.boundary")
-"""
-        assert check(src, select=["RPA009"]) == []
-
-    def test_maybe_inject_computed_label_flagged(self):
-        src = """
-from repro.faults.inject import maybe_inject
-
-def answer(site):
-    maybe_inject(f"oracle.{site}")
-"""
-        findings = check(src, select=["RPA009"])
-        assert len(findings) == 1
-        assert "literal" in findings[0].message
-
     def test_unregistered_label_outside_repo_tree_tolerated(self):
         # Registration is only enforced for repo source; test helpers
-        # exploring schedules with their own labels are fine.
+        # with their own labels fall back to FaultInjectedError.
         src = """
 from repro.analysis.schedule import schedule_point
 
@@ -651,7 +336,7 @@ def probe():
 
 
 # ----------------------------------------------------------------------
-# Interprocedural reach (the call-graph layer under RPA002/RPA005)
+# Interprocedural alias taint (the call-graph layer under RPA002)
 # ----------------------------------------------------------------------
 class TestInterprocedural:
     def test_two_hop_alias_laundering_flagged(self):
@@ -678,40 +363,6 @@ def fine(plan):
     arr[0] = 3
 """
         assert check(src, select=["RPA002"]) == []
-
-    def test_builtin_raise_two_calls_deep_flagged(self):
-        src = """
-def _validate(msg):
-    if msg is None:
-        raise ValueError("no message")
-    return msg
-
-def _handle(msg):
-    return _validate(msg)
-
-def _worker(tasks, results):
-    while True:
-        try:
-            results.put(_handle(tasks.get()))
-        except BaseException as exc:
-            results.put(exc)
-
-def start(ctx):
-    return ctx.Process(target=_worker)
-"""
-        findings = check(src, select=["RPA005"])
-        assert any("ReproError" in d.message for d in findings)
-
-    def test_non_process_target_call_is_not_an_entry(self):
-        src = """
-def _job():
-    raise ValueError("not a worker, no envelope needed")
-
-def start(registry):
-    return registry.Timer(target=_job)
-"""
-        assert check(src, select=["RPA005"]) == []
-
 
 # ----------------------------------------------------------------------
 # Suppression: noqa and baseline
@@ -773,8 +424,7 @@ class TestSuppression:
 class TestDriver:
     def test_rule_registry_complete(self):
         assert sorted(RULES) == [
-            "RPA001", "RPA002", "RPA003", "RPA004", "RPA005", "RPA006",
-            "RPA007", "RPA008", "RPA009",
+            "RPA001", "RPA002", "RPA004", "RPA005", "RPA006", "RPA009",
         ]
 
     def test_repo_tree_is_clean(self):

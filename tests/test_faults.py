@@ -41,6 +41,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import schedule as _schedule
+from repro.analysis.schedule import schedule_point
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
 from repro.engine import (
@@ -70,7 +71,6 @@ from repro.faults import (
     FaultSpec,
     FlakyOracle,
     RetryPolicy,
-    maybe_inject,
     site_exception,
 )
 from repro.faults import inject as _inject
@@ -157,7 +157,7 @@ class TestGate:
         plan = FaultPlan([FaultSpec("crash", at="serve.step")])
         with pytest.raises(ServeError):
             with plan.armed():
-                maybe_inject("serve.step")
+                schedule_point("serve.step")
         assert _schedule._FAULT_HOOK is None
 
     def test_spec_validation(self):
@@ -169,9 +169,9 @@ class TestGate:
             FaultPlan.random(seed=1, rate=1.5)
 
     def test_disarmed_hook_costs_nothing(self):
-        # With no plan armed, schedule_point is two global loads.
+        # With no plan armed, schedule_point is one global load.
         assert _schedule._FAULT_HOOK is None
-        maybe_inject("serve.step")  # no-op, no error
+        schedule_point("serve.step")  # no-op, no error
 
 
 class TestTypedSites:
@@ -190,16 +190,16 @@ class TestTypedSites:
         plan = FaultPlan([FaultSpec("crash", at="serve.submit")])
         with plan.armed():
             with pytest.raises(AdmissionError, match="injected fault"):
-                maybe_inject("serve.submit")
+                schedule_point("serve.submit")
         assert plan.trace == [("serve.submit", 1, "crash")]
 
     def test_nth_occurrence_counts(self, faults_on):
         plan = FaultPlan([FaultSpec("crash", at="oracle.answer", nth=3)])
         with plan.armed():
-            maybe_inject("oracle.answer")
-            maybe_inject("oracle.answer")
+            schedule_point("oracle.answer")
+            schedule_point("oracle.answer")
             with pytest.raises(OracleError):
-                maybe_inject("oracle.answer")
+                schedule_point("oracle.answer")
         assert plan.counts["oracle.answer"] == 3
 
 
@@ -208,7 +208,7 @@ class TestDeterminism:
         with plan.armed():
             for _ in range(crossings):
                 try:
-                    maybe_inject("serve.step")
+                    schedule_point("serve.step")
                 except ReproError:
                     pass
         return list(plan.trace)

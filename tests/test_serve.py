@@ -13,7 +13,7 @@ Two contracts:
    depth; admission control and per-tenant plan quotas reject with the
    documented exception types; oracle-driven and target-driven sessions
    mix; releasing a plan mid-feed re-registers it instead of stranding
-   the feed.
+   the feed; a submission landing mid-drain is served exactly once.
 """
 
 from __future__ import annotations
@@ -682,6 +682,59 @@ class TestReleaseMidFeed:
         with server:
             outcomes = _bounded(run)
             self._check(server, plan, vehicle_hierarchy, outcomes)
+
+
+# ----------------------------------------------------------------------
+# A submission landing while a drain runs
+# ----------------------------------------------------------------------
+def _drain_with_late_submission(plan, k, position):
+    """Drain two early target sessions while the drain's ``k``-th step
+    submits a late one (``position`` of the real step); a second drain
+    catches what the first left.  ``None`` when the first drain took
+    fewer than ``k`` steps, so the late request never landed in it."""
+    nodes = plan.hierarchy.nodes
+    server = Server(plan, max_sessions=2)
+    for i in (1, 2):
+        server.submit(SessionRequest(f"early-{i}", target=nodes[i]))
+    pending = [SessionRequest("late", target=nodes[3])]
+    step = server.step
+    calls = 0
+
+    def step_submitting_late():
+        nonlocal calls
+        calls += 1
+        if calls == k and position == "before":
+            server.submit(pending.pop())
+        outcomes = step()
+        if calls == k and position == "after":
+            server.submit(pending.pop())
+        return outcomes
+
+    server.step = step_submitting_late
+    with server:
+        outcomes = server.drain()
+        if pending:
+            return None
+        return outcomes + server.drain()
+
+
+class TestDrainVsLateAdmission:
+    """A submission landing mid-drain is either caught by that drain or
+    stays queued or in flight for the next one: never lost, never served
+    twice."""
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_every_session_returned_once(self, vehicle_hierarchy, position):
+        plan = compile_policy(GreedyTreePolicy(), vehicle_hierarchy)
+        k = 1
+        while (
+            outcomes := _drain_with_late_submission(plan, k, position)
+        ) is not None:
+            served = sorted(o.session_id for o in outcomes)
+            assert served == ["early-1", "early-2", "late"], k
+            assert all(o.ok for o in outcomes), k
+            k += 1
+        assert k > 1  # the first step of the drain always exists
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,10 @@ Five contracts:
 
 2. **Stickiness & backpressure** — a live session id is refused on a
    second open (same or other connection) with a typed error; the
-   per-connection cap, the interactive cap, and a slow consumer's outbox
-   overflow all degrade typed, never hang; a client pipelining 1,000
-   target opens gets 1,000 results.
+   per-connection cap and the interactive cap degrade typed, never hang;
+   a peer that does not drain its replies is paused, not disconnected;
+   a client pipelining more opens than the outbox holds gets every
+   result.
 
 3. **Adversarial clients** — clients that hang up with sessions open, or
    close ids, leave nothing live (no runtime, no sticky id), and the
@@ -397,9 +398,11 @@ class TestBackpressure:
 
         asyncio.run(main())
 
-    def test_slow_consumer_is_disconnected_not_buffered(self):
-        """A reader that never drains its replies is dropped once its
-        outbox fills; everyone else keeps being served."""
+    def test_slow_consumer_is_paused_not_disconnected(self):
+        """A peer whose replies cannot be flushed — its write drain stalls
+        — is no longer read once its outbox is full; it stays connected,
+        everyone else keeps being served, and releasing the stall
+        delivers every reply in order."""
         plan, hierarchy, _ = _config()
         targets = list(hierarchy.nodes)[:8]
         reference = _references(plan, hierarchy, targets)
@@ -410,63 +413,105 @@ class TestBackpressure:
                     server, outbox_limit=1
                 ) as transport:
                     host, port = transport.address
-                    _, writer = await _raw_connect(host, port)
-                    for i, t in enumerate(targets):
+                    reader, writer = await _raw_connect(host, port)
+                    await _poll(lambda: transport._conns)
+                    (conn,) = transport._conns.values()
+                    stall = asyncio.Event()
+                    drain = conn.writer.drain
+
+                    async def stalled_drain():
+                        await stall.wait()
+                        await drain()
+
+                    conn.writer.drain = stalled_drain
+                    try:
                         writer.write(
-                            _encode(
-                                {"op": "open", "id": f"slow-{i}", "target": t}
+                            b"".join(
+                                _encode({"op": "open", "id": i, "target": t})
+                                for i, t in enumerate(targets)
                             )
                         )
-                    await writer.drain()
-                    await _poll(
-                        lambda: transport.stats.slow_disconnects == 1
-                    )
-                    # The healthy client is unaffected.
-                    async with await ServeClient.connect(
-                        host, port
-                    ) as client:
-                        result = await client.serve_target(
-                            "healthy", targets[0]
-                        )
+                        await writer.drain()
+                        # One reply is stuck in the stalled drain and one
+                        # fills the outbox; the other six opens stay unread.
+                        await _poll(lambda: transport.stats.frames_in == 2)
+                        await asyncio.sleep(0.05)
+                        assert transport.stats.frames_in == 2
+                        async with await ServeClient.connect(
+                            host, port
+                        ) as client:
+                            healthy = await client.serve_target(
+                                "healthy", targets[0]
+                            )
+                        assert transport.stats.frames_in == 3
+                        assert not conn.closed
+                        assert transport.stats.slow_disconnects == 0
+                    finally:
+                        # Also when a check fails: shutdown flushes
+                        # through this drain.
+                        stall.set()
+                    replies = await _read_frames(reader, len(targets))
                     writer.close()
-                    return result
+                    await writer.wait_closed()
+                    return healthy, replies
 
-        assert asyncio.run(main()) == reference[targets[0]]
+        healthy, replies = asyncio.run(main())
+        assert healthy == reference[targets[0]]
+        assert [frame["id"] for frame in replies] == list(range(8))
+        for frame, target in zip(replies, targets):
+            assert _decode_result(frame) == reference[target], frame
 
-    def test_pipelined_target_opens_all_settle(self):
-        """1,000 target opens in one write, replies read as they come:
-        every open gets its result and the reader is not called slow.
-        Target sessions hold no state, so no per-connection cap applies
-        to them."""
+    @staticmethod
+    def _check_pipelined_opens(count=None):
+        """Write ``count`` target opens (default: one past the outbox
+        limit) in one write and read the replies as they come: every
+        open gets its result and nobody is disconnected."""
         plan, hierarchy, _ = _config()
         nodes = list(hierarchy.nodes)
-        targets = [nodes[i % len(nodes)] for i in range(1000)]
         reference = _references(plan, hierarchy, nodes)
 
         async def main():
             with Server(plan) as server:
                 async with ServeTransport(server) as transport:
-                    host, port = transport.address
-                    reader, writer = await _raw_connect(host, port)
+                    n = count or transport.outbox_limit + 1
+                    reader, writer = await _raw_connect(*transport.address)
                     writer.write(
                         b"".join(
-                            _encode({"op": "open", "id": i, "target": t})
-                            for i, t in enumerate(targets)
+                            _encode(
+                                {
+                                    "op": "open",
+                                    "id": i,
+                                    "target": nodes[i % len(nodes)],
+                                }
+                            )
+                            for i in range(n)
                         )
                     )
                     await writer.drain()
-                    replies = await _read_frames(reader, len(targets))
+                    replies = await _read_frames(reader, n)
                     writer.close()
                     await writer.wait_closed()
-                    return replies, transport.stats
+                    return n, replies, transport.stats
 
-        replies, stats = asyncio.run(main())
-        assert [frame["id"] for frame in replies] == list(range(1000))
-        for frame, target in zip(replies, targets):
+        n, replies, stats = asyncio.run(main())
+        assert [frame["id"] for frame in replies] == list(range(n))
+        for frame in replies:
+            target = nodes[frame["id"] % len(nodes)]
             assert _decode_result(frame) == reference[target], frame
         assert stats.slow_disconnects == 0
         assert stats.rejected == 0
-        assert stats.opened_target == 1000
+        assert stats.opened_target == n
+
+    def test_pipelined_target_opens_all_settle(self):
+        """1,000 target opens in one write, replies read as they come.
+        Target sessions hold no state, so no per-connection cap applies
+        to them."""
+        self._check_pipelined_opens(1000)
+
+    def test_pipelining_past_the_outbox_limit_all_settle(self):
+        """One open more than ``outbox_limit`` in one write: the read loop
+        pauses while the outbox is full instead of overflowing it."""
+        self._check_pipelined_opens()
 
 
 # ----------------------------------------------------------------------
@@ -587,6 +632,43 @@ class TestDisconnects:
                     return ask
 
         assert asyncio.run(main())["op"] == "ask"
+
+    def test_write_failure_while_paused_closes_the_connection(self):
+        """A peer whose reads are paused on a full outbox, and whose pipe
+        then tears (a write drain that stalls, then fails), is torn down
+        at once, not left paused."""
+        plan, hierarchy, _ = _config()
+        target = list(hierarchy.nodes)[3]
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(
+                    server, outbox_limit=1
+                ) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    await _poll(lambda: transport._conns)
+                    (conn,) = transport._conns.values()
+                    tear = asyncio.Event()
+
+                    async def torn_later():
+                        await tear.wait()
+                        raise ConnectionResetError("peer reset")
+
+                    conn.writer.drain = torn_later
+                    writer.write(
+                        b"".join(
+                            _encode({"op": "open", "id": i, "target": target})
+                            for i in range(4)
+                        )
+                    )
+                    await writer.drain()
+                    await _poll(lambda: transport.stats.frames_in == 2)
+                    tear.set()
+                    await _poll(lambda: not transport._conns)
+                    writer.close()
+                    await writer.wait_closed()
+
+        asyncio.run(main())
 
     def test_interactive_dies_with_its_connection(self):
         plan, _, _ = _config()
