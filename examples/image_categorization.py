@@ -21,7 +21,6 @@ import numpy as np
 from repro.evaluation import compare_policies
 from repro.policies import (
     GreedyDagPolicy,
-    GreedyNaivePolicy,
     MigsPolicy,
     TopDownPolicy,
     WigsPolicy,

@@ -25,10 +25,12 @@ exactly that on :class:`~repro.plan.CompiledPlan` arrays:
 The per-target bookkeeping is pure numpy, and the policy work — zero for a
 shared/cached plan — is proportional to the number of *distinct* questions
 (≤ 2n − 1), not the sum of all per-target search depths.  Two special
-cases: a small sampled (Monte-Carlo) target set compiles only the part of
-the plan the sample reaches (:func:`repro.plan.compile.compile_reached`)
-unless a full plan is already on disk, so a handful of sampled targets
-never pays for the full compile; and a third-party policy without exact
+cases: a sampled (Monte-Carlo) target set compiles only the part of the
+plan the sample reaches (:func:`repro.plan.compile.compile_reached`)
+unless a full plan is already on disk, or a plan cache will store the
+full plan and the sample is large enough (``|targets| * height >= n``)
+to retrace most of it anyway, so a one-shot sampled run never builds
+branches that nothing descends; and a third-party policy without exact
 undo falls back to a transcript-replay adapter (one ``run_search`` per
 target) — compiling it by prefix replay would cost the same as that loop
 with nothing amortised.  Every registry policy has exact undo and
@@ -191,14 +193,18 @@ def simulate_all_targets(
         own hierarchy, and must have the same node indexing if given).
     targets:
         Restrict the evaluation to these labels (duplicates collapse).
-        Unless a full plan is passed or already cached on disk, a small
-        sample compiles only the part of the plan it reaches
-        (:func:`~repro.plan.compile.compile_reached`).  Default: all ``n``
-        nodes.
+        A sample compiles only the part of the plan it reaches
+        (:func:`~repro.plan.compile.compile_reached`), checking only its
+        own leaves, unless a full plan is passed or already on disk, or a
+        plan cache will store the full plan and the sample holds at least
+        ``n / height`` targets.  Default: all ``n`` nodes.
     check_correctness:
         Verify the policy identifies every simulated target.
     max_queries:
         Per-search budget, defaulting to ``2 n + 10`` as in ``run_search``.
+        The descent enforces it on the evaluated targets; compiles keep
+        their own ``2 n + 10`` bound, so a stored plan serves every budget
+        and the outcome does not depend on the plan cache's state.
     plan_cache:
         A :class:`~repro.plan.PlanCache` or directory path; compiled plans
         are loaded from / stored into it by configuration content hash.
@@ -284,17 +290,17 @@ def simulate_all_targets(
             # Sampled (Monte-Carlo) evaluation.  Compiling would visit all
             # <= 2n - 1 decision points; the restricted compile only
             # proposes along branches the requested targets can reach
-            # (~ |targets| * height decision points).  So: reuse a plan
-            # already on disk (a load is cheaper than any compile),
-            # otherwise compile through the cache only when the sample is
-            # large enough that the restricted compile would retrace most
-            # of the plan anyway — a one-shot sampled run on a huge DAG
-            # never pays for a full compile.
-            if cache is not None and config_key():
+            # (~ |targets| * height decision points) and checks only
+            # their leaves.  So: reuse a plan already on disk (a load is
+            # cheaper than any compile); compile the full plan only for a
+            # cache that will store it, and only when the sample is large
+            # enough that the restricted compile would retrace most of
+            # the plan anyway.  Everything else compiles what it reaches.
+            stores = cache is not None and bool(config_key())
+            if stores:
                 plan = cache.probe(config_key())
-            if (
-                plan is None
-                and target_ix.size * max(hierarchy.height, 1) < n
+            if plan is None and not (
+                stores and target_ix.size * max(hierarchy.height, 1) >= n
             ):
                 method = "vector"
                 plan = compile_reached(
@@ -303,7 +309,6 @@ def simulate_all_targets(
                     distribution,
                     model,
                     target_ix,
-                    max_depth=budget,
                     validate=check_correctness,
                 )
         if plan is None:
@@ -313,7 +318,6 @@ def simulate_all_targets(
                     hierarchy,
                     distribution,
                     model,
-                    max_depth=budget,
                     validate=check_correctness,
                 )
             else:
@@ -322,7 +326,6 @@ def simulate_all_targets(
                     hierarchy,
                     distribution,
                     model,
-                    max_depth=budget,
                     validate=check_correctness,
                 )
 

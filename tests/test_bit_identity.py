@@ -229,8 +229,8 @@ class TestEveryModeBitIdentical:
         size=st.integers(min_value=1, max_value=24),
     )
     def test_restricted_target_sets(self, seed, kind, policy_index, n, size):
-        """Small samples take the restricted compile ("vector"), larger
-        ones the full plan ("plan"); both descend bit-identically."""
+        """Without a plan cache, samples of every size take the
+        restricted compile ("vector") and descend bit-identically."""
         hierarchy = _hierarchy(kind, n, seed)
         _assert_matches_reference(
             _policy_name(kind, policy_index),

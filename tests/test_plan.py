@@ -16,10 +16,16 @@ import numpy as np
 import pytest
 
 from repro.core.costs import TableCost, UnitCost, random_costs
+from repro.core.distribution import TargetDistribution
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search, search_for_target
 from repro.engine import simulate_all_targets
-from repro.exceptions import PlanError, PolicyError
+from repro.exceptions import (
+    BudgetExceededError,
+    PlanError,
+    PolicyError,
+    SearchError,
+)
 from repro.plan import (
     CompiledPlan,
     LazyPlan,
@@ -27,7 +33,13 @@ from repro.plan import (
     compile_policy,
     plan_key,
 )
-from repro.policies import GreedyTreePolicy, available_policies, make_policy
+from repro.policies import (
+    GreedyTreePolicy,
+    TopDownPolicy,
+    available_policies,
+    make_policy,
+)
+from repro.taxonomy import amazon_like
 from repro.testing import (
     make_random_dag,
     make_random_tree,
@@ -562,22 +574,13 @@ class TestEngineOnPlans:
     def test_restricted_targets_skip_compilation(self):
         """Uncached sampled evaluation compiles only what the sample
         reaches, then descends that partial plan."""
-        hierarchy = make_random_tree(40, seed=41)
-        distribution = random_distribution(hierarchy, 41)
-        sample = list(hierarchy.nodes[5:9])
-        CountingGreedy.calls = 0
-        engine = simulate_all_targets(
-            CountingGreedy(), hierarchy, distribution, targets=sample
-        )
-        assert engine.method == "vector"
-        plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
-        full = simulate_all_targets(plan, targets=sample)
-        assert engine.decision_nodes == full.decision_nodes  # same pruning
-        # The policy was asked only at the questions the sample reaches.
-        assert CountingGreedy.calls == engine.decision_nodes
-        assert engine.decision_nodes < plan.num_questions
-        for target in sample:
-            assert engine.query_count(target) == full.query_count(target)
+        _assert_compiles_only_reached(slice(5, 9))
+
+    def test_large_uncached_sample_skips_compilation(self):
+        """So does an uncached sample past the ``n / height`` line (20 of
+        40 targets, height 9), where a plan cache would store the full
+        plan."""
+        _assert_compiles_only_reached(slice(None, None, 2))
 
     def test_small_sample_with_cache_takes_pruned_walk(self, tmp_path):
         """A one-shot small sample never pays for a full compile."""
@@ -643,6 +646,84 @@ class TestEngineOnPlans:
         assert again.method == "vector"
         assert cache.errors == 1
 
+    def test_sample_budget_below_plan_depth(self):
+        """A budget that covers the sample but not the whole plan holds for
+        the sample, as it does on the plan and per target."""
+        hierarchy, distribution, plan, sample, deepest = _budget_case()
+        assert len(sample) * hierarchy.height >= hierarchy.n
+        assert deepest < _plan_depth(plan)
+        engine = simulate_all_targets(
+            TopDownPolicy(), hierarchy, distribution, targets=sample,
+            max_queries=deepest, result_cache=False,
+        )
+        via_plan = simulate_all_targets(
+            plan, targets=sample, max_queries=deepest, result_cache=False
+        )
+        assert np.array_equal(engine.queries, via_plan.queries)
+        assert engine.prices.tobytes() == via_plan.prices.tobytes()
+        for target in sample:
+            single = run_search(
+                TopDownPolicy(), ExactOracle(hierarchy, target), hierarchy,
+                distribution, max_queries=deepest,
+            )
+            assert engine.query_count(target) == single.num_queries
+            assert engine.total_price(target) == single.total_price
+
+    def test_unsampled_leaves_go_unchecked(self):
+        """A sampled evaluation checks the leaves its targets reach, not a
+        wrong leaf of a target it was not asked about."""
+        hierarchy = amazon_like(300, seed=1)
+        distribution = TargetDistribution.equal(hierarchy)
+        others = [node for node in hierarchy.nodes if node != "a299"]
+        picks = np.random.default_rng(5).choice(len(others), 47, replace=False)
+        sample = [others[int(ix)] for ix in picks]
+        assert len(sample) * hierarchy.height >= hierarchy.n
+        engine = simulate_all_targets(
+            MislabelsA299(), hierarchy, distribution, targets=sample,
+            result_cache=False,
+        )
+        for target in sample:
+            single = run_search(
+                MislabelsA299(), ExactOracle(hierarchy, target), hierarchy,
+                distribution,
+            )
+            assert single.returned == target
+            assert engine.query_count(target) == single.num_queries
+        with pytest.raises(SearchError, match="'a0' for target 'a299'"):
+            simulate_all_targets(
+                MislabelsA299(), hierarchy, distribution, result_cache=False
+            )
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_cold_and_warm_cache_agree(self, tmp_path, sampled):
+        """The budget is the descent's alone, so a call gives the same
+        results or error with or without the plan already on disk."""
+        hierarchy, distribution, plan, sample, deepest = _budget_case()
+        if sampled:
+            targets, budget = sample, deepest
+        else:
+            targets, budget = None, _plan_depth(plan) - 1
+        cache = PlanCache(tmp_path)
+
+        def outcome():
+            try:
+                engine = simulate_all_targets(
+                    TopDownPolicy(), hierarchy, distribution, targets=targets,
+                    max_queries=budget, plan_cache=cache, result_cache=False,
+                )
+            except (BudgetExceededError, SearchError) as exc:
+                return type(exc), str(exc)
+            return engine.queries.tobytes(), engine.prices.tobytes()
+
+        cold = outcome()
+        cache.get_or_compile(TopDownPolicy(), hierarchy, distribution)
+        assert cache.path_for(plan.config_key).exists()
+        assert outcome() == cold
+        if sampled:  # the budget covers every sampled target
+            assert isinstance(cold[0], bytes)
+        else:  # the descent's error, not the compile's
+            assert cold[0] is BudgetExceededError and "plan walk" in cold[1]
+
     def test_large_sample_with_cache_compiles_through_it(self, tmp_path):
         """A sample that would retrace most of the plan compiles reusably."""
         hierarchy = make_random_tree(30, seed=42)
@@ -657,6 +738,56 @@ class TestEngineOnPlans:
         )
         assert engine.method == "plan"
         assert cache.misses == 1
+
+
+def _assert_compiles_only_reached(picks: slice) -> None:
+    """Evaluate ``nodes[picks]`` of a 40-node tree (height 9) uncached."""
+    hierarchy = make_random_tree(40, seed=41)
+    distribution = random_distribution(hierarchy, 41)
+    sample = list(hierarchy.nodes[picks])
+    CountingGreedy.calls = 0
+    engine = simulate_all_targets(
+        CountingGreedy(), hierarchy, distribution, targets=sample
+    )
+    assert engine.method == "vector"
+    plan = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
+    full = simulate_all_targets(plan, targets=sample)
+    assert engine.decision_nodes == full.decision_nodes  # same pruning
+    # The policy was asked only at the questions the sample reaches.
+    assert CountingGreedy.calls == engine.decision_nodes
+    assert engine.decision_nodes < plan.num_questions
+    for target in sample:
+        assert engine.query_count(target) == full.query_count(target)
+
+
+def _budget_case():
+    """TopDown on a 300-node tree of height 7 and its 47 shallowest targets.
+
+    47 targets cross the line (``47 * 7 >= 300``) above which a plan cache
+    stores the full plan; their deepest leaf (13 questions) is shallower
+    than the plan's (42).  Returns the hierarchy, distribution, full plan,
+    sample and the sample's deepest leaf.
+    """
+    hierarchy = amazon_like(300, seed=1)
+    distribution = TargetDistribution.equal(hierarchy)
+    plan = compile_policy(TopDownPolicy(), hierarchy, distribution)
+    depth = simulate_all_targets(plan, result_cache=False).queries
+    shallow = np.argsort(depth, kind="stable")[:47]
+    sample = [hierarchy.label(int(ix)) for ix in shallow]
+    return hierarchy, distribution, plan, sample, int(depth[shallow].max())
+
+
+def _plan_depth(plan) -> int:
+    return int(simulate_all_targets(plan, result_cache=False).worst_case())
+
+
+class MislabelsA299(GreedyTreePolicy):
+    """Greedy tree policy that reports ``'a0'`` when its search ends at
+    ``'a299'`` (a wrong leaf for one target)."""
+
+    def result(self):
+        found = super().result()
+        return "a0" if found == "a299" else found
 
 
 class CountingGreedy(GreedyTreePolicy):
