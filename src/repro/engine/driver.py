@@ -27,9 +27,9 @@ shared/cached plan — is proportional to the number of *distinct* questions
 (≤ 2n − 1), not the sum of all per-target search depths.  Two special
 cases: a sampled (Monte-Carlo) target set compiles only the part of the
 plan the sample reaches (:func:`repro.plan.compile.compile_reached`)
-unless a full plan is already on disk, or a plan cache will store the
-full plan and the sample is large enough (``|targets| * height >= n``)
-to retrace most of it anyway, so a one-shot sampled run never builds
+unless a full plan is already on disk, or a plan cache stores the full
+plan for later runs to load (done for samples of at least
+``n / height`` targets), so a one-shot sampled run never builds
 branches that nothing descends; and a third-party policy without exact
 undo falls back to a transcript-replay adapter (one ``run_search`` per
 target) — compiling it by prefix replay would cost the same as that loop
@@ -196,15 +196,20 @@ def simulate_all_targets(
         A sample compiles only the part of the plan it reaches
         (:func:`~repro.plan.compile.compile_reached`), checking only its
         own leaves, unless a full plan is passed or already on disk, or a
-        plan cache will store the full plan and the sample holds at least
-        ``n / height`` targets.  Default: all ``n`` nodes.
+        plan cache will store the full plan for later runs (samples of at
+        least ``n / height`` targets).  Default: all ``n`` nodes.
     check_correctness:
         Verify the policy identifies every simulated target.
     max_queries:
         Per-search budget, defaulting to ``2 n + 10`` as in ``run_search``.
         The descent enforces it on the evaluated targets; compiles keep
         their own ``2 n + 10`` bound, so a stored plan serves every budget
-        and the outcome does not depend on the plan cache's state.
+        and the outcome does not depend on the plan cache's state.  A
+        budget above ``2 n + 10`` therefore holds only for a passed plan
+        and for policies without exact undo (replayed per target); a
+        policy compiled here that needs more questions raises the
+        compile's :class:`~repro.exceptions.BudgetExceededError` at
+        ``2 n + 10``.
     plan_cache:
         A :class:`~repro.plan.PlanCache` or directory path; compiled plans
         are loaded from / stored into it by configuration content hash.
@@ -292,10 +297,12 @@ def simulate_all_targets(
             # proposes along branches the requested targets can reach
             # (~ |targets| * height decision points) and checks only
             # their leaves.  So: reuse a plan already on disk (a load is
-            # cheaper than any compile); compile the full plan only for a
-            # cache that will store it, and only when the sample is large
-            # enough that the restricted compile would retrace most of
-            # the plan anyway.  Everything else compiles what it reaches.
+            # cheaper than any compile).  A cache that stores plans
+            # compiles the full plan so that later runs load it, at about
+            # twice the cost of a one-shot restricted compile on Table
+            # III's samples; it does so for samples of at least
+            # n / height targets, a line no cached workload has measured.
+            # Everything else compiles what it reaches.
             stores = cache is not None and bool(config_key())
             if stores:
                 plan = cache.probe(config_key())

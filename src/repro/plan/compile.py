@@ -143,7 +143,6 @@ def compile_reached(
     cost_model: QueryCostModel | None,
     targets: np.ndarray,
     *,
-    max_depth: int | None = None,
     validate: bool = True,
 ) -> CompiledPlan:
     """The part of ``policy``'s plan that ``targets`` reach.
@@ -151,15 +150,17 @@ def compile_reached(
     The compile DFS restricted to a target sample (ascending hierarchy
     indices): branches no sampled target takes become :data:`NO_PATH`, so
     the policy proposes at about ``len(targets) * height`` decision points
-    instead of up to ``2 n - 1``.  The engine's uncached sampled
-    evaluation descends this plan.  It is partial, so it carries no
-    ``config_key`` (:class:`~repro.plan.PlanCache` refuses it) and must
-    never stand in for the full plan.  Needs ``policy.supports_undo``.
+    instead of up to ``2 n - 1``.  The engine's sampled evaluation
+    descends this plan, which applies the caller's query budget; the
+    walk itself stops only a runaway policy, at ``2 n + 10`` questions.
+    It is partial, so it carries no ``config_key``
+    (:class:`~repro.plan.PlanCache` refuses it) and must never stand in
+    for the full plan.  Needs ``policy.supports_undo``.
     """
     distribution, model = resolve_config(
         policy, hierarchy, distribution, cost_model
     )
-    budget = default_budget(hierarchy, max_depth)
+    budget = default_budget(hierarchy)
     builder = _Builder(policy.name)
     _undo_walk(
         policy, hierarchy, distribution, model, budget, validate, builder,
