@@ -50,7 +50,7 @@ FAULT_SITES: dict[str, type[ReproError]] = {
     "transport.accept": TransportError,  # server accepting a connection
     "transport.open": AdmissionError,  # session open admission
     "transport.read": TransportError,  # server reading a client frame
-    "transport.write": TransportError,  # server writing a reply frame
+    "transport.write": TransportError,  # server writing a batch of replies
     "transport.connect": TransportError,  # client dialing the backend
     "transport.request": TransportError,  # client request path
     "transport.drain": ServeTimeoutError,  # graceful-drain window

@@ -45,17 +45,21 @@ Backpressure: per-connection and transport-wide caps on live
 interactive sessions, and the server's per-tenant plan quota, all typed
 :class:`~repro.exceptions.AdmissionError` at the client (the quota's
 rejections flow back as error frames).  Every frame earns at most one
-reply, and a connection buffers at most ``outbox_limit`` of them: past
+reply, and a connection queues at most ``outbox_limit`` of them: past
 that the transport stops reading the peer until the writer catches up,
 so a client that pipelines faster than it reads is slowed by TCP, not
-disconnected, and the outbox never grows without bound.
+disconnected.  The writer sends every reply queued while its last write
+drained in one write, so a connection holds at most ``outbox_limit``
+queued replies plus one batch of at most as many being written.
 
 Protocol errors are typed too: a frame that does not decode or exceeds
 ``MAX_FRAME_BYTES`` is answered with a
 :class:`~repro.exceptions.TransportError` frame and its connection
 closed; a frame whose ``id``, ``tenant`` or ``target`` is not a JSON
 scalar, or whose op is unknown, gets the same frame and the connection
-stays open.
+stays open.  So does an ``answer`` frame whose ``answer`` is missing or
+not ``true``/``false``; its session stays live with its question
+pending.
 
 Graceful drain: :meth:`ServeTransport.shutdown` stops accepting, refuses
 new opens, and closes every connection once its outbox is flushed —
@@ -120,12 +124,14 @@ _WIRE_ERRORS: dict[str, type[ReproError]] = {
 }
 
 
+#: One encoder for every frame (``json.dumps`` with arguments builds one
+#: per call).  sort_keys makes frames byte-stable for a given payload, so
+#: wire traces diff cleanly across runs.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def _encode(frame: dict) -> bytes:
-    # sort_keys makes frames byte-stable for a given payload, so wire
-    # traces diff cleanly across runs.
-    return json.dumps(frame, separators=(",", ":"), sort_keys=True).encode(
-        "utf-8"
-    ) + b"\n"
+    return _ENCODER.encode(frame).encode("utf-8") + b"\n"
 
 
 def _error_frame(session_id, error: BaseException) -> dict:
@@ -144,7 +150,8 @@ def _result_frame(session_id, result: SearchResult) -> dict:
         "returned": result.returned,
         "num_queries": result.num_queries,
         "total_price": result.total_price,
-        "transcript": [[q, bool(a)] for q, a in result.transcript],
+        # ``(query, bool)`` pairs; JSON writes a tuple as an array.
+        "transcript": result.transcript,
     }
 
 
@@ -168,6 +175,7 @@ class TransportStats:
 
     connections: int = 0
     frames_in: int = 0
+    #: Reply frames written (one write carries a batch of them).
     frames_out: int = 0
     #: Sessions opened by shape.
     opened_target: int = 0
@@ -208,7 +216,7 @@ class _Connection:
         #: key keeps the tenant the session was opened with.
         self.interactive: dict = {}
         self.writer_task: asyncio.Task | None = None
-        #: Set when the writer takes a frame or the connection closes.
+        #: Set when the writer takes a batch or the connection closes.
         self.taken = asyncio.Event()
         self.closed = False
 
@@ -233,8 +241,8 @@ class ServeTransport:
         Transport-wide cap on concurrent interactive runtimes (each is
         per-session state on the event loop; target sessions hold none).
     outbox_limit:
-        Reply frames buffered per connection.  Past it the transport
-        stops reading the peer until the writer has sent one.
+        Reply frames queued per connection.  Past it the transport
+        stops reading the peer until the writer takes the queue.
     tenant:
         Default tenant attributed to sessions whose ``open`` frame
         names none.
@@ -385,7 +393,7 @@ class ServeTransport:
         while not conn.closed:
             if conn.outbox.qsize() >= self.outbox_limit:
                 # A frame earns at most one reply: with the outbox full,
-                # read nothing more until the writer takes one.
+                # read nothing more until the writer takes them.
                 conn.taken.clear()
                 await conn.taken.wait()
                 continue
@@ -553,17 +561,19 @@ class ServeTransport:
                 ),
             )
             return
-        if "answer" not in frame:
+        answer = frame.get("answer")
+        if not isinstance(answer, bool):
+            # Not bool(): "false", [0] and {"x": 1} would each read as yes.
             self._send(
                 conn,
                 _error_frame(
-                    client_id, TransportError("answer frames need answer=")
+                    client_id, TransportError("answer must be true or false")
                 ),
             )
             return
         runtime = entry[0]
         try:
-            runtime.observe(bool(frame["answer"]))
+            runtime.observe(answer)
         except ReproError as exc:  # protocol misuse: typed, session over
             self._drop_interactive(conn, client_id)
             self._send(conn, _error_frame(client_id, exc))
@@ -596,16 +606,26 @@ class ServeTransport:
     # Writer side
     # ------------------------------------------------------------------
     async def _write_loop(self, conn: _Connection) -> None:
+        outbox = conn.outbox
         try:
             while True:
-                frame = await conn.outbox.get()
+                # Every reply queued while the last write drained leaves
+                # in one write, up to the first _CLOSE (two closes of one
+                # connection can each queue one).
+                batch = [await outbox.get()]
+                while batch[-1] is not _CLOSE and not outbox.empty():
+                    batch.append(outbox.get_nowait())
                 conn.taken.set()
-                if frame is _CLOSE:
+                closing = batch[-1] is _CLOSE
+                if closing:
+                    batch.pop()
+                if batch:
+                    schedule_point("transport.write")
+                    conn.writer.write(b"".join(map(_encode, batch)))
+                    await conn.writer.drain()
+                    self.stats.frames_out += len(batch)
+                if closing:
                     return
-                schedule_point("transport.write")
-                conn.writer.write(_encode(frame))
-                await conn.writer.drain()
-                self.stats.frames_out += 1
         except (ConnectionError, OSError, ReproError):
             # Torn pipe or injected write fault: close the socket so the
             # peer (and our reader loop) see EOF now, not at their next

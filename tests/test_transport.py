@@ -4,14 +4,15 @@ Five contracts:
 
 1. **Wire fidelity** — target and interactive sessions served over a real
    localhost socket return byte-identical :class:`SearchResult`s to local
-   ``run_search``; typed errors cross the wire as their original classes.
+   ``run_search``; result frames encode to fixed reference bytes; typed
+   errors cross the wire as their original classes.
 
 2. **Stickiness & backpressure** — a live session id is refused on a
    second open (same or other connection) with a typed error; the
    per-connection cap and the interactive cap degrade typed, never hang;
    a peer that does not drain its replies is paused, not disconnected;
    a client pipelining more opens than the outbox holds gets every
-   result.
+   result; replies queued behind a write leave in one write, in order.
 
 3. **Adversarial clients** — clients that hang up with sessions open, or
    close ids, leave nothing live (no runtime, no sticky id), and the
@@ -42,6 +43,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import exceptions
+from repro.core.costs import TableCost
+from repro.core.hierarchy import Hierarchy
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
 from repro.exceptions import (
@@ -66,7 +69,13 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.loadgen import _draw_schedule, percentile
-from repro.serve.transport import MAX_FRAME_BYTES, _decode_result, _encode
+from repro.serve.runtime import SessionRuntime
+from repro.serve.transport import (
+    MAX_FRAME_BYTES,
+    _decode_result,
+    _encode,
+    _result_frame,
+)
 from repro.testing import make_random_tree, random_distribution
 
 
@@ -172,6 +181,121 @@ class TestRoundTrip:
                     return result
 
         assert asyncio.run(main()) == reference
+
+    def test_non_boolean_answer_is_refused_typed(self):
+        """An ``answer`` frame whose answer is missing, a string, a number,
+        an array or an object gets a TransportError frame, and its session
+        keeps the pending question: answered with real booleans, it
+        finishes with the result of ``run_search``."""
+        plan, hierarchy, _ = _config()
+        target = list(hierarchy.nodes)[5]
+        oracle = ExactOracle(hierarchy, target)
+        reference = run_search(plan, oracle, hierarchy)
+        bad = [
+            {},
+            {"answer": "false"},
+            {"answer": 0},
+            {"answer": [True]},
+            {"answer": {"x": 1}},
+        ]
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    writer.write(
+                        _encode({"op": "open", "id": "q", "interactive": True})
+                    )
+                    await writer.drain()
+                    (frame,) = await _read_frames(reader, 1)
+                    assert frame["op"] == "ask"
+                    writer.write(
+                        b"".join(
+                            _encode({"op": "answer", "id": "q", **fields})
+                            for fields in bad
+                        )
+                    )
+                    await writer.drain()
+                    errors = await _read_frames(reader, len(bad))
+                    while frame["op"] == "ask":
+                        answer = bool(oracle.answer(frame["query"]))
+                        writer.write(
+                            _encode(
+                                {"op": "answer", "id": "q", "answer": answer}
+                            )
+                        )
+                        await writer.drain()
+                        (frame,) = await _read_frames(reader, 1)
+                    _assert_nothing_live(transport, server)
+                    writer.close()
+                    await writer.wait_closed()
+                    return errors, frame
+
+        errors, frame = asyncio.run(main())
+        names = [error.get("error") for error in errors]
+        assert names == ["TransportError"] * len(bad)
+        for error in errors:
+            assert error["id"] == "q"
+            assert error["message"] == "answer must be true or false"
+        assert frame["op"] == "result", frame
+        assert _decode_result(frame) == reference
+
+    def test_result_frames_encode_to_reference_bytes(self):
+        """Result frames from the leaf table (``Server.settle``) and from a
+        per-session ``SessionRuntime`` encode, for every node of a tree
+        with non-ASCII labels and non-integer prices, to the bytes of a
+        plain ``json.dumps`` of the frame with list transcripts."""
+        hierarchy = Hierarchy(
+            [
+                ("root", "café"),
+                ("root", "Hund"),
+                ("café", "crème brûlée"),
+                ("café", "naïve"),
+                ("naïve", "ü"),
+                ("Hund", "Dackel \N{DOG}"),
+                ("Hund", "Pudel"),
+                ("Pudel", "pudel-2"),
+            ]
+        )
+        cost = TableCost(
+            {node: 0.1 * (i + 1) for i, node in enumerate(hierarchy.nodes)}
+        )
+        plan = compile_policy(
+            GreedyTreePolicy(),
+            hierarchy,
+            random_distribution(hierarchy, 3),
+            cost,
+        )
+
+        def reference_bytes(session_id, result):
+            frame = {
+                "op": "result",
+                "id": session_id,
+                "returned": result.returned,
+                "num_queries": result.num_queries,
+                "total_price": result.total_price,
+                "transcript": [[q, bool(a)] for q, a in result.transcript],
+            }
+            return json.dumps(
+                frame, separators=(",", ":"), sort_keys=True
+            ).encode("utf-8") + b"\n"
+
+        prices = set()
+        with Server(plan, cost_model=cost) as server:
+            for target in hierarchy.nodes:
+                outcome = server.settle(
+                    SessionRequest(session_id=target, target=target)
+                )
+                assert outcome.error is None, outcome.error
+                walked = SessionRuntime(plan, cost_model=cost).run(
+                    ExactOracle(hierarchy, target)
+                )
+                for result in (outcome.result, walked):
+                    wire = _encode(_result_frame(target, result))
+                    assert wire == reference_bytes(target, result), target
+                    assert _decode_result(json.loads(wire)) == result
+                prices.add(walked.total_price)
+        assert any(price != int(price) for price in prices)
 
     def test_ping_reports_server_state(self):
         plan, _, _ = _config()
@@ -514,6 +638,94 @@ class TestBackpressure:
         self._check_pipelined_opens()
 
 
+class TestBatchedWriter:
+    def test_replies_queued_behind_a_write_leave_in_one_write(self):
+        """While the first reply's write drains, the replies to K - 1
+        pipelined opens queue; they leave in one write, in order, and
+        ``frames_out`` counts frames, not writes."""
+        plan, hierarchy, _ = _config()
+        targets = list(hierarchy.nodes)[:9]
+        reference = _references(plan, hierarchy, targets)
+        k = len(targets)
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    await _poll(lambda: transport._conns)
+                    (conn,) = transport._conns.values()
+                    release = asyncio.Event()
+                    drain, write = conn.writer.drain, conn.writer.write
+                    writes = []
+
+                    async def held_drain():
+                        await release.wait()
+                        await drain()
+
+                    def counted_write(data):
+                        writes.append(data)
+                        write(data)
+
+                    conn.writer.drain = held_drain
+                    conn.writer.write = counted_write
+                    opens = [
+                        _encode({"op": "open", "id": i, "target": t})
+                        for i, t in enumerate(targets)
+                    ]
+                    try:
+                        writer.write(opens[0])
+                        await writer.drain()
+                        await _poll(lambda: writes)  # the first write holds
+                        writer.write(b"".join(opens[1:]))
+                        await writer.drain()
+                        await _poll(lambda: transport.stats.frames_in == k)
+                    finally:
+                        release.set()
+                    replies = await _read_frames(reader, k)
+                    await _poll(lambda: transport.stats.frames_out == k)
+                    writer.close()
+                    await writer.wait_closed()
+                    return writes, replies
+
+        writes, replies = asyncio.run(main())
+        assert [data.count(b"\n") for data in writes] == [1, k - 1]
+        assert [frame["id"] for frame in replies] == list(range(k))
+        for frame, target in zip(replies, targets):
+            assert _decode_result(frame) == reference[target], frame
+
+    def test_doubled_close_ends_the_writer_cleanly(self):
+        """Two closes of one connection (a hang-up during a shutdown) each
+        queue an end marker behind a reply: the reply is written, and the
+        writer stops at the first marker without error."""
+        plan, hierarchy, _ = _config()
+        target = list(hierarchy.nodes)[3]
+        reference = run_search(
+            plan, ExactOracle(hierarchy, target), hierarchy
+        )
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    await _poll(lambda: transport._conns)
+                    (conn,) = transport._conns.values()
+                    transport._send(conn, _result_frame("r", reference))
+                    await asyncio.gather(
+                        transport._close_conn(conn),
+                        transport._close_conn(conn),
+                    )
+                    received = await asyncio.wait_for(reader.read(), 5.0)
+                    await _poll(lambda: not transport._conns)
+                    writer.close()
+                    await writer.wait_closed()
+                    return received, conn.writer_task
+
+        received, writer_task = asyncio.run(main())
+        (line,) = received.splitlines()
+        assert _decode_result(json.loads(line)) == reference
+        assert writer_task.exception() is None
+
+
 # ----------------------------------------------------------------------
 # 3. Adversarial clients
 # ----------------------------------------------------------------------
@@ -742,20 +954,22 @@ class TestDrain:
                 await _poll(lambda: transport._conns)
                 (conn,) = transport._conns.values()
                 conn.writer.drain = asyncio.Event().wait  # never set
-                for frame in (
-                    {"op": "open", "id": "slow", "target": target},
-                    {"op": "ping"},
-                ):
-                    writer.write(_encode(frame))
+                writer.write(
+                    _encode({"op": "open", "id": "slow", "target": target})
+                )
+                await writer.drain()
+                # The result reaches the socket before the stall; the pong
+                # queues behind the stalled drain.
+                first = await asyncio.wait_for(reader.readline(), 5.0)
+                writer.write(_encode({"op": "ping"}))
                 await writer.drain()
                 await _poll(lambda: transport.stats.frames_in == 2)
                 with pytest.raises(ServeTimeoutError, match="deadline"):
                     await asyncio.wait_for(
                         transport.shutdown(timeout=0.05), 5.0
                     )
-                # The first reply reached the socket before the stall; the
-                # pong never left the outbox.
-                received = await asyncio.wait_for(reader.read(), 5.0)
+                # The pong never left the outbox.
+                received = first + await asyncio.wait_for(reader.read(), 5.0)
                 await _poll(lambda: not transport._conns)
                 writer.close()
                 await writer.wait_closed()
