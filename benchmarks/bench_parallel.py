@@ -72,9 +72,9 @@ def run_benchmark(
     n_target: int = 12_000, policy_name: str = "topdown", seed: int = 1
 ) -> dict:
     """Time the CSR kernel and the result cache; return a JSON-able dict."""
-    # Installed defaults (REPRO_PLAN_CACHE / REPRO_RESULT_CACHE) would
-    # serve the timed evaluations from disk and fabricate the speedups;
-    # clear them for the timed region only.
+    # An installed default result cache (REPRO_RESULT_CACHE) would serve
+    # the timed evaluations from disk and fabricate the speedups; clear it
+    # for the timed region only.
     with neutral_defaults():
         return _timed_benchmark(n_target, policy_name, seed)
 

@@ -75,11 +75,9 @@ from repro.exceptions import (
 from repro.plan import (
     CompiledPlan,
     LazyPlan,
-    PlanCache,
     SearchCursor,
     compile_policy,
     plan_key,
-    set_default_cache,
 )
 from repro.serve import (
     Server,
@@ -111,7 +109,6 @@ __all__ = [
     "NoisyResult",
     "Oracle",
     "OracleError",
-    "PlanCache",
     "PlanError",
     "Policy",
     "PolicyError",
@@ -134,7 +131,6 @@ __all__ = [
     "random_costs",
     "run_search",
     "search_for_target",
-    "set_default_cache",
     "set_default_jobs",
     "set_default_result_cache",
     "simulate_all_targets",

@@ -4,12 +4,10 @@ Three modes:
 
 * experiment mode — regenerate any paper table/figure at a chosen scale and
   print the paper-style output (``all`` runs the full suite).  With
-  ``--plan-cache DIR``, compiled decision plans are content-addressed on
-  disk so repeated runs skip identical compilations; ``--result-cache
-  DIR`` persists the per-target cost arrays so re-running an unchanged
-  evaluation skips it entirely; ``--jobs N`` shards the noise
-  experiment's sweeps over N worker processes, started once and kept
-  warm across the experiment's sweeps;
+  ``--result-cache DIR`` the per-target cost arrays persist on disk, so
+  re-running an unchanged evaluation skips it entirely; ``--jobs N``
+  shards the noise experiment's sweeps over N worker processes, started
+  once and kept warm across the experiment's sweeps;
 * interactive mode — ``python -m repro interactive --edges hierarchy.tsv``
   categorises one object by asking *you* the reachability questions, i.e.
   the paper's crowdsourcing workflow with a human-in-the-terminal oracle
@@ -90,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default="plan.bin",
         help="compile mode: output plan file (default: plan.bin)",
-    )
-    parser.add_argument(
-        "--plan-cache",
-        metavar="DIR",
-        help="experiment mode: cache compiled plans under DIR (e.g. "
-        "results/plancache) so repeated runs skip identical compilations",
     )
     parser.add_argument(
         "--jobs",
@@ -450,10 +442,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_serve(args)
     if args.experiment == "loadgen":
         return _run_loadgen(args)
-    if args.plan_cache:
-        from repro.plan import set_default_cache
-
-        set_default_cache(args.plan_cache)
     if args.jobs is not None:
         from repro.engine import set_default_jobs
 

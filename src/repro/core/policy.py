@@ -59,9 +59,10 @@ class Policy(ABC):
     supports_undo: bool = False
 
     #: Whether :meth:`fingerprint` captures everything that influences the
-    #: policy's decisions, making compiled plans safe to cache on disk.
-    #: Policies configured with unhashable payloads (e.g. a wrapped decision
-    #: tree) set this to False and are compiled fresh every time.
+    #: policy's decisions, making results keyed by it safe to cache on
+    #: disk.  Policies configured with unhashable payloads (e.g. a wrapped
+    #: decision tree) set this to False: their plans carry no content key
+    #: and their results are never cached.
     plan_cacheable: bool = True
 
     #: Attribute names the undo-integrity sanitizer (``REPRO_SANITIZE=1``,
@@ -198,8 +199,9 @@ class Policy(ABC):
 
         Two policy instances with equal fingerprints must produce identical
         decision structures on any (hierarchy, distribution, cost model)
-        configuration — this string keys the compiled-plan cache
-        (:mod:`repro.plan.cache`).  The default covers policies whose
+        configuration — this string goes into the configuration content
+        hash (:func:`repro.plan.plan_key`) that keys the engine-result
+        cache (:mod:`repro.engine.cache`).  The default covers policies whose
         behaviour-relevant options are reflected in :attr:`name` (the
         convention used by the ``rounded`` variants); subclasses with extra
         decision-relevant parameters must append them (see

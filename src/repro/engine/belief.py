@@ -72,7 +72,6 @@ from repro.core.oracle import Oracle
 from repro.engine.vector import (
     _choose_kind,
     _tagged,
-    is_vector_policy,
     make_answerer,
     make_reach_rows,
 )
@@ -85,13 +84,7 @@ from repro.exceptions import (
     SearchError,
 )
 from repro.faults.resilience import RetryPolicy
-from repro.plan import (
-    NO_PATH,
-    CompiledPlan,
-    as_plan_cache,
-    compile_policy,
-    get_default_cache,
-)
+from repro.plan import NO_PATH, CompiledPlan, compile_policy
 
 #: Session outcome codes (``NoisyResult.run_outcomes``).
 OUTCOME_LEAF = 0  #: reached a plan leaf; the label is the leaf's target
@@ -885,11 +878,14 @@ def _resolve_noise_plan(
     distribution: TargetDistribution | None,
     cost_model: QueryCostModel | None,
     *,
-    budget_hint: int | None,
     check_correctness: bool,
-    plan_cache,
 ) -> tuple[CompiledPlan, Hierarchy, str]:
-    """Normalise a policy-or-plan into one shared ``CompiledPlan``."""
+    """Normalise a policy-or-plan into one shared ``CompiledPlan``.
+
+    A policy compiles at the default ``2 n + 10`` bound, whatever the
+    caller's budget: the sweep applies the budget per session, so the
+    policy call settles exactly as the call on the compiled plan does.
+    """
     if isinstance(policy, CompiledPlan):
         plan = policy
         if hierarchy is None:
@@ -905,30 +901,13 @@ def _resolve_noise_plan(
         return plan, hierarchy, plan.policy_name
     if hierarchy is None:
         raise SearchError("simulate_noisy needs a hierarchy for a policy")
-    budget = default_budget(hierarchy, budget_hint)
-    cache = as_plan_cache(plan_cache) or get_default_cache()
-    if (
-        cache is not None
-        and is_vector_policy(policy)
-        and getattr(policy, "plan_cacheable", True)
-    ):
-        plan = cache.get_or_compile(
-            policy,
-            hierarchy,
-            distribution,
-            cost_model,
-            max_depth=budget,
-            validate=check_correctness,
-        )
-    else:
-        plan = compile_policy(
-            policy,
-            hierarchy,
-            distribution,
-            cost_model,
-            max_depth=budget,
-            validate=check_correctness,
-        )
+    plan = compile_policy(
+        policy,
+        hierarchy,
+        distribution,
+        cost_model,
+        validate=check_correctness,
+    )
     return plan, hierarchy, plan.policy_name
 
 
@@ -1027,7 +1006,6 @@ def simulate_noisy(
     track_posterior: bool = False,
     max_queries: int | None = None,
     check_correctness: bool = True,
-    plan_cache=None,
     jobs: int | None = None,
     kind: str | None = None,
     batch_size: int | None = None,
@@ -1065,6 +1043,13 @@ def simulate_noisy(
     track_posterior:
         Keep the final per-run posteriors in the result without changing
         any walk decision.
+    max_queries:
+        Per-session question budget, defaulting to ``2 n + 10`` as in
+        ``run_search``; a session that exhausts it settles as
+        :data:`OUTCOME_BUDGET`.  A policy compiles at its own ``2 n +
+        10`` bound, so a budget above ``2 n + 10`` holds only for a plan
+        passed in; a policy that needs more questions raises the
+        compile's :class:`~repro.exceptions.BudgetExceededError`.
     jobs:
         Worker processes to shard the sessions over (``1`` sweeps
         inline), with bit-identical output for every value.  ``None``
@@ -1092,9 +1077,7 @@ def simulate_noisy(
         hierarchy,
         distribution,
         price_model,
-        budget_hint=max_queries,
         check_correctness=check_correctness,
-        plan_cache=plan_cache,
     )
     budget = default_budget(hierarchy, max_queries)
     target_ix, session_targets = _session_grid(
@@ -1193,7 +1176,6 @@ def reference_noisy(
     repeats: int = 1,
     max_queries: int | None = None,
     check_correctness: bool = True,
-    plan_cache=None,
 ) -> NoisyResult:
     """The per-session reference: one oracle stack and ``run_search`` per
     session, same plan, same seeds, same accounting.
@@ -1205,7 +1187,8 @@ def reference_noisy(
     drawn by the same code paths the paper-facing experiments used before
     vectorization.  Failed runs (dead end or budget) report the spend
     their counters accumulated — the cost of noise includes the searches
-    it ruins.
+    it ruins.  ``max_queries`` holds as in :func:`simulate_noisy`: above
+    ``2 n + 10`` only for a plan passed in.
     """
     _validate_knobs(replications, repeats, votes)
     model = _as_error_model(error_model)
@@ -1215,9 +1198,7 @@ def reference_noisy(
         hierarchy,
         distribution,
         price_model,
-        budget_hint=max_queries,
         check_correctness=check_correctness,
-        plan_cache=plan_cache,
     )
     budget = default_budget(hierarchy, max_queries)
     target_ix, session_targets = _session_grid(

@@ -1,21 +1,20 @@
 """On-disk cache of engine results, keyed by configuration + target set.
 
-Compiled plans have been cached since the compile/execute split
-(:mod:`repro.plan.cache`), but the *walk* — one interactive search per
-target, the dominant cost of every experiment table at paper scale — was
-re-run on every invocation.  :class:`EngineResultCache` persists the
-per-target cost arrays of an :class:`~repro.engine.EngineResult` under
-``<dir>/<result_key>.npz``, so re-running an experiment with an unchanged
+The paper's evaluation (Eq. 2) needs only each target's query count and
+price, so this is the one cache that outlives a run.
+:class:`EngineResultCache` persists the per-target cost arrays of an
+:class:`~repro.engine.EngineResult` under ``<dir>/<result_key>.npz``, so
+re-running an experiment with an unchanged
 policy/hierarchy/distribution/price configuration skips both the compile
-*and* the walk: the second run is one ``np.load``.
+*and* the descent: the second run is one ``np.load``.
 
-The key (:func:`result_key`) extends the plan-cache content hash
+The key (:func:`result_key`) extends the configuration content hash
 (:func:`repro.plan.compile.plan_key` — policy, hierarchy, distribution and
 price fingerprints) with the evaluated target-index set and the query
 budget, so sampled (Monte-Carlo) evaluations cache independently per
 sample.  Entries store only the evaluated positions (not the full ``n``
 arrays) plus the hierarchy fingerprint; corrupt or foreign files degrade to
-a miss with a warning, mirroring :class:`~repro.plan.cache.PlanCache`.
+a miss with a warning.
 
 A process-wide default is installed with :func:`set_default_result_cache`
 (the CLI's ``--result-cache`` flag) or the ``REPRO_RESULT_CACHE``
@@ -38,7 +37,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.exceptions import PlanError
 from repro.plan.plan import fsync_dir
 
-#: Conventional cache location (next to the plan cache).
+#: Conventional cache location (next to the benchmark reports).
 DEFAULT_RESULT_CACHE_DIR = "results/enginecache"
 
 #: On-disk format tag checked on load.
@@ -53,7 +52,7 @@ def result_key(
 ) -> str:
     """Content hash identifying one engine run.
 
-    ``config_key`` is the plan-cache key of the compile configuration
+    ``config_key`` is the content hash of the compile configuration
     (:func:`repro.plan.compile.plan_key`); the target-index set pins the
     evaluated sample and ``budget`` the failure semantics (a run that
     would exceed a smaller budget must not be answered from a cache filled

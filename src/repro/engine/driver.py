@@ -14,7 +14,7 @@ exactly that on :class:`~repro.plan.CompiledPlan` arrays:
 1. the policy is compiled once — the compiler proposes at each decision
    point exactly once, backtracking with exact answer reversal
    (:meth:`~repro.core.policy.Policy.undo`) — or the caller passes an
-   already-compiled (possibly cache-loaded) plan;
+   already-compiled plan;
 2. the descent (:func:`_descend`) moves all requested targets down the
    plan together, one level per pass: one batched exact-oracle call
    (:func:`repro.engine.vector.make_answerer`) answers every target's
@@ -23,26 +23,27 @@ exactly that on :class:`~repro.plan.CompiledPlan` arrays:
    land in per-target arrays.
 
 The per-target bookkeeping is pure numpy, and the policy work — zero for a
-shared/cached plan — is proportional to the number of *distinct* questions
-(≤ 2n − 1), not the sum of all per-target search depths.  Two special
-cases: a sampled (Monte-Carlo) target set compiles only the part of the
-plan the sample reaches (:func:`repro.plan.compile.compile_reached`)
-unless a full plan is already on disk, or a plan cache stores the full
-plan for later runs to load (done for samples of at least
-``n / height`` targets), so a one-shot sampled run never builds
-branches that nothing descends; and a third-party policy without exact
-undo falls back to a transcript-replay adapter (one ``run_search`` per
-target) — compiling it by prefix replay would cost the same as that loop
-with nothing amortised.  Every registry policy has exact undo and
-compiles by the undo DFS; tests drive the replay paths through
-:class:`repro.testing.ForcedReplayPolicy`.  Registry and third-party
+passed plan — is proportional to the number of *distinct* questions
+(≤ 2n − 1), not the sum of all per-target search depths.  The compile
+follows one rule: a passed plan is descended as given; a sampled
+(Monte-Carlo) target set compiles only the part of the plan the sample
+reaches (:func:`repro.plan.compile.compile_reached`), so a sampled run
+never builds branches that nothing descends; all targets compile the
+full plan (:func:`~repro.plan.compile_policy`); and a third-party policy
+without exact undo falls back to a transcript-replay adapter (one
+``run_search`` per target) — compiling it by prefix replay would cost
+the same as that loop with nothing amortised.  Every registry policy has
+exact undo and compiles by the undo DFS; tests drive the replay paths
+through :class:`repro.testing.ForcedReplayPolicy`.  Registry and third-party
 :class:`~repro.core.policy.Policy` objects alike produce identical
 numbers through the same API.
 
 Finished per-target cost arrays can also persist on disk, keyed by
 configuration content hash (``result_cache`` on
 :func:`simulate_all_targets`), so repeating an unchanged evaluation skips
-compile and descent entirely (:mod:`repro.engine.cache`).
+compile and descent entirely (:mod:`repro.engine.cache`).  That is the
+one cache that outlives a run: plans persist only as explicit files
+(:meth:`~repro.plan.CompiledPlan.save`).
 """
 
 from __future__ import annotations
@@ -61,13 +62,7 @@ from repro.core.policy import Policy
 from repro.core.session import default_budget, run_search
 from repro.engine.vector import is_vector_policy, make_answerer
 from repro.exceptions import BudgetExceededError, SearchError
-from repro.plan import (
-    ROOT,
-    CompiledPlan,
-    as_plan_cache,
-    compile_policy,
-    get_default_cache,
-)
+from repro.plan import ROOT, CompiledPlan, compile_policy
 from repro.plan.compile import check_leaf, compile_reached, plan_key
 
 
@@ -89,9 +84,9 @@ class EngineResult:
     queries: np.ndarray = field(repr=False)
     #: Total price per node index; ``nan`` where not evaluated.
     prices: np.ndarray = field(repr=False)
-    #: ``"plan"`` (descent of a compiled plan), ``"vector"`` (descent of
-    #: the part of the plan an uncached sample reaches), or ``"replay"``
-    #: (per-target adapter).
+    #: ``"plan"`` (descent of a full compiled plan), ``"vector"``
+    #: (descent of the part of the plan a sample reaches), or
+    #: ``"replay"`` (per-target adapter).
     method: str = "plan"
     #: Question nodes the descent visited (plan/vector) or queries
     #: simulated (replay).
@@ -174,7 +169,6 @@ def simulate_all_targets(
     targets: Iterable[Hashable] | None = None,
     check_correctness: bool = True,
     max_queries: int | None = None,
-    plan_cache=None,
     result_cache=None,
 ) -> EngineResult:
     """Simulate a policy or compiled plan against every target in one pass.
@@ -193,27 +187,20 @@ def simulate_all_targets(
         own hierarchy, and must have the same node indexing if given).
     targets:
         Restrict the evaluation to these labels (duplicates collapse).
-        A sample compiles only the part of the plan it reaches
-        (:func:`~repro.plan.compile.compile_reached`), checking only its
-        own leaves, unless a full plan is passed or already on disk, or a
-        plan cache will store the full plan for later runs (samples of at
-        least ``n / height`` targets).  Default: all ``n`` nodes.
+        A sample of a policy compiles only the part of the plan it
+        reaches (:func:`~repro.plan.compile.compile_reached`), checking
+        only its own leaves; a passed plan is descended as given.
+        Default: all ``n`` nodes.
     check_correctness:
         Verify the policy identifies every simulated target.
     max_queries:
         Per-search budget, defaulting to ``2 n + 10`` as in ``run_search``.
         The descent enforces it on the evaluated targets; compiles keep
-        their own ``2 n + 10`` bound, so a stored plan serves every budget
-        and the outcome does not depend on the plan cache's state.  A
-        budget above ``2 n + 10`` therefore holds only for a passed plan
-        and for policies without exact undo (replayed per target); a
-        policy compiled here that needs more questions raises the
-        compile's :class:`~repro.exceptions.BudgetExceededError` at
-        ``2 n + 10``.
-    plan_cache:
-        A :class:`~repro.plan.PlanCache` or directory path; compiled plans
-        are loaded from / stored into it by configuration content hash.
-        ``None`` falls back to :func:`repro.plan.get_default_cache`.
+        their own ``2 n + 10`` bound, so a budget above ``2 n + 10``
+        holds only for a passed plan and for policies without exact undo
+        (replayed per target); a policy compiled here that needs more
+        questions raises the compile's
+        :class:`~repro.exceptions.BudgetExceededError` at ``2 n + 10``.
     result_cache:
         An :class:`~repro.engine.cache.EngineResultCache` or directory
         path persisting the per-target cost arrays by configuration +
@@ -257,84 +244,56 @@ def simulate_all_targets(
             raise SearchError("no targets to simulate")
     budget = default_budget(hierarchy, max_queries)
 
-    # The configuration content hash (shared with the plan cache) keys the
-    # persisted result; policies that cannot be fingerprinted reliably
-    # (plan_cacheable false) are never cached.  Computed only when a cache
-    # will actually consult it — it hashes the distribution/price arrays.
-    _ckey: list[str | None] = [None]
-
-    def config_key() -> str:
-        if _ckey[0] is None:
-            if plan is not None:
-                _ckey[0] = plan.config_key
-            elif not getattr(policy, "plan_cacheable", True):
-                _ckey[0] = ""
-            else:
-                try:
-                    _ckey[0] = plan_key(policy, hierarchy, distribution, model)
-                except AttributeError:  # duck-typed, no fingerprint()
-                    _ckey[0] = ""
-        return _ckey[0]
-
+    # The configuration content hash keys the persisted result; policies
+    # that cannot be fingerprinted reliably (plan_cacheable false) are
+    # never cached.  Computed only when a cache will consult it — it
+    # hashes the distribution/price arrays.
     rcache = resolve_result_cache(result_cache)
     rkey = ""
-    if rcache is not None and config_key():
-        rkey = result_key(
-            config_key(), target_ix, budget, model.as_array(hierarchy)
-        )
-        cached = rcache.get(
-            rkey, hierarchy, require_checked=check_correctness
-        )
-        if cached is not None:
-            return cached
+    if rcache is not None:
+        if plan is not None:
+            ckey = plan.config_key
+        elif not getattr(policy, "plan_cacheable", True):
+            ckey = ""
+        else:
+            try:
+                ckey = plan_key(policy, hierarchy, distribution, model)
+            except AttributeError:  # duck-typed, no fingerprint()
+                ckey = ""
+        if ckey:
+            rkey = result_key(
+                ckey, target_ix, budget, model.as_array(hierarchy)
+            )
+            cached = rcache.get(
+                rkey, hierarchy, require_checked=check_correctness
+            )
+            if cached is not None:
+                return cached
 
     method = "plan"
     if plan is None and is_vector_policy(policy):
-        cache = as_plan_cache(plan_cache) or get_default_cache()
         if target_ix.size < n:
-            # Sampled (Monte-Carlo) evaluation.  Compiling would visit all
-            # <= 2n - 1 decision points; the restricted compile only
-            # proposes along branches the requested targets can reach
-            # (~ |targets| * height decision points) and checks only
-            # their leaves.  So: reuse a plan already on disk (a load is
-            # cheaper than any compile).  A cache that stores plans
-            # compiles the full plan so that later runs load it, at about
-            # twice the cost of a one-shot restricted compile on Table
-            # III's samples; it does so for samples of at least
-            # n / height targets, a line no cached workload has measured.
-            # Everything else compiles what it reaches.
-            stores = cache is not None and bool(config_key())
-            if stores:
-                plan = cache.probe(config_key())
-            if plan is None and not (
-                stores and target_ix.size * max(hierarchy.height, 1) >= n
-            ):
-                method = "vector"
-                plan = compile_reached(
-                    policy,
-                    hierarchy,
-                    distribution,
-                    model,
-                    target_ix,
-                    validate=check_correctness,
-                )
-        if plan is None:
-            if cache is not None:
-                plan = cache.get_or_compile(
-                    policy,
-                    hierarchy,
-                    distribution,
-                    model,
-                    validate=check_correctness,
-                )
-            else:
-                plan = compile_policy(
-                    policy,
-                    hierarchy,
-                    distribution,
-                    model,
-                    validate=check_correctness,
-                )
+            # Sampled (Monte-Carlo) evaluation: the restricted compile
+            # proposes only along branches the requested targets reach
+            # (~ |targets| * height decision points, not <= 2n - 1) and
+            # checks only their leaves.
+            method = "vector"
+            plan = compile_reached(
+                policy,
+                hierarchy,
+                distribution,
+                model,
+                target_ix,
+                validate=check_correctness,
+            )
+        else:
+            plan = compile_policy(
+                policy,
+                hierarchy,
+                distribution,
+                model,
+                validate=check_correctness,
+            )
 
     queries = np.full(n, -1, dtype=np.int64)
     prices = np.full(n, np.nan, dtype=float)
@@ -373,7 +332,6 @@ def simulate_policies(
     targets: Iterable[Hashable] | None = None,
     check_correctness: bool = True,
     max_queries: int | None = None,
-    plan_cache=None,
     result_cache=None,
 ) -> list[EngineResult]:
     """Simulate several policies under one configuration.
@@ -387,8 +345,7 @@ def simulate_policies(
         simulate_all_targets(
             policy, hierarchy, distribution, cost_model,
             targets=targets, check_correctness=check_correctness,
-            max_queries=max_queries, plan_cache=plan_cache,
-            result_cache=result_cache,
+            max_queries=max_queries, result_cache=result_cache,
         )
         for policy in policies
     ]

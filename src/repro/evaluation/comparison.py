@@ -106,7 +106,6 @@ def session_metrics(
     *,
     cost_model: QueryCostModel | None = None,
     targets=None,
-    plan_cache=None,
     result_cache=None,
 ) -> tuple[SessionMetrics, ...]:
     """Per-policy session-length distributions under one configuration.
@@ -123,7 +122,6 @@ def session_metrics(
         distribution,
         cost_model,
         targets=targets,
-        plan_cache=plan_cache,
         result_cache=result_cache,
     )
     return tuple(metrics_from_engine(engine) for engine in engines)
@@ -139,7 +137,6 @@ def compare_policies(
     cost_model: QueryCostModel | None = None,
     max_targets: int | None = None,
     rng: np.random.Generator | None = None,
-    plan_cache=None,
     result_cache=None,
 ) -> Comparison:
     """Evaluate every policy (or pre-compiled plan) under one configuration.
@@ -151,10 +148,9 @@ def compare_policies(
     Each policy is compiled once and scored by one descent of its plan
     (:func:`repro.evaluation.evaluate_policies_expected_cost`), so
     comparing k policies costs k descents, not ``k * |targets|``
-    interactive searches; with ``plan_cache`` set, repeated runs of the
-    same configuration skip the compilations too, and ``result_cache``
-    persists the per-target cost arrays (an unchanged configuration
-    re-run skips the evaluations entirely).
+    interactive searches; ``result_cache`` persists the per-target cost
+    arrays (an unchanged configuration re-run skips the evaluations
+    entirely).
     """
     targets = None
     if max_targets is not None and len(distribution.support) > max_targets:
@@ -167,7 +163,6 @@ def compare_policies(
         distribution,
         cost_model=cost_model,
         targets=targets,
-        plan_cache=plan_cache,
         result_cache=result_cache,
     )
     return Comparison(

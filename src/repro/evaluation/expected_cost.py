@@ -13,8 +13,8 @@ its per-target policy reset and oracle build — per target.  The numbers are
 identical to the per-target loop (the engine's parity tests assert
 equality); only the time to produce them changed.  A pre-compiled
 :class:`~repro.plan.CompiledPlan` can be passed in place of the policy to
-reuse one compilation across evaluations, and ``plan_cache`` persists
-compilations across runs.
+reuse one compilation across evaluations, and ``result_cache`` persists
+the per-target costs across runs.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def evaluate_expected_cost(
     targets: list[Hashable] | None = None,
     keep_per_target: bool = False,
     check_correctness: bool = True,
-    plan_cache=None,
     result_cache=None,
 ) -> EvaluationResult:
     """Exact or Monte-Carlo expected cost of a policy or compiled plan.
@@ -126,9 +125,6 @@ def evaluate_expected_cost(
         policy faces the same sample.  Duplicates count with multiplicity.
     check_correctness:
         Assert the policy returns the true target on every simulated search.
-    plan_cache:
-        Forwarded to the engine: a :class:`~repro.plan.PlanCache` or
-        directory path for persisting compiled plans across runs.
     result_cache:
         Forwarded to the engine: an
         :class:`~repro.engine.EngineResultCache` or directory path; an
@@ -161,7 +157,6 @@ def evaluate_expected_cost(
         model,
         targets=targets,
         check_correctness=check_correctness,
-        plan_cache=plan_cache,
         result_cache=result_cache,
     )
     return _result_from_engine(
@@ -178,7 +173,6 @@ def evaluate_policies_expected_cost(
     targets: list[Hashable] | None = None,
     keep_per_target: bool = False,
     check_correctness: bool = True,
-    plan_cache=None,
     result_cache=None,
 ) -> tuple[EvaluationResult, ...]:
     """Expected costs of several policies under one shared configuration.
@@ -208,7 +202,6 @@ def evaluate_policies_expected_cost(
         model,
         targets=targets,
         check_correctness=check_correctness,
-        plan_cache=plan_cache,
         result_cache=result_cache,
     )
     return tuple(

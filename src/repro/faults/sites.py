@@ -14,6 +14,8 @@ The registry is the contract lint rule RPA009
 appears in :data:`FAULT_SITES`, and every registered exception must be a
 :class:`~repro.exceptions.ReproError` subclass.  Adding an instrumented
 boundary without deciding its failure type is a lint error by design.
+The converse is a test: every registered label keeps at least one
+literal ``schedule_point`` call, so no entry outlives its boundary.
 """
 
 from __future__ import annotations
@@ -54,11 +56,9 @@ FAULT_SITES: dict[str, type[ReproError]] = {
     "transport.connect": TransportError,  # client dialing the backend
     "transport.request": TransportError,  # client request path
     "transport.drain": ServeTimeoutError,  # graceful-drain window
-    # -- Persistent caches (crash-atomic write windows)
+    # -- The result cache and plan files (crash-atomic write windows)
     "cache.result_get": FaultInjectedError,
     "cache.result_put": FaultInjectedError,
-    "cache.plan_get": FaultInjectedError,
-    "cache.plan_put": FaultInjectedError,
     "plan.save": FaultInjectedError,
     # -- Oracle edge (repro.faults.FlakyOracle wraps any oracle)
     "oracle.answer": OracleError,

@@ -9,32 +9,21 @@ The public surface of the compile/execute split:
   execute one shared plan concurrently;
 * :class:`LazyPlan` — the memoizing variant for serve-while-compiling loops
   (online labelling, interactive consoles);
-* :class:`PlanCache` / :func:`plan_key` — content-addressed persistence so
-  repeated runs skip identical compilations.
+* :meth:`CompiledPlan.save` / :meth:`CompiledPlan.load` — explicit plan
+  files; :func:`plan_key` — the configuration content hash that keys the
+  engine-result cache (:mod:`repro.engine.cache`).
 """
 
-from repro.plan.cache import (
-    DEFAULT_CACHE_DIR,
-    PlanCache,
-    as_plan_cache,
-    get_default_cache,
-    set_default_cache,
-)
 from repro.plan.compile import compile_policy, plan_key
 from repro.plan.lazy import LazyPlan
 from repro.plan.plan import NO_PATH, ROOT, CompiledPlan, SearchCursor
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
     "NO_PATH",
     "ROOT",
     "CompiledPlan",
     "LazyPlan",
-    "PlanCache",
     "SearchCursor",
-    "as_plan_cache",
     "compile_policy",
-    "get_default_cache",
     "plan_key",
-    "set_default_cache",
 ]

@@ -18,8 +18,8 @@ truthful oracle never produces it) and is recorded as
 
 :func:`plan_key` is the content hash identifying a compile configuration —
 policy fingerprint, hierarchy fingerprint, distribution and price vectors —
-used as the cache key by :mod:`repro.plan.cache` and stored on every plan
-as :attr:`CompiledPlan.config_key`.
+stored on every plan as :attr:`CompiledPlan.config_key`; it keys the
+engine-result cache (:mod:`repro.engine.cache`).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def plan_key(
     distribution: TargetDistribution | None = None,
     cost_model: QueryCostModel | None = None,
 ) -> str:
-    """Content hash of a compile configuration (the plan-cache key)."""
+    """Content hash of a compile configuration (a plan's ``config_key``)."""
     distribution, model = resolve_config(
         policy, hierarchy, distribution, cost_model
     )
@@ -153,9 +153,8 @@ def compile_reached(
     instead of up to ``2 n - 1``.  The engine's sampled evaluation
     descends this plan, which applies the caller's query budget; the
     walk itself stops only a runaway policy, at ``2 n + 10`` questions.
-    It is partial, so it carries no ``config_key``
-    (:class:`~repro.plan.PlanCache` refuses it) and must never stand in
-    for the full plan.  Needs ``policy.supports_undo``.
+    It is partial, so it carries no ``config_key`` and must never stand
+    in for the full plan.  Needs ``policy.supports_undo``.
     """
     distribution, model = resolve_config(
         policy, hierarchy, distribution, cost_model

@@ -12,8 +12,9 @@ Definitions 5–7 in an execution-ready layout.  It is built once per
   no shared mutable state;
 * the simulation engine moves every requested target down the arrays
   together, one level per pass (:func:`repro.engine.simulate_all_targets`);
-* :meth:`CompiledPlan.save` / :meth:`CompiledPlan.load` persist it, keyed by
-  a content hash of the configuration (:mod:`repro.plan.cache`).
+* :meth:`CompiledPlan.save` / :meth:`CompiledPlan.load` persist it as an
+  explicit file, which carries a content hash of the configuration
+  (:attr:`CompiledPlan.config_key`).
 
 Plan nodes are dense ids ``0 .. num_nodes - 1`` with the root at
 :data:`ROOT`.  Queries and targets are stored as *hierarchy node
@@ -89,10 +90,13 @@ class CompiledPlan:
         The compiled policy's :attr:`~repro.core.policy.Policy.name`.
     config_key:
         Content hash of the full compile configuration
-        (:func:`repro.plan.compile.plan_key`); keys the on-disk cache.
-        Empty for policies whose fingerprint cannot capture their
-        behaviour (``plan_cacheable = False``) — such plans can still be
-        ``save()``d explicitly but are refused by ``PlanCache.put``.
+        (:func:`repro.plan.compile.plan_key`); keys the engine-result
+        cache (:mod:`repro.engine.cache`).  Empty for policies whose
+        fingerprint cannot capture their behaviour (``plan_cacheable =
+        False``) and for partial plans
+        (:func:`~repro.plan.compile.compile_reached`): a passed plan with
+        no key is never result-cached, though it can still be
+        ``save()``d.
     """
 
     __slots__ = (

@@ -71,7 +71,7 @@ class GreedyTreePolicy(Policy):
     def fingerprint(self) -> str:
         # heap_children is not reflected in the name but can break weight
         # ties differently (heap order vs child-list order), producing a
-        # different decision structure — it must split the plan-cache key.
+        # different decision structure — it must split the plan key.
         return f"{super().fingerprint()}:heap_children={self.heap_children}"
 
     # ------------------------------------------------------------------

@@ -38,8 +38,8 @@ class RandomPolicy(Policy):
         self.seed = seed
 
     def fingerprint(self) -> str:
-        # The seed changes every decision but not the name; without this a
-        # plan cache would serve one seed's plan for another.
+        # The seed changes every decision but not the name; without this
+        # the result cache would serve one seed's costs for another.
         return f"{super().fingerprint()}:seed={self.seed}"
 
     def _reset_state(self) -> None:

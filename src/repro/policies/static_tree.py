@@ -27,8 +27,8 @@ class StaticTreePolicy(Policy):
     name = "StaticTree"
     uses_distribution = False
     supports_undo = True
-    #: The wrapped tree is not captured by the fingerprint, so compiled
-    #: plans of a StaticTree must not be cached on disk by key.
+    #: The wrapped tree is not captured by the fingerprint, so results of
+    #: a StaticTree must not be cached on disk by key.
     plan_cacheable = False
 
     def __init__(self, tree: DecisionTree) -> None:

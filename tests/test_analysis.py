@@ -334,6 +334,28 @@ def probe():
         for label, exc in FAULT_SITES.items():
             assert isinstance(exc, type) and issubclass(exc, ReproError), label
 
+    def test_every_registered_site_has_a_call(self):
+        """The converse of RPA009: every ``FAULT_SITES`` label has a
+        literal ``schedule_point`` call under ``src/repro``, so no entry
+        outlives its boundary as a site that can never fire."""
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.faults.sites import FAULT_SITES
+
+        called = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                label = node.args[0]
+                if name == "schedule_point" and isinstance(label, ast.Constant):
+                    called.add(label.value)
+        assert sorted(set(FAULT_SITES) - called) == []
+
 
 # ----------------------------------------------------------------------
 # Interprocedural alias taint (the call-graph layer under RPA002)

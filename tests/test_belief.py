@@ -25,8 +25,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import ErrorRateModel
-from repro.engine import close_sweep_executor, simulate_noisy
+from repro.engine import (
+    close_sweep_executor,
+    simulate_all_targets,
+    simulate_noisy,
+)
 from repro.engine.belief import (
+    OUTCOME_BUDGET,
     OUTCOME_MAP,
     _chunk_step,
     _shard_bounds,
@@ -36,7 +41,8 @@ from repro.engine.belief import (
 )
 from repro.engine.vector import SPLITTER_KINDS
 from repro.exceptions import HierarchyError, OracleError, SearchError
-from repro.policies import make_policy
+from repro.plan import compile_policy
+from repro.policies import GreedyTreePolicy, make_policy
 from repro.testing import make_random_dag, make_random_tree, random_distribution
 
 #: Modest example counts: every example simulates hundreds of noisy
@@ -460,3 +466,20 @@ class TestValidation:
             error_model=ErrorRateModel(0.2), replications=2, seed=5,
         )
         _assert_same(a, b, "bare-float promotion diverged")
+
+
+class TestBudget:
+    @pytest.mark.parametrize("sweep", [simulate_noisy, reference_noisy])
+    def test_policy_settles_like_its_plan_below_plan_depth(self, sweep):
+        """A budget below the plan's depth settles sessions as
+        ``OUTCOME_BUDGET`` for a policy exactly as for its compiled plan:
+        the policy compiles at the default ``2 n + 10`` bound, not at the
+        caller's budget."""
+        hierarchy = make_random_tree(60, seed=1)
+        plan = compile_policy(GreedyTreePolicy(), hierarchy)
+        assert simulate_all_targets(plan).worst_case() > 2
+        common = dict(error_model=0.1, max_queries=2)
+        via_plan = sweep(plan, hierarchy, **common)
+        via_policy = sweep(GreedyTreePolicy(), hierarchy, **common)
+        _assert_same(via_policy, via_plan, f"{sweep.__name__} diverged")
+        assert (via_plan.run_outcomes == OUTCOME_BUDGET).all()

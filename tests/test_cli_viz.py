@@ -30,6 +30,40 @@ class TestCli:
         assert "2.04" in out
         assert "finished" in out
 
+    def test_result_cache_round_trips(self, capsys, tmp_path):
+        """``--result-cache`` prints the uncached table on a cold and a
+        warm run, and the warm run loads from disk, writing nothing; the
+        plan cache's flag is gone."""
+        from repro.engine import (
+            get_default_result_cache,
+            set_default_result_cache,
+        )
+
+        def table():
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "finished" not in line]
+
+        def files():
+            return {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+
+        cached = ["table4", "--scale", "tiny", "--result-cache", str(tmp_path)]
+        try:
+            set_default_result_cache(None)
+            assert main(["table4", "--scale", "tiny"]) == 0
+            uncached = table()
+            assert main(cached) == 0
+            assert table() == uncached
+            written = files()
+            assert written
+            assert main(cached) == 0
+            assert table() == uncached
+            assert get_default_result_cache().hits > 0
+            assert files() == written
+        finally:
+            set_default_result_cache(None)
+        with pytest.raises(SystemExit):
+            main(["table4", "--scale", "tiny", "--plan-cache", str(tmp_path)])
+
 
 class TestRegistry:
     def test_available(self):

@@ -75,7 +75,6 @@ from repro.faults import (
 )
 from repro.faults import inject as _inject
 from repro.plan import CompiledPlan, compile_policy
-from repro.plan.cache import PlanCache
 from repro.policies import GreedyTreePolicy
 from repro.serve import Server, ServeClient, ServeTransport, SessionRequest
 from repro.testing import make_random_tree, random_distribution
@@ -618,15 +617,6 @@ class TestCrashAtomicWrites:
         assert not list(tmp_path.glob("*.tmp*"))
         loaded = CompiledPlan.load(path)
         assert loaded.config_key == plan.config_key
-
-    def test_plan_cache_corrupt_entry_still_degrades_to_miss(self, tmp_path):
-        plan, hierarchy, _ = _config(seed=43)
-        cache = PlanCache(tmp_path)
-        path = cache.put(plan)
-        path.write_bytes(b"scribble" * 100)
-        with pytest.warns(UserWarning, match="unreadable"):
-            assert cache.probe(plan.config_key) is None
-        assert not path.exists()  # corrupt entry dropped
 
     def test_result_cache_corrupt_entry_still_degrades_to_miss(
         self, tmp_path

@@ -14,7 +14,7 @@ Three subsystems under contract here:
   be bit-identical for every ``jobs`` value (the exact engine runs
   in-process; ``test_bit_identity.py`` pins its descent);
 * the persistent engine-result cache (:mod:`repro.engine.cache`) —
-  hit/miss/corrupt-entry behaviour mirroring the plan cache's suite.
+  hit/miss/corrupt-entry behaviour.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class TestBitsetReachability:
     def test_legacy_pickles_with_retired_bitset_slot_still_load(self):
         """States written while hierarchies had a packed-bitset slot carry
         ``_reach_bits``; loading them skips the retired key instead of
-        failing (which the plan cache would misreport as a corrupt entry)."""
+        failing (a saved plan file would be refused as corrupt)."""
         hierarchy = _fresh_dag()
         slots = {s: getattr(hierarchy, s) for s in hierarchy.__slots__}
         slots["_reach_bits"] = np.packbits(hierarchy.reachability_matrix(), axis=1)

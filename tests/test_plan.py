@@ -4,8 +4,8 @@ The headline contract: for every registry policy, on tree and DAG fixtures,
 executing the compiled plan through a cursor matches legacy ``run_search``
 *exactly* — returned node, query count, total price, and the full
 transcript — for every target.  Persistence must round-trip plans
-losslessly, the cache must hit on identical configurations and miss on any
-changed ingredient, and corrupt cache files must degrade to a recompile.
+losslessly and refuse corrupt files typed, and the configuration key must
+match on identical configurations and differ on any changed ingredient.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.exceptions import (
 from repro.plan import (
     CompiledPlan,
     LazyPlan,
-    PlanCache,
     compile_policy,
     plan_key,
 )
@@ -364,23 +363,6 @@ class TestPlanIds:
             with pytest.raises(PlanError, match=f"plan node {node} "):
                 pickle.loads(path.read_bytes())
 
-    def test_plan_cache_treats_bad_ids_as_corrupt(self, tmp_path):
-        plan, defects = self._defects()
-        cache = PlanCache(tmp_path)
-        name, node, value = defects["child past the end"]
-        self._saved_with(
-            cache.path_for(plan.config_key), plan, name, node, value
-        )
-        distribution = random_distribution(plan.hierarchy, 4)
-        with pytest.warns(UserWarning, match="unreadable plan-cache entry"):
-            again = cache.get_or_compile(
-                GreedyTreePolicy(), plan.hierarchy, distribution
-            )
-        # A miss with a warning: recompiled, and the entry overwritten.
-        assert (cache.hits, cache.misses, cache.errors) == (0, 1, 1)
-        assert np.array_equal(again.yes_child, plan.yes_child)
-        assert cache.get(plan.config_key) is not None
-
 
 class TestPlanKey:
     def test_stable_for_identical_config(self, vehicle_hierarchy):
@@ -427,96 +409,11 @@ class TestPlanKey:
 
     def test_heap_children_in_key(self, vehicle_hierarchy):
         # The heap variant can break weight ties differently, so it must
-        # not share a cache entry with the plain child scan.
+        # not share a key with the plain child scan.
         dist = vehicle_distribution()
         assert plan_key(
             GreedyTreePolicy(heap_children=True), vehicle_hierarchy, dist
         ) != plan_key(GreedyTreePolicy(), vehicle_hierarchy, dist)
-
-
-class TestPlanCache:
-    def test_hit_on_identical_config(self, tmp_path, vehicle_hierarchy):
-        dist = vehicle_distribution()
-        cache = PlanCache(tmp_path)
-        first = cache.get_or_compile(
-            GreedyTreePolicy(), vehicle_hierarchy, dist
-        )
-        assert (cache.hits, cache.misses) == (0, 1)
-        second = cache.get_or_compile(
-            GreedyTreePolicy(), vehicle_hierarchy, dist
-        )
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert second.config_key == first.config_key
-        assert np.array_equal(second.query_ix, first.query_ix)
-
-    def test_miss_on_changed_distribution_and_costs(
-        self, tmp_path, vehicle_hierarchy
-    ):
-        dist = vehicle_distribution()
-        cache = PlanCache(tmp_path)
-        cache.get_or_compile(GreedyTreePolicy(), vehicle_hierarchy, dist)
-        cache.get_or_compile(
-            GreedyTreePolicy(),
-            vehicle_hierarchy,
-            random_distribution(vehicle_hierarchy, 9),
-        )
-        cache.get_or_compile(
-            GreedyTreePolicy(),
-            vehicle_hierarchy,
-            dist,
-            TableCost({node: 3.0 for node in vehicle_hierarchy.nodes}),
-        )
-        assert (cache.hits, cache.misses) == (0, 3)
-
-    def test_corrupt_entry_recompiles(self, tmp_path, vehicle_hierarchy):
-        dist = vehicle_distribution()
-        cache = PlanCache(tmp_path)
-        plan = cache.get_or_compile(
-            GreedyTreePolicy(), vehicle_hierarchy, dist
-        )
-        cache.path_for(plan.config_key).write_bytes(b"garbage" * 10)
-        with pytest.warns(UserWarning, match="unreadable plan-cache entry"):
-            again = cache.get_or_compile(
-                GreedyTreePolicy(), vehicle_hierarchy, dist
-            )
-        assert cache.errors == 1
-        assert (cache.hits, cache.misses) == (0, 2)
-        assert np.array_equal(again.query_ix, plan.query_ix)
-        # The corrupt entry was overwritten with a good one.
-        final = cache.get_or_compile(
-            GreedyTreePolicy(), vehicle_hierarchy, dist
-        )
-        assert cache.hits == 1
-        assert np.array_equal(final.query_ix, plan.query_ix)
-
-    def test_engine_uses_cache(self, tmp_path, vehicle_hierarchy):
-        dist = vehicle_distribution()
-        cache = PlanCache(tmp_path)
-        first = simulate_all_targets(
-            GreedyTreePolicy(), vehicle_hierarchy, dist, plan_cache=cache
-        )
-        second = simulate_all_targets(
-            GreedyTreePolicy(), vehicle_hierarchy, dist, plan_cache=cache
-        )
-        assert cache.hits == 1 and cache.misses == 1
-        assert np.array_equal(first.queries, second.queries)
-
-    def test_uncacheable_policy_never_written(self, tmp_path):
-        from repro.core.decision_tree import build_decision_tree
-        from repro.policies import StaticTreePolicy
-
-        hierarchy = make_random_tree(10, seed=4)
-        dist = random_distribution(hierarchy, 4)
-        tree = build_decision_tree(GreedyTreePolicy, hierarchy, dist)
-        cache = PlanCache(tmp_path)
-        plan = cache.get_or_compile(StaticTreePolicy(tree), hierarchy, dist)
-        assert cache.misses == 1
-        assert not any(tmp_path.iterdir())
-        # Such plans carry no content key and the cache refuses them: two
-        # StaticTree configurations would collide under one fingerprint.
-        assert plan.config_key == ""
-        with pytest.raises(PlanError, match="not plan_cacheable"):
-            cache.put(plan)
 
 
 class TestEngineOnPlans:
@@ -572,85 +469,18 @@ class TestEngineOnPlans:
             simulate_all_targets(plan, relabeled)
 
     def test_restricted_targets_skip_compilation(self):
-        """Uncached sampled evaluation compiles only what the sample
-        reaches, then descends that partial plan."""
+        """A sampled evaluation compiles only what the sample reaches,
+        then descends that partial plan."""
         _assert_compiles_only_reached(slice(5, 9))
 
     def test_large_uncached_sample_skips_compilation(self):
-        """So does an uncached sample past the ``n / height`` line (20 of
-        40 targets, height 9), where a plan cache would store the full
-        plan."""
+        """So does a sample of half the targets (20 of 40, height 9)."""
         _assert_compiles_only_reached(slice(None, None, 2))
-
-    def test_small_sample_with_cache_takes_pruned_walk(self, tmp_path):
-        """A one-shot small sample never pays for a full compile."""
-        hierarchy = make_random_tree(30, seed=42)
-        distribution = random_distribution(hierarchy, 42)
-        cache = PlanCache(tmp_path)
-        engine = simulate_all_targets(
-            GreedyTreePolicy(),
-            hierarchy,
-            distribution,
-            targets=list(hierarchy.nodes[:3]),
-            plan_cache=cache,
-        )
-        assert engine.method == "vector"
-        assert (cache.hits, cache.misses) == (0, 0)
-        assert not any(tmp_path.iterdir())  # nothing was compiled to disk
-
-    def test_sampled_eval_loads_plan_already_on_disk(self, tmp_path):
-        """Once a plan is cached, sampled runs load it instead of walking."""
-        hierarchy = make_random_tree(30, seed=42)
-        distribution = random_distribution(hierarchy, 42)
-        cache = PlanCache(tmp_path)
-        full = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, plan_cache=cache
-        )
-        assert cache.misses == 1  # the full run compiled and stored the plan
-        engine = simulate_all_targets(
-            GreedyTreePolicy(),
-            hierarchy,
-            distribution,
-            targets=list(hierarchy.nodes[:3]),
-            plan_cache=cache,
-        )
-        assert engine.method == "plan"
-        assert cache.hits == 1
-        for node in hierarchy.nodes[:3]:
-            assert engine.query_count(node) == full.query_count(node)
-
-    def test_sampled_probe_heals_corrupt_cache_entry(self, tmp_path):
-        """A corrupt entry warns once, is deleted, then misses silently."""
-        from repro.plan.compile import plan_key
-
-        hierarchy = make_random_tree(30, seed=42)
-        distribution = random_distribution(hierarchy, 42)
-        cache = PlanCache(tmp_path)
-        key = plan_key(GreedyTreePolicy(), hierarchy, distribution)
-        cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
-        cache.path_for(key).write_bytes(b"garbage" * 10)
-        kwargs = dict(
-            targets=list(hierarchy.nodes[:3]), plan_cache=cache
-        )
-        with pytest.warns(UserWarning, match="unreadable plan-cache entry"):
-            engine = simulate_all_targets(
-                GreedyTreePolicy(), hierarchy, distribution, **kwargs
-            )
-        assert engine.method == "vector"  # fell back to the restricted compile
-        assert cache.errors == 1
-        assert not cache.path_for(key).exists()  # bad entry dropped
-        # The next probe is a clean, silent miss.
-        again = simulate_all_targets(
-            GreedyTreePolicy(), hierarchy, distribution, **kwargs
-        )
-        assert again.method == "vector"
-        assert cache.errors == 1
 
     def test_sample_budget_below_plan_depth(self):
         """A budget that covers the sample but not the whole plan holds for
         the sample, as it does on the plan and per target."""
         hierarchy, distribution, plan, sample, deepest = _budget_case()
-        assert len(sample) * hierarchy.height >= hierarchy.n
         assert deepest < _plan_depth(plan)
         engine = simulate_all_targets(
             TopDownPolicy(), hierarchy, distribution, targets=sample,
@@ -677,7 +507,6 @@ class TestEngineOnPlans:
         others = [node for node in hierarchy.nodes if node != "a299"]
         picks = np.random.default_rng(5).choice(len(others), 47, replace=False)
         sample = [others[int(ix)] for ix in picks]
-        assert len(sample) * hierarchy.height >= hierarchy.n
         engine = simulate_all_targets(
             MislabelsA299(), hierarchy, distribution, targets=sample,
             result_cache=False,
@@ -694,54 +523,20 @@ class TestEngineOnPlans:
                 MislabelsA299(), hierarchy, distribution, result_cache=False
             )
 
-    @pytest.mark.parametrize("sampled", [True, False])
-    def test_cold_and_warm_cache_agree(self, tmp_path, sampled):
-        """The budget is the descent's alone, so a call gives the same
-        results or error with or without the plan already on disk."""
-        hierarchy, distribution, plan, sample, deepest = _budget_case()
-        if sampled:
-            targets, budget = sample, deepest
-        else:
-            targets, budget = None, _plan_depth(plan) - 1
-        cache = PlanCache(tmp_path)
-
-        def outcome():
-            try:
-                engine = simulate_all_targets(
-                    TopDownPolicy(), hierarchy, distribution, targets=targets,
-                    max_queries=budget, plan_cache=cache, result_cache=False,
-                )
-            except (BudgetExceededError, SearchError) as exc:
-                return type(exc), str(exc)
-            return engine.queries.tobytes(), engine.prices.tobytes()
-
-        cold = outcome()
-        cache.get_or_compile(TopDownPolicy(), hierarchy, distribution)
-        assert cache.path_for(plan.config_key).exists()
-        assert outcome() == cold
-        if sampled:  # the budget covers every sampled target
-            assert isinstance(cold[0], bytes)
-        else:  # the descent's error, not the compile's
-            assert cold[0] is BudgetExceededError and "plan walk" in cold[1]
-
-    def test_large_sample_with_cache_compiles_through_it(self, tmp_path):
-        """A sample that would retrace most of the plan compiles reusably."""
-        hierarchy = make_random_tree(30, seed=42)
-        distribution = random_distribution(hierarchy, 42)
-        cache = PlanCache(tmp_path)
-        engine = simulate_all_targets(
-            GreedyTreePolicy(),
-            hierarchy,
-            distribution,
-            targets=list(hierarchy.nodes[:-1]),
-            plan_cache=cache,
-        )
-        assert engine.method == "plan"
-        assert cache.misses == 1
+    def test_all_targets_budget_below_plan_depth(self):
+        """All targets of a policy under a budget one below its plan's
+        depth raise the descent's error, not the compile's: compiles keep
+        their own ``2 n + 10`` bound and the descent applies the budget."""
+        hierarchy, distribution, plan, _, _ = _budget_case()
+        with pytest.raises(BudgetExceededError, match="plan walk"):
+            simulate_all_targets(
+                TopDownPolicy(), hierarchy, distribution,
+                max_queries=_plan_depth(plan) - 1, result_cache=False,
+            )
 
 
 def _assert_compiles_only_reached(picks: slice) -> None:
-    """Evaluate ``nodes[picks]`` of a 40-node tree (height 9) uncached."""
+    """Evaluate ``nodes[picks]`` of a 40-node tree (height 9)."""
     hierarchy = make_random_tree(40, seed=41)
     distribution = random_distribution(hierarchy, 41)
     sample = list(hierarchy.nodes[picks])
@@ -763,10 +558,9 @@ def _assert_compiles_only_reached(picks: slice) -> None:
 def _budget_case():
     """TopDown on a 300-node tree of height 7 and its 47 shallowest targets.
 
-    47 targets cross the line (``47 * 7 >= 300``) above which a plan cache
-    stores the full plan; their deepest leaf (13 questions) is shallower
-    than the plan's (42).  Returns the hierarchy, distribution, full plan,
-    sample and the sample's deepest leaf.
+    Their deepest leaf (13 questions) is shallower than the plan's (42).
+    Returns the hierarchy, distribution, full plan, sample and the
+    sample's deepest leaf.
     """
     hierarchy = amazon_like(300, seed=1)
     distribution = TargetDistribution.equal(hierarchy)
