@@ -48,6 +48,9 @@ class UnitCost(QueryCostModel):
     def cost(self, node: Hashable) -> float:
         return self.price
 
+    def as_array(self, hierarchy: Hierarchy) -> np.ndarray:
+        return np.full(hierarchy.n, self.price)
+
     def __repr__(self) -> str:
         return f"UnitCost({self.price})"
 

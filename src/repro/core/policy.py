@@ -167,6 +167,11 @@ class Policy(ABC):
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
+    #
+    # The compile walk (repro.plan.compile) calls _select_query,
+    # _apply_answer and _revert_answer directly for a class that keeps
+    # the base propose/observe/undo; a class overriding any of those
+    # three is walked through them instead.
     # ------------------------------------------------------------------
     @abstractmethod
     def _reset_state(self) -> None:
@@ -190,7 +195,8 @@ class Policy(ABC):
     def _revert_answer(self, query: Hashable, answer: bool, payload: Any) -> None:
         """Exactly restore the state prior to ``_apply_answer(query, answer)``.
 
-        Only called by :meth:`undo`; required for ``supports_undo`` policies.
+        Called by :meth:`undo`, or by the compile walk with the record
+        :meth:`undo` would pop; required for ``supports_undo`` policies.
         """
         raise PolicyError(f"{type(self).__name__} cannot revert answers")
 

@@ -25,11 +25,12 @@ exactly that on :class:`~repro.plan.CompiledPlan` arrays:
 The per-target bookkeeping is pure numpy, and the policy work — zero for a
 passed plan — is proportional to the number of *distinct* questions
 (≤ 2n − 1), not the sum of all per-target search depths.  The compile
-follows one rule: a passed plan is descended as given; a sampled
-(Monte-Carlo) target set compiles only the part of the plan the sample
-reaches (:func:`repro.plan.compile.compile_reached`), so a sampled run
-never builds branches that nothing descends; all targets compile the
-full plan (:func:`~repro.plan.compile_policy`); and a third-party policy
+follows one rule: a passed plan is descended as given; all targets
+compile the full plan (:func:`~repro.plan.compile_policy`) and descend
+it; a sampled (Monte-Carlo) target set builds no plan at all — the
+compile's depth-first walk, restricted to the sample, proposes only
+along the branches the sample takes and settles each target's depth and
+price at its leaf (:func:`_walk_sample`); and a third-party policy
 without exact undo falls back to a transcript-replay adapter (one
 ``run_search`` per target) — compiling it by prefix replay would cost
 the same as that loop with nothing amortised.  Every registry policy has
@@ -63,7 +64,7 @@ from repro.core.session import default_budget, run_search
 from repro.engine.vector import is_vector_policy, make_answerer
 from repro.exceptions import BudgetExceededError, SearchError
 from repro.plan import ROOT, CompiledPlan, compile_policy
-from repro.plan.compile import check_leaf, compile_reached, plan_key
+from repro.plan.compile import _undo_walk, check_leaf, plan_key
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,12 @@ class EngineResult:
     queries: np.ndarray = field(repr=False)
     #: Total price per node index; ``nan`` where not evaluated.
     prices: np.ndarray = field(repr=False)
-    #: ``"plan"`` (descent of a full compiled plan), ``"vector"``
-    #: (descent of the part of the plan a sample reaches), or
-    #: ``"replay"`` (per-target adapter).
+    #: ``"plan"`` (descent of a compiled plan), ``"vector"`` (a sample
+    #: settled by the compile walk restricted to it), or ``"replay"``
+    #: (per-target adapter).
     method: str = "plan"
-    #: Question nodes the descent visited (plan/vector) or queries
-    #: simulated (replay).
+    #: Question nodes the descent or the sampled walk visited
+    #: (plan/vector) or queries simulated (replay).
     decision_nodes: int = 0
     #: Memoized :meth:`per_target` mapping (built on first request).
     _per_target: Mapping[Hashable, int] | None = field(
@@ -187,20 +188,20 @@ def simulate_all_targets(
         own hierarchy, and must have the same node indexing if given).
     targets:
         Restrict the evaluation to these labels (duplicates collapse).
-        A sample of a policy compiles only the part of the plan it
-        reaches (:func:`~repro.plan.compile.compile_reached`), checking
-        only its own leaves; a passed plan is descended as given.
-        Default: all ``n`` nodes.
+        A sample of a policy is settled by the compile walk restricted
+        to it, checking only its own leaves; a passed plan is descended
+        as given.  Default: all ``n`` nodes.
     check_correctness:
         Verify the policy identifies every simulated target.
     max_queries:
         Per-search budget, defaulting to ``2 n + 10`` as in ``run_search``.
-        The descent enforces it on the evaluated targets; compiles keep
-        their own ``2 n + 10`` bound, so a budget above ``2 n + 10``
-        holds only for a passed plan and for policies without exact undo
-        (replayed per target); a policy compiled here that needs more
-        questions raises the compile's
-        :class:`~repro.exceptions.BudgetExceededError` at ``2 n + 10``.
+        The descent, or the sampled walk once it ends, enforces it on the
+        evaluated targets; compile walks stop at their own ``2 n + 10``
+        bound, so a budget above ``2 n + 10`` holds only for a passed
+        plan and for policies without exact undo (replayed per target);
+        a policy walked here that needs more questions raises the
+        compile's :class:`~repro.exceptions.BudgetExceededError` at
+        ``2 n + 10``.
     result_cache:
         An :class:`~repro.engine.cache.EngineResultCache` or directory
         path persisting the per-target cost arrays by configuration +
@@ -243,6 +244,7 @@ def simulate_all_targets(
         if target_ix.size == 0:
             raise SearchError("no targets to simulate")
     budget = default_budget(hierarchy, max_queries)
+    price_vec = model.as_array(hierarchy)
 
     # The configuration content hash keys the persisted result; policies
     # that cannot be fingerprinted reliably (plan_cacheable false) are
@@ -261,9 +263,7 @@ def simulate_all_targets(
             except AttributeError:  # duck-typed, no fingerprint()
                 ckey = ""
         if ckey:
-            rkey = result_key(
-                ckey, target_ix, budget, model.as_array(hierarchy)
-            )
+            rkey = result_key(ckey, target_ix, budget, price_vec)
             cached = rcache.get(
                 rkey, hierarchy, require_checked=check_correctness
             )
@@ -273,19 +273,10 @@ def simulate_all_targets(
     method = "plan"
     if plan is None and is_vector_policy(policy):
         if target_ix.size < n:
-            # Sampled (Monte-Carlo) evaluation: the restricted compile
-            # proposes only along branches the requested targets reach
-            # (~ |targets| * height decision points, not <= 2n - 1) and
-            # checks only their leaves.
+            # Sampled (Monte-Carlo) evaluation: one compile walk restricted
+            # to the sample (~ |targets| * height decision points, not
+            # <= 2n - 1) settles each target at its leaf.
             method = "vector"
-            plan = compile_reached(
-                policy,
-                hierarchy,
-                distribution,
-                model,
-                target_ix,
-                validate=check_correctness,
-            )
         else:
             plan = compile_policy(
                 policy,
@@ -297,10 +288,16 @@ def simulate_all_targets(
 
     queries = np.full(n, -1, dtype=np.int64)
     prices = np.full(n, np.nan, dtype=float)
-    if plan is not None:
+    if method == "vector":
+        label = policy.name
+        nodes = _walk_sample(
+            policy, hierarchy, distribution, model, price_vec, target_ix,
+            queries, prices, budget, check_correctness,
+        )
+    elif plan is not None:
         label = plan.policy_name
         nodes = _descend(
-            plan, hierarchy, model, target_ix, queries, prices, budget,
+            plan, hierarchy, price_vec, target_ix, queries, prices, budget,
             check_correctness,
         )
     else:
@@ -352,12 +349,56 @@ def simulate_policies(
 
 
 # ----------------------------------------------------------------------
+# The sampled walk: settle each target at its leaf
+# ----------------------------------------------------------------------
+def _walk_sample(
+    policy: Policy,
+    hierarchy: Hierarchy,
+    distribution: TargetDistribution | None,
+    model: QueryCostModel,
+    price_vec: np.ndarray,
+    target_ix: np.ndarray,
+    queries: np.ndarray,
+    prices: np.ndarray,
+    budget: int,
+    check: bool,
+) -> int:
+    """Evaluate a sample in one compile walk restricted to it.
+
+    The walk (:func:`repro.plan.compile._undo_walk`) proposes only along
+    the branches the sample takes, checks only its leaves and keeps no
+    plan; at each leaf it hands over the targets that reach it, its
+    depth and its root-to-leaf price, which land in ``queries`` and
+    ``prices``.  Prices add in root-to-leaf order, as :func:`_descend`
+    adds them, so they keep their bytes.  The walk keeps the compile's
+    ``2 n + 10`` bound; the caller's budget applies after it, with the
+    descent's error.  Returns the number of question nodes the sample
+    reaches.
+    """
+
+    def settle(subset: np.ndarray, depth: int, price: float) -> None:
+        queries[subset] = depth
+        prices[subset] = price
+
+    questions = _undo_walk(
+        policy, hierarchy, distribution, model, price_vec,
+        default_budget(hierarchy), check, target_ix, leaf=settle,
+    )
+    # The descent raises at the first level at or past the budget that
+    # still holds a target: level max(budget, 0).
+    level = max(budget, 0)
+    if int(queries[target_ix].max()) > level:
+        raise _over_budget(policy.name, budget, level)
+    return questions
+
+
+# ----------------------------------------------------------------------
 # The level-by-level descent over compiled-plan arrays
 # ----------------------------------------------------------------------
 def _descend(
     plan: CompiledPlan,
     hierarchy: Hierarchy,
-    model: QueryCostModel,
+    price_vec: np.ndarray,
     target_ix: np.ndarray,
     queries: np.ndarray,
     prices: np.ndarray,
@@ -384,7 +425,6 @@ def _descend(
     where the walk reports the first in DFS order.  Within a level it
     names the first affected target in index order.
     """
-    price_vec = model.as_array(hierarchy)
     answer = make_answerer(hierarchy, len(target_ix))
     plan_query = plan.query_ix
     plan_yes = plan.yes_child
@@ -416,10 +456,7 @@ def _descend(
         if not targets.size:
             return int(np.count_nonzero(reached))
         if depth >= budget:
-            raise BudgetExceededError(
-                f"{plan.policy_name} exceeded the query budget of {budget} "
-                f"questions after {depth} questions in the plan walk"
-            )
+            raise _over_budget(plan.policy_name, budget, depth)
         reached[node] = True
         qix = plan_query[node]
         yes = answer(qix, targets)
@@ -430,6 +467,14 @@ def _descend(
         price += price_vec[qix]
         node = child
         depth += 1
+
+
+def _over_budget(name: str, budget: int, depth: int) -> BudgetExceededError:
+    """The descent's error for a target still unsettled at ``depth``."""
+    return BudgetExceededError(
+        f"{name} exceeded the query budget of {budget} "
+        f"questions after {depth} questions in the plan walk"
+    )
 
 
 def _missing_branch(

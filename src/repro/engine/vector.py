@@ -52,7 +52,9 @@ from repro.exceptions import HierarchyError
 
 #: A splitter takes ``(query_ix, targets)`` and returns ``(yes, no)`` —
 #: the targets reachable / not reachable from the query node.  The chosen
-#: kernel is exposed on the returned callable as ``.kind``.
+#: kernel is exposed on the returned callable as ``.kind``, and its
+#: one-target test ``reaches(query_ix, target_ix) -> bool``, which reads
+#: the same index, as ``.reaches``.
 Splitter = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 #: Valid ``kind`` arguments of the kernel factories.
@@ -135,6 +137,10 @@ def make_splitter(
             mask = (times >= tin[qix]) & (times < tout[qix])
             return targets[mask], targets[~mask]
 
+        def reaches_tree(qix: int, target: int) -> bool:
+            return tin[qix] <= tin[target] < tout[qix]
+
+        split_tree.reaches = reaches_tree  # type: ignore[attr-defined]
         return _tagged(split_tree, "tree")
 
     if kind == "matrix":
@@ -144,6 +150,10 @@ def make_splitter(
             mask = matrix[qix][targets]
             return targets[mask], targets[~mask]
 
+        def reaches_matrix(qix: int, target: int) -> bool:
+            return matrix[qix, target]
+
+        split_matrix.reaches = reaches_matrix  # type: ignore[attr-defined]
         return _tagged(split_matrix, "matrix")
 
     indptr, members = hierarchy.reachability_closure()
@@ -155,6 +165,13 @@ def make_splitter(
         mask = row[targets]
         return targets[mask], targets[~mask]
 
+    def reaches_csr(qix: int, target: int) -> bool:
+        # Closure rows are sorted: binary-search the target in row ``qix``.
+        start, stop = indptr[qix], indptr[qix + 1]
+        found = start + np.searchsorted(members[start:stop], target)
+        return found < stop and members[found] == target
+
+    split_csr.reaches = reaches_csr  # type: ignore[attr-defined]
     return _tagged(split_csr, "csr")
 
 

@@ -7,14 +7,22 @@ with a single reset, so every decision point is proposed exactly once.
 Policies without undo are compiled by answer-prefix replay (one reset per
 plan node), which is slower but still a one-time cost: every search
 served from the plan afterwards is a pure pointer walk.
-:func:`compile_reached` runs the same depth-first walk restricted to a
-target sample, for the engine's uncached sampled evaluation.
+
+The depth-first walk (:func:`_undo_walk`) is the paper pipeline's hot
+loop.  For a :class:`~repro.core.policy.Policy` that keeps the base
+``propose``/``observe``/``undo`` it calls the hooks those wrap
+(``_select_query``, ``_apply_answer``, ``_revert_answer``) directly and
+appends plan nodes inline; any other class goes through the public
+methods.  The engine's sampled evaluation runs the same walk restricted
+to its target sample, with a leaf hook that settles each target's
+question count and price where it lands, and keeps no plan.
 
 Branch viability is decided with the hierarchy's reachability kernels
 (:func:`repro.engine.vector.make_splitter`): an answer no target is
 consistent with is never fed to the policy (it could not handle it — a
 truthful oracle never produces it) and is recorded as
-:data:`~repro.plan.plan.NO_PATH`.
+:data:`~repro.plan.plan.NO_PATH`.  A one-target subset is split by the
+kernel's scalar ``reaches`` test on the same index.
 
 :func:`plan_key` is the content hash identifying a compile configuration —
 policy fingerprint, hierarchy fingerprint, distribution and price vectors —
@@ -25,6 +33,7 @@ engine-result cache (:mod:`repro.engine.cache`).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 
 import numpy as np
 
@@ -128,44 +137,12 @@ def compile_policy(
     builder = _Builder(policy.name)
     if policy.supports_undo:
         _undo_walk(
-            policy, hierarchy, distribution, model, budget, validate, builder,
-            np.arange(hierarchy.n, dtype=np.int64),
+            policy, hierarchy, distribution, model, model.as_array(hierarchy),
+            budget, validate, np.arange(hierarchy.n, dtype=np.int64), builder,
         )
     else:
         _replay_walk(policy, hierarchy, distribution, model, budget, validate, builder)
     return builder.finish(hierarchy, key)
-
-
-def compile_reached(
-    policy: Policy,
-    hierarchy: Hierarchy,
-    distribution: TargetDistribution | None,
-    cost_model: QueryCostModel | None,
-    targets: np.ndarray,
-    *,
-    validate: bool = True,
-) -> CompiledPlan:
-    """The part of ``policy``'s plan that ``targets`` reach.
-
-    The compile DFS restricted to a target sample (ascending hierarchy
-    indices): branches no sampled target takes become :data:`NO_PATH`, so
-    the policy proposes at about ``len(targets) * height`` decision points
-    instead of up to ``2 n - 1``.  The engine's sampled evaluation
-    descends this plan, which applies the caller's query budget; the
-    walk itself stops only a runaway policy, at ``2 n + 10`` questions.
-    It is partial, so it carries no ``config_key`` and must never stand
-    in for the full plan.  Needs ``policy.supports_undo``.
-    """
-    distribution, model = resolve_config(
-        policy, hierarchy, distribution, cost_model
-    )
-    budget = default_budget(hierarchy)
-    builder = _Builder(policy.name)
-    _undo_walk(
-        policy, hierarchy, distribution, model, budget, validate, builder,
-        targets,
-    )
-    return builder.finish(hierarchy, "")
 
 
 class _Builder:
@@ -220,79 +197,157 @@ def check_leaf(
         )
 
 
+def _keeps_base_protocol(policy: object) -> bool:
+    """True when ``policy``'s class inherits ``propose``/``observe``/``undo``.
+
+    Then the walk may call the hooks those methods wrap directly; any
+    other class (duck-typed policies included) keeps the public path.
+    """
+    cls = type(policy)
+    return (
+        isinstance(policy, Policy)
+        and cls.propose is Policy.propose
+        and cls.observe is Policy.observe
+        and cls.undo is Policy.undo
+    )
+
+
 def _undo_walk(
     policy: Policy,
     hierarchy: Hierarchy,
     distribution: TargetDistribution | None,
     model: QueryCostModel,
+    price_vec: np.ndarray,
     budget: int,
     validate: bool,
-    builder: _Builder,
     targets: np.ndarray,
-) -> None:
+    builder: _Builder | None = None,
+    leaf: Callable[[np.ndarray, int, float], None] | None = None,
+) -> int:
     """One-reset DFS over the decision structure via exact answer reversal.
 
     ``targets`` (ascending hierarchy indices) is the root's target subset:
     every branch none of them takes becomes :data:`NO_PATH`, so the policy
-    only works along the paths they follow.
+    only works along the paths they follow.  The plan's nodes are
+    appended to ``builder``, if given.  ``leaf``, if given, is called at
+    every leaf with the targets that reach it, its depth and its
+    root-to-leaf price: ``price_vec`` (``model``'s prices) summed in
+    root-to-leaf order, the order the engine's descent adds them in, so
+    they keep their bytes.  The engine's sampled evaluation settles its
+    targets there and keeps no plan.  Returns the number of question
+    nodes.
+
+    A :class:`Policy` whose class keeps the base ``propose``, ``observe``
+    and ``undo`` is driven through the hooks they wrap (``_select_query``,
+    ``_apply_answer``, ``_revert_answer`` fed the journal's last record):
+    the walk already guarantees what their checks guard.  Each open
+    question's frame keeps its query; a one-target subset is split with
+    the splitter's scalar ``reaches`` test.
     """
     split = _make_splitter(hierarchy, len(targets))
-
-    def open_node(subset: np.ndarray, depth: int):
-        """Allocate a plan node; returns its id and a frame if internal."""
-        node = builder.new_node()
-        if policy.done():
-            returned_ix = hierarchy.index(policy.result())
-            if validate:
-                check_leaf(policy.name, hierarchy, subset, returned_ix)
-            builder.target[node] = returned_ix
-            return node, None
-        if depth >= budget:
-            raise BudgetExceededError(
-                f"{policy.name} ({type(policy).__name__}) exceeded the "
-                f"depth budget of {budget} questions while compiling"
-            )
-        qix = hierarchy.index(policy.propose())
-        builder.query[node] = qix
-        yes, no = split(qix, subset)
-        branches = []
-        for answer, sub in ((True, yes), (False, no)):
-            if sub.size:
-                branches.append((answer, sub))
-            else:
-                builder.set_child(node, answer, NO_PATH)
-        # [node id, viable branches, branch cursor, depth]
-        return node, [node, branches, 0, depth]
-
+    reaches = split.reaches
+    index = hierarchy.index
+    costs = price_vec.tolist()
+    if builder is not None:
+        query_col, yes_col, no_col, target_col = (
+            builder.query, builder.yes, builder.no, builder.target
+        )
     # Under REPRO_SANITIZE=1 every observe/undo pair is bracketed by a
     # state fingerprint: an inexact undo fails here, at the policy, not
     # as a bit-identity diff three layers downstream.
     checker = sanitize.undo_checker(policy)
+    before_observe, after_undo = checker.before_observe, checker.after_undo
     policy.enable_undo(True)
     try:
         policy.reset(hierarchy, distribution, model)
-        _, frame = open_node(targets, 0)
-        stack = [frame] if frame is not None else []
-        while stack:
-            frame = stack[-1]
-            node, branches, cursor, depth = frame
-            if cursor < len(branches):
-                frame[2] += 1
-                answer, subset = branches[cursor]
-                checker.before_observe()
+        done = policy.done
+        if _keeps_base_protocol(policy):
+            ask = policy._select_query
+            tell = policy._apply_answer
+            revert = policy._revert_answer
+
+            def back() -> None:
+                if not policy._undo_log:
+                    policy.undo()  # raises the protocol's PolicyError
+                revert(*policy._undo_log.pop())
+        else:
+            ask, back = policy.propose, policy.undo
+
+            def tell(query, answer: bool) -> None:
                 policy.observe(answer)
-                child, child_frame = open_node(subset, depth + 1)
-                builder.set_child(node, answer, child)
-                if child_frame is None:
-                    policy.undo()
-                    checker.after_undo()
-                else:
-                    stack.append(child_frame)
+
+        # One frame per open question: [node, query, yes subset, no
+        # subset, price down to its answers]; a subset is None once taken
+        # or empty.
+        stack: list[list] = []
+        subset, price, node, questions = targets, 0.0, -1, 0
+        while True:
+            # Open the node the answers so far lead to; ``subset`` reaches it.
+            if done():
+                returned_ix = index(policy.result())
+                # A leaf identifies one target: two or more reaching it
+                # are always wrong, and check_leaf names the first.
+                if validate and (len(subset) > 1 or subset[0] != returned_ix):
+                    check_leaf(policy.name, hierarchy, subset, returned_ix)
+                if builder is not None:
+                    query_col.append(-1)
+                    yes_col.append(-1)
+                    no_col.append(-1)
+                    target_col.append(returned_ix)
+                if leaf is not None:
+                    leaf(subset, len(stack), price)
+                if stack:
+                    back()
+                    after_undo()
             else:
+                if len(stack) >= budget:
+                    raise BudgetExceededError(
+                        f"{policy.name} ({type(policy).__name__}) exceeded the "
+                        f"depth budget of {budget} questions while compiling"
+                    )
+                query = ask()
+                qix = index(query)
+                if len(subset) == 1:
+                    if reaches(qix, subset[0]):
+                        yes, no = subset, None
+                    else:
+                        yes, no = None, subset
+                else:
+                    yes, no = split(qix, subset)
+                    if not yes.size:
+                        yes = None
+                    elif not no.size:
+                        no = None
+                if builder is not None:
+                    node = len(target_col)
+                    query_col.append(qix)
+                    yes_col.append(NO_PATH if yes is None else -1)
+                    no_col.append(NO_PATH if no is None else -1)
+                    target_col.append(-1)
+                questions += 1
+                stack.append([node, query, yes, no, price + costs[qix]])
+            # Take the next branch still open, leaving finished questions.
+            while stack:
+                frame = stack[-1]
+                if frame[2] is not None:
+                    answer, subset = True, frame[2]
+                    frame[2] = None
+                    break
+                if frame[3] is not None:
+                    answer, subset = False, frame[3]
+                    frame[3] = None
+                    break
                 stack.pop()
                 if stack:
-                    policy.undo()
-                    checker.after_undo()
+                    back()
+                    after_undo()
+            else:
+                return questions
+            price = frame[4]
+            before_observe()
+            tell(frame[1], answer)
+            if builder is not None:
+                (yes_col if answer else no_col)[frame[0]] = len(target_col)
     finally:
         policy.enable_undo(False)
 

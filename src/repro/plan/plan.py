@@ -93,10 +93,8 @@ class CompiledPlan:
         (:func:`repro.plan.compile.plan_key`); keys the engine-result
         cache (:mod:`repro.engine.cache`).  Empty for policies whose
         fingerprint cannot capture their behaviour (``plan_cacheable =
-        False``) and for partial plans
-        (:func:`~repro.plan.compile.compile_reached`): a passed plan with
-        no key is never result-cached, though it can still be
-        ``save()``d.
+        False``): a passed plan with no key is never result-cached,
+        though it can still be ``save()``d.
     """
 
     __slots__ = (

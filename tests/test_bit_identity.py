@@ -1,11 +1,12 @@
-"""Property-based bit-identity of the engine's level-by-level descent.
+"""Property-based bit-identity of the engine's descent and sampled walk.
 
 :func:`~repro.engine.simulate_all_targets` moves every requested target
-down the compiled plan together, one level per pass.  The reference here
-is a per-node depth-first walk (:func:`reference_walk`, in the way
-``test_alg7.py`` keeps the paper's per-node loop): it pops one
-``(plan node, target subset)`` frame at a time and splits the subset
-with :func:`~repro.engine.make_splitter`.
+down the compiled plan together, one level per pass; a sample of a
+policy is settled by the compile walk restricted to it, each target at
+its leaf.  The reference here is a per-node depth-first walk
+(:func:`reference_walk`, in the way ``test_alg7.py`` keeps the paper's
+per-node loop): it pops one ``(plan node, target subset)`` frame at a
+time and splits the subset with :func:`~repro.engine.make_splitter`.
 
 For random trees and DAGs × every registry policy × all and sampled
 targets × unit and fractional prices, ``queries``, the bytes of
@@ -13,8 +14,10 @@ targets × unit and fractional prices, ``queries``, the bytes of
 target's count and price must equal its own ``run_search``.  DAG cases
 also run with ``_MATRIX_NODE_LIMIT`` lowered, so the CSR kernel answers.
 Errors must match the walk's type and text: a budget at and one below the
-deepest requested leaf, one wrong leaf with the check on (and equal
-arrays with it off), and one ``NO_PATH`` a target needs.
+deepest requested leaf (and ``-1``), from the plan and from the policy,
+one wrong leaf with the check on (and equal arrays with it off), and one
+``NO_PATH`` a target needs.  The compile walk's one-target ``reaches``
+test must equal the one-target split of every kernel.
 
 Examples are generated from integer seeds (the repo's deterministic
 ``repro.testing`` builders), so a failing case reproduces from its printed
@@ -32,6 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import hierarchy as hierarchy_mod
 from repro.core.costs import TableCost, UnitCost
+from repro.core.distribution import TargetDistribution
 from repro.core.oracle import ExactOracle
 from repro.core.session import default_budget, run_search
 from repro.engine import make_splitter, simulate_all_targets
@@ -39,7 +43,9 @@ from repro.exceptions import BudgetExceededError, SearchError
 from repro.plan import NO_PATH, ROOT, CompiledPlan, compile_policy
 from repro.plan.compile import check_leaf
 from repro.policies import available_policies, make_policy
+from repro.taxonomy import amazon_like
 from repro.testing import make_random_dag, make_random_tree, random_distribution
+from test_plan import MislabelsA299
 
 #: Policies that only define behaviour on trees (mirrors test_plan.py).
 TREE_ONLY = {"greedy-tree"}
@@ -154,8 +160,8 @@ def _assert_matches_reference(name, hierarchy, distribution, costs, targets):
     queries, prices, visited = reference_walk(
         plan, hierarchy, model, target_ix, budget, True
     )
-    # From the policy (compile or restricted compile, then the descent),
-    # and from the plan on a cache-free copy of the hierarchy with the
+    # From the policy (compile then descent, or the sampled walk), and
+    # from the plan on a cache-free copy of the hierarchy with the
     # matrix limit lowered: DAGs then take the CSR answerer.
     via_policy = simulate_all_targets(
         make_policy(name), hierarchy, distribution, costs,
@@ -229,8 +235,8 @@ class TestEveryModeBitIdentical:
         size=st.integers(min_value=1, max_value=24),
     )
     def test_restricted_target_sets(self, seed, kind, policy_index, n, size):
-        """Samples of every size take the restricted compile ("vector")
-        and descend bit-identically."""
+        """Samples of every size take the sampled walk ("vector") and
+        settle bit-identically."""
         hierarchy = _hierarchy(kind, n, seed)
         _assert_matches_reference(
             _policy_name(kind, policy_index),
@@ -296,22 +302,35 @@ class TestErrorParity:
             )[0][target_ix].max()
         )
         kwargs = dict(targets=targets, result_cache=False)
-        at_budget = simulate_all_targets(plan, max_queries=depth, **kwargs)
+        # The plan's descent, and the policy's own evaluation: the sampled
+        # walk for a sample, compile and descent for all targets.
+        name = "greedy-tree" if kind == "tree" else "greedy-dag"
+        distribution = random_distribution(hierarchy, seed)
+        evaluations = (
+            lambda budget: simulate_all_targets(
+                plan, max_queries=budget, **kwargs
+            ),
+            lambda budget: simulate_all_targets(
+                make_policy(name), hierarchy, distribution,
+                max_queries=budget, **kwargs,
+            ),
+        )
         queries, prices, visited = reference_walk(
             plan, hierarchy, UnitCost(), target_ix, depth, True
         )
-        assert np.array_equal(at_budget.queries, queries)
-        assert at_budget.prices.tobytes() == prices.tobytes()
-        assert at_budget.decision_nodes == visited
-        if depth == 0:
-            return
-        assert _raised(
-            lambda: simulate_all_targets(plan, max_queries=depth - 1, **kwargs)
-        ) == _raised(
-            lambda: reference_walk(
-                plan, hierarchy, UnitCost(), target_ix, depth - 1, True
-            )
-        )
+        for evaluate in evaluations:
+            at_budget = evaluate(depth)
+            assert np.array_equal(at_budget.queries, queries)
+            assert at_budget.prices.tobytes() == prices.tobytes()
+            assert at_budget.decision_nodes == visited
+            if depth == 0:
+                continue
+            for below in (depth - 1, -1):
+                assert _raised(lambda: evaluate(below)) == _raised(
+                    lambda: reference_walk(
+                        plan, hierarchy, UnitCost(), target_ix, below, True
+                    )
+                )
 
     @pytest.mark.parametrize("kind", ["tree", "dag"])
     @pytest.mark.parametrize("seed", range(3))
@@ -389,3 +408,63 @@ class TestErrorParity:
             )
         )
         assert "has no yes-branch" in raised[1]
+
+
+# ----------------------------------------------------------------------
+# The compile walk's one-target reach test and the sampled leaf hook
+# ----------------------------------------------------------------------
+class TestSampledWalk:
+    @settings(**_SETTINGS)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        kind=st.sampled_from(["tree", "dag"]),
+        n=st.integers(min_value=8, max_value=40),
+    )
+    def test_scalar_reach_equals_one_target_split(self, seed, kind, n):
+        """``split.reaches(q, z)`` is the one-target split of every kind,
+        with ``z`` a numpy index as the walk passes it."""
+        hierarchy = _hierarchy(kind, n, seed)
+        kinds = ["tree", "matrix", "csr"] if kind == "tree" else ["matrix", "csr"]
+        splitters = [make_splitter(hierarchy, n, kind=k) for k in kinds]
+        with _matrix_limit(4):
+            auto = make_splitter(pickle.loads(pickle.dumps(hierarchy)), n)
+        assert auto.kind == ("tree" if kind == "tree" else "csr")
+        targets = np.arange(n, dtype=np.int64)
+        for split in [*splitters, auto]:
+            for qix in range(n):
+                for z in range(n):
+                    yes, _ = split(qix, targets[z : z + 1])
+                    assert bool(split.reaches(qix, targets[z])) == bool(
+                        yes.size
+                    ), (split.kind, qix, z)
+
+    def test_unchecked_sample_settles_like_reference_walk(self):
+        """With the check off, a sample holding the mislabelled target
+        settles every target where the reference walk over the compiled
+        plan does; with it on, the same sample raises the leaf's error."""
+        hierarchy = amazon_like(300, seed=1)
+        distribution = TargetDistribution.equal(hierarchy)
+        picks = np.random.default_rng(6).choice(hierarchy.n, 47, replace=False)
+        sample = [hierarchy.label(int(ix)) for ix in picks] + ["a299"]
+        engine = simulate_all_targets(
+            MislabelsA299(), hierarchy, distribution, targets=sample,
+            check_correctness=False, result_cache=False,
+        )
+        plan = compile_policy(
+            MislabelsA299(), hierarchy, distribution, validate=False
+        )
+        target_ix = np.unique([hierarchy.index(t) for t in sample])
+        queries, prices, visited = reference_walk(
+            plan, hierarchy, UnitCost(), target_ix, default_budget(hierarchy),
+            False,
+        )
+        assert engine.method == "vector"
+        assert np.array_equal(engine.target_ix, target_ix)
+        assert np.array_equal(engine.queries, queries)
+        assert engine.prices.tobytes() == prices.tobytes()
+        assert engine.decision_nodes == visited
+        with pytest.raises(SearchError, match="'a0' for target 'a299'"):
+            simulate_all_targets(
+                MislabelsA299(), hierarchy, distribution, targets=sample,
+                result_cache=False,
+            )

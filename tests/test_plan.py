@@ -33,6 +33,7 @@ from repro.plan import (
     plan_key,
 )
 from repro.policies import (
+    GreedyDagPolicy,
     GreedyTreePolicy,
     TopDownPolicy,
     available_policies,
@@ -469,8 +470,8 @@ class TestEngineOnPlans:
             simulate_all_targets(plan, relabeled)
 
     def test_restricted_targets_skip_compilation(self):
-        """A sampled evaluation compiles only what the sample reaches,
-        then descends that partial plan."""
+        """A sampled evaluation walks only what the sample reaches and
+        settles each target at its leaf."""
         _assert_compiles_only_reached(slice(5, 9))
 
     def test_large_uncached_sample_skips_compilation(self):
@@ -592,6 +593,70 @@ class CountingGreedy(GreedyTreePolicy):
     def _select_query(self):
         type(self).calls += 1
         return super()._select_query()
+
+
+def _observe_counting(base):
+    """``base`` with an ``observe`` override that counts, then delegates."""
+
+    class ObserveCounting(base):
+        observed = 0
+
+        def observe(self, answer):
+            type(self).observed += 1
+            super().observe(answer)
+
+        def fingerprint(self):
+            # Counting changes no decision, so the base's key holds.
+            return base().fingerprint()
+
+    return ObserveCounting
+
+
+class TestPublicPathFallback:
+    """A class that overrides ``observe`` is walked through the public
+    methods; it must compile and evaluate exactly as its base class,
+    which the walk drives through the hooks directly."""
+
+    @pytest.mark.parametrize(
+        "base, kind", [(GreedyTreePolicy, "tree"), (GreedyDagPolicy, "dag")]
+    )
+    def test_override_agrees_with_direct_walk(self, base, kind):
+        if kind == "tree":
+            hierarchy = make_random_tree(60, seed=51)
+        else:
+            hierarchy = make_random_dag(60, seed=51)
+        distribution = random_distribution(hierarchy, 51)
+        counting = _observe_counting(base)
+
+        direct = compile_policy(base(), hierarchy, distribution)
+        counting.observed = 0
+        public = compile_policy(counting(), hierarchy, distribution)
+        for name in ("query_ix", "yes_child", "no_child", "target_ix"):
+            assert np.array_equal(getattr(public, name), getattr(direct, name))
+        assert public.config_key == direct.config_key
+        # One answer enters each plan node but the root.
+        assert counting.observed == direct.num_nodes - 1
+
+        prices = random_costs(hierarchy, np.random.default_rng(51))
+        sample = list(hierarchy.nodes[::3])
+        expected = simulate_all_targets(
+            base(), hierarchy, distribution, prices, targets=sample,
+            result_cache=False,
+        )
+        counting.observed = 0
+        got = simulate_all_targets(
+            counting(), hierarchy, distribution, prices, targets=sample,
+            result_cache=False,
+        )
+        assert got.method == expected.method == "vector"
+        assert got.policy == expected.policy
+        assert got.decision_nodes == expected.decision_nodes
+        assert np.array_equal(got.target_ix, expected.target_ix)
+        assert np.array_equal(got.queries, expected.queries)
+        assert got.prices.tobytes() == expected.prices.tobytes()
+        # The sampled walk's edges: one per question, one per sampled
+        # target's leaf, less the root.
+        assert counting.observed == got.decision_nodes + len(sample) - 1
 
 
 class TestLazyPlan:
