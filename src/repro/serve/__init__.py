@@ -16,12 +16,13 @@ Three layers, one loop:
 
 * :class:`ServeTransport` / :class:`ServeClient` — the network edge:
   NDJSON frames over asyncio streams; each target ``open`` is settled by
-  ``Server.settle`` as it is read, interactive sessions run at the
-  transport; session stickiness by id, typed backpressure, graceful
-  drain; the client side carries retries, per-request deadlines, and a
-  per-backend circuit breaker.  :func:`run_load` drives it open-loop
-  (seeded Poisson arrivals, think time, adversarial slow/abandoning
-  clients) and reports per-question and per-session latency.
+  the core ``Server.settle`` wraps as it is read, and its reply written
+  from the plan leaf; interactive sessions run at the transport; session
+  stickiness by id, typed backpressure, graceful drain; the client side
+  carries retries, per-request deadlines, and a per-backend circuit
+  breaker.  :func:`run_load` drives it open-loop (seeded Poisson
+  arrivals, think time, adversarial slow/abandoning clients) and reports
+  per-question and per-session latency.
 
 See the README's "Serving sessions at scale" and "Serving over the
 network" sections for the workflow, and ``benchmarks/bench_serve.py``

@@ -9,13 +9,14 @@ inside interactive searches over a handful of shared compiled plans.
   the target's leaf in the plan's decision tree (Eq. 2), so the whole
   outcome — leaf, question count, price, transcript — is fixed before the
   first question.  :meth:`Server.settle` returns it at once from a per-plan
-  leaf table (the network transport calls it as each ``open`` frame is
-  read); a target session admitted through :meth:`Server.submit` or
-  :meth:`Server.serve` settles the same way on the first
-  :meth:`Server.step` after admission.  Either way the outcome is
-  byte-identical to per-session :class:`~repro.serve.runtime.SessionRuntime`
-  driving (``benchmarks/bench_serve.py`` asserts it, at a >= 5x
-  sessions/sec floor over sequential ``run_search``).
+  leaf table (the network transport calls its core as each ``open`` frame
+  is read, and writes the reply from the leaf); a target session admitted
+  through :meth:`Server.submit` or :meth:`Server.serve` settles the same
+  way on the first :meth:`Server.step` after admission.  Either way the
+  outcome is byte-identical to per-session
+  :class:`~repro.serve.runtime.SessionRuntime` driving
+  (``benchmarks/bench_serve.py`` asserts it, at a >= 5x sessions/sec floor
+  over sequential ``run_search``).
 
 * **Oracle sessions** (``oracle=``, an arbitrary answer source) run on a
   per-session :class:`SessionRuntime`, one question per step.
@@ -88,9 +89,11 @@ class SessionRequest:
 class SessionOutcome:
     """How one submitted session ended: a result, or a typed error.
 
-    (A plain mutable dataclass: outcomes are created once per session on
-    the serving hot path, where frozen-dataclass ``__setattr__`` overhead
-    is measurable.)
+    (A plain mutable dataclass: :meth:`Server.settle`, :meth:`Server.step`
+    and :meth:`Server.serve` create one per session, where
+    frozen-dataclass ``__setattr__`` overhead is measurable.  The wire's
+    target sessions create none: the transport writes their replies
+    straight from the plan leaf.)
     """
 
     session_id: Hashable
@@ -132,6 +135,11 @@ class _PlanIndex:
     (plan, cost model) and shared by every session the server ever runs on
     that plan.  Prices accumulate root-to-leaf in the same order
     ``SessionRuntime.observe`` adds them, so totals are bit-identical.
+
+    Each plan node keeps, once first used, its transcript entry
+    ``(query, answer)`` and that entry's wire encoding; the wire writes a
+    transcript by joining encodings found on one walk up the parent links
+    (:meth:`encoded_transcript`), so no reply is built or kept per leaf.
     """
 
     __slots__ = (
@@ -145,6 +153,7 @@ class _PlanIndex:
         "leaf_of",
         "_transcripts",
         "_entry",
+        "_encoded",
     )
 
     def __init__(self, plan: CompiledPlan, model: QueryCostModel) -> None:
@@ -218,6 +227,32 @@ class _PlanIndex:
         #: Per-node ``(query, answer)`` transcript entry, built on first
         #: use and shared by every transcript crossing the node.
         self._entry: list[tuple | None] = [None] * num
+        #: Per-node wire encoding of that entry, made on first use.
+        self._encoded: list = [None] * num
+
+    def _walk(self, leaf: int, made: list, make) -> list:
+        """``made[node]`` for each node from the root down to ``leaf``.
+
+        One walk up the parent links; a node's missing item is
+        ``make((query, answer))`` of its entry, kept in ``made``.
+        """
+        parent = self.parent
+        from_yes = self.from_yes
+        qlabel = self.query_label
+        path = []
+        push = path.append
+        node = leaf
+        while True:
+            up = parent[node]
+            if up < 0:
+                break
+            item = made[node]
+            if item is None:
+                item = made[node] = make((qlabel[up], from_yes[node]))
+            push(item)
+            node = up
+        path.reverse()
+        return path
 
     def transcript_of(self, leaf: int) -> tuple:
         """The ``(query, answer)`` transcript ending at ``leaf``.
@@ -228,28 +263,22 @@ class _PlanIndex:
         """
         cache = self._transcripts
         transcript = cache.get(leaf)
-        if transcript is not None:
-            return transcript
-        parent = self.parent
-        from_yes = self.from_yes
-        qlabel = self.query_label
-        entry = self._entry
-        path = []
-        push = path.append
-        node = leaf
-        while True:
-            up = parent[node]
-            if up < 0:
-                break
-            e = entry[node]
-            if e is None:
-                e = entry[node] = (qlabel[up], from_yes[node])
-            push(e)
-            node = up
-        path.reverse()
-        transcript = tuple(path)
-        cache[leaf] = transcript
+        if transcript is None:
+            transcript = cache[leaf] = tuple(
+                self._walk(leaf, self._entry, tuple)
+            )
         return transcript
+
+    def encoded_transcript(self, leaf: int, encode) -> list:
+        """The transcript ending at ``leaf`` as ``encode(entry)`` items.
+
+        ``encode`` is the wire's one encoding of a ``(query, answer)``
+        entry.  Each plan node's item is made on first use and kept, so a
+        reply costs one walk up the parent links; nothing is kept per
+        leaf.  An entry ``encode`` cannot take raises its error, and the
+        node stays unencoded.
+        """
+        return self._walk(leaf, self._encoded, encode)
 
     def result_at(self, leaf: int, *, transcript: bool = True) -> SearchResult:
         """The finished :class:`SearchResult` of a session sitting on a leaf."""
@@ -328,31 +357,35 @@ class _PlanGroup:
         leaf: int,
         record_transcripts: bool,
     ) -> SessionOutcome:
-        """The outcome of a target session whose target's leaf is ``leaf``.
+        """The outcome of a target session whose target's leaf is ``leaf``."""
+        error = self.leaf_error(request.session_id, target_ix, leaf)
+        if error is None:
+            return SessionOutcome(
+                request.session_id,
+                request.tenant,
+                self.index.result_at(leaf, transcript=record_transcripts),
+            )
+        return SessionOutcome(request.session_id, request.tenant, None, error)
+
+    def leaf_error(self, session_id, target_ix: int, leaf: int):
+        """Why a target session on ``leaf`` fails, or ``None`` if it completes.
 
         The session completes when the leaf lies within the budget and
         errors otherwise — the case where ``SessionRuntime.propose``
         refuses question ``budget + 1``.  ``leaf < 0`` means the plan has
         no leaf for the target.
         """
-        index = self.index
-        if leaf >= 0 and index.depth[leaf] <= self.budget:
-            return SessionOutcome(
-                request.session_id,
-                request.tenant,
-                index.result_at(leaf, transcript=record_transcripts),
-            )
         if leaf < 0:
-            error: ReproError = SearchError(
+            return SearchError(
                 f"plan of {self.plan.policy_name!r} has no leaf for "
-                f"target {index.hierarchy.label(target_ix)!r}"
+                f"target {self.index.hierarchy.label(target_ix)!r}"
             )
-        else:
-            error = BudgetExceededError(
-                f"session {request.session_id!r} exceeded the query "
+        if self.index.depth[leaf] > self.budget:
+            return BudgetExceededError(
+                f"session {session_id!r} exceeded the query "
                 f"budget of {self.budget} questions"
             )
-        return SessionOutcome(request.session_id, request.tenant, None, error)
+        return None
 
     def _step_scalar(self) -> list[SessionOutcome]:
         """One question for each oracle-driven session."""
@@ -559,29 +592,47 @@ class Server:
         """Sessions parked in the waiting queue."""
         return len(self._queue)
 
-    def _resolve(self, request: SessionRequest) -> tuple[_PlanGroup, int | None]:
-        plan = request.plan or self.default_plan
+    def _resolve(
+        self, session_id, target, oracle, plan, tenant
+    ) -> tuple[_PlanGroup, int | None]:
+        """A request's plan group and target index (``None``: an oracle).
+
+        Takes a :class:`SessionRequest`'s fields, so the wire's target
+        sessions resolve without building one.
+        """
+        plan = plan or self.default_plan
         if plan is None:
             raise ServeError(
-                f"session {request.session_id!r} names no plan and the "
+                f"session {session_id!r} names no plan and the "
                 "server has no default plan"
             )
-        if (request.target is None) == (request.oracle is None):
+        if (target is None) == (oracle is None):
             raise ServeError(
-                f"session {request.session_id!r} must set exactly one of "
+                f"session {session_id!r} must set exactly one of "
                 "target= or oracle="
             )
         key = self._plan_key(plan)
-        held = self._tenant_plans.get(request.tenant, set())
+        held = self._tenant_plans.get(tenant, set())
         if key not in held:
             # Implicit registration on first use — the quota check happens
             # inside, so an over-quota tenant gets a typed rejection.
-            self.register_plan(plan, request.tenant)
+            self.register_plan(plan, tenant)
         group = self._groups[key]
         target_ix = None
-        if request.target is not None:
-            target_ix = group.index.hierarchy.index(request.target)
+        if target is not None:
+            target_ix = group.index.hierarchy.index(target)
         return group, target_ix
+
+    def _resolve_request(
+        self, request: SessionRequest
+    ) -> tuple[_PlanGroup, int | None]:
+        return self._resolve(
+            request.session_id,
+            request.target,
+            request.oracle,
+            request.plan,
+            request.tenant,
+        )
 
     def submit(self, request: SessionRequest) -> None:
         """Admit a session, queue it, or reject it (typed).
@@ -605,11 +656,11 @@ class Server:
                     )
                 # Validate plan/quota *now* so a doomed request is rejected
                 # at submission, not when it surfaces from the queue.
-                self._resolve(request)
+                self._resolve_request(request)
                 self._queue.append(request)
                 self.stats.submitted += 1
                 return
-            group, target_ix = self._resolve(request)
+            group, target_ix = self._resolve_request(request)
         except AdmissionError:
             self.stats.rejected += 1
             raise
@@ -623,7 +674,7 @@ class Server:
         schedule_point("serve.admit_from_queue")
         while self._queue and self._active < self.max_sessions:
             request = self._queue.popleft()
-            group, target_ix = self._resolve(request)
+            group, target_ix = self._resolve_request(request)
             group.admit(request, target_ix)
             self._active += 1
             if self._active > self.stats.peak_in_flight:
@@ -641,14 +692,44 @@ class Server:
         over quota, an oracle session) becomes an error outcome; only a
         closed server raises.
         """
+        settled = self._settle_leaf(
+            request.session_id,
+            request.target,
+            request.tenant,
+            request.plan,
+            request.oracle,
+        )
+        if isinstance(settled, ReproError):
+            return SessionOutcome(
+                request.session_id, request.tenant, None, settled
+            )
+        index, leaf = settled
+        return SessionOutcome(
+            request.session_id,
+            request.tenant,
+            index.result_at(leaf, transcript=self.record_transcripts),
+        )
+
+    def _settle_leaf(
+        self, session_id, target, tenant, plan=None, oracle=None
+    ) -> tuple[_PlanIndex, int] | ReproError:
+        """The settle core: a target session's ``(index, leaf)``, or its error.
+
+        :meth:`settle` builds its outcome from this; the network transport
+        writes a target session's reply straight from the leaf, so neither
+        a request nor an outcome is made for it.  Counts as :meth:`settle`
+        documents; a closed server raises.
+        """
         if self._closed:
             raise ServeError("the server is closed")
         stats = self.stats
         try:
-            group, target_ix = self._resolve(request)
+            group, target_ix = self._resolve(
+                session_id, target, oracle, plan, tenant
+            )
             if target_ix is None:
                 raise ServeError(
-                    f"session {request.session_id!r} has an oracle; "
+                    f"session {session_id!r} has an oracle; "
                     "settle() serves target sessions"
                 )
         except ReproError as exc:
@@ -656,19 +737,15 @@ class Server:
                 stats.rejected += 1
             else:
                 stats.errored += 1
-            return SessionOutcome(request.session_id, request.tenant, None, exc)
+            return exc
         stats.submitted += 1
-        outcome = group.outcome(
-            request,
-            target_ix,
-            int(group.index.leaf_of[target_ix]),
-            self.record_transcripts,
-        )
-        if outcome.error is None:
-            stats.completed += 1
-        else:
+        leaf = int(group.index.leaf_of[target_ix])
+        error = group.leaf_error(session_id, target_ix, leaf)
+        if error is not None:
             stats.errored += 1
-        return outcome
+            return error
+        stats.completed += 1
+        return group.index, leaf
 
     # ------------------------------------------------------------------
     # Stepping

@@ -25,10 +25,17 @@ Server -> client::
 Two session shapes, two serving paths:
 
 * **Target sessions** (``"target"``) settle as their ``open`` frame is
-  read: :meth:`Server.settle` looks the target's leaf up in the plan's
-  leaf table on the event loop, and the result (or typed error) frame is
-  queued at once.  Nothing is left in flight, so the transport holds no
-  state for them.  This is the labelling-service hot path.
+  read, on the event loop, through the server's settle core (the one
+  :meth:`Server.settle` wraps): it resolves the plan under the tenant's
+  quota, looks the target's leaf up in the plan's leaf table and counts
+  the session, and returns the leaf or the typed error.  The result
+  frame is written straight from the leaf, with no request, outcome or
+  result object: each plan node's ``[query,answer]`` transcript entry is
+  encoded once, on first use, and kept beside the node; one walk up the
+  parent links joins them, and one format adds the encoded id, label and
+  price.  The bytes equal the general encoder's for the same frame, and
+  nothing is kept per leaf.  Nothing is left in flight, so the transport
+  holds no state for them.  This is the labelling-service hot path.
 * **Interactive sessions** (``"interactive"``) are driven by a
   per-session :class:`~repro.serve.SessionRuntime` *at the transport
   layer*.  The server's oracle path answers synchronously inside
@@ -48,9 +55,15 @@ rejections flow back as error frames).  Every frame earns at most one
 reply, and a connection queues at most ``outbox_limit`` of them: past
 that the transport stops reading the peer until the writer catches up,
 so a client that pipelines faster than it reads is slowed by TCP, not
-disconnected.  The writer sends every reply queued while its last write
-drained in one write, so a connection holds at most ``outbox_limit``
-queued replies plus one batch of at most as many being written.
+disconnected.  The outbox holds encoded replies: every other frame is
+encoded as it is queued, by the general encoder, and the writer sends
+every reply queued while its last write drained in one write of their
+joined bytes, so a connection holds at most ``outbox_limit`` queued
+replies plus one batch of at most as many being written.  A reply JSON
+cannot carry (a plan label such as a ``frozenset``, in a question,
+transcript or result) is replaced by a
+:class:`~repro.exceptions.TransportError` frame for its session, which
+ends; the connection keeps serving.
 
 Protocol errors are typed too: a frame that does not decode or exceeds
 ``MAX_FRAME_BYTES`` is answered with a
@@ -95,7 +108,7 @@ from repro.exceptions import (
 )
 from repro.faults.resilience import CircuitBreaker, RetryPolicy
 from repro.serve.runtime import SessionRuntime
-from repro.serve.server import Server, SessionRequest
+from repro.serve.server import Server
 
 __all__ = [
     "RemoteSession",
@@ -155,6 +168,52 @@ def _result_frame(session_id, result: SearchResult) -> dict:
     }
 
 
+#: What encoding a value JSON cannot carry raises: a type it has no form
+#: for, an integer past the string-conversion limit, nesting too deep.
+_UNENCODABLE = (TypeError, ValueError, RecursionError)
+
+#: ``_encode(_result_frame(...))``'s layout (keys sorted): the encoded
+#: id, question count, label, price and transcript entries fill it in.
+_RESULT_LAYOUT = (
+    b'{"id":%s,"num_queries":%d,"op":"result","returned":%s,'
+    b'"total_price":%s,"transcript":[%s]}\n'
+)
+
+
+def _encode_value(value) -> bytes:
+    return _ENCODER.encode(value).encode("utf-8")
+
+
+def _leaf_reply(session_id, index, leaf: int, transcript: bool) -> bytes:
+    """The result frame of a target session settled on a plan leaf.
+
+    The bytes ``_encode(_result_frame(...))`` writes for its result, from
+    the plan index's per-node encoded transcript entries.
+    """
+    encode = _ENCODER.encode
+    return _RESULT_LAYOUT % (
+        encode(session_id).encode("utf-8"),
+        index.depth[leaf],
+        encode(index.target_label[leaf]).encode("utf-8"),
+        encode(index.price[leaf]).encode("utf-8"),
+        b",".join(index.encoded_transcript(leaf, _encode_value))
+        if transcript
+        else b"",
+    )
+
+
+def _unencodable_frame(session_id, exc: Exception) -> bytes:
+    return _encode(
+        _error_frame(
+            session_id,
+            TransportError(
+                f"the reply to session {session_id!r} cannot be encoded "
+                f"as JSON: {type(exc).__name__}: {exc}"
+            ),
+        )
+    )
+
+
 def _decode_result(frame: dict) -> SearchResult:
     return SearchResult(
         returned=frame["returned"],
@@ -210,7 +269,8 @@ class _Connection:
     def __init__(self, conn_id: int, writer) -> None:
         self.conn_id = conn_id
         self.writer = writer
-        #: Reply frames; the read loop keeps at most ``outbox_limit`` here.
+        #: Encoded reply frames (and ``_CLOSE``); the read loop keeps at
+        #: most ``outbox_limit`` here.
         self.outbox: asyncio.Queue = asyncio.Queue()
         #: Client session id -> (SessionRuntime, sticky-registry key); the
         #: key keeps the tenant the session was opened with.
@@ -227,9 +287,9 @@ class ServeTransport:
     Parameters
     ----------
     server:
-        The server to put on the wire.  Target sessions are settled by its
-        :meth:`~repro.serve.Server.settle`; interactive sessions run on
-        its default plan and cost model.
+        The server to put on the wire.  Target sessions are settled by the
+        core of its :meth:`~repro.serve.Server.settle`; interactive
+        sessions run on its default plan and cost model.
     host, port:
         Listen address; ``port=0`` (default) picks a free port —
         :attr:`address` reports the bound one.
@@ -353,10 +413,24 @@ class ServeTransport:
             # Last: from Python 3.12.1 on it waits for every connection.
             await self._listener.wait_closed()
 
-    def _send(self, conn: _Connection, frame: dict) -> None:
-        """Queue a reply for the connection's writer."""
+    def _send(self, conn: _Connection, frame: dict) -> bool:
+        """Encode a reply and queue it for the connection's writer.
+
+        A frame JSON cannot carry is replaced by a TransportError frame
+        for its session; returns False then.
+        """
+        try:
+            data = _encode(frame)
+        except _UNENCODABLE as exc:
+            self._queue(conn, _unencodable_frame(frame.get("id"), exc))
+            return False
+        self._queue(conn, data)
+        return True
+
+    @staticmethod
+    def _queue(conn: _Connection, data: bytes) -> None:
         if not conn.closed:
-            conn.outbox.put_nowait(frame)
+            conn.outbox.put_nowait(data)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -505,18 +579,22 @@ class ServeTransport:
             raise TransportError(
                 "open frames need target= (or interactive=true)"
             )
-        outcome = self.server.settle(
-            SessionRequest(
-                session_id=(conn.conn_id, client_id),
-                target=target,
-                tenant=tenant,
-            )
+        server = self.server
+        settled = server._settle_leaf(
+            (conn.conn_id, client_id), target, tenant
         )
         self.stats.opened_target += 1
-        if outcome.error is None:
-            self._send(conn, _result_frame(client_id, outcome.result))
-        else:
-            self._send(conn, _error_frame(client_id, outcome.error))
+        if isinstance(settled, ReproError):
+            self._send(conn, _error_frame(client_id, settled))
+            return
+        index, leaf = settled
+        try:
+            data = _leaf_reply(
+                client_id, index, leaf, server.record_transcripts
+            )
+        except _UNENCODABLE as exc:
+            data = _unencodable_frame(client_id, exc)
+        self._queue(conn, data)
 
     def _open_interactive(self, conn: _Connection, client_id, sticky_key):
         if len(conn.interactive) >= self.max_sessions_per_conn:
@@ -594,7 +672,10 @@ class ServeTransport:
             self._drop_interactive(conn, client_id)
             self._send(conn, _error_frame(client_id, exc))
             return
-        self._send(conn, {"op": "ask", "id": client_id, "query": query})
+        ask = {"op": "ask", "id": client_id, "query": query}
+        if not self._send(conn, ask):
+            # The client cannot be asked, so the session is over.
+            self._drop_interactive(conn, client_id)
 
     def _drop_interactive(self, conn: _Connection, client_id) -> None:
         entry = conn.interactive.pop(client_id, None)
@@ -621,7 +702,7 @@ class ServeTransport:
                     batch.pop()
                 if batch:
                     schedule_point("transport.write")
-                    conn.writer.write(b"".join(map(_encode, batch)))
+                    conn.writer.write(b"".join(batch))
                     await conn.writer.drain()
                     self.stats.frames_out += len(batch)
                 if closing:

@@ -4,8 +4,10 @@ Five contracts:
 
 1. **Wire fidelity** — target and interactive sessions served over a real
    localhost socket return byte-identical :class:`SearchResult`s to local
-   ``run_search``; result frames encode to fixed reference bytes; typed
-   errors cross the wire as their original classes.
+   ``run_search``; result frames encode to fixed reference bytes, and the
+   reply lines of pipelined target opens equal them byte for byte; typed
+   errors cross the wire as their original classes, and a reply JSON
+   cannot carry becomes one while the connection keeps serving.
 
 2. **Stickiness & backpressure** — a live session id is refused on a
    second open (same or other connection) with a typed error; the
@@ -19,9 +21,11 @@ Five contracts:
    transport keeps serving everyone else.  Under ``REPRO_SANITIZE=1``,
    an abandoned ``serve()`` feed reclaims every in-flight session.
 
-4. **Settle-vs-serve parity** — :meth:`Server.settle`, which the wire
-   calls as each target ``open`` is read, gives the same outcomes (results
-   byte for byte, error types and texts) and counters as ``serve()``.
+4. **Settle-vs-serve parity** — :meth:`Server.settle`, whose core the
+   wire calls as each target ``open`` is read, gives the same outcomes
+   (results byte for byte, error types and texts) and counters as
+   ``serve()``; a failing wire open gives ``settle()``'s error and
+   counters.
 
 5. **Frame fuzzing** — arbitrary NDJSON frames, split and coalesced,
    oversized, undecodable or deeply nested, get typed replies only; the
@@ -44,6 +48,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import exceptions
 from repro.core.costs import TableCost
+from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
@@ -122,6 +127,27 @@ def _assert_nothing_live(transport, server):
     assert not transport._sticky
     assert server.in_flight == 0
     assert server.queued == 0
+
+
+def _reference_reply(session_id, result, transcript=True) -> bytes:
+    """A result frame as plain ``json.dumps`` writes it, list transcript."""
+    frame = {
+        "op": "result",
+        "id": session_id,
+        "returned": result.returned,
+        "num_queries": result.num_queries,
+        "total_price": result.total_price,
+        "transcript": (
+            [[q, a] for q, a in result.transcript] if transcript else []
+        ),
+    }
+    return json.dumps(
+        frame, separators=(",", ":"), sort_keys=True
+    ).encode("utf-8") + b"\n"
+
+
+#: Session ids of every JSON scalar kind (a ``%d`` would write True as 1).
+_WIRE_IDS = ("s-1", 'ü "q" \\', -7, 2**63 + 5, 2.5, -0.0, 1e300, True, False)
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +322,113 @@ class TestRoundTrip:
                     assert _decode_result(json.loads(wire)) == result
                 prices.add(walked.total_price)
         assert any(price != int(price) for price in prices)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("labels", ["text", "int"])
+    def test_reply_bytes_over_a_socket(self, labels, record):
+        """One client write pipelines an open for every (id, node) pair of
+        a tree: ids of every JSON scalar kind, labels with non-ASCII
+        characters, quotes, backslashes and control characters (or ints),
+        non-integer ``TableCost`` prices.  Every reply line equals the
+        plain ``json.dumps`` of the list-transcript frame, with
+        ``"transcript":[]`` when the server records none."""
+        if labels == "text":
+            edges = [
+                ("root", "café"),
+                ("root", 'say "hi"'),
+                ("café", "back\\slash"),
+                ("café", "naïve"),
+                ("naïve", "ü"),
+                ('say "hi"', "Dackel \N{DOG}"),
+                ('say "hi"', "tab\tnew\nline"),
+                ("tab\tnew\nline", "pudel-2"),
+            ]
+        else:
+            edges = [(0, 1), (0, 2), (1, 3), (1, 4), (4, 5), (2, 6), (2, 7)]
+        hierarchy = Hierarchy(edges)
+        cost = TableCost(
+            {node: 0.1 * (i + 1) for i, node in enumerate(hierarchy.nodes)}
+        )
+        plan = compile_policy(
+            GreedyTreePolicy(),
+            hierarchy,
+            random_distribution(hierarchy, 3),
+            cost,
+        )
+        results = {
+            target: SessionRuntime(plan, cost_model=cost).run(
+                ExactOracle(hierarchy, target)
+            )
+            for target in hierarchy.nodes
+        }
+        opens = [(i, t) for i in _WIRE_IDS for t in hierarchy.nodes]
+
+        async def main():
+            with Server(
+                plan, cost_model=cost, record_transcripts=record
+            ) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    writer.write(
+                        b"".join(
+                            _encode({"op": "open", "id": i, "target": t})
+                            for i, t in opens
+                        )
+                    )
+                    await writer.drain()
+
+                    async def read_lines():
+                        return [await reader.readline() for _ in opens]
+
+                    lines = await asyncio.wait_for(read_lines(), 5.0)
+                    writer.close()
+                    await writer.wait_closed()
+                    return lines
+
+        lines = asyncio.run(main())
+        for line, (session_id, target) in zip(lines, opens):
+            expected = _reference_reply(session_id, results[target], record)
+            assert line == expected, (session_id, target)
+        assert any(r.total_price != int(r.total_price) for r in results.values())
+
+    @pytest.mark.parametrize("shape", ["target", "interactive"])
+    def test_unencodable_reply_is_typed_and_the_connection_serves(
+        self, shape
+    ):
+        """A plan label JSON cannot carry (a frozenset, asked first) in a
+        target session's transcript or an interactive session's question
+        gets that session a TransportError frame; the session ends, and
+        the ping pipelined behind it is answered."""
+        odd = frozenset({"x"})
+        hierarchy = Hierarchy(
+            [("r", odd), ("r", "b"), (odd, "c"), (odd, "d"), ("b", "e")]
+        )
+        plan = compile_policy(
+            GreedyTreePolicy(), hierarchy, TargetDistribution.equal(hierarchy)
+        )
+        assert hierarchy.label(int(plan.query_ix[0])) == odd
+        if shape == "target":
+            open_frame = {"op": "open", "id": "s", "target": "c"}
+        else:
+            open_frame = {"op": "open", "id": "s", "interactive": True}
+
+        async def main():
+            with Server(plan) as server:
+                async with ServeTransport(server) as transport:
+                    reader, writer = await _raw_connect(*transport.address)
+                    writer.write(_encode(open_frame) + _encode({"op": "ping"}))
+                    await writer.drain()
+                    replies = await _read_frames(reader, 2)
+                    writer.close()
+                    await writer.wait_closed()
+                    _assert_nothing_live(transport, server)
+                    return replies
+
+        error, pong = asyncio.run(main())
+        assert error["op"] == "error" and error["id"] == "s", error
+        assert error["error"] == "TransportError", error
+        assert "cannot be encoded as JSON" in error["message"], error
+        assert pong["op"] == "pong", pong
 
     def test_ping_reports_server_state(self):
         plan, _, _ = _config()
@@ -1246,6 +1379,83 @@ class TestAsyncSyncParity:
         settled = self._assert_parity(requests, plan=plan)
         assert settled["Vehicle"].ok
         assert type(settled["Car"].error) is SearchError
+
+    @pytest.mark.parametrize(
+        "case", ["unknown-target", "over-budget", "over-quota", "closed"]
+    )
+    def test_wire_fails_like_settle(self, case):
+        """A failing target ``open`` over the wire and ``settle()`` on a
+        twin server give the same error type and text (the budget error
+        names the wire's ``(conn_id, client id)`` session) and the same
+        server counters; the transport counts the open as opened, or as
+        rejected when the server is closed."""
+        plan, hierarchy, _ = _config(n=60, seed=23)
+        depths = plan.leaf_depths()
+        target = max(depths, key=depths.get)
+        tenant = "default"
+        kwargs = {}
+        if case == "unknown-target":
+            target = "no-such-node"
+        elif case == "over-budget":
+            kwargs["max_queries"] = depths[target] - 1
+        elif case == "over-quota":
+            kwargs["plan_quota"] = 1
+            tenant = "acme"
+        h2 = make_random_tree(22, seed=2)
+        other = compile_policy(
+            GreedyTreePolicy(), h2, random_distribution(h2, 2)
+        )
+
+        def twin():
+            server = Server(plan, **kwargs)
+            if case == "over-quota":
+                server.register_plan(other, tenant)
+            return server
+
+        local = twin()
+        if case == "closed":
+            local.close()
+            with pytest.raises(ServeError) as info:
+                local.settle(SessionRequest((0, "s"), target=target))
+            expected = info.value
+        else:
+            request = SessionRequest((0, "s"), target=target, tenant=tenant)
+            expected = local.settle(request).error
+        assert expected is not None
+
+        async def main():
+            server = twin()
+            async with ServeTransport(server) as transport:
+                if case == "closed":
+                    server.close()
+                reader, writer = await _raw_connect(*transport.address)
+                writer.write(
+                    _encode(
+                        {
+                            "op": "open",
+                            "id": "s",
+                            "target": target,
+                            "tenant": tenant,
+                        }
+                    )
+                )
+                await writer.drain()
+                (frame,) = await _read_frames(reader, 1)
+                writer.close()
+                await writer.wait_closed()
+            server.close()
+            return frame, server.stats, transport.stats
+
+        frame, stats, wire = asyncio.run(main())
+        assert frame["op"] == "error" and frame["id"] == "s", frame
+        assert frame["error"] == type(expected).__name__, frame
+        assert frame["message"] == str(expected), frame
+        for counter in ("submitted", "completed", "errored", "rejected"):
+            assert getattr(stats, counter) == getattr(
+                local.stats, counter
+            ), counter
+        closed = case == "closed"
+        assert (wire.opened_target, wire.rejected) == (int(not closed), int(closed))
 
 
 # ----------------------------------------------------------------------
