@@ -27,8 +27,9 @@ Three checks live here:
 
 * **undo integrity** — :func:`undo_checker` fingerprints a policy's
   state before every ``observe`` of the plan compiler's one-reset
-  undo-DFS and verifies, after the matching ``undo``, that the state is
-  *exactly* restored.  Fingerprints normalize away iteration order
+  undo-DFS and of a :class:`~repro.plan.LazyPlan`'s expansion (the
+  online path), and verifies, after the matching ``undo``, that the
+  state is *exactly* restored.  Fingerprints normalize away iteration order
   (dict/set), so only real state drift trips it — the class of bug that
   otherwise surfaces as a bit-identity diff three layers downstream.
 """
@@ -176,9 +177,9 @@ def fingerprint_state(policy) -> dict:
 class UndoIntegrityChecker:
     """Stack of pre-``observe`` fingerprints, verified after each ``undo``.
 
-    The compiler's undo-DFS nests observe/undo pairs strictly, so a
-    stack mirrors its traversal exactly: push before ``observe``, pop
-    and compare after the matching ``undo``.
+    The compiler's undo-DFS and a lazy plan's rewinds nest observe/undo
+    pairs strictly, so a stack mirrors their traversal exactly: push
+    before ``observe``, pop and compare after the matching ``undo``.
     """
 
     __slots__ = ("_policy", "_stack")
@@ -203,7 +204,7 @@ class UndoIntegrityChecker:
                 f"{type(self._policy).__name__}.undo() did not restore the "
                 f"pre-observe state exactly; drifted attribute(s): "
                 f"{', '.join(drifted) or '<unknown>'} — exact undo is the "
-                "contract the one-reset compile walk is built on"
+                "contract the compile walk and lazy plans are built on"
             )
 
 

@@ -9,7 +9,9 @@ for the efficiency experiments (Fig. 6).
 
 Label-level methods (``children``, ``descendants``, ...) are the public API.
 Index-level methods carry an ``_ix`` suffix and are the documented
-performance API used by the policies in :mod:`repro.policies`.
+performance API used by the policies in :mod:`repro.policies`;
+``children_table`` and ``parents_table`` give their hot loops the index
+adjacency itself, as read-only tuples.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class Hierarchy:
 
         self._labels: list[Hashable] = labels
         self._index = index
-        self._children: list[tuple[int, ...]] = [tuple(c) for c in children]
-        self._parents: list[tuple[int, ...]] = [tuple(p) for p in parents]
+        self._children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
+        self._parents: tuple[tuple[int, ...], ...] = tuple(map(tuple, parents))
         self._root = root
         self._topo: tuple[int, ...] = tuple(topo)
         self._depth = depth
@@ -334,6 +336,20 @@ class Hierarchy:
 
     def parents_ix(self, ix: int) -> tuple[int, ...]:
         return self._parents[ix]
+
+    @property
+    def children_table(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only adjacency: ``children_table[v] == children_ix(v)``.
+
+        Hot loops bind it once and index it, instead of one method call
+        per visited node.
+        """
+        return self._children
+
+    @property
+    def parents_table(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only adjacency: ``parents_table[v] == parents_ix(v)``."""
+        return self._parents
 
     def depth_ix(self, ix: int) -> int:
         return self._depth[ix]
@@ -574,6 +590,9 @@ class Hierarchy:
         self._intervals = None
         for slot, value in state.items():
             setattr(self, slot, value)
+        # Pickles from before the adjacency tables were tuples hold lists.
+        self._children = tuple(self._children)
+        self._parents = tuple(self._parents)
 
     # ------------------------------------------------------------------
     # Conversions

@@ -21,6 +21,7 @@ already-expanded node.
 
 from __future__ import annotations
 
+from repro.analysis import sanitize
 from repro.core.costs import QueryCostModel
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
@@ -78,6 +79,10 @@ class LazyPlan:
         self._can_undo = bool(policy.supports_undo)
         if self._can_undo:
             policy.enable_undo(True)
+        # Under REPRO_SANITIZE=1 every observe/undo pair is bracketed by a
+        # state fingerprint, as in the compile walk: an inexact undo fails
+        # at the policy, not as a wrong label served later.
+        self._checker = sanitize.undo_checker(policy)
         self._advance_to([])
         self._materialize()  # node 0 == ROOT
 
@@ -151,14 +156,18 @@ class LazyPlan:
             if self._can_undo:
                 while len(live) > shared:
                     self._policy.undo()
+                    self._checker.after_undo()
                     live.pop()
             else:
                 self._policy.reset(
                     self.hierarchy, self._distribution, self._model
                 )
                 live.clear()
+                # The replayed prefix is never undone: drop its fingerprints.
+                self._checker = sanitize.undo_checker(self._policy)
         for answer in prefix[len(live) :]:
             self._policy.propose()
+            self._checker.before_observe()
             self._policy.observe(answer)
             live.append(answer)
 

@@ -16,6 +16,15 @@ weights (Theorem 1's ``2(1 + 3 ln n)`` guarantee).  Two ideas make it
   ``G_q`` dead, finds the alive ancestors outside it with one reverse BFS,
   and subtracts from each the weights of the removed nodes it reaches.
 
+The update is confined to the *candidates*: the alive nodes reachable from
+the current root ``r``.  After a *yes* answer the search continues in
+``G_r`` alone, so selection, ``done`` and every later update read only
+candidates' values, and only candidates are kept exact; the reverse BFS
+never leaves ``G_r``.  A node a *yes* answer excluded keeps the value it
+had then.  Nothing reads it until undo re-admits it, and undo is LIFO: the
+removals made since that answer are restored first, so the value is exact
+again when the node is a candidate once more.
+
 The initial ``w̃(v) = w(G_v)`` vector comes from
 :meth:`repro.core.hierarchy.Hierarchy.reach_weight_vector`: a bottom-up sum
 on trees and, on DAGs, exact sums of the integer Equation-(1) weights over
@@ -28,7 +37,6 @@ counts with the same :func:`remove_subgraph`, using unit weights.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable, Iterable
 from itertools import chain
 
@@ -42,34 +50,46 @@ def remove_subgraph(
     alive: bytearray,
     values: list[float],
     weights: list[float],
+    root: int,
     q: int,
 ) -> tuple[list[int], list[int], list[float]]:
-    """Answer *no* to ``q``: remove ``G_q``, keep ``values`` exact (Alg. 7).
+    """Answer *no* to ``q`` below ``root``: remove ``G_q`` (Alg. 7).
 
-    ``values[v]`` is the weight of ``v``'s alive reachable set.  The alive
+    ``values[v]`` is the weight of ``v``'s alive reachable set; it is kept
+    exact for the *candidates*, the alive nodes of ``G_root``.  The alive
     set is closed under ancestors, so hierarchy reachability decides which
     removed nodes an alive node loses.  ``G_q`` is walked in BFS order and
-    flagged dead; one reverse BFS that never re-enters it finds the alive
-    ancestors of ``q``, which lose all of ``G_q``, then (on DAGs) the side
-    ancestors, which lose part of it.  Each drops those weights one at a
-    time in removal order: float subtraction is not associative, and the
-    paper's order (one reverse BFS per removed node) keeps values, decisions
-    and plans bit-identical for unrounded weights too.  Dead nodes keep
-    stale values, which nothing reads before :func:`restore_subgraph`.
+    flagged dead; one reverse BFS that never re-enters it and never leaves
+    ``G_root`` finds the candidate ancestors of ``q``, which lose all of
+    ``G_q``, then (on DAGs) the side ancestors, which lose part of it.  An
+    alive parent ``p`` is admitted iff ``root`` is among its (cached)
+    ancestors, on trees and DAGs alike: every path from a candidate to a
+    removed node stays inside ``G_root``, so the walk misses none.  Each
+    candidate drops those weights one at a time in removal order: float
+    subtraction is not associative, and the paper's order (one reverse BFS
+    per removed node) keeps values, decisions and plans bit-identical for
+    unrounded weights too.
+
+    Nodes outside ``G_root`` keep the values they had when a *yes* answer
+    excluded them: the search never reads them again until undo re-enters
+    that answer, and undo is LIFO, so by then every later removal has been
+    restored and those values are exact again.  Dead nodes keep stale
+    values, which nothing reads before :func:`restore_subgraph`.
 
     Returns the undo record ``(removed, touched, old)``: the removed nodes,
-    and the alive nodes whose values changed with their old values.
+    and the candidates whose values changed with their old values.
     """
+    children = hierarchy.children_table
     removed = [q]
     alive[q] = 0
     for u in removed:  # ``removed`` grows while it is walked: a BFS queue
-        for v in hierarchy.children_ix(u):
+        for v in children[u]:
             if alive[v]:
                 alive[v] = 0
                 removed.append(v)
     seen: set[int] = set()
-    upper = _alive_ancestors(hierarchy, alive, seen, (q,))
-    side = _alive_ancestors(hierarchy, alive, seen, removed[1:])
+    upper = _candidate_ancestors(hierarchy, alive, seen, root, (q,))
+    side = _candidate_ancestors(hierarchy, alive, seen, root, removed[1:])
     touched = upper + side
     old = [values[a] for a in touched]
     dropped = [x for x in removed if weights[x]]
@@ -100,16 +120,27 @@ def restore_subgraph(alive: bytearray, values: list[float], removal: tuple) -> N
         values[a] = value
 
 
-def _alive_ancestors(
-    hierarchy: Hierarchy, alive: bytearray, seen: set[int], sources: Iterable[int]
+def _candidate_ancestors(
+    hierarchy: Hierarchy,
+    alive: bytearray,
+    seen: set[int],
+    root: int,
+    sources: Iterable[int],
 ) -> list[int]:
-    """Alive ancestors of ``sources`` not yet in ``seen`` (which grows), BFS order."""
+    """Alive ancestors of ``sources`` inside ``G_root``, BFS order.
+
+    Skips and adds to ``seen`` (which grows) every alive parent it meets,
+    so a node outside ``G_root`` is tested once per removal.
+    """
+    parents = hierarchy.parents_table
+    ancestors = hierarchy.ancestors_ix
     found: list[int] = []
     for u in chain(sources, found):  # ``found`` grows while it is walked
-        for p in hierarchy.parents_ix(u):
+        for p in parents[u]:
             if alive[p] and p not in seen:
                 seen.add(p)
-                found.append(p)
+                if root in ancestors(p):
+                    found.append(p)
     return found
 
 
@@ -156,8 +187,11 @@ class GreedyDagPolicy(Policy):
     # ------------------------------------------------------------------
     def done(self) -> bool:
         self._require_reset()
-        children = self.hierarchy.children_ix
-        return not any(self._alive[c] for c in children(self._root))
+        alive = self._alive
+        for c in self.hierarchy.children_table[self._root]:
+            if alive[c]:
+                return False
+        return True
 
     def result(self) -> Hashable:
         if not self.done():
@@ -168,29 +202,29 @@ class GreedyDagPolicy(Policy):
     # Alg. 6, Lines 4-11: pruned BFS for the middle point
     # ------------------------------------------------------------------
     def _select_query(self) -> Hashable:
-        h = self.hierarchy
+        children = self.hierarchy.children_table
         alive = self._alive
         tilde = self._tilde
         total = tilde[self._root]
         best = None
         best_val = float("inf")
         visited = {self._root}
-        queue = deque([self._root])
-        while queue:
-            u = queue.popleft()
-            for v in h.children_ix(u):
+        queue = [self._root]
+        for u in queue:  # ``queue`` grows while it is walked: a BFS queue
+            for v in children[u]:
                 if not alive[v] or v in visited:
                     continue
                 visited.add(v)
-                value = abs(2.0 * tilde[v] - total)
+                twice = 2.0 * tilde[v]
+                value = abs(twice - total)
                 if value < best_val:
                     best_val = value
                     best = v
-                if 2.0 * tilde[v] > total:
+                if twice > total:
                     queue.append(v)
         if best is None:
             raise PolicyError("select_query called on a settled search")
-        return h.label(best)
+        return self.hierarchy.label(best)
 
     # ------------------------------------------------------------------
     # Alg. 6 Lines 12-15 and Alg. 7: state update
@@ -203,7 +237,7 @@ class GreedyDagPolicy(Policy):
             self._root = q
             return
         removal = remove_subgraph(
-            self.hierarchy, self._alive, self._tilde, self._w, q
+            self.hierarchy, self._alive, self._tilde, self._w, self._root, q
         )
         if self._undo_enabled:
             self._undo_log.append((query, False, removal))
@@ -218,7 +252,12 @@ class GreedyDagPolicy(Policy):
     # Introspection for tests
     # ------------------------------------------------------------------
     def maintained_weight(self, label: Hashable) -> float:
-        """Current maintained ``w̃`` of a node."""
+        """Current maintained ``w̃`` of a node; defined for candidates only.
+
+        A non-candidate's value is stale: dead nodes keep theirs from
+        before their removal, and nodes outside the current root's
+        subgraph keep theirs from the *yes* answer that excluded them.
+        """
         return self._tilde[self.hierarchy.index(label)]
 
     def recomputed_weight(self, label: Hashable) -> float:
@@ -228,4 +267,7 @@ class GreedyDagPolicy(Policy):
         return float(sum(self._w[v] for v in reach if self._alive[v]))
 
     def is_candidate(self, label: Hashable) -> bool:
-        return bool(self._alive[self.hierarchy.index(label)])
+        """True iff ``label`` is alive and reachable from the current root."""
+        h = self.hierarchy
+        v = h.index(label)
+        return bool(self._alive[v]) and self._root in h.ancestors_ix(v)

@@ -57,7 +57,9 @@ class WigsPolicy(Policy):
             self._static_cache = cache
         self._ones = cache[1]
         #: Number of alive nodes reachable from each node, maintained by
-        #: GreedyDAG's one-pass Alg. 7 with unit weights.
+        #: GreedyDAG's one-pass Alg. 7 with unit weights: exact for the
+        #: candidates (alive nodes reachable from ``_root``), the only
+        #: nodes the heavy path reads.
         self._count = list(cache[2])
         self._alive = bytearray([1] * h.n)
         self._root = h.root_ix
@@ -69,8 +71,10 @@ class WigsPolicy(Policy):
 
     def done(self) -> bool:
         self._require_reset()
-        if any(self._alive[c] for c in self.hierarchy.children_ix(self._root)):
-            return False
+        alive = self._alive
+        for c in self.hierarchy.children_table[self._root]:
+            if alive[c]:
+                return False
         return True
 
     def result(self) -> Hashable:
@@ -82,9 +86,8 @@ class WigsPolicy(Policy):
     # Heavy path / chain construction
     # ------------------------------------------------------------------
     def _alive_children(self, v: int) -> list[int]:
-        return [
-            c for c in self.hierarchy.children_ix(v) if self._alive[c]
-        ]
+        alive = self._alive
+        return [c for c in self.hierarchy.children_table[v] if alive[c]]
 
     def _build_path(self) -> None:
         """Heavy path from the root: index 0 is the root itself."""
@@ -125,7 +128,7 @@ class WigsPolicy(Policy):
             self._root = q
             return
         removal = remove_subgraph(
-            self.hierarchy, self._alive, self._count, self._ones, q
+            self.hierarchy, self._alive, self._count, self._ones, self._root, q
         )
         if self._undo_enabled:
             self._undo_log.append((query, False, (search_state, removal)))

@@ -1,14 +1,17 @@
 """GreedyDAG's and WIGS's one-pass Alg. 7 against the paper's per-node form.
 
 :func:`repro.policies.greedy_dag.remove_subgraph` applies a *no* answer in
-one pass.  The reference here is Alg. 7 (``AdjustWeight``) as the paper
+one pass, and only to the candidates: the alive nodes reachable from the
+current root.  The reference here is Alg. 7 (``AdjustWeight``) as the paper
 states it: one reverse BFS per removed node, in removal order, subtracting
 that node's weight from every ancestor that is alive before the removal,
-the removed subgraph's own nodes included.  Both forms must leave every
-alive node's maintained value equal under ``==`` (the same float
-subtractions in the same order) after every observe and every undo, and
-compile byte-identical plans — for rounded GreedyDAG, raw GreedyDAG, whose
-weights are arbitrary floats, and WIGS's unit weights, on trees and DAGs.
+the removed subgraph's own nodes included, candidate or not.  Both forms
+must leave every candidate's maintained value equal under ``==`` (the same
+float subtractions in the same order) after every observe and every undo,
+and compile byte-identical plans — for rounded GreedyDAG, raw GreedyDAG,
+whose weights are arbitrary floats, and WIGS's unit weights, on trees and
+DAGs.  Alive nodes a *yes* answer excluded are compared again once undo
+re-admits them, where the one-pass form's stale values must be exact.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro.policies.greedy_dag as greedy_dag_module
 import repro.policies.wigs as wigs_module
+from repro.core.hierarchy import Hierarchy
 from repro.exceptions import SanitizerError
 from repro.plan import compile_policy
 from repro.policies import GreedyDagPolicy, WigsPolicy
-from repro.policies.greedy_dag import restore_subgraph
+from repro.policies.greedy_dag import remove_subgraph, restore_subgraph
 from repro.testing import make_random_dag, random_distribution
 
 #: Policy kind -> (factory, attribute holding the maintained values).
@@ -36,11 +40,13 @@ POLICIES = {
 }
 
 
-def paper_remove_subgraph(hierarchy, alive, values, weights, q):
+def paper_remove_subgraph(hierarchy, alive, values, weights, root, q):
     """Alg. 7 with one reverse BFS per removed node of ``G_q``.
 
-    Returns the one-pass helper's ``(removed, touched, old)`` record, with
-    each touched node's value from before its first subtraction.
+    ``root`` is not read: the paper updates every alive ancestor, inside
+    the current root's subgraph or not.  Returns the one-pass helper's
+    ``(removed, touched, old)`` record, with each touched node's value from
+    before its first subtraction.
     """
     removed = [q]
     seen = {q}
@@ -82,13 +88,21 @@ def paper_alg7():
 
 
 def decision_state(policy, values_attr: str) -> dict:
-    """Everything the next decision reads; dead nodes' values are not read."""
+    """Everything the next decision reads: the candidates' values.
+
+    Dead nodes' values are not read, nor are those of alive nodes outside
+    the current root's subgraph.
+    """
     alive = policy._alive
     values = getattr(policy, values_attr)
+    candidates = policy.hierarchy.descendants_ix(policy._root)
     state = {
         "alive": bytes(alive),
         "root": policy._root,
-        "values": [values[v] if alive[v] else None for v in range(len(alive))],
+        "values": [
+            values[v] if alive[v] and v in candidates else None
+            for v in range(len(alive))
+        ],
         "done": policy.done(),
     }
     if isinstance(policy, WigsPolicy):
@@ -183,3 +197,47 @@ def test_sanitizer_checks_the_one_pass_journal(monkeypatch, kind):
     with mock.patch.object(module, "restore_subgraph", restore_all_but_one):
         with pytest.raises(SanitizerError, match=values_attr):
             compile_policy(factory(), make_random_dag(40, 3), distribution)
+
+
+#: ``G_a1`` is ``{a1, x}``; ``x`` has one more parent inside ``G_a``
+#: (``a2``) and one outside it (``b``), and ``r`` lies above ``a``.
+SCOPE_DAG = [
+    ("r", "a"), ("r", "b"), ("a", "a1"), ("a", "a2"),
+    ("a1", "x"), ("a2", "x"), ("b", "x"), ("b", "b1"),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(POLICIES))
+def test_removal_stays_inside_the_current_root(kind):
+    factory, values_attr = POLICIES[kind]
+    hierarchy = Hierarchy(SCOPE_DAG)
+    distribution = random_distribution(hierarchy, 5)
+    policy = factory()
+    policy.enable_undo()
+    policy.reset(hierarchy, distribution)
+    values = getattr(policy, values_attr)
+    before = list(values)
+    removals = []
+
+    def spy(*args):
+        removals.append(remove_subgraph(*args))
+        return removals[-1]
+
+    module = wigs_module if values_attr == "_count" else greedy_dag_module
+    # Driven through the answer hook, as the compile walk drives it, so
+    # the answers need not be the ones the policy would ask.
+    with mock.patch.object(module, "remove_subgraph", spy):
+        policy._apply_answer("a", True)
+        policy._apply_answer("a1", False)
+    ((_, touched, _),) = removals
+    assert {hierarchy.label(v) for v in touched} == {"a", "a2"}
+    for outside in ("r", "b"):
+        v = hierarchy.index(outside)
+        assert values[v] == before[v]
+    policy.undo()
+    policy.undo()
+    fresh = factory()
+    fresh.reset(hierarchy, distribution)
+    assert [value.hex() for value in values] == [
+        value.hex() for value in getattr(fresh, values_attr)
+    ]

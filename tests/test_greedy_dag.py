@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.distribution import TargetDistribution
+from repro.core.hierarchy import Hierarchy
 from repro.core.oracle import ExactOracle
 from repro.core.session import search_for_target
 from repro.policies import GreedyDagPolicy, GreedyNaivePolicy
@@ -60,15 +62,27 @@ class TestMaintenance:
         while not policy.done():
             query = policy.propose()
             policy.observe(oracle.answer(query))
-            # Every alive candidate's maintained weight equals the weight of
-            # its alive reachable set, recomputed from scratch.  Rounded
+            # Every candidate's maintained weight equals the weight of its
+            # alive reachable set, recomputed from scratch.  Rounded
             # weights are integers of at most n^2 whose sums stay below
             # 2^53, so both sides are exact in any order.
-            root_label = h.label(policy._root)
-            for node in h.descendants(root_label):
+            for node in h.nodes:
                 if policy.is_candidate(node):
                     assert policy.maintained_weight(node) == policy.recomputed_weight(node)
         assert policy.result() == target
+
+    def test_candidates_exclude_what_a_yes_answer_excluded(self):
+        h = Hierarchy(
+            [("r", "a"), ("r", "b"), ("a", "a1"), ("a", "a2"), ("a", "x"),
+             ("b", "b1"), ("b", "b2"), ("b", "x")]
+        )
+        oracle = ExactOracle(h, "a1")
+        policy = GreedyDagPolicy()
+        policy.reset(h, TargetDistribution.equal(h))
+        assert policy.propose() == "a"
+        policy.observe(oracle.answer("a"))
+        candidates = {node for node in h.nodes if policy.is_candidate(node)}
+        assert candidates == {"a", "a1", "a2", "x"}
 
 
 class TestGreedyObjective:

@@ -131,6 +131,26 @@ class TestAccessors:
         for node in h.nodes:
             assert h.label(h.index(node)) == node
 
+    def test_adjacency_tables(self, diamond_dag):
+        h = diamond_dag
+        assert type(h.children_table) is tuple
+        assert type(h.parents_table) is tuple
+        for v in range(h.n):
+            assert h.children_table[v] == h.children_ix(v)
+            assert h.parents_table[v] == h.parents_ix(v)
+
+    def test_adjacency_tables_load_as_tuples_from_list_states(self, diamond_dag):
+        """States pickled while the adjacency was a list of tuples."""
+        state = diamond_dag.__getstate__()
+        state["_children"] = list(state["_children"])
+        state["_parents"] = list(state["_parents"])
+        clone = object.__new__(Hierarchy)
+        clone.__setstate__(state)
+        assert type(clone.children_table) is tuple
+        assert type(clone.parents_table) is tuple
+        assert clone.children_table == diamond_dag.children_table
+        assert clone.fingerprint() == diamond_dag.fingerprint()
+
 
 class TestReachability:
     def test_descendants(self, vehicle_hierarchy):

@@ -14,6 +14,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.costs import TableCost, UnitCost, random_costs
 from repro.core.distribution import TargetDistribution
@@ -24,6 +25,7 @@ from repro.exceptions import (
     BudgetExceededError,
     PlanError,
     PolicyError,
+    SanitizerError,
     SearchError,
 )
 from repro.plan import (
@@ -36,6 +38,7 @@ from repro.policies import (
     GreedyDagPolicy,
     GreedyTreePolicy,
     TopDownPolicy,
+    WigsPolicy,
     available_policies,
     make_policy,
 )
@@ -49,6 +52,13 @@ from repro.testing import (
 )
 
 TREE_ONLY = {"greedy-tree"}
+
+#: Undo-capable DAG policies: a LazyPlan backtracks them between sessions.
+LAZY_DAG_POLICIES = {
+    "GreedyDAG": GreedyDagPolicy,
+    "GreedyDAG(raw)": lambda: GreedyDagPolicy(rounded=False),
+    "WIGS": WigsPolicy,
+}
 
 
 def _assert_run_search_parity(executor, policy, hierarchy, distribution,
@@ -667,6 +677,54 @@ class TestLazyPlan:
         _assert_run_search_parity(
             lazy, GreedyTreePolicy(), hierarchy, distribution
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**16),
+        extra=st.integers(min_value=1, max_value=30),
+        zeros=st.booleans(),
+        kind=st.sampled_from(sorted(LAZY_DAG_POLICIES)),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_serving_parity_on_dags(self, n, seed, extra, zeros, kind, order):
+        """Shuffled targets make the cursors jump between branches, so the
+        plan undoes *yes* answers and removals between sessions."""
+        hierarchy = make_random_dag(n, seed, extra=extra)
+        distribution = random_distribution(hierarchy, seed, zeros=zeros)
+        factory = LAZY_DAG_POLICIES[kind]
+        lazy = LazyPlan(factory(), hierarchy, distribution)
+        targets = list(hierarchy.nodes)
+        order.shuffle(targets)
+        for target in targets:
+            reference = run_search(
+                factory(), ExactOracle(hierarchy, target), hierarchy, distribution
+            )
+            served = run_search(lazy, ExactOracle(hierarchy, target))
+            assert served.returned == reference.returned == target
+            assert served.transcript == reference.transcript
+
+    def test_sanitizer_checks_undo_on_the_online_path(self, monkeypatch):
+        import repro.policies.greedy_dag as greedy_dag_module
+        from repro.online import simulate_online_labeling
+        from repro.policies.greedy_dag import restore_subgraph
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        hierarchy = make_random_dag(60, 3)
+        stream = [hierarchy.label(int(v)) for v in np.random.default_rng(3).permutation(60)]
+        simulate_online_labeling(
+            GreedyDagPolicy(), hierarchy, stream, block_size=20, refresh_every=5
+        )
+
+        def restore_all_but_one(alive, values, removal):
+            removed, touched, old = removal
+            restore_subgraph(alive, values, (removed, touched[1:], old[1:]))
+
+        monkeypatch.setattr(greedy_dag_module, "restore_subgraph", restore_all_but_one)
+        with pytest.raises(SanitizerError, match="_tilde"):
+            simulate_online_labeling(
+                GreedyDagPolicy(), hierarchy, stream, block_size=20, refresh_every=5
+            )
 
     def test_repeated_paths_need_no_policy_work(self):
         hierarchy = make_random_tree(30, seed=32)

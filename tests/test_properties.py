@@ -190,9 +190,8 @@ def test_greedy_dag_weights_stay_exact(data, target_seed):
     policy.reset(hierarchy, distribution)
     while not policy.done():
         policy.observe(oracle.answer(policy.propose()))
-        root_label = hierarchy.label(policy._root)
         # Rounded weights are integers below n^2: exact sums in any order.
-        for node in hierarchy.descendants(root_label):
+        for node in hierarchy.nodes:
             if policy.is_candidate(node):
                 assert policy.maintained_weight(node) == policy.recomputed_weight(node)
     assert policy.result() == target
