@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro import Hierarchy, TableCost, TargetDistribution, build_decision_tree
+from repro import Hierarchy, TableCost, TargetDistribution, compile_policy
 from repro.core.costs import random_costs
 from repro.policies import CostSensitiveGreedyPolicy, GreedyNaivePolicy
 from repro.taxonomy import amazon_like
@@ -28,9 +28,9 @@ def example4() -> None:
     prices = TableCost({1: 1.0, 2: 1.0, 3: 5.0, 4: 1.0})
     dist = TargetDistribution.equal(chain)
 
-    simple = build_decision_tree(GreedyNaivePolicy, chain, dist, prices)
-    sensitive = build_decision_tree(
-        CostSensitiveGreedyPolicy, chain, dist, prices
+    simple = compile_policy(GreedyNaivePolicy(), chain, dist, prices)
+    sensitive = compile_policy(
+        CostSensitiveGreedyPolicy(), chain, dist, prices
     )
     print("Example 4 (4-node chain, node 3 costs $5):")
     print(f"  simple greedy          expected price ${simple.expected_price(dist, prices):.2f}")
@@ -45,9 +45,9 @@ def random_pricing(n: int = 300) -> None:
     prices = random_costs(hierarchy, rng, low=0.5, high=1.5)
     dist = TargetDistribution.random_zipf(hierarchy, rng, a=2.0)
 
-    plain = build_decision_tree(GreedyNaivePolicy, hierarchy, dist, prices)
-    sensitive = build_decision_tree(
-        CostSensitiveGreedyPolicy, hierarchy, dist, prices
+    plain = compile_policy(GreedyNaivePolicy(), hierarchy, dist, prices)
+    sensitive = compile_policy(
+        CostSensitiveGreedyPolicy(), hierarchy, dist, prices
     )
     plain_price = plain.expected_price(dist, prices)
     sensitive_price = sensitive.expected_price(dist, prices)

@@ -1,4 +1,4 @@
-"""Inspecting a policy before paying for it: decision-tree analysis.
+"""Inspecting a policy before paying for it: compiled-plan analysis.
 
 Before sending a labelling job to the crowd, a practitioner wants to know
 how many questions searches will take, how lopsided the depth distribution
@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import build_decision_tree
+from repro import compile_policy
 from repro.evaluation import analyze
 from repro.policies import GreedyTreePolicy, WigsPolicy
 from repro.taxonomy import amazon_catalog, amazon_like
@@ -26,10 +26,10 @@ def main() -> None:
     hierarchy = amazon_like(500, seed=7)
     distribution = amazon_catalog(hierarchy, num_objects=25_000).to_distribution()
 
-    for factory in (GreedyTreePolicy, WigsPolicy):
-        tree = build_decision_tree(factory, hierarchy, distribution)
-        report = analyze(tree, distribution)
-        print(f"=== {factory().name} on a {hierarchy.n}-category tree ===")
+    for policy in (GreedyTreePolicy(), WigsPolicy()):
+        plan = compile_policy(policy, hierarchy, distribution)
+        report = analyze(plan, distribution)
+        print(f"=== {plan.policy_name} on a {hierarchy.n}-category tree ===")
         print(f"expected questions : {report.expected_cost:.2f}")
         print(f"worst case         : {report.worst_case_cost}")
         print(

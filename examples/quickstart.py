@@ -89,7 +89,7 @@ def main() -> None:
         )
 
     print("\nGreedy decision tree:")
-    print(render_decision_tree(plan.as_decision_tree()))
+    print(render_decision_tree(plan))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ benchmark numbers, and ``ROADMAP.md`` for where this is heading; the
 from repro.core import (
     CandidateGraph,
     CountingOracle,
-    DecisionTree,
     ErrorRateModel,
     ExactOracle,
     Hierarchy,
@@ -45,7 +44,6 @@ from repro.core import (
     TableCost,
     TargetDistribution,
     UnitCost,
-    build_decision_tree,
     random_costs,
     run_search,
     search_for_target,
@@ -95,7 +93,6 @@ __all__ = [
     "CostModelError",
     "CountingOracle",
     "CycleError",
-    "DecisionTree",
     "DistributionError",
     "EngineResult",
     "EngineResultCache",
@@ -125,7 +122,6 @@ __all__ = [
     "TargetDistribution",
     "UnitCost",
     "VectorPolicy",
-    "build_decision_tree",
     "compile_policy",
     "plan_key",
     "random_costs",

@@ -2,12 +2,6 @@
 
 from repro.core.candidate import CandidateGraph
 from repro.core.costs import QueryCostModel, TableCost, UnitCost, random_costs
-from repro.core.decision_tree import (
-    DecisionTree,
-    Leaf,
-    Question,
-    build_decision_tree,
-)
 from repro.core.distribution import SYNTHETIC_FAMILIES, TargetDistribution
 from repro.core.hierarchy import DUMMY_ROOT, Hierarchy
 from repro.core.oracle import (
@@ -29,25 +23,21 @@ from repro.core.session import (
 __all__ = [
     "CandidateGraph",
     "CountingOracle",
-    "DecisionTree",
     "DUMMY_ROOT",
     "ErrorRateModel",
     "ExactOracle",
     "Hierarchy",
-    "Leaf",
     "MajorityVoteOracle",
     "NoisyOracle",
     "Oracle",
     "Policy",
     "PolicyFactory",
-    "Question",
     "QueryCostModel",
     "SearchResult",
     "SYNTHETIC_FAMILIES",
     "TableCost",
     "TargetDistribution",
     "UnitCost",
-    "build_decision_tree",
     "default_budget",
     "random_costs",
     "run_search",

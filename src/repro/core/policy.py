@@ -16,10 +16,10 @@ queries against flaky oracles without perturbing the policy.
 
 All policies in :mod:`repro.policies` are *deterministic* given their
 construction arguments, so their behaviour is fully described by a decision
-tree (:mod:`repro.core.decision_tree`).  That determinism is also what makes
-the compile/execute split possible: :func:`repro.plan.compile_policy` freezes
-a policy's whole interactive behaviour into an immutable
-:class:`~repro.plan.CompiledPlan` once, and per-session
+tree (Definitions 5–7).  That determinism is what makes the
+compile/execute split possible: :func:`repro.plan.compile_policy` freezes
+a policy's whole interactive behaviour into that tree, an immutable
+:class:`~repro.plan.CompiledPlan`, once, and per-session
 :class:`~repro.plan.SearchCursor` objects replay it with zero per-search
 policy work.
 """
@@ -57,13 +57,6 @@ class Policy(ABC):
     #: compiler explores both answers of every decision point in one pass
     #: instead of replaying one answer prefix per decision node.
     supports_undo: bool = False
-
-    #: Whether :meth:`fingerprint` captures everything that influences the
-    #: policy's decisions, making results keyed by it safe to cache on
-    #: disk.  Policies configured with unhashable payloads (e.g. a wrapped
-    #: decision tree) set this to False: their plans carry no content key
-    #: and their results are never cached.
-    plan_cacheable: bool = True
 
     #: Attribute names the undo-integrity sanitizer (``REPRO_SANITIZE=1``,
     #: see :mod:`repro.analysis.sanitize`) skips when fingerprinting state

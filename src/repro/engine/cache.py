@@ -168,13 +168,13 @@ class EngineResultCache:
         (``check_correctness``); unchecked entries are refused to callers
         that require validation.  Raises
         :class:`~repro.exceptions.PlanError` on an empty key (the
-        configuration has no content hash, e.g. a non-``plan_cacheable``
-        policy — such results cannot be addressed safely).
+        configuration has no content hash, e.g. a policy without
+        ``fingerprint()`` — such results cannot be addressed safely).
         """
         if not key:
             raise PlanError(
-                f"engine result of {result.policy!r} has no content key "
-                "(the policy is not plan_cacheable); it cannot be cached"
+                f"engine result of {result.policy!r} has no content key; "
+                "it cannot be cached"
             )
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -246,22 +246,16 @@ def simulate_all_targets(
     budget = default_budget(hierarchy, max_queries)
     price_vec = model.as_array(hierarchy)
 
-    # The configuration content hash keys the persisted result; policies
-    # that cannot be fingerprinted reliably (plan_cacheable false) are
-    # never cached.  Computed only when a cache will consult it — it
-    # hashes the distribution/price arrays.
+    # The configuration content hash keys the persisted result; a keyless
+    # plan or policy (see plan_key) is never cached.  Computed only when a
+    # cache will consult it — it hashes the distribution/price arrays.
     rcache = resolve_result_cache(result_cache)
     rkey = ""
     if rcache is not None:
         if plan is not None:
             ckey = plan.config_key
-        elif not getattr(policy, "plan_cacheable", True):
-            ckey = ""
         else:
-            try:
-                ckey = plan_key(policy, hierarchy, distribution, model)
-            except AttributeError:  # duck-typed, no fingerprint()
-                ckey = ""
+            ckey = plan_key(policy, hierarchy, distribution, model)
         if ckey:
             rkey = result_key(ckey, target_ix, budget, price_vec)
             cached = rcache.get(

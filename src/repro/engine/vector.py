@@ -8,8 +8,8 @@ indices.  Two ingredients make that possible:
 * :class:`VectorPolicy` — the protocol a policy must satisfy for the
   one-pass compile walk: the usual interactive protocol plus exact answer
   reversal (:meth:`undo`).  ``GreedyTree``, ``GreedyDAG``, ``TopDown``,
-  ``MIGS``, ``WIGS``, ``StaticTree``, ``GreedyNaive``, ``CostGreedy`` and
-  ``Random`` implement it natively (``supports_undo``); a third-party
+  ``MIGS``, ``WIGS``, ``GreedyNaive``, ``CostGreedy`` and ``Random``
+  implement it natively (``supports_undo``); a third-party
   deterministic policy without it is handled by the engine's
   transcript-replay adapter instead.
 

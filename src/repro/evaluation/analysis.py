@@ -1,4 +1,4 @@
-"""Post-hoc analysis of a policy's decision tree.
+"""Post-hoc analysis of a policy's decision tree (its compiled plan).
 
 Summaries a practitioner wants before paying a crowd: how deep do searches
 go, which questions get asked most (worth pricing carefully or caching), and
@@ -11,9 +11,9 @@ from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 
-from repro.core.decision_tree import DecisionTree, Leaf, Question
 from repro.core.distribution import TargetDistribution
 from repro.evaluation.bounds import efficiency, entropy_lower_bound
+from repro.plan.plan import ROOT, CompiledPlan
 
 
 @dataclass(frozen=True)
@@ -38,35 +38,44 @@ class PolicyAnalysis:
         return ranked[:top]
 
 
-def analyze(tree: DecisionTree, distribution: TargetDistribution) -> PolicyAnalysis:
-    """Compute the full analysis from a materialised decision tree."""
+def analyze(plan: CompiledPlan, distribution: TargetDistribution) -> PolicyAnalysis:
+    """Compute the full analysis from a compiled plan's arrays."""
+    label = plan.hierarchy.label
+    query, yes, no, target = (
+        plan.query_ix, plan.yes_child, plan.no_child, plan.target_ix
+    )
     depth_mass: Counter = Counter()
     query_mass: Counter = Counter()
 
     # Iterative post-order: each internal node is "asked" by exactly the
     # probability mass of the leaves below it, accumulated bottom-up in one
-    # pass (no recursion, no quadratic re-walks).
+    # pass (no recursion, no quadratic re-walks).  An answer no target is
+    # consistent with (a NO_PATH child) carries no mass.
     mass: dict[int, float] = {}
-    stack: list[tuple[Question | Leaf, int, bool]] = [(tree.root, 0, False)]
+    stack: list[tuple[int, int, bool]] = [(ROOT, 0, False)]
     while stack:
         node, depth, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            p = distribution.p(node.target)
+        t = int(target[node])
+        if t >= 0:
+            p = distribution.p(label(t))
             depth_mass[depth] += p
-            mass[id(node)] = p
+            mass[node] = p
         elif not expanded:
             stack.append((node, depth, True))
-            stack.append((node.yes, depth + 1, False))
-            stack.append((node.no, depth + 1, False))
+            for child in (int(yes[node]), int(no[node])):
+                if child >= 0:
+                    stack.append((child, depth + 1, False))
         else:
-            below = mass[id(node.yes)] + mass[id(node.no)]
-            query_mass[node.query] += below
-            mass[id(node)] = below
+            below = mass.get(int(yes[node]), 0.0) + mass.get(
+                int(no[node]), 0.0
+            )
+            query_mass[label(int(query[node]))] += below
+            mass[node] = below
 
-    expected = tree.expected_cost(distribution)
+    expected = plan.expected_cost(distribution)
     return PolicyAnalysis(
         expected_cost=expected,
-        worst_case_cost=tree.worst_case_cost(),
+        worst_case_cost=plan.worst_case_cost(),
         entropy_bound=entropy_lower_bound(distribution),
         efficiency=efficiency(expected, distribution),
         depth_distribution=dict(depth_mass),

@@ -79,7 +79,14 @@ def plan_key(
     distribution: TargetDistribution | None = None,
     cost_model: QueryCostModel | None = None,
 ) -> str:
-    """Content hash of a compile configuration (a plan's ``config_key``)."""
+    """Content hash of a compile configuration (a plan's ``config_key``).
+
+    Empty for a policy without ``fingerprint()`` (a duck-typed one):
+    nothing then captures its behaviour, so its plans carry no key and
+    its results are never result-cached.
+    """
+    if not hasattr(policy, "fingerprint"):
+        return ""
     distribution, model = resolve_config(
         policy, hierarchy, distribution, cost_model
     )
@@ -126,13 +133,7 @@ def compile_policy(
     distribution, model = resolve_config(
         policy, hierarchy, distribution, cost_model
     )
-    # A policy whose fingerprint cannot capture its behaviour (e.g. a
-    # wrapped decision tree) must not advertise a content hash: two
-    # different configurations would collide under one key.
-    if getattr(policy, "plan_cacheable", True):
-        key = plan_key(policy, hierarchy, distribution, model)
-    else:
-        key = ""
+    key = plan_key(policy, hierarchy, distribution, model)
     budget = default_budget(hierarchy, max_depth)
     builder = _Builder(policy.name)
     if policy.supports_undo:
@@ -364,8 +365,9 @@ def _replay_walk(
     """Prefix-replay DFS for policies without exact undo.
 
     One ``reset`` plus one answer replay per plan node — ``O(sum of node
-    depths)`` policy steps, the same cost profile as
-    :func:`~repro.core.decision_tree.build_decision_tree`, paid once.
+    depths)`` policy steps, paid once.  It needs nothing of the policy
+    but determinism, so it is also the reference the undo walk's plans
+    are tested against.
     """
     split = _make_splitter(hierarchy, hierarchy.n)
 

@@ -14,7 +14,9 @@ Definitions 5–7 in an execution-ready layout.  It is built once per
   together, one level per pass (:func:`repro.engine.simulate_all_targets`);
 * :meth:`CompiledPlan.save` / :meth:`CompiledPlan.load` persist it as an
   explicit file, which carries a content hash of the configuration
-  (:attr:`CompiledPlan.config_key`).
+  (:attr:`CompiledPlan.config_key`);
+* analysis and rendering walk the same arrays
+  (:func:`repro.evaluation.analyze`, :func:`repro.viz.render_decision_tree`).
 
 Plan nodes are dense ids ``0 .. num_nodes - 1`` with the root at
 :data:`ROOT`.  Queries and targets are stored as *hierarchy node
@@ -91,10 +93,11 @@ class CompiledPlan:
     config_key:
         Content hash of the full compile configuration
         (:func:`repro.plan.compile.plan_key`); keys the engine-result
-        cache (:mod:`repro.engine.cache`).  Empty for policies whose
-        fingerprint cannot capture their behaviour (``plan_cacheable =
-        False``): a passed plan with no key is never result-cached,
-        though it can still be ``save()``d.
+        cache (:mod:`repro.engine.cache`).  Empty for a policy without
+        ``fingerprint()`` and for plans not compiled from a policy
+        (:func:`repro.policies.optimal_decision_tree`): a passed plan with
+        no key is never result-cached, though it can still be
+        ``save()``d.
     """
 
     __slots__ = (
@@ -235,41 +238,42 @@ class CompiledPlan:
         return int(self._yes[node] if answer else self._no[node])
 
     # ------------------------------------------------------------------
-    # Costs (mirrors DecisionTree, but on the flat arrays)
+    # Costs (Definitions 7 and 8: leaf-weighted sums over the plan)
     # ------------------------------------------------------------------
-    def leaf_depths(self) -> dict[Hashable, int]:
-        """Number of questions asked for every target, keyed by label."""
+    def _path_sums(self, step, zero):
+        """Sum of ``step(query)`` along every root-to-leaf path, keyed by
+        target label.
+
+        Raises :class:`PlanError` if a target sits at two leaves: a plan
+        file from outside the program can claim one, and a dict keyed by
+        target would silently keep only one of its sums.
+        """
         label = self.hierarchy.label
-        out: dict[Hashable, int] = {}
-        stack: list[tuple[int, int]] = [(ROOT, 0)]
+        out: dict[Hashable, int | float] = {}
+        stack = [(ROOT, zero)]
         while stack:
-            node, depth = stack.pop()
+            node, total = stack.pop()
             t = int(self._target[node])
             if t >= 0:
-                out[label(t)] = depth
+                target = label(t)
+                if target in out:
+                    raise PlanError(f"target {target!r} appears at two leaves")
+                out[target] = total
                 continue
+            total = total + step(int(self._query[node]))
             for child in (int(self._yes[node]), int(self._no[node])):
                 if child >= 0:
-                    stack.append((child, depth + 1))
+                    stack.append((child, total))
         return out
+
+    def leaf_depths(self) -> dict[Hashable, int]:
+        """Number of questions asked for every target, keyed by label."""
+        return self._path_sums(lambda q: 1, 0)
 
     def leaf_prices(self, cost_model: QueryCostModel) -> dict[Hashable, float]:
         """Total query price on the root-to-leaf path, keyed by target."""
-        label = self.hierarchy.label
         price_vec = cost_model.as_array(self.hierarchy)
-        out: dict[Hashable, float] = {}
-        stack: list[tuple[int, float]] = [(ROOT, 0.0)]
-        while stack:
-            node, price = stack.pop()
-            t = int(self._target[node])
-            if t >= 0:
-                out[label(t)] = price
-                continue
-            step = price + float(price_vec[int(self._query[node])])
-            for child in (int(self._yes[node]), int(self._no[node])):
-                if child >= 0:
-                    stack.append((child, step))
-        return out
+        return self._path_sums(lambda q: float(price_vec[q]), 0.0)
 
     def expected_cost(self, distribution: TargetDistribution) -> float:
         """Equation (2): ``sum_v p(v) * depth(v)``."""
@@ -292,56 +296,19 @@ class CompiledPlan:
         return max(self.leaf_depths().values())
 
     def validate(self) -> None:
-        """Check the leaves biject with the hierarchy's nodes."""
+        """Check the leaves biject with the hierarchy's nodes.
+
+        Every node can be the target, so a sound plan has exactly one leaf
+        per node; :meth:`leaf_depths` already refuses a target at two.
+        """
         depths = self.leaf_depths()
         missing = set(self.hierarchy.nodes) - set(depths)
-        if missing or len(depths) != self.hierarchy.n:
+        if missing:
             raise PlanError(
                 f"plan leaves do not biject with the node set: "
                 f"{len(depths)} leaves for {self.hierarchy.n} nodes, "
                 f"missing e.g. {sorted(map(repr, missing))[:5]}"
             )
-
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def as_decision_tree(self):
-        """The equivalent :class:`~repro.core.decision_tree.DecisionTree`.
-
-        Bridges to the analysis/visualisation layers
-        (:func:`repro.evaluation.analyze`, :mod:`repro.viz`).  Raises
-        :class:`PlanError` if the plan contains one-sided questions
-        (:data:`NO_PATH` children), which ``Question`` nodes cannot express.
-        """
-        from repro.core.decision_tree import DecisionTree, Leaf, Question
-
-        label = self.hierarchy.label
-        built: dict[int, Question | Leaf] = {}
-        # Post-order over the plan: children materialise before parents.
-        stack: list[tuple[int, bool]] = [(ROOT, False)]
-        while stack:
-            node, expanded = stack.pop()
-            t = int(self._target[node])
-            if t >= 0:
-                built[node] = Leaf(label(t))
-                continue
-            yes, no = int(self._yes[node]), int(self._no[node])
-            if yes == NO_PATH or no == NO_PATH:
-                raise PlanError(
-                    "plan has a one-sided question (an answer no target is "
-                    "consistent with); DecisionTree cannot express it"
-                )
-            if expanded:
-                built[node] = Question(
-                    query=label(int(self._query[node])),
-                    yes=built[yes],
-                    no=built[no],
-                )
-            else:
-                stack.append((node, True))
-                stack.append((yes, False))
-                stack.append((no, False))
-        return DecisionTree(built[ROOT], self.hierarchy)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -22,7 +22,6 @@ from repro.policies.robust import (
     batched_repeated_search_majority,
     repeated_search_majority,
 )
-from repro.policies.static_tree import StaticTreePolicy
 from repro.policies.topdown import TopDownPolicy
 from repro.policies.wigs import WigsPolicy
 
@@ -36,7 +35,6 @@ __all__ = [
     "GreedyTreePolicy",
     "MigsPolicy",
     "RandomPolicy",
-    "StaticTreePolicy",
     "TopDownPolicy",
     "batched_repeated_search_majority",
     "repeated_search_majority",

@@ -27,6 +27,8 @@ from repro.core.costs import QueryCostModel, UnitCost
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
 from repro.exceptions import SearchError
+from repro.plan.compile import _Builder
+from repro.plan.plan import CompiledPlan
 
 #: Refuse to run the exponential DP beyond this many nodes.
 _MAX_NODES = 18
@@ -78,15 +80,13 @@ def optimal_decision_tree(
     hierarchy: Hierarchy,
     distribution: TargetDistribution,
     cost_model: QueryCostModel | None = None,
-):
+) -> CompiledPlan:
     """The optimal decision tree itself (not just its cost).
 
-    Returns a :class:`repro.core.decision_tree.DecisionTree` realising
+    Returns a keyless :class:`~repro.plan.CompiledPlan` realising
     :func:`optimal_expected_cost`, useful for inspecting *why* greedy choices
     differ from optimal ones on small instances.
     """
-    from repro.core.decision_tree import DecisionTree, Leaf, Question
-
     reach = _prepare(hierarchy)
     probs = distribution.as_array(hierarchy)
     model = cost_model or UnitCost()
@@ -111,20 +111,24 @@ def optimal_decision_tree(
                 best_q = q
         return best, best_q
 
-    def build(candidates: frozenset[int]):
+    builder = _Builder("Optimal")
+
+    def build(candidates: frozenset[int]) -> int:
+        """Append the subtree for ``candidates``; a parent precedes its
+        children, so the root is plan node 0."""
+        node = builder.new_node()
         if len(candidates) == 1:
-            return Leaf(hierarchy.label(next(iter(candidates))))
+            builder.target[node] = next(iter(candidates))
+            return node
         _, q = solve(candidates)
         inside = candidates & reach[q]
-        outside = frozenset(candidates - inside)
-        return Question(
-            query=hierarchy.label(q),
-            yes=build(inside),
-            no=build(outside),
-        )
+        builder.query[node] = q
+        builder.set_child(node, True, build(inside))
+        builder.set_child(node, False, build(candidates - inside))
+        return node
 
-    root = build(frozenset(range(hierarchy.n)))
-    return DecisionTree(root, hierarchy)
+    build(frozenset(range(hierarchy.n)))
+    return builder.finish(hierarchy, "")
 
 
 def optimal_worst_case_cost(hierarchy: Hierarchy) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
+from repro.plan import compile_policy
 from repro.policies.random_policy import RandomPolicy
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "make_random_dag",
     "make_random_tree",
     "random_distribution",
+    "replay_compile",
     "vehicle_hierarchy",
     "vehicle_distribution",
 ]
@@ -50,6 +52,18 @@ class ForcedReplayPolicy(RandomPolicy):
 
     def _apply_answer(self, query, answer) -> None:
         self._cg.apply(query, answer)
+
+
+def replay_compile(policy_cls, hierarchy, distribution=None, cost_model=None):
+    """Compile ``policy_cls()`` by answer-prefix replay: the reference plan.
+
+    A ``supports_undo = False`` subclass sends ``compile_policy`` down its
+    prefix-replay walk, which needs nothing of the policy but determinism
+    (one reset and replay per plan node).  Tests hold the undo walk's plans
+    and the engine's results against it.
+    """
+    replaying = type(policy_cls.__name__, (policy_cls,), {"supports_undo": False})
+    return compile_policy(replaying(), hierarchy, distribution, cost_model)
 
 #: The paper's Fig. 1 vehicle hierarchy, used throughout the tests.
 VEHICLE_EDGES = [

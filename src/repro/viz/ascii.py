@@ -1,12 +1,12 @@
-"""ASCII rendering of hierarchies and decision trees (for examples and docs)."""
+"""ASCII rendering of hierarchies and compiled plans (for examples and docs)."""
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 
-from repro.core.decision_tree import DecisionTree, Leaf, Question
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
+from repro.plan.plan import ROOT, CompiledPlan
 
 
 def render_hierarchy(
@@ -49,20 +49,31 @@ def render_hierarchy(
     return "\n".join(lines)
 
 
-def render_decision_tree(tree: DecisionTree, *, max_depth: int = 8) -> str:
-    """Indented yes/no view of a policy's decision tree."""
+def render_decision_tree(plan: CompiledPlan, *, max_depth: int = 8) -> str:
+    """Indented yes/no view of a policy's decision tree (its compiled plan).
+
+    A branch no target is consistent with (:data:`~repro.plan.NO_PATH`)
+    prints as ``(no target)``.
+    """
+    label = plan.hierarchy.label
+    query, yes, no, target = (
+        plan.query_ix, plan.yes_child, plan.no_child, plan.target_ix
+    )
     lines: list[str] = []
 
-    def walk(node: Question | Leaf, prefix: str, branch: str, depth: int) -> None:
-        if isinstance(node, Leaf):
-            lines.append(f"{prefix}{branch}=> {node.target}")
+    def walk(node: int, prefix: str, branch: str, depth: int) -> None:
+        if node < 0:
+            lines.append(f"{prefix}{branch}(no target)")
             return
-        lines.append(f"{prefix}{branch}reach({node.query})?")
+        if target[node] >= 0:
+            lines.append(f"{prefix}{branch}=> {label(int(target[node]))}")
+            return
+        lines.append(f"{prefix}{branch}reach({label(int(query[node]))})?")
         if depth >= max_depth:
             lines.append(f"{prefix}    ... (truncated at depth {max_depth})")
             return
-        walk(node.yes, prefix + "    ", "Y: ", depth + 1)
-        walk(node.no, prefix + "    ", "N: ", depth + 1)
+        walk(int(yes[node]), prefix + "    ", "Y: ", depth + 1)
+        walk(int(no[node]), prefix + "    ", "N: ", depth + 1)
 
-    walk(tree.root, "", "", 0)
+    walk(ROOT, "", "", 0)
     return "\n".join(lines)

@@ -723,7 +723,6 @@ class TestSanitizers:
 
         class QuietlyBroken(GreedyTreePolicy):
             name = "QuietlyBroken"
-            plan_cacheable = False
 
             def _revert_answer(self, query, answer, payload):
                 super()._revert_answer(query, answer, payload)

@@ -6,13 +6,17 @@ import math
 
 import pytest
 
-from repro.core.decision_tree import build_decision_tree
 from repro.core.session import search_for_target
 from repro.evaluation import worst_case_cost
 from repro.policies import MigsPolicy, TopDownPolicy, WigsPolicy
 from repro.taxonomy.generators import balanced_tree, path_graph, star_graph
 
-from repro.testing import make_random_dag, make_random_tree, random_distribution
+from repro.testing import (
+    make_random_dag,
+    make_random_tree,
+    random_distribution,
+    replay_compile,
+)
 
 
 ALL_BASELINES = [TopDownPolicy, MigsPolicy, WigsPolicy]
@@ -75,8 +79,8 @@ class TestMigs:
     def test_comparable_to_topdown_in_expectation(self):
         h = make_random_tree(60, seed=9)
         dist = random_distribution(h, 9)
-        migs = build_decision_tree(MigsPolicy, h, dist).expected_cost(dist)
-        topdown = build_decision_tree(TopDownPolicy, h, dist).expected_cost(dist)
+        migs = replay_compile(MigsPolicy, h, dist).expected_cost(dist)
+        topdown = replay_compile(TopDownPolicy, h, dist).expected_cost(dist)
         assert migs == pytest.approx(topdown, rel=0.35)
 
     def test_order_differs_from_topdown(self):
@@ -113,8 +117,7 @@ class TestWigs:
 
     def test_decision_tree_validates_on_dag(self):
         h = make_random_dag(18, seed=4)
-        tree = build_decision_tree(WigsPolicy, h)
-        tree.validate()
+        replay_compile(WigsPolicy, h).validate()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_worst_case_not_catastrophic_on_random_trees(self, seed):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.decision_tree import build_decision_tree
 from repro.core.distribution import TargetDistribution
 from repro.evaluation import (
     efficiency,
@@ -20,7 +19,12 @@ from repro.policies import (
 )
 from repro.taxonomy.generators import balanced_tree, path_graph
 
-from repro.testing import make_random_dag, make_random_tree, random_distribution
+from repro.testing import (
+    make_random_dag,
+    make_random_tree,
+    random_distribution,
+    replay_compile,
+)
 
 
 class TestBounds:
@@ -35,7 +39,7 @@ class TestBounds:
         assert worst_case_lower_bound(Hierarchy([], nodes=["x"])) == 0
 
     def test_efficiency_range(self, vehicle_hierarchy, vehicle_distribution):
-        tree = build_decision_tree(
+        tree = replay_compile(
             GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
         )
         value = efficiency(tree.expected_cost(vehicle_distribution), vehicle_distribution)
@@ -55,7 +59,7 @@ class TestNoPolicyBeatsTheBound:
     def test_tree_policies(self, factory, seed):
         h = make_random_tree(25, seed=seed)
         dist = random_distribution(h, seed)
-        tree = build_decision_tree(factory, h, dist)
+        tree = replay_compile(factory, h, dist)
         assert tree.expected_cost(dist) >= entropy_lower_bound(dist) - 1e-9
         assert tree.worst_case_cost() >= worst_case_lower_bound(h)
 
@@ -63,7 +67,7 @@ class TestNoPolicyBeatsTheBound:
     def test_dag_policy(self, seed):
         h = make_random_dag(20, seed=seed)
         dist = random_distribution(h, seed)
-        tree = build_decision_tree(GreedyDagPolicy, h, dist)
+        tree = replay_compile(GreedyDagPolicy, h, dist)
         assert tree.expected_cost(dist) >= entropy_lower_bound(dist) - 1e-9
 
     def test_even_the_optimum_respects_it(self):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.decision_tree import build_decision_tree
 from repro.experiments.reporting import Series, Table
+from repro.plan import compile_policy
 from repro.policies import GreedyTreePolicy, make_policy, available_policies, greedy_for
 from repro.exceptions import PolicyError
 from repro.viz import render_decision_tree, render_hierarchy
@@ -114,16 +114,30 @@ class TestViz:
         assert "truncated" in text
 
     def test_render_decision_tree(self, vehicle_hierarchy, vehicle_distribution):
-        tree = build_decision_tree(
-            GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
+        plan = compile_policy(
+            GreedyTreePolicy(), vehicle_hierarchy, vehicle_distribution
         )
-        text = render_decision_tree(tree)
+        text = render_decision_tree(plan)
         assert "reach(Maxima)?" in text
         assert "=> " in text
 
     def test_render_decision_tree_truncates(self, vehicle_hierarchy):
         from repro.policies import TopDownPolicy
 
-        tree = build_decision_tree(TopDownPolicy, vehicle_hierarchy)
-        text = render_decision_tree(tree, max_depth=1)
+        plan = compile_policy(TopDownPolicy(), vehicle_hierarchy)
+        text = render_decision_tree(plan, max_depth=1)
         assert "truncated" in text
+
+    @pytest.mark.parametrize("name", ["topdown", "migs"])
+    def test_render_one_sided_questions(self, name):
+        """A baseline on a DAG asks questions one answer of which no target
+        is consistent with; the missing branch prints, and every target's
+        leaf still does."""
+        from repro.testing import make_random_dag
+
+        hierarchy = make_random_dag(40, seed=3)
+        plan = compile_policy(make_policy(name), hierarchy)
+        lines = render_decision_tree(plan, max_depth=hierarchy.n).splitlines()
+        assert sum(line.endswith("(no target)") for line in lines) == 10
+        leaves = [line.split("=> ")[1] for line in lines if "=> " in line]
+        assert sorted(leaves) == sorted(map(str, hierarchy.nodes))

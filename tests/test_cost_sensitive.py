@@ -5,14 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import TableCost, UnitCost, random_costs
-from repro.core.decision_tree import build_decision_tree
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
 from repro.core.session import search_for_target
 from repro.policies import CostSensitiveGreedyPolicy, GreedyNaivePolicy
 from repro.policies.optimal import optimal_expected_cost
 
-from repro.testing import make_random_tree, random_distribution
+from repro.testing import make_random_tree, random_distribution, replay_compile
 
 
 @pytest.fixture
@@ -32,18 +31,14 @@ class TestExample4:
 
     def test_simple_greedy_pays_6(self, chain4, chain4_costs):
         dist = TargetDistribution.equal(chain4)
-        tree = build_decision_tree(
-            GreedyNaivePolicy, chain4, dist, chain4_costs
-        )
+        tree = replay_compile(GreedyNaivePolicy, chain4, dist, chain4_costs)
         assert tree.expected_price(dist, chain4_costs) == pytest.approx(6.0)
 
     def test_cost_sensitive_greedy_pays_4_25(self, chain4, chain4_costs):
         dist = TargetDistribution.equal(chain4)
-
-        def factory():
-            return CostSensitiveGreedyPolicy()
-
-        tree = build_decision_tree(factory, chain4, dist, chain4_costs)
+        tree = replay_compile(
+            CostSensitiveGreedyPolicy, chain4, dist, chain4_costs
+        )
         assert tree.expected_price(dist, chain4_costs) == pytest.approx(4.25)
 
     def test_first_queries(self, chain4, chain4_costs):
@@ -98,11 +93,7 @@ class TestGeneral:
         h = make_random_tree(9, seed=seed)
         dist = random_distribution(h, seed)
         costs = random_costs(h, rng)
-
-        def factory():
-            return CostSensitiveGreedyPolicy()
-
-        tree = build_decision_tree(factory, h, dist, costs)
+        tree = replay_compile(CostSensitiveGreedyPolicy, h, dist, costs)
         greedy_price = tree.expected_price(dist, costs)
         best = optimal_expected_cost(h, dist, costs)
         assert greedy_price <= 2.5 * best + 1e-9

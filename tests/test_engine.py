@@ -14,19 +14,19 @@ import numpy as np
 import pytest
 
 from repro.core.costs import UnitCost, random_costs
-from repro.core.decision_tree import build_decision_tree
 from repro.core.oracle import ExactOracle
 from repro.core.session import run_search
 from repro.engine import (
+    EngineResultCache,
     VectorPolicy,
     is_vector_policy,
     simulate_all_targets,
     simulate_policies,
 )
 from repro.exceptions import PolicyError, SearchError
+from repro.plan import compile_policy
 from repro.policies import (
     GreedyTreePolicy,
-    StaticTreePolicy,
     available_policies,
     make_policy,
 )
@@ -34,6 +34,7 @@ from repro.testing import (
     make_random_dag,
     make_random_tree,
     random_distribution,
+    replay_compile,
 )
 
 #: Policies that must take the one-pass compiled-plan walk.  Every registry
@@ -144,21 +145,62 @@ class TestRegistryParityRandomGraphs:
         _assert_parity(make_policy(name), hierarchy, distribution, costs)
 
 
-class TestStaticTree:
-    def test_compiled_policy_is_vector(self, vehicle_hierarchy, vehicle_distribution):
-        tree = build_decision_tree(
-            GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
+class WrappedGreedy:
+    """A duck-typed undo policy: GreedyTree behind a plain object with no
+    ``fingerprint()``, so nothing captures its behaviour in a content key."""
+
+    name = "WrappedGreedy"
+    supports_undo = True
+    uses_distribution = True
+
+    def __init__(self) -> None:
+        self.inner = GreedyTreePolicy()
+
+    def reset(self, hierarchy, distribution=None, cost_model=None) -> None:
+        self.inner.reset(hierarchy, distribution, cost_model)
+
+    def done(self) -> bool:
+        return self.inner.done()
+
+    def propose(self):
+        return self.inner.propose()
+
+    def observe(self, answer: bool) -> None:
+        self.inner.observe(answer)
+
+    def undo(self) -> None:
+        self.inner.undo()
+
+    def enable_undo(self, enabled: bool = True) -> None:
+        self.inner.enable_undo(enabled)
+
+    def result(self):
+        return self.inner.result()
+
+
+class TestKeylessPolicy:
+    def test_duck_typed_policy_compiles_keyless(
+        self, tmp_path, vehicle_hierarchy, vehicle_distribution
+    ):
+        plan = compile_policy(
+            WrappedGreedy(), vehicle_hierarchy, vehicle_distribution
         )
-        policy = StaticTreePolicy(tree)
-        engine = _assert_parity(
-            policy, vehicle_hierarchy, vehicle_distribution
-        )
-        assert engine.method == "plan"
-        # The compiled tree replays the compiled policy's exact behaviour.
-        direct = simulate_all_targets(
+        direct = compile_policy(
             GreedyTreePolicy(), vehicle_hierarchy, vehicle_distribution
         )
-        assert np.array_equal(engine.queries, direct.queries)
+        assert plan.config_key == ""
+        assert plan.leaf_depths() == direct.leaf_depths()
+        cache = EngineResultCache(tmp_path)
+        for targets in (None, ["Maxima", "Honda"]):
+            engine = simulate_all_targets(
+                WrappedGreedy(), vehicle_hierarchy, vehicle_distribution,
+                targets=targets, result_cache=cache,
+            )
+            assert engine.method == ("plan" if targets is None else "vector")
+            for target in targets or vehicle_hierarchy.nodes:
+                assert engine.query_count(target) == direct.leaf_depths()[target]
+        assert not any(tmp_path.iterdir())
+        assert (cache.hits, cache.misses) == (0, 0)
 
 
 class TestEngineResult:
@@ -168,7 +210,7 @@ class TestEngineResult:
         engine = simulate_all_targets(
             GreedyTreePolicy(), vehicle_hierarchy, vehicle_distribution
         )
-        tree = build_decision_tree(
+        tree = replay_compile(
             GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
         )
         assert engine.expected_queries(vehicle_distribution) == pytest.approx(
@@ -211,10 +253,8 @@ class TestEngineResult:
         engine = simulate_all_targets(
             GreedyTreePolicy(), hierarchy, distribution
         )
-        tree = build_decision_tree(
-            GreedyTreePolicy, hierarchy, distribution
-        )
-        assert engine.decision_nodes == tree.num_questions()
+        tree = replay_compile(GreedyTreePolicy, hierarchy, distribution)
+        assert engine.decision_nodes == tree.num_questions
 
 
 class TestUndoProtocol:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.decision_tree import build_decision_tree
 from repro.core.distribution import TargetDistribution
 from repro.evaluation import (
     compare_policies,
@@ -15,7 +14,7 @@ from repro.evaluation import (
 )
 from repro.policies import GreedyTreePolicy, TopDownPolicy, WigsPolicy
 
-from repro.testing import make_random_tree, random_distribution
+from repro.testing import make_random_tree, random_distribution, replay_compile
 
 
 class TestExpectedCost:
@@ -23,7 +22,7 @@ class TestExpectedCost:
         result = evaluate_expected_cost(
             GreedyTreePolicy(), vehicle_hierarchy, vehicle_distribution
         )
-        tree = build_decision_tree(
+        tree = replay_compile(
             GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
         )
         assert result.method == "exact"

@@ -10,7 +10,7 @@ from repro.core.session import search_for_target
 from repro.exceptions import HierarchyError
 from repro.policies import GreedyNaivePolicy, GreedyTreePolicy
 
-from repro.testing import make_random_tree, random_distribution
+from repro.testing import make_random_tree, random_distribution, replay_compile
 
 
 class TestBasics:
@@ -35,9 +35,7 @@ class TestBasics:
 
     def test_example2_expected_cost(self, vehicle_hierarchy, vehicle_distribution):
         """The paper's Example 2: average cost 2.04."""
-        from repro.core.decision_tree import build_decision_tree
-
-        tree = build_decision_tree(
+        tree = replay_compile(
             GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
         )
         assert tree.expected_cost(vehicle_distribution) == pytest.approx(2.04)

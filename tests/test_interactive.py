@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.decision_tree import build_decision_tree
 from repro.core.oracle import ExactOracle
+from repro.engine import simulate_all_targets
 from repro.evaluation import analyze
 from repro.exceptions import SearchError
 from repro.interactive import console_search, parse_answer
-from repro.policies import GreedyTreePolicy
+from repro.plan import NO_PATH, compile_policy
+from repro.policies import GreedyTreePolicy, make_policy
+from repro.testing import make_random_dag, random_distribution
 
 
 class ScriptedHuman:
@@ -145,10 +147,10 @@ class TestConsoleSearch:
 
 class TestAnalysis:
     def test_vehicle_analysis(self, vehicle_hierarchy, vehicle_distribution):
-        tree = build_decision_tree(
-            GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
+        plan = compile_policy(
+            GreedyTreePolicy(), vehicle_hierarchy, vehicle_distribution
         )
-        report = analyze(tree, vehicle_distribution)
+        report = analyze(plan, vehicle_distribution)
         assert report.expected_cost == pytest.approx(2.04)
         assert report.worst_case_cost == 6
         assert 0 < report.efficiency <= 1
@@ -164,12 +166,34 @@ class TestAnalysis:
     def test_depth_distribution_matches_expected_cost(
         self, vehicle_hierarchy, vehicle_distribution
     ):
-        tree = build_decision_tree(
-            GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
+        plan = compile_policy(
+            GreedyTreePolicy(), vehicle_hierarchy, vehicle_distribution
         )
-        report = analyze(tree, vehicle_distribution)
+        report = analyze(plan, vehicle_distribution)
         mean_depth = sum(d * p for d, p in report.depth_distribution.items())
         assert mean_depth == pytest.approx(report.expected_cost)
+
+    @pytest.mark.parametrize("name", ["topdown", "migs"])
+    def test_one_sided_questions(self, name):
+        """The baselines' plans on a DAG hold questions one answer of which
+        no target is consistent with; that branch carries no mass."""
+        hierarchy = make_random_dag(40, seed=3)
+        distribution = random_distribution(hierarchy, 3)
+        plan = compile_policy(make_policy(name), hierarchy, distribution)
+        one_sided = (plan.yes_child == NO_PATH) | (plan.no_child == NO_PATH)
+        assert one_sided.sum() == 10
+        report = analyze(plan, distribution)
+        assert sum(report.depth_distribution.values()) == pytest.approx(1.0)
+        assert sum(report.query_frequency.values()) == pytest.approx(
+            report.expected_cost
+        )
+        engine = simulate_all_targets(
+            make_policy(name), hierarchy, distribution
+        )
+        assert plan.leaf_depths() == engine.per_target()
+        assert report.expected_cost == pytest.approx(
+            engine.expected_queries(distribution)
+        )
 
 
 class TestCliInteractive:

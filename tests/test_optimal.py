@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.core.decision_tree import build_decision_tree
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
 from repro.evaluation import worst_case_cost
@@ -20,7 +19,12 @@ from repro.policies import (
 from repro.exceptions import SearchError
 from repro.taxonomy.generators import balanced_tree, path_graph, star_graph
 
-from repro.testing import make_random_dag, make_random_tree, random_distribution
+from repro.testing import (
+    make_random_dag,
+    make_random_tree,
+    random_distribution,
+    replay_compile,
+)
 
 #: Theorem 2's golden-ratio bound for trees.
 PHI = (1 + math.sqrt(5)) / 2
@@ -69,7 +73,7 @@ class TestApproximationBounds:
         """Greedy expected cost <= phi * optimum on trees (Theorem 2)."""
         h = make_random_tree(10, seed=seed)
         dist = random_distribution(h, seed)
-        tree = build_decision_tree(GreedyTreePolicy, h, dist)
+        tree = replay_compile(GreedyTreePolicy, h, dist)
         greedy = tree.expected_cost(dist)
         best = optimal_expected_cost(h, dist)
         assert greedy <= PHI * best + 1e-9
@@ -90,7 +94,7 @@ class TestApproximationBounds:
 
         h = make_random_dag(10, seed=seed)
         dist = random_distribution(h, seed)
-        tree = build_decision_tree(GreedyDagPolicy, h, dist)
+        tree = replay_compile(GreedyDagPolicy, h, dist)
         greedy = tree.expected_cost(dist)
         best = optimal_expected_cost(h, dist)
         assert greedy <= 2 * (1 + 3 * math.log(h.n)) * best + 1e-9

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.decision_tree import build_decision_tree
 from repro.core.distribution import TargetDistribution
+from repro.plan import CompiledPlan
 from repro.policies import (
     GreedyTreePolicy,
     optimal_decision_tree,
@@ -14,12 +14,18 @@ from repro.policies import (
 from repro.experiments import TINY, table3
 from repro.experiments.scale import scaled
 
-from repro.testing import make_random_dag, make_random_tree, random_distribution
+from repro.testing import (
+    make_random_dag,
+    make_random_tree,
+    random_distribution,
+    replay_compile,
+)
 
 
 class TestOptimalTreeExtraction:
     def test_matches_optimal_cost(self, vehicle_hierarchy, vehicle_distribution):
         tree = optimal_decision_tree(vehicle_hierarchy, vehicle_distribution)
+        assert isinstance(tree, CompiledPlan)
         tree.validate()
         assert tree.expected_cost(vehicle_distribution) == pytest.approx(
             optimal_expected_cost(vehicle_hierarchy, vehicle_distribution)
@@ -40,9 +46,9 @@ class TestOptimalTreeExtraction:
             h = make_random_tree(9, seed=seed)
             dist = random_distribution(h, seed)
             optimal = optimal_decision_tree(h, dist).expected_cost(dist)
-            greedy = build_decision_tree(
-                GreedyTreePolicy, h, dist
-            ).expected_cost(dist)
+            greedy = replay_compile(GreedyTreePolicy, h, dist).expected_cost(
+                dist
+            )
             assert optimal <= greedy + 1e-9
 
     def test_with_prices(self, vehicle_hierarchy):

@@ -408,14 +408,17 @@ class TestEngineResultCache:
         assert cache.errors == 1
 
     def test_uncacheable_policy_never_written(self, tmp_path):
-        from repro.core.decision_tree import build_decision_tree
-        from repro.policies import StaticTreePolicy
+        from repro.plan import CompiledPlan
 
         hierarchy, distribution = self._config()
-        tree = build_decision_tree(GreedyTreePolicy, hierarchy, distribution)
+        compiled = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
+        keyless = CompiledPlan(
+            hierarchy, *compiled.payload_arrays().values(),
+            policy_name=compiled.policy_name, config_key="",
+        )
         cache = EngineResultCache(tmp_path)
         engine = simulate_all_targets(
-            StaticTreePolicy(tree), hierarchy, distribution, result_cache=cache
+            keyless, hierarchy, distribution, result_cache=cache
         )
         assert engine.num_targets == hierarchy.n
         assert not any(tmp_path.iterdir())

@@ -47,6 +47,7 @@ from repro.testing import (
     make_random_dag,
     make_random_tree,
     random_distribution,
+    replay_compile,
     vehicle_distribution,
     vehicle_hierarchy,
 )
@@ -148,21 +149,24 @@ class TestCompileParity:
         assert plan.expected_cost(vehicle_distribution) == pytest.approx(2.04)
         plan.validate()
 
-    def test_as_decision_tree_matches(
-        self, vehicle_hierarchy, vehicle_distribution
-    ):
-        from repro.core.decision_tree import build_decision_tree
-
-        plan = compile_policy(
-            GreedyTreePolicy(), vehicle_hierarchy, vehicle_distribution
-        )
-        tree = plan.as_decision_tree()
-        reference = build_decision_tree(
-            GreedyTreePolicy, vehicle_hierarchy, vehicle_distribution
-        )
-        assert tree.leaf_depths() == reference.leaf_depths()
-        assert tree.leaf_prices(UnitCost()) == reference.leaf_prices(
+    @pytest.mark.parametrize(
+        "factory", [GreedyTreePolicy, GreedyDagPolicy, WigsPolicy, TopDownPolicy]
+    )
+    def test_matches_replay_reference(self, factory):
+        """The undo walk builds the plan the prefix replay builds."""
+        hierarchy = make_random_dag(30, seed=5)
+        if factory is GreedyTreePolicy:
+            hierarchy = make_random_tree(30, seed=5)
+        distribution = random_distribution(hierarchy, 5)
+        plan = compile_policy(factory(), hierarchy, distribution)
+        reference = replay_compile(factory, hierarchy, distribution)
+        assert plan.num_questions == reference.num_questions
+        assert plan.leaf_depths() == reference.leaf_depths()
+        assert plan.leaf_prices(UnitCost()) == reference.leaf_prices(
             UnitCost()
+        )
+        assert plan.expected_cost(distribution) == reference.expected_cost(
+            distribution
         )
 
 

@@ -226,17 +226,17 @@ class TestWarmReuse:
         assert len(_pids()) == 3
 
     def test_keyless_plan_reused_by_identity(self):
-        """A plan without a content key (here a static decision tree's)
-        keeps the workers only while the same plan object sweeps."""
-        from repro.core.decision_tree import build_decision_tree
-        from repro.policies import StaticTreePolicy
+        """A plan without a content key keeps the workers only while the
+        same plan object sweeps."""
+        from repro.plan import CompiledPlan
 
         hierarchy, distribution = _tree_config(n=30, seed=2)
-        tree = build_decision_tree(GreedyTreePolicy, hierarchy, distribution)
+        compiled = compile_policy(GreedyTreePolicy(), hierarchy, distribution)
 
         def keyless():
-            return compile_policy(
-                StaticTreePolicy(tree), hierarchy, distribution
+            return CompiledPlan(
+                hierarchy, *compiled.payload_arrays().values(),
+                policy_name=compiled.policy_name, config_key="",
             )
 
         plan = keyless()

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.decision_tree import build_decision_tree
 from repro.core.distribution import TargetDistribution
 from repro.core.hierarchy import Hierarchy
 from repro.core.oracle import ExactOracle
 from repro.core.session import search_for_target
+from repro.plan import compile_policy
 from repro.policies import (
     GreedyDagPolicy,
     GreedyNaivePolicy,
@@ -32,6 +32,7 @@ from repro.policies import (
     WigsPolicy,
     optimal_expected_cost,
 )
+from repro.testing import replay_compile
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -147,7 +148,7 @@ def test_theorem2_golden_ratio_bound(data):
     rounding exists precisely to keep weights bounded away from degenerate.
     """
     hierarchy, distribution = data
-    tree = build_decision_tree(GreedyTreePolicy, hierarchy, distribution)
+    tree = replay_compile(GreedyTreePolicy, hierarchy, distribution)
     greedy = tree.expected_cost(distribution)
     best = optimal_expected_cost(hierarchy, distribution)
     assert greedy <= PHI * best + 1e-6
@@ -204,15 +205,15 @@ def test_greedy_dag_weights_stay_exact(data, target_seed):
 @given(data=dag_with_distribution(max_nodes=10))
 def test_decision_tree_cost_equals_simulation(data):
     hierarchy, distribution = data
-    tree = build_decision_tree(GreedyDagPolicy, hierarchy, distribution)
-    tree.validate()
+    plan = compile_policy(GreedyDagPolicy(), hierarchy, distribution)
+    plan.validate()
     policy = GreedyDagPolicy()
     simulated = sum(
         distribution.p(target)
         * search_for_target(policy, hierarchy, target, distribution).num_queries
         for target in hierarchy.nodes
     )
-    assert tree.expected_cost(distribution) == pytest.approx(simulated)
+    assert plan.expected_cost(distribution) == pytest.approx(simulated)
 
 
 # ----------------------------------------------------------------------
